@@ -143,10 +143,11 @@ class Pipeline:
         MapReduceRuntime.run_iter`) — no stage's output is ever
         materialized as one driver-side list, which is what lets a
         disk-backed pipeline honor the out-of-core storage contract.
-        ``records_out`` comes from the filesystem's own ``du``
-        accounting; the return value is the last stage's dataset read
-        back (bit-identical to the reduce output by the storage codec
-        contract).
+        ``records_out`` is the count each ``filesystem.write`` returns
+        (equal to ``du(path).records``, without asking the filesystem
+        to size the dataset); the return value is the last stage's
+        dataset read back (bit-identical to the reduce output by the
+        storage codec contract).
         """
         self.validate()
         last_output: Optional[str] = None
@@ -168,12 +169,9 @@ class Pipeline:
                 stream = self.runtime.run_iter(
                     stage.job, records, side_data=side
                 )
-                self.filesystem.write(
+                self.records_out[stage.output] = self.filesystem.write(
                     stage.output, stream, overwrite=True
                 )
-                self.records_out[stage.output] = self.filesystem.du(
-                    stage.output
-                ).records
                 last_output = stage.output
         if last_output is None:
             return []

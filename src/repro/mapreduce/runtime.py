@@ -47,10 +47,11 @@ is computed **exactly once**, at emit time.  Partitioning hashes the
 cached bytes (:meth:`~repro.mapreduce.partitioner.HashPartitioner.
 partition_bytes`, a CRC-based hash far cheaper than the per-record MD5
 it replaced), the combiner and reduce-side sort/group compare the
-cached bytes, and the external shuffle spills and k-way merges them
-byte-first — no stage re-encodes.  The one-encode-per-record invariant
-is asserted by a counting-codec test in
-``tests/mapreduce/test_encoded_plane.py``.
+cached bytes (a combiner output under its group's own key object
+inherits the group's bytes), and the external shuffle spills and k-way
+merges them byte-first — no stage re-encodes.  The invariant — one
+``canonical_bytes`` call per emitted key object — is asserted by a
+counting-codec test in ``tests/mapreduce/test_encoded_plane.py``.
 
 Storage model
 -------------
@@ -1065,20 +1066,24 @@ def _apply_combiner(
 ) -> List[EncodedRecord]:
     """Group one map task's output by key and apply ``job.combine``.
 
-    Sorting and grouping compare the cached key bytes; only the
-    combiner's *output* records — new intermediate records — are
-    encoded, once each, as they enter the plane.
+    Sorting and grouping compare the cached key bytes.  A combiner
+    that emits under the very key object it was handed — the usual
+    case — keeps that group's cached bytes; only a *new* key object is
+    encoded, once, as it enters the plane.  The test is identity, never
+    ``==``: ``1``, ``1.0`` and ``True`` are equal and encode
+    differently.
     """
     emitted.sort(key=_record_key_bytes)  # stable: arrival order kept
     combined: List[EncodedRecord] = []
-    for key, values in _group_encoded(emitted):
+    for key_bytes, key, values in _group_encoded_bytes(emitted):
         for pair in job.combine(key, values):
             if type(pair) is not tuple or len(pair) != 2:
                 _validated_pair(job, pair)
             out_key, out_value = pair
-            combined.append(
-                (canonical_bytes(out_key), out_key, out_value)
+            out_bytes = (
+                key_bytes if out_key is key else canonical_bytes(out_key)
             )
+            combined.append((out_bytes, out_key, out_value))
     return combined
 
 

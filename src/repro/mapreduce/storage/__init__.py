@@ -37,7 +37,7 @@ from .base import (
     validate_path,
     validate_record,
 )
-from .codec import decode_value, dumps_record, encode_value, loads_record
+from .codec import dumps_record, loads_record
 from .disk import LocalDiskFileSystem
 from .memory import InMemoryFileSystem
 from .shuffle import ExternalShuffle, SPILL_COUNTERS, strip_spill_counters
@@ -53,9 +53,7 @@ __all__ = [
     "LocalDiskFileSystem",
     "SPILL_COUNTERS",
     "canonical_backend",
-    "decode_value",
     "dumps_record",
-    "encode_value",
     "loads_record",
     "read_scalars",
     "read_vectors",

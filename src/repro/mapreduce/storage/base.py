@@ -124,7 +124,10 @@ class FileSystem:
         With a ``path``, returns that dataset's :class:`DatasetStats`;
         without, returns ``{path: DatasetStats}`` for every dataset.
         Byte totals are storage-defined: actual file sizes for the disk
-        backend, serialized-size estimates for the in-memory one.
+        backend, serialized-size estimates for the in-memory one (which
+        computes them only when ``.bytes`` is read).  A caller that has
+        just written the dataset already holds its record count —
+        :meth:`write` returns it — and should not come here for it.
         """
         raise NotImplementedError
 

@@ -33,47 +33,96 @@ outside the table (arbitrary class instances) raise
 :class:`~repro.mapreduce.storage.base.FileSystemError` — datasets are
 an interchange surface, not a pickle jar; jobs that need richer state
 in records keep it in memory or convert at the boundary.
+
+A disk-backed pipeline pays this codec for every record of every
+stage hand-off, so both directions make one pass per record: the
+encoder writes JSON text straight from the Python value, the decoder
+untags containers from inside the JSON scanner.  The lines are exactly
+what ``json.dumps`` produces for the tag tree (compact separators,
+ASCII-only, ``NaN``/``Infinity`` as Python's JSON dialect spells them).
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 import pickle
-from typing import Any, BinaryIO, Iterator, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Any, BinaryIO, Callable, Dict, Iterator, Tuple
 
 from ..job import KeyValue
 from .base import FileSystemError
 
 __all__ = [
-    "encode_value",
-    "decode_value",
     "dumps_record",
     "loads_record",
     "write_run_record",
     "read_run_records",
 ]
 
-_SCALARS = (bool, int, float, str)
+# -- encoder -----------------------------------------------------------------
+#
+# No intermediate tag tree and no per-call ``JSONEncoder``.  The leaves
+# are the stdlib's own (``encode_basestring_ascii``, ``float.__repr__``,
+# ``int.__repr__``), which is what keeps every line byte-identical to
+# ``json.dumps`` — pinned by tests/mapreduce/golden_jsonl.json.
 
 
-def encode_value(value: Any) -> Any:
-    """Encode one key or value into a JSON-serializable structure."""
-    if value is None or isinstance(value, _SCALARS):
-        return value
-    if isinstance(value, bytes):
-        return {"y": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, tuple):
-        return {"t": [encode_value(item) for item in value]}
-    if isinstance(value, list):
-        return {"l": [encode_value(item) for item in value]}
-    if isinstance(value, dict):
-        return {
-            "d": [
-                [encode_value(key), encode_value(val)]
-                for key, val in value.items()
-            ]
-        }
+def _encode_float(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _encode_bytes(value: bytes) -> str:
+    return '{"y":"' + base64.b64encode(value).decode("ascii") + '"}'
+
+
+def _encode_tuple(value: tuple) -> str:
+    return '{"t":[' + ",".join([_encode(item) for item in value]) + "]}"
+
+
+def _encode_list(value: list) -> str:
+    return '{"l":[' + ",".join([_encode(item) for item in value]) + "]}"
+
+
+def _encode_dict(value: dict) -> str:
+    pairs = [
+        "[" + _encode(key) + "," + _encode(val) + "]"
+        for key, val in value.items()
+    ]
+    return '{"d":[' + ",".join(pairs) + "]}"
+
+
+#: Exact class -> encoder.  ``bool`` has its own entry, so it never
+#: falls through to ``int``; subclasses of the other types miss the
+#: lookup and resolve by ``isinstance`` against the same table,
+#: encoding as their base type (``int.__repr__``, not the subclass's).
+_ENCODERS: Dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    float: _encode_float,
+    tuple: _encode_tuple,
+    int: int.__repr__,
+    dict: _encode_dict,
+    list: _encode_list,
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    bytes: _encode_bytes,
+}
+_exact_encoder = _ENCODERS.get
+
+
+def _encode(value: Any) -> str:
+    """The JSON text of one key or value (or of anything nested in it)."""
+    encoder = _exact_encoder(value.__class__)
+    if encoder is not None:
+        return encoder(value)
+    for base, encoder in _ENCODERS.items():
+        if isinstance(value, base):
+            return encoder(value)
     raise FileSystemError(
         f"cannot serialize {type(value).__name__} values to a record "
         "dataset; supported types: None, bool, int, float, str, bytes, "
@@ -81,37 +130,54 @@ def encode_value(value: Any) -> Any:
     )
 
 
-def decode_value(encoded: Any) -> Any:
-    """Invert :func:`encode_value` exactly."""
-    if isinstance(encoded, dict):
-        if len(encoded) != 1:
-            raise FileSystemError(
-                f"malformed tag object with {len(encoded)} keys "
-                "(encoded structures are single-key tag objects)"
-            )
-        ((tag, payload),) = encoded.items()
-        if tag == "t":
-            return tuple(decode_value(item) for item in payload)
-        if tag == "l":
-            return [decode_value(item) for item in payload]
-        if tag == "d":
-            return {
-                decode_value(key): decode_value(val)
-                for key, val in payload
-            }
-        if tag == "y":
-            return base64.b64decode(payload)
-        raise FileSystemError(f"unknown record tag {tag!r}")
-    return encoded
-
-
 def dumps_record(key: Any, value: Any) -> str:
     """Serialize one record to its canonical single-line JSON form."""
-    return json.dumps(
-        [encode_value(key), encode_value(value)],
-        separators=(",", ":"),
-        ensure_ascii=True,
-    )
+    return "[" + _encode(key) + "," + _encode(value) + "]"
+
+
+# -- decoder -----------------------------------------------------------------
+#
+# The C JSON scanner does the parsing; ``_untag`` runs as its
+# ``object_hook``, so tag objects turn back into tuples, lists, dicts
+# and bytes innermost-first while the line is scanned — there is no
+# second walk over a decoded tree.
+
+
+def _untag(tagged: Dict[str, Any]) -> Any:
+    if len(tagged) != 1:
+        raise FileSystemError(
+            f"malformed tag object with {len(tagged)} keys "
+            "(encoded structures are single-key tag objects)"
+        )
+    ((tag, payload),) = tagged.items()
+    if tag == "t":
+        return tuple(payload)
+    if tag == "d":
+        return dict(payload)
+    if tag == "l":
+        return list(payload)
+    if tag == "y":
+        return base64.b64decode(payload)
+    raise FileSystemError(f"unknown record tag {tag!r}")
+
+
+_DECODER = json.JSONDecoder(object_hook=_untag)
+
+
+def _parse(line: str) -> Any:
+    """``json.loads`` with the tag hook applied.
+
+    A line that is exactly one JSON value (all the encoder writes),
+    with or without its newline, skips ``decode``'s whitespace regex
+    matches; anything else is ``decode``'s to accept or reject.
+    """
+    try:
+        parsed, end = _DECODER.scan_once(line, 0)
+        if end == len(line) or line[end:] == "\n":
+            return parsed
+    except StopIteration:
+        pass
+    return _DECODER.decode(line)
 
 
 def loads_record(line: str) -> KeyValue:
@@ -122,8 +188,11 @@ def loads_record(line: str) -> KeyValue:
     carrying the offending line, never a bare ``ValueError``.
     """
     try:
-        encoded_key, encoded_value = json.loads(line)
-        return decode_value(encoded_key), decode_value(encoded_value)
+        record = _parse(line)
+        if record.__class__ is not list:
+            raise ValueError("the top level is not a [key, value] array")
+        key, value = record
+        return key, value
     except FileSystemError as exc:
         raise FileSystemError(
             f"malformed record line {line!r}: {exc}"

@@ -30,6 +30,7 @@ from __future__ import annotations
 import gzip
 import os
 import tempfile
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..job import KeyValue
@@ -47,6 +48,8 @@ __all__ = ["LocalDiskFileSystem"]
 _SUFFIX = ".jsonl"
 _SUFFIX_GZ = ".jsonl.gz"
 _TMP_MARKER = ".inprogress-"
+#: Records serialized per ``handle.write`` call.
+_WRITE_BATCH = 4096
 
 
 class LocalDiskFileSystem(FileSystem):
@@ -162,11 +165,16 @@ class LocalDiskFileSystem(FileSystem):
         count = 0
         try:
             with self._opened_temp(temp_path) as handle:
-                for record in records:
-                    key, value = validate_record(record)
-                    handle.write(dumps_record(key, value))
-                    handle.write("\n")
-                    count += 1
+                stream = iter(records)
+                while True:
+                    lines = [
+                        dumps_record(*validate_record(record))
+                        for record in islice(stream, _WRITE_BATCH)
+                    ]
+                    if not lines:
+                        break
+                    handle.write("\n".join(lines) + "\n")
+                    count += len(lines)
         except BaseException:
             try:
                 os.unlink(temp_path)
@@ -196,12 +204,12 @@ class LocalDiskFileSystem(FileSystem):
         if file_path is None:
             raise FileSystemError(f"no such path: {path!r}")
         signature = self._signature(file_path)
-        records: List[KeyValue] = []
         with self._open(file_path, "r") as handle:
-            for line in handle:
-                line = line.rstrip("\n")
-                if line:
-                    records.append(loads_record(line))
+            # Blank lines (only ever hand-made) are skipped, as ``du``
+            # does not count them.
+            records = [
+                loads_record(line) for line in handle if line != "\n"
+            ]
         self._counts[path] = (signature, len(records))
         return records
 

@@ -7,16 +7,20 @@ backend — zero IO cost, ideal for tests and small corpora — and the
 semantics every other backend must match (write-once, atomic
 visibility, isolated reads, prefix listing).
 
-``du()`` reports serialized byte sizes so spill/storage tuning done
-against the in-memory backend transfers to the disk backend: each
-dataset's byte total is the length of its canonical JSONL encoding
-(computed lazily and cached; datasets holding records the JSONL codec
-cannot express fall back to pickled size).
+Record counts are ``len()`` of the stored list: ``size()`` and
+``du().records`` never touch a record.  ``du().bytes`` reports
+serialized sizes so spill/storage tuning done against the in-memory
+backend transfers to the disk backend: the length of the dataset's
+canonical JSONL encoding (pickled size for records the codec cannot
+express).  That means encoding every record, so it is computed only
+when ``.bytes`` is first read (pipeline ``describe()``, state parking)
+and cached until the dataset changes.
 """
 
 from __future__ import annotations
 
 import pickle
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional
 
 from ..job import KeyValue
@@ -30,6 +34,28 @@ from .base import (
 from .codec import dumps_record
 
 __all__ = ["InMemoryFileSystem"]
+
+
+class _LazyStats(DatasetStats):
+    """Stats of one stored dataset; ``bytes`` is sized on first read."""
+
+    def __init__(self, dataset: List[KeyValue]) -> None:
+        # Datasets are replaced, never mutated, so holding the list
+        # keeps these numbers true to the dataset they were asked of.
+        object.__setattr__(self, "records", len(dataset))
+        object.__setattr__(self, "_dataset", dataset)
+
+    @cached_property
+    def bytes(self) -> int:  # type: ignore[override]
+        total = 0
+        for key, value in self._dataset:
+            try:
+                total += len(dumps_record(key, value)) + 1
+            except FileSystemError:
+                # Not expressible as JSONL (in-memory-only record
+                # types); fall back to the pickled footprint.
+                total += len(pickle.dumps((key, value)))
+        return total
 
 
 class InMemoryFileSystem(FileSystem):
@@ -103,30 +129,20 @@ class InMemoryFileSystem(FileSystem):
     def du(self, path: Optional[str] = None):
         """Record/byte stats for one dataset (or all, as a dict).
 
-        Byte totals are the dataset's size in the canonical JSONL
-        encoding (one line per record, newline included) — the size the
-        disk backend would occupy uncompressed — so the numbers stay
-        meaningful across backends.  Computed on first request and
-        cached until the dataset changes.
+        ``bytes`` is the dataset's size in the canonical JSONL encoding
+        (one line per record, newline included) — the size the disk
+        backend would occupy uncompressed — so the numbers stay
+        meaningful across backends.  It is computed when first read,
+        not here, and kept until the dataset changes.
         """
         if path is None:
             return {name: self.du(name) for name in sorted(self._datasets)}
         path = validate_path(path)
-        if path not in self._datasets:
-            raise FileSystemError(f"no such path: {path!r}")
         stats = self._stats.get(path)
         if stats is None:
-            records = self._datasets[path]
-            total = 0
-            for key, value in records:
-                try:
-                    total += len(dumps_record(key, value)) + 1
-                except FileSystemError:
-                    # Not expressible as JSONL (in-memory-only record
-                    # types); fall back to the pickled footprint.
-                    total += len(pickle.dumps((key, value)))
-            stats = DatasetStats(records=len(records), bytes=total)
-            self._stats[path] = stats
+            if path not in self._datasets:
+                raise FileSystemError(f"no such path: {path!r}")
+            stats = self._stats[path] = _LazyStats(self._datasets[path])
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -6,7 +6,8 @@ intermediate record — at map-emit time — and carries the
 shuffle, the external sort-and-spill shuffle, and the reduce-side
 sort/group.  These tests pin:
 
-* the **encode-once invariant**, by counting calls through a patched
+* the **encode-once invariant** — one ``canonical_bytes`` call per
+  distinct emitted key object — by counting calls through a patched
   codec (with and without a combiner, with and without spilling);
 * **equal-key arrival order** through the encoded plane, at every
   spill threshold;
@@ -15,6 +16,8 @@ sort/group.  These tests pin:
   the in-memory path bit-identically);
 * the ``shuffle.encoded_bytes`` counter and ``phase_timings`` meters.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -44,6 +47,27 @@ class CombiningWordCount(PlainWordCount):
 
     def combine(self, word, counts):
         yield word, sum(counts)
+
+
+class RekeyingWordCount(CombiningWordCount):
+    """The combiner emits under a *fresh* key object every time."""
+
+    name = "RekeyingWordCount"
+
+    def combine(self, word, counts):
+        yield word.upper(), sum(counts)
+
+    def reduce(self, word, counts):
+        yield word.lower(), sum(counts)
+
+
+class FloatingCombiner(MapReduceJob):
+    """The combiner's key equals its group's key but is another type."""
+
+    has_combiner = True
+
+    def combine(self, key, values):
+        yield float(key), sum(values)
 
 
 class ArrivalOrder(MapReduceJob):
@@ -101,16 +125,39 @@ def test_encode_once_without_combiner(counting_codec):
     assert counting_codec.calls == _map_emissions(PlainWordCount, LINES)
 
 
-def test_encode_once_with_combiner(counting_codec):
-    """With a combiner, the combiner's outputs are new intermediate
-    records: total encodes == map emissions + combiner emissions."""
+@pytest.mark.parametrize(
+    "job_class, fresh_keys",
+    [(CombiningWordCount, False), (RekeyingWordCount, True)],
+)
+def test_encode_once_with_combiner(counting_codec, job_class, fresh_keys):
+    """One encode per distinct emitted key object: a combiner output
+    under its group's own key object reuses the group's cached bytes;
+    only an output under a fresh key object is encoded."""
     runtime = MapReduceRuntime(num_map_tasks=3, num_reduce_tasks=3)
-    runtime.run(CombiningWordCount(), LINES)
-    map_emitted = _map_emissions(CombiningWordCount, LINES)
-    combined = runtime.counters.get(
-        "CombiningWordCount", "map.output.records"
+    output = runtime.run(job_class(), LINES)
+    words = [word for _, line in LINES for word in line.split()]
+    assert sorted(output) == sorted(Counter(words).items())
+    map_emitted = _map_emissions(job_class, LINES)
+    combined = runtime.counters.get(job_class.name, "map.output.records")
+    assert 0 < combined < map_emitted
+    assert counting_codec.calls == map_emitted + (
+        combined if fresh_keys else 0
     )
-    assert counting_codec.calls == map_emitted + combined
+
+
+def test_combiner_reuses_key_bytes_by_identity_not_equality():
+    """``1 == 1.0 == True`` but each encodes differently: an *equal*
+    combiner key must still be encoded as what it is."""
+    emitted = [
+        (canonical_bytes(key), key, value)
+        for key, value in [(1, 5), (True, 1), (1, 6), (2.0, 7)]
+    ]
+    combined = runtime_module._apply_combiner(FloatingCombiner(), emitted)
+    assert sorted(combined) == sorted(
+        (canonical_bytes(key), key, value)
+        for key, value in [(1.0, 11), (1.0, 1), (2.0, 7)]
+    )
+    assert all(type(key) is float for _, key, _ in combined)
 
 
 @pytest.mark.parametrize("threshold", [0, 2])

@@ -105,8 +105,9 @@ def test_multi_input_stage():
 # -- streaming regression ---------------------------------------------------
 # Pipeline.run used to materialize every stage's full output in driver
 # memory before writing it to the filesystem; it now streams the
-# runtime's task outputs straight into filesystem.write and derives
-# records_out from the dataset's own du() accounting.
+# runtime's task outputs straight into filesystem.write and takes
+# records_out from the count that write returns (the call-sequence spy
+# in tests/simjoin/test_pipeline_join.py pins that it never calls du).
 
 
 class _StreamSpyFS(InMemoryFileSystem):
@@ -132,7 +133,7 @@ def test_run_streams_stage_output_into_filesystem():
     assert dict(output) == {"a": 3, "b": 2, "c": 1}
 
 
-def test_records_out_comes_from_dataset_accounting(pipeline):
+def test_records_out_agrees_with_dataset_accounting(pipeline):
     pipeline.add(Tokenize(), ["/in"], "/counts")
     pipeline.run()
     du = pipeline.filesystem.du("/counts")

@@ -7,7 +7,10 @@ rename-on-close, crash invisibility, gzip, and persistence across
 instances.
 """
 
+import base64
+import collections
 import gzip
+import json
 import os
 
 import pytest
@@ -22,6 +25,7 @@ from repro.mapreduce import (
     LocalDiskFileSystem,
     resolve_filesystem,
 )
+from repro.mapreduce.storage import memory as memory_module
 from repro.mapreduce.storage import (
     FILESYSTEM_BACKENDS,
     dumps_record,
@@ -134,7 +138,7 @@ def test_delete(fs):
 
 def test_list_paths_by_prefix(fs):
     fs.write("/job/out1", [("a", 1)])
-    fs.write("/job/out2", [("a", 1)])
+    fs.write("/job/out2", [])  # an empty dataset is still a dataset
     fs.write("/other", [("a", 1)])
     assert fs.list_paths("/job") == ["/job/out1", "/job/out2"]
     assert len(fs.list_paths()) == 3
@@ -154,6 +158,34 @@ def test_du_reports_records_and_bytes(fs):
     all_stats = fs.du()
     assert all_stats["/stats/a"] == stats
     assert all_stats["/stats/b"] == empty
+
+
+def test_memory_record_counts_never_encode(monkeypatch):
+    """``size()`` / ``du().records`` are ``len()``; only reading
+    ``.bytes`` sizes the dataset, once, until the dataset changes."""
+    encoded = []
+
+    def counting_dumps(key, value):
+        encoded.append(key)
+        return dumps_record(key, value)
+
+    monkeypatch.setattr(memory_module, "dumps_record", counting_dumps)
+    fs = InMemoryFileSystem()
+    records = [(("k", i), float(i)) for i in range(50)]
+    assert fs.write("/d", records) == 50
+    assert fs.size("/d") == 50
+    assert fs.du("/d").records == 50
+    assert fs.du()["/d"].records == 50
+    assert encoded == []
+    expected = sum(len(dumps_record(k, v)) + 1 for k, v in records)
+    assert fs.du("/d").bytes == expected
+    assert len(encoded) == 50
+    assert fs.du("/d").bytes == expected  # cached
+    assert len(encoded) == 50
+    fs.write("/d", records[:3], overwrite=True)  # invalidates
+    assert fs.du("/d").records == 3
+    assert fs.du("/d").bytes < expected
+    assert len(encoded) == 53
 
 
 def test_roundtrip_preserves_record_types(fs):
@@ -179,13 +211,130 @@ def test_roundtrip_preserves_record_types(fs):
 
 # -- codec ------------------------------------------------------------------
 
+
+class StrSub(str):
+    def __repr__(self):
+        return "StrSub!"
+
+    __str__ = __repr__
+
+
+class IntSub(int):
+    def __repr__(self):
+        return "IntSub!"
+
+    __str__ = __repr__
+
+
+class FloatSub(float):
+    def __repr__(self):
+        return "FloatSub!"
+
+    __str__ = __repr__
+
+
+class ListSub(list):
+    pass
+
+
+Pair = collections.namedtuple("Pair", "left right")
+
+#: Names the golden fixture's record expressions may use.  Subclasses
+#: encode as their base type, so a record decodes to what the same
+#: expression builds under ``_PLAIN_NAMES``.
+_GOLDEN_NAMES = {
+    "StrSub": StrSub,
+    "IntSub": IntSub,
+    "FloatSub": FloatSub,
+    "ListSub": ListSub,
+    "Pair": Pair,
+    "OrderedDict": collections.OrderedDict,
+    "nan": float("nan"),
+    "inf": float("inf"),
+}
+_PLAIN_NAMES = dict(
+    _GOLDEN_NAMES,
+    StrSub=str,
+    IntSub=int,
+    FloatSub=float,
+    ListSub=list,
+    Pair=lambda *parts: tuple(parts),
+    OrderedDict=dict,
+)
+
+
+with open(
+    os.path.join(os.path.dirname(__file__), "golden_jsonl.json"),
+    encoding="utf-8",
+) as _handle:
+    GOLDEN = json.load(_handle)
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=[case["case"] for case in GOLDEN]
+)
+def test_codec_matches_golden_lines(case):
+    """The lines were frozen from the encoder this codec replaced
+    (``json.dumps`` over a tag tree): same bytes out, and every line
+    decodes to the record it came from.  ``repr`` tells ``True`` from
+    ``1``, ``-0.0`` from ``0.0``, tuples from lists, and equates NaNs."""
+    key, value = eval(case["record"], dict(_GOLDEN_NAMES))
+    assert dumps_record(key, value) == case["line"]
+    plain = eval(case["record"], dict(_PLAIN_NAMES))
+    assert repr(loads_record(case["line"])) == repr(plain)
+    assert repr(loads_record(case["line"] + "\n")) == repr(plain)
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_disk_files_are_byte_identical_to_golden_lines(tmp_path, compress):
+    fs = LocalDiskFileSystem(root=str(tmp_path / "dfs"), compress=compress)
+    records = [eval(case["record"], dict(_GOLDEN_NAMES)) for case in GOLDEN]
+    assert fs.write("/golden", records) == len(GOLDEN)
+    file_path = os.path.join(
+        fs.root, "golden.jsonl.gz" if compress else "golden.jsonl"
+    )
+    opener = gzip.open if compress else open
+    with opener(file_path, "rb") as handle:
+        stored = handle.read()
+    expected = "".join(case["line"] + "\n" for case in GOLDEN)
+    assert stored == expected.encode("ascii")
+    plain = [eval(case["record"], dict(_PLAIN_NAMES)) for case in GOLDEN]
+    assert repr(fs.read("/golden")) == repr(plain)
+    assert fs.du("/golden").records == len(GOLDEN)
+
+
+def _reference_encode(value):
+    """The tag tree the replaced encoder handed to ``json.dumps``."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, bytes):
+        return {"y": base64.b64encode(value).decode("ascii")}
+    if isinstance(value, tuple):
+        return {"t": [_reference_encode(item) for item in value]}
+    if isinstance(value, list):
+        return {"l": [_reference_encode(item) for item in value]}
+    return {
+        "d": [
+            [_reference_encode(key), _reference_encode(val)]
+            for key, val in value.items()
+        ]
+    }
+
+
 _scalars = (
     st.none()
     | st.booleans()
-    | st.integers(min_value=-(2**63), max_value=2**63)
-    | st.floats(allow_nan=False)
-    | st.text(max_size=12)
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    # Every code point, lone surrogates included.
+    | st.text(st.characters(blacklist_categories=()), max_size=12)
     | st.binary(max_size=12)
+)
+
+# Dict keys: anything hashable the codec carries, nested tuples too.
+_keys = st.recursive(
+    _scalars, lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=4,
 )
 
 _values = st.recursive(
@@ -193,9 +342,7 @@ _values = st.recursive(
     lambda children: (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
-        | st.dictionaries(
-            st.text(max_size=6) | st.integers(), children, max_size=4
-        )
+        | st.dictionaries(_keys, children, max_size=4)
     ),
     max_leaves=12,
 )
@@ -203,11 +350,14 @@ _values = st.recursive(
 
 @given(key=_values, value=_values)
 def test_codec_roundtrip_is_exact(key, value):
-    back_key, back_value = loads_record(dumps_record(key, value))
-    assert back_key == key
-    assert back_value == value
-    assert type(back_key) is type(key)
-    assert type(back_value) is type(value)
+    line = dumps_record(key, value)
+    assert line == json.dumps(
+        [_reference_encode(key), _reference_encode(value)],
+        separators=(",", ":"),
+    )
+    assert "\n" not in line and line.isascii()
+    # repr: exact types at every depth, dict order, the sign of zero.
+    assert repr(loads_record(line)) == repr((key, value))
 
 
 def test_codec_rejects_unsupported_types():
@@ -224,6 +374,12 @@ def test_codec_rejects_malformed_lines():
         '["key-only"]',  # not a pair
         '["k", {"a": 1, "b": 2}]',  # multi-key object is no valid tag
         '["k", {"zz": []}]',  # unknown tag
+        '{"t": ["k", "v"]}',  # a tagged tuple is not a record
+        '["k", {"t": 5}]',  # tag payload of the wrong shape
+        '["k", {"y": "a"}]',  # not base64
+        '["k", {"d": [[{"l": []}, 1]]}]',  # unhashable dict key
+        '["k", "v"] trailing',
+        "",
     ):
         with pytest.raises(FileSystemError, match="malformed|unknown"):
             loads_record(bad)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.mapreduce import InMemoryFileSystem, MapReduceRuntime
+from repro.mapreduce import (
+    FileSystem,
+    InMemoryFileSystem,
+    LocalDiskFileSystem,
+    MapReduceRuntime,
+)
 from repro.simjoin import (
     exact_similarity_join,
     similarity_join_pipeline,
@@ -46,3 +51,65 @@ def test_pipeline_describe_names_stages():
 def test_pipeline_rejects_bad_sigma():
     with pytest.raises(ValueError):
         similarity_join_pipeline(ITEMS, CONSUMERS, 0.0)
+
+
+# -- the stage hand-off ------------------------------------------------------
+
+
+class _SpyFS(FileSystem):
+    """Logs every read / write / du in call order, then delegates."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def write(self, path, records, overwrite=False):
+        self.calls.append(("write", path))
+        return self.inner.write(path, records, overwrite=overwrite)
+
+    def read(self, path):
+        self.calls.append(("read", path))
+        return self.inner.read(path)
+
+    def du(self, path=None):
+        self.calls.append(("du", path))
+        return self.inner.du(path)
+
+    def exists(self, path):
+        return self.inner.exists(path)
+
+
+@pytest.mark.parametrize("kind", ["memory", "disk", "disk-gz"])
+def test_hand_off_call_sequence_and_accounting(kind, tmp_path):
+    """``Pipeline.run`` never sizes a dataset (``du``), and issues
+    exactly the reads and writes it always has, in the same order —
+    ``FaultPlan`` storage sites key off the N-th read / N-th write."""
+    if kind == "memory":
+        inner = InMemoryFileSystem()
+    else:
+        inner = LocalDiskFileSystem(
+            root=str(tmp_path / "dfs"), compress=kind.endswith("gz")
+        )
+    spy = _SpyFS(inner)
+    pipeline = similarity_join_pipeline(
+        ITEMS, CONSUMERS, 1.0, filesystem=spy
+    )
+    pipeline.run()
+    assert spy.calls == [
+        ("write", "/simjoin/documents"),
+        ("read", "/simjoin/documents"),
+        ("write", "/simjoin/term_bounds"),
+        ("read", "/simjoin/documents"),
+        ("read", "/simjoin/term_bounds"),  # the side-data factory
+        ("write", "/simjoin/candidates"),
+        ("read", "/simjoin/candidates"),
+        ("write", "/simjoin/edges"),
+        ("read", "/simjoin/edges"),  # run()'s return value
+    ]
+    assert set(pipeline.records_out) == {
+        "/simjoin/term_bounds",
+        "/simjoin/candidates",
+        "/simjoin/edges",
+    }
+    for path, count in pipeline.records_out.items():
+        assert count == inner.du(path).records == len(inner.read(path))
