@@ -13,7 +13,14 @@ Determinism: proposals use the strict total edge order of
 ascending), so the parallel process simulates the sequential greedy —
 ``greedy_mr_b_matching`` returns exactly the matching of
 :func:`repro.matching.greedy.greedy_b_matching` (property-tested), and
-therefore inherits its ½-approximation guarantee.
+therefore inherits its ½-approximation guarantee.  That order never
+changes during a run — edges only *leave* — so each node record is
+ranked under it exactly once, when it is seeded
+(:func:`rank_neighbors`, via :meth:`GreedyNode.seeded`); a node's
+proposals are the first ``b`` names of its ``rank`` tuple, deletions
+filter the tuple, and no map or reduce method sorts or builds a sort
+key (pinned by the counting test in
+``tests/matching/test_greedy_kernel.py``).
 
 Two properties the paper highlights are surfaced here:
 
@@ -41,10 +48,38 @@ frontier mode):
   — they re-propose to their neighbors and ping themselves — while each
   node's resident ``inbox`` caches the last proposal received from
   every live neighbor, so quiescent neighbors need not re-send;
+* a record's ``props`` is the proposal set its neighbors' inboxes
+  currently hold for it (``None`` until its first broadcast), and
+  ``flips`` the surviving neighbors whose bit changed with its last
+  core change — the only ones its next map messages;
 * a node that leaves the graph retires with explicit death notices
   (:class:`~repro.mapreduce.state.Retired`) to its surviving
   neighbors, replacing the full path's absence-of-message signal;
 * convergence is an empty delta stream.
+
+The reducer decides in O(messages + b).  It copies the inbox only when
+a received bit differs from the cached one and tests mutual proposals
+over the at most ``b`` proposed names, not the adjacency.  A round that
+brings a node no match and no death returns the *same* record object
+(or, when a bit or the first ``props`` must be remembered, a
+:class:`~repro.mapreduce.state.Quiet` record sharing ``adj`` and
+``rank`` with its predecessor).  Only a core change — a match or a
+dead neighbor — pays O(degree): one copy of ``adj`` and ``inbox``
+minus the departed names, one filter of ``rank``, and ``flips`` from
+``old props ^ new props``.
+
+Two rules the kernel must keep:
+
+* **records are never mutated in place.**  Retry attempts and
+  speculative backups re-run a task on the pre-round records, and the
+  serving flush's rollback restores shallow snapshots of them; a
+  reducer that wrote into its input would make all three silently
+  wrong (``test_reduce_state_is_pure``);
+* **a node emits its same-round matches in adjacency insertion order,
+  not rank order.**  ``Matching`` keeps its value as a running float
+  sum in emission order, so ``value_history`` is order-sensitive at
+  the last ulp (pinned by ``tests/matching/golden_emission_order.json``,
+  frozen before this kernel replaced the per-round sort).
 
 The two paths produce bit-identical matchings, ``value_history``,
 round counts, and job counts (property-tested and pinned by the golden
@@ -55,11 +90,10 @@ skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..graph.bipartite import Graph
-from ..graph.edges import edge_key, edge_sort_key
 from ..mapreduce import (
     IterativeDriver,
     KeyValue,
@@ -77,19 +111,51 @@ __all__ = [
     "GreedyDeltaRoundJob",
     "default_max_rounds",
     "greedy_mr_b_matching",
+    "rank_neighbors",
 ]
+
+
+def rank_neighbors(adj: Dict[str, float]) -> Tuple[str, ...]:
+    """``adj``'s neighbors, best edge first under the global edge order.
+
+    For a fixed node ``v`` the strict total order of
+    :func:`repro.graph.edges.edge_sort_key` restricted to ``v``'s own
+    edges is exactly ``(-weight, neighbor)``: for ``x < y``,
+    ``edge_key(v, x) < edge_key(v, y)`` wherever ``v`` sorts relative
+    to the two (``(v, x) < (v, y)``, ``(x, v) < (v, y)``,
+    ``(x, v) < (y, v)``).  So the ranking needs neither ``v`` nor a
+    sort key — and since the order never changes during a run (edges
+    only leave), it is computed once, when a record is seeded.
+    """
+    ranked = [(-weight, neighbor) for neighbor, weight in adj.items()]
+    ranked.sort()
+    return tuple([neighbor for _, neighbor in ranked])
 
 
 @dataclass(frozen=True)
 class GreedyNode:
-    """A node record: residual capacity and live incident edges."""
+    """A node record: residual capacity and live incident edges.
+
+    ``rank`` lists ``adj``'s keys by :func:`rank_neighbors`; deletions
+    filter it, nothing ever re-sorts it, and the node's proposals are
+    its first ``b`` names.  ``adj`` keeps its own insertion order: a
+    node emits same-round matches in that order, and the matching value
+    is a running float sum in emission order.  Live records always have
+    ``b >= 1`` and a non-empty ``adj``.
+    """
 
     b: int
     adj: Dict[str, float]
+    rank: Tuple[str, ...]
+
+    @classmethod
+    def seeded(cls, b: int, adj: Dict[str, float]):
+        """A fresh record for ``(b, adj)`` — the one place ranks are made."""
+        return cls(b=b, adj=adj, rank=rank_neighbors(adj))
 
 
 @dataclass(frozen=True)
-class GreedyDeltaNode:
+class GreedyDeltaNode(GreedyNode):
     """A resident node record of the delta path.
 
     On top of :class:`GreedyNode`'s fields it carries the incremental
@@ -97,36 +163,33 @@ class GreedyDeltaNode:
 
     * ``inbox`` — the last proposal bit received from each live
       neighbor (the full-state path re-receives every bit every round);
-    * ``props`` — the node's own current proposal set, which is also
-      exactly what its neighbors' inboxes hold (``None`` until first
-      computed).  Proposals are a pure function of ``(b, adj)``, so
-      this caches the ranking sort until the core actually changes;
-    * ``flips`` — the neighbors whose proposal bit changed with the
-      last core change: the only ones the next map must message.
+    * ``props`` — the proposal set the node's neighbors currently hold
+      in *their* inboxes, i.e. ``frozenset(rank[:b])`` as of the last
+      broadcast; ``None`` on a freshly seeded record, which tells the
+      next map to broadcast every bit;
+    * ``flips`` — the surviving neighbors whose bit changed with the
+      last core change (``old props ^ new props``): the only ones the
+      next map must message.
+
+    Records are values: ``reduce_state`` never mutates one in place.
+    Retry attempts, speculative backups and the serving flush's
+    rollback all re-read the pre-round objects, so a changed container
+    is always a fresh copy, while an unchanged one (``adj`` and
+    ``rank`` on an inbox-only update) is shared with its predecessor.
     """
 
-    b: int
-    adj: Dict[str, float]
-    inbox: Dict[str, bool]
+    inbox: Dict[str, bool] = field(default_factory=dict)
     props: Optional[FrozenSet[str]] = None
     flips: Tuple[str, ...] = ()
 
 
-def _proposals(node: str, state) -> Set[str]:
-    """The neighbors of ``v``'s top-``b(v)`` edges by the global order.
+def _proposals(state: GreedyNode) -> FrozenSet[str]:
+    """The neighbors of the node's top-``b`` edges by the global order.
 
     Called identically from map and reduce, so both phases agree without
     extra communication.
     """
-    if state.b <= 0:
-        return set()
-    ranked = sorted(
-        state.adj.items(),
-        key=lambda item: edge_sort_key(
-            edge_key(node, item[0]), item[1]
-        ),
-    )
-    return {neighbor for neighbor, _ in ranked[: state.b]}
+    return frozenset(state.rank[: state.b])
 
 
 class GreedyRoundJob(MapReduceJob):
@@ -135,7 +198,7 @@ class GreedyRoundJob(MapReduceJob):
     name = "greedy-round"
 
     def map(self, node: str, state: GreedyNode) -> Iterable[KeyValue]:
-        proposals = _proposals(node, state)
+        proposals = _proposals(state)
         yield node, ("self", state)
         for neighbor in state.adj:
             yield neighbor, ("prop", node, neighbor in proposals)
@@ -153,7 +216,7 @@ class GreedyRoundJob(MapReduceJob):
             # This node's record died in an earlier round; stray proposal
             # messages are ignored (the sender drops the edge likewise).
             return
-        my_proposals = _proposals(node, state)
+        my_proposals = _proposals(state)
         new_adj: Dict[str, float] = {}
         matched: List[Tuple[str, float]] = []
         for neighbor, weight in state.adj.items():
@@ -168,7 +231,8 @@ class GreedyRoundJob(MapReduceJob):
                 yield ("matched", node, neighbor), weight
         new_b = state.b - len(matched)
         if new_b > 0 and new_adj:
-            yield node, GreedyNode(b=new_b, adj=new_adj)
+            new_rank = tuple([n for n in state.rank if n in new_adj])
+            yield node, GreedyNode(b=new_b, adj=new_adj, rank=new_rank)
 
 
 class GreedyDeltaRoundJob(MapReduceJob):
@@ -195,7 +259,7 @@ class GreedyDeltaRoundJob(MapReduceJob):
         yield node, ("ping",)
         if delta.props is None:
             # First broadcast: every neighbor needs every bit.
-            proposals = _proposals(node, delta)
+            proposals = _proposals(delta)
             for neighbor in delta.adj:
                 yield neighbor, ("prop", node, neighbor in proposals)
             return
@@ -209,78 +273,85 @@ class GreedyDeltaRoundJob(MapReduceJob):
     ) -> Tuple[object, List[KeyValue]]:
         if state is None:
             return None, []  # stray messages to a departed node
-        inbox = dict(state.inbox)
+        adj = state.adj
+        inbox = state.inbox
         dead: Set[str] = set()
         for value in values:
             tag = value[0]
             if tag == "prop":
-                if value[1] in state.adj:
-                    inbox[value[1]] = value[2]
-            elif tag == "dead":
-                dead.add(value[1])
-        if state.props is not None:
-            my_proposals: FrozenSet[str] = state.props
-        else:
-            my_proposals = frozenset(_proposals(node, state))
-        new_adj: Dict[str, float] = {}
-        matched: List[Tuple[str, float]] = []
-        for neighbor, weight in state.adj.items():
-            if neighbor in dead:
-                continue  # the neighbor died: retract the edge
-            if neighbor in my_proposals and inbox.get(neighbor, False):
-                matched.append((neighbor, weight))
-            else:
-                new_adj[neighbor] = weight
-        outputs: List[KeyValue] = [
-            (("matched", node, neighbor), weight)
-            for neighbor, weight in matched
-            if node < neighbor
+                neighbor, proposed = value[1], value[2]
+                if neighbor in adj and inbox.get(neighbor) != proposed:
+                    if inbox is state.inbox:
+                        inbox = dict(inbox)
+                    inbox[neighbor] = proposed
+            elif tag == "dead" and value[1] in adj:
+                dead.add(value[1])  # the neighbor died: retract the edge
+        # What the neighbors hold is what the node proposes: ``props``
+        # changes only together with ``b`` and ``rank``.
+        props = state.props
+        if props is None:
+            props = _proposals(state)
+        matched = [
+            neighbor
+            for neighbor in props
+            if inbox.get(neighbor) and neighbor not in dead
         ]
-        new_b = state.b - len(matched)
-        if new_b > 0 and new_adj:
-            new_inbox = {nbr: inbox[nbr] for nbr in new_adj}
-            if new_b != state.b or new_adj != state.adj:
-                # Core change: recompute proposals once, diff against
-                # what the neighbors' inboxes hold (= my_proposals),
-                # and schedule messages only for the flipped bits.
-                new_props = frozenset(
-                    _proposals(
-                        node, GreedyNode(b=new_b, adj=new_adj)
-                    )
-                )
-                flips = tuple(
-                    sorted(
-                        nbr
-                        for nbr in new_adj
-                        if (nbr in new_props) != (nbr in my_proposals)
-                    )
-                )
-                return (
+        if not matched and not dead:
+            if inbox is state.inbox and props is state.props:
+                return state, []
+            # Inbox-only change (or the first broadcast's bookkeeping):
+            # nothing this node sends can change — remember it, stay
+            # off the frontier.
+            return (
+                Quiet(
                     GreedyDeltaNode(
-                        b=new_b,
-                        adj=new_adj,
-                        inbox=new_inbox,
-                        props=new_props,
-                        flips=flips,
-                    ),
-                    outputs,
-                )
-            new_state = GreedyDeltaNode(
-                b=new_b,
-                adj=new_adj,
-                inbox=new_inbox,
-                props=my_proposals,
-                flips=(),
+                        b=state.b,
+                        adj=adj,
+                        rank=state.rank,
+                        inbox=inbox,
+                        props=props,
+                    )
+                ),
+                [],
             )
-            if new_state != state:
-                # Inbox-only change (or a first proposal computation):
-                # nothing this node sends can change — remember the
-                # bookkeeping, stay off the frontier.
-                return Quiet(new_state), outputs
-            return state, outputs
+        mine = [neighbor for neighbor in matched if node < neighbor]
+        if len(mine) > 1:
+            # Same-round matches leave in adjacency order: the matching
+            # value is a float sum in emission order.
+            mine = [neighbor for neighbor in adj if neighbor in mine]
+        outputs: List[KeyValue] = [
+            (("matched", node, neighbor), adj[neighbor])
+            for neighbor in mine
+        ]
+        departed = dead.union(matched)
+        new_b = state.b - len(matched)
+        new_rank = tuple([n for n in state.rank if n not in departed])
+        if new_b > 0 and new_rank:
+            # Core change: drop the departed names from copies, read
+            # the new proposals off the filtered rank, diff against
+            # what the neighbors' inboxes hold (= props), and schedule
+            # messages only for the flipped bits.
+            new_adj = adj.copy()
+            if inbox is state.inbox:
+                inbox = inbox.copy()
+            for neighbor in departed:
+                del new_adj[neighbor]
+                inbox.pop(neighbor, None)
+            new_props = frozenset(new_rank[:new_b])
+            return (
+                GreedyDeltaNode(
+                    b=new_b,
+                    adj=new_adj,
+                    rank=new_rank,
+                    inbox=inbox,
+                    props=new_props,
+                    flips=tuple(sorted((props ^ new_props) - departed)),
+                ),
+                outputs,
+            )
         # The node leaves; survivors it still held edges to must hear
         # about it (the runtime prunes peers that left this same round).
-        return Retired(tuple(sorted(new_adj))), outputs
+        return Retired(new_rank), outputs
 
 
 def default_max_rounds(graph: Graph) -> int:
@@ -298,8 +369,8 @@ def default_max_rounds(graph: Graph) -> int:
     return graph.num_edges + 1
 
 
-def _initial_records(graph: Graph) -> List[KeyValue]:
-    """Node records for every capacitated node with live edges."""
+def _initial_records(graph: Graph, record_class) -> List[KeyValue]:
+    """Seeded records for every capacitated node with live edges."""
     capacities = graph.capacities()
     records: List[KeyValue] = []
     for node in sorted(capacities):
@@ -312,7 +383,7 @@ def _initial_records(graph: Graph) -> List[KeyValue]:
         }
         if adj:
             records.append(
-                (node, GreedyNode(b=capacities[node], adj=adj))
+                (node, record_class.seeded(capacities[node], adj))
             )
     return records
 
@@ -355,7 +426,9 @@ def greedy_mr_b_matching(
     if max_rounds is None:
         max_rounds = default_max_rounds(graph)
     jobs_before = runtime.jobs_executed
-    records = _initial_records(graph)
+    records = _initial_records(
+        graph, GreedyDeltaNode if delta else GreedyNode
+    )
     matching = Matching()
     history: List[float] = []
     if not records:
@@ -374,11 +447,7 @@ def greedy_mr_b_matching(
     )
     if delta:
         job = GreedyDeltaRoundJob()
-        seeds = [
-            (node, GreedyDeltaNode(b=state.b, adj=state.adj, inbox={}))
-            for node, state in records
-        ]
-        driver.create_store(seeds)
+        driver.create_store(records)
 
         def step(deltas, round_number):
             output, next_deltas = driver.run_stateful(job, deltas=deltas)
@@ -387,7 +456,7 @@ def greedy_mr_b_matching(
             return next_deltas, not next_deltas
 
         try:
-            driver.iterate(step, seeds)
+            driver.iterate(step, records)
         finally:
             driver.close()
     else:

@@ -37,7 +37,10 @@ The matcher exploits this:
    whose stale matches must drop);
 3. affected nodes' matched edges are dropped and fresh
    :class:`~repro.matching.greedy_mr.GreedyDeltaNode` records are
-   re-seeded from the final graph — a matched edge never crosses out of
+   re-seeded from the final graph (each ranked once, by the same
+   :meth:`~repro.matching.greedy_mr.GreedyNode.seeded` cold-batch
+   GreedyMR seeds with — the order events inserted a node's edges in
+   never decides a proposal) — a matched edge never crosses out of
    the affected set, because any neighbor it could reach is either in
    the same eligible component (hence affected) or had its adjacency
    changed (hence seeded);
@@ -553,7 +556,7 @@ class OnlineMatcher:
                     if self._node(neighbor)[0] > 0:
                         adj[neighbor] = weight
             if adj:
-                state = GreedyDeltaNode(b=b, adj=adj, inbox={})
+                state = GreedyDeltaNode.seeded(b, adj)
                 self.match_store.put(key_bytes, node, state)
                 deltas.append((node, state))
                 local_edges += len(adj)

@@ -21,7 +21,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.graph import Graph
-from repro.mapreduce import Counters, LocalDiskFileSystem, MapReduceRuntime
+from repro.mapreduce import (
+    FAULT_COUNTER_GROUP,
+    Counters,
+    FaultPlan,
+    LocalDiskFileSystem,
+    MapReduceRuntime,
+    RetryPolicy,
+)
 from repro.mapreduce.state import STATE_POINT_COUNTERS
 from repro.matching import greedy_b_matching, greedy_mr_b_matching
 from repro.service import (
@@ -31,6 +38,8 @@ from repro.service import (
     EdgeArrival,
     OnlineMatcher,
     Retirement,
+    apply_event,
+    plain_graph,
     synthetic_events,
 )
 
@@ -257,3 +266,79 @@ def test_incremental_equals_cold_batch_matrix(seed, batch, backend):
                 report = m.flush(events[start : start + batch])
                 assert not report.rejected
             _assert_cold_identical(m, mirror)
+
+
+# -- re-seeding: adjacency insertion order is not rank order -----------------
+
+
+def _ascending_hub_batches():
+    """Edges reach ``hub`` lightest first, with ties, while its capacity
+    moves in the same batches: at every ``_reconverge`` the hub's
+    adjacency insertion order is the reverse of its rank order."""
+    return [
+        [
+            EdgeArrival("hub", "s1", 1.0),
+            EdgeArrival("hub", "s0", 1.0),
+            EdgeArrival("hub", "s2", 2.0),
+            CapacityChange("hub", 2),
+        ],
+        [
+            EdgeArrival("hub", "s3", 2.0),
+            CapacityChange("hub", 3),
+            EdgeArrival("hub", "s4", 3.0),
+            Arrival("s9", capacity=1, edges=(("hub", 3.0), ("a", 0.5))),
+        ],
+        [
+            CapacityChange("hub", 1),
+            EdgeArrival("a", "hub", 7.0),
+            Retirement("s4"),
+        ],
+    ]
+
+
+@pytest.mark.parametrize("fault_seed", [None, 2], ids=["clean", "faults"])
+@pytest.mark.parametrize("spill", [None, 8], ids=["resident", "spill8"])
+@pytest.mark.parametrize("fs", ["memory", "disk"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
+def test_reseeding_ranks_ascending_insertions(
+    backend, fs, spill, fault_seed, tmp_path
+):
+    graph = Graph()
+    graph.add_node("hub", 1)
+    graph.add_node("a", 1)
+    for i in range(5):
+        graph.add_node(f"s{i}", 1)
+    graph.add_edge("a", "s0", 0.5)
+    plan = policy = None
+    if fault_seed is not None:
+        # Task crashes re-run reducers on the pre-round records; the
+        # flush fault rolls a half-converged batch back and re-admits.
+        plan = FaultPlan(fault_seed, crash_rate=0.3, flush_rate=1.0)
+        policy = RetryPolicy(max_attempts=3)
+    runtime = MapReduceRuntime(
+        num_map_tasks=4,
+        num_reduce_tasks=4,
+        counters=Counters(),
+        backend=backend,
+        storage=(
+            LocalDiskFileSystem(root=str(tmp_path / "dfs"))
+            if fs == "disk"
+            else None
+        ),
+        spill_threshold=spill,
+        spill_dir=str(tmp_path / "spills"),
+        fault_plan=plan,
+        retry_policy=policy,
+    )
+    mirror = plain_graph(graph)
+    with OnlineMatcher(runtime=runtime, graph=graph) as m:
+        for batch in _ascending_hub_batches():
+            report = m.flush(batch)
+            assert not report.rejected and report.admitted == len(batch)
+            for event in batch:
+                apply_event(mirror, event)
+            _assert_cold_identical(m, mirror)  # includes verify()
+        if plan is not None:
+            faults = runtime.counters.group(FAULT_COUNTER_GROUP)
+            assert faults.get("injected_flush", 0) == 3
+            assert faults.get("injected_crash", 0) > 0
