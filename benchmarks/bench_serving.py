@@ -17,10 +17,10 @@ asyncio facade's micro-batching and records the numbers to
   seeded workload — no wall-clock in the gate — so the tolerance only
   absorbs deliberate protocol changes, never scheduler jitter;
 * a **locality ratio** diagnostic: cold batch per *micro-batch* over
-  incremental.  On similarity graphs with a giant connected component
-  this sits near 1.0 (an affected component is most of the graph) —
-  coalescing, not component locality, is the serving win there, and
-  recording both keeps that honest.
+  incremental — the part of the shuffle ratio that is not coalescing.
+  It read 1.0 while a flush re-ran every touched connected component
+  (on a similarity graph, the giant one); with the matcher's repair
+  plan it measures how much less than the whole graph a batch reaches.
 
 Before anything is recorded, the incremental matching is asserted
 bit-identical to a cold batch on the final graph (the service's
@@ -108,7 +108,7 @@ def bench_serving(
     # event — what a batch-only system must run to match the service's
     # read-your-writes freshness.  The locality diagnostic replays the
     # service's own flush boundaries instead (cold batch per
-    # micro-batch), isolating component-locality from coalescing.
+    # micro-batch), isolating repair locality from coalescing.
     mirror = plain_graph(graph)
     cold_per_event_shuffled = 0
     cold_per_batch_shuffled = 0

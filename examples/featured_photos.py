@@ -104,7 +104,7 @@ def main(
     # -- live mode: the feed stays warm as the site churns ---------------
     # The batch answer above is the bootstrap; from here the online
     # service admits uploads / re-scores / budget retunes / departures
-    # in micro-batches and re-converges only the affected components.
+    # in micro-batches and re-decides only what each batch can reach.
     events, _ = synthetic_events(
         graph, live_events, seed=42, node_prefix="upload"
     )

@@ -806,10 +806,23 @@ class MapReduceRuntime:
                 store.put(key_bytes, key, new_state)
                 changed += 1
                 next_deltas.append((key, new_state))
+        # A node that retires late is named by most of its neighbours'
+        # notices: look each name up once per round.  Only ``str`` is
+        # memoised — equal strings encode to equal bytes, which
+        # ``1 == True`` (or tuples of them) would not.
+        alive: Dict[str, bool] = {}
         for key, retired in retirements:
-            survivors = tuple(
-                peer for peer in retired.notify if store.contains(peer)
-            )
+            survivors = []
+            for peer in retired.notify:
+                if peer.__class__ is not str:
+                    present = store.contains(peer)
+                else:
+                    present = alive.get(peer)
+                    if present is None:
+                        present = alive[peer] = store.contains(peer)
+                if present:
+                    survivors.append(peer)
+            survivors = tuple(survivors)
             if survivors:
                 next_deltas.append((key, Retired(survivors)))
         return next_deltas, changed

@@ -4,11 +4,11 @@ The batch pipeline answers "what should everyone see right now?" from
 scratch; this package keeps the answer *warm*.  An
 :class:`OnlineMatcher` holds the candidate graph and a resident
 GreedyMR state store across jobs, admits live events — new items,
-new consumers, capacity retunes, retirements — and re-converges only
-the affected eligible components via frontier delta rounds.  The
-result is provably bit-identical to a cold batch GreedyMR run on the
-final graph (see :mod:`repro.service.matcher` for the component
-argument).  :class:`MatchingService` adds the serving surface: asyncio
+new consumers, capacity retunes, retirements — and re-decides only
+the suffix of each node's edge ranking the batch can reach (the
+*repair plan*) via frontier delta rounds.  The result is provably
+bit-identical to a cold batch GreedyMR run on the final graph (see
+:mod:`repro.service.matcher` for the rank-order induction).  :class:`MatchingService` adds the serving surface: asyncio
 micro-batching with request coalescing, ``submit_event(s)`` /
 ``match_lookup`` / ``snapshot`` endpoints, and always-on counters.
 

@@ -1,4 +1,4 @@
-"""Incremental GreedyMR: re-converge only what an event batch touched.
+"""Incremental GreedyMR: re-decide only the rank suffixes a batch can reach.
 
 :class:`OnlineMatcher` keeps two :class:`~repro.mapreduce.state.
 ResidentStateStore`\\ s alive across MapReduce jobs, both created once
@@ -15,52 +15,108 @@ and aligned with the runtime's shuffle partitioning:
   ResidentStateStore.get` point reads) — touching one key never
   reloads a parked partition;
 * the **match store** — GreedyMR's working records, seeded from the
-  perturbed keys each flush and drained by frontier rounds
+  repair plan each flush and drained by frontier rounds
   (:meth:`~repro.mapreduce.runtime.MapReduceRuntime.run_stateful`
-  from an externally-owned store).
+  from an externally-owned store).  It is empty between flushes: a
+  converged GreedyMR run has retired every record.
 
 Correctness anchor — *why incremental equals cold batch*
 --------------------------------------------------------
 
-Greedy b-matching decomposes exactly over the connected components of
-the **eligible subgraph** (edges whose two endpoints both have positive
-capacity): whether an edge is matched depends only on the strict total
-edge order restricted to its own component, never on other components.
-The matcher exploits this:
+Sequential greedy decides edges one by one in the strict, tie-free
+order of :func:`~repro.graph.edges.edge_sort_key` — an edge's **rank**
+``(-w, edge_key(u, v))`` — and takes an edge iff both endpoints still
+have a free slot.  The result is unique, and a decision at rank ρ
+depends only on decisions ranked before ρ at the same two endpoints.
+So a change at rank ρ can never alter an edge ranked before ρ, and it
+cannot pass through a node that better-ranked matched edges already
+saturate.  A flush turns that into a **repair plan**: a driver-side map
+``node -> threshold rank`` meaning *this node's incident edges ranked at
+or after the threshold must be re-decided; everything before it,
+matched or not, stands*.
 
-1. every event *seeds* the nodes whose eligible adjacency it may have
-   changed (an arrival and its edge endpoints; both endpoints of a new
-   edge; a retuned node and its neighbors; a retiree's former
-   neighbors);
-2. the **affected set** is the union of the final graph's eligible
-   components containing a live seed (plus live-but-ineligible seeds,
-   whose stale matches must drop);
-3. affected nodes' matched edges are dropped and fresh
-   :class:`~repro.matching.greedy_mr.GreedyDeltaNode` records are
-   re-seeded from the final graph (each ranked once, by the same
-   :meth:`~repro.matching.greedy_mr.GreedyNode.seeded` cold-batch
-   GreedyMR seeds with — the order events inserted a node's edges in
-   never decides a proposal) — a matched edge never crosses out of
-   the affected set, because any neighbor it could reach is either in
-   the same eligible component (hence affected) or had its adjacency
-   changed (hence seeded);
-4. GreedyMR frontier rounds run from exactly those seeds until the
-   delta stream drains.  Unaffected components are never messaged, so
-   their state partitions are never even loaded.
+Write ``M`` for the matching before the batch (``_partners``), ``b'``
+for the capacities after it, and call ``y`` **blocked at ρ** when it is
+not planned at a threshold ≤ ρ and already holds ≥ ``b'(y)`` edges of
+``M`` ranked before ρ.  The plan (:meth:`OnlineMatcher._repair_plan`)
+is the least map closed under three rules:
 
+1. *Sources*, read off the pre-batch record of every node the batch
+   wrote (snapshotted on its first write):
+
+   * a removed or re-weighted edge matters only if it was in ``M`` —
+     both live endpoints are planned at its old rank;
+   * an added or re-weighted edge at its new rank ρ plans both
+     endpoints at ρ unless one of them is blocked at ρ;
+   * a capacity ``b -> b'`` at ``s`` whose ``M``-edges rank
+     ``m0 < m1 < ...``: raised with ``s`` saturated → the first edge
+     of ``s`` ranked after ``m[b-1]`` (every edge when ``b = 0``);
+     lowered with more than ``b'`` matched → ``m[b']``; else nothing.
+
+   A retired node's partners are sources through the removed-edge
+   rule.  Removing unmatched edges, retiring an unmatched node, or
+   raising the capacity of an unsaturated node plans nothing — zero
+   rounds, zero jobs.
+2. *Closure*: if ``x`` is planned at ``t``, every edge ``(x, y)`` of the
+   new graph ranked ρ ≥ ``t`` plans ``y`` at ρ unless ``y`` is blocked
+   at ρ (a min-heap on the threshold: each node settles when popped).
+3. *Seeding* (:meth:`OnlineMatcher._reconverge`): a planned ``x`` keeps
+   its ``M``-edges ranked before ``t(x)`` and drops the rest (their
+   partners are planned at or before that rank — asserted); its residual
+   capacity is ``b'(x)`` minus the kept; its **dirty** adjacency is the
+   edges ranked ≥ ``t(x)`` whose other end is planned at or before that
+   rank with residual capacity left.  Nodes with residual capacity and
+   a dirty edge are seeded as fresh
+   :class:`~repro.matching.greedy_mr.GreedyDeltaNode` records (ranked
+   once, by the same :meth:`~repro.matching.greedy_mr.GreedyNode.seeded`
+   cold-batch GreedyMR seeds with) and the unchanged GreedyMR frontier
+   rounds run until the delta stream drains.
+
+*Induction over the rank order of the new graph.*  Call an edge *clean*
+when it ranks before both endpoints' thresholds (unplanned = +∞),
+*dirty* when at or after both, *half-dirty* otherwise.
+
+* A **half-dirty** edge ``(x, y)`` at ρ, ``t(x) ≤ ρ < t(y)``: the
+  closure did not plan ``y`` at ρ, so ``y`` is blocked — it holds
+  ``b'(y)`` edges of ``M`` ranked before ρ, all clean (were one of them
+  dirty at its other end, the closure would have planned ``y`` there, or
+  found it over capacity, which the lowered-capacity source plans), so
+  by induction all matched: ``y`` is full, the edge is unmatched now,
+  and it was not in ``M`` either.
+* A **clean** edge that the batch added has a blocked endpoint (else
+  rule 1 planned it) and is unmatched for the same reason.  A clean edge
+  that existed before sees, at each endpoint ``x``, exactly the
+  ``M``-edges ranked before it — clean ones are unchanged by induction,
+  half-dirty ones are unmatched then and now, removed matched ones would
+  have planned ``x`` earlier — and the capacity sources guarantee that
+  count leaves a free slot under ``b'`` iff it did under ``b`` wherever
+  the edge's old decision could depend on it.  Its decision stands.
+* So when the order reaches ``t(x)``, ``x`` holds exactly its kept
+  edges, i.e. the residual capacity it is seeded with; from there on its
+  clean and half-dirty edges are unmatched, and what remains is the
+  sequential greedy on the **dirty sub-instance with residual
+  capacities** — the tail of the cold run — which GreedyMR computes.
+
+Bootstrap is the same path with every node planned before every rank.
 The re-converged matching therefore equals a cold-batch GreedyMR run on
 the final graph — same edges, same weights — for *any* event sequence
-(property-tested across executors × filesystems in
-``tests/service/test_matcher.py``).
+(property-tested across executors × filesystems, ``verify()`` after
+every flush, in ``tests/service/test_matcher.py``).  The closure is
+conservative: it stops at nodes saturated *before* the batch, not at
+the nodes whose decisions really change, so ``affected_nodes`` is an
+upper bound on the true repair region.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..graph import Graph
+from ..graph.edges import edge_key, edge_sort_key
 from ..mapreduce import MapReduceRuntime, canonical_bytes
 from ..mapreduce.errors import RoundLimitExceeded
 from ..mapreduce.faults import (
@@ -87,6 +143,17 @@ SERVICE_COUNTER_GROUP = "service"
 
 #: One resident graph record: ``(capacity, {neighbor: weight})``.
 NodeRecord = Tuple[int, Dict[str, float]]
+
+#: An edge's place in the strict total order greedy decides in
+#: (:func:`~repro.graph.edges.edge_sort_key`); also a plan threshold.
+Rank = Tuple
+
+#: The threshold before every rank: re-decide the node's whole ranking.
+_WHOLE_RANKING: Rank = (-math.inf,)
+
+
+def _rank(u: str, v: str, weight: float) -> Rank:
+    return edge_sort_key(edge_key(u, v), weight)
 
 
 @dataclass(frozen=True)
@@ -139,8 +206,13 @@ class OnlineMatcher:
         #: Per-flush read cache over the graph store: point reads on a
         #: parked partition scan its file, so each flush remembers the
         #: records it already fetched (cleared at flush end to keep the
-        #: driver's footprint bounded by the affected neighborhood).
+        #: driver's footprint bounded by the planned neighborhood).
         self._cache: Dict[str, Optional[NodeRecord]] = {}
+        #: Pre-batch record of every node the open batch wrote (``None``
+        #: for a node that did not exist), taken on its first write —
+        #: the repair plan's sources are the difference to the final
+        #: records.  Emptied at flush end and on rollback.
+        self._before: Dict[str, Optional[NodeRecord]] = {}
         #: Wall-clock of every event-batch flush, as a volatile
         #: sample-keeping histogram on the runtime's registry
         #: (diagnostic, like the phase gauges — never part of the
@@ -186,7 +258,9 @@ class OnlineMatcher:
                         dict(bootstrap.incident(node))))
                 for node in sorted(bootstrap.nodes())
             )
-            rounds = self._reconverge(set(bootstrap.nodes()))
+            rounds = self._reconverge(
+                dict.fromkeys(bootstrap.nodes(), _WHOLE_RANKING)
+            )
             self._meter("bootstrap.rounds", rounds)
             self._end_flush()
 
@@ -202,15 +276,18 @@ class OnlineMatcher:
             return record
 
     def _put_node(self, node: str, record: NodeRecord) -> None:
+        self._before.setdefault(node, self._node(node))
         self.graph_store.put(canonical_bytes(node), node, record)
         self._cache[node] = record
 
     def _discard_node(self, node: str) -> None:
+        self._before.setdefault(node, self._node(node))
         self.graph_store.discard(canonical_bytes(node), node)
         self._cache[node] = None
 
     def _end_flush(self) -> None:
         self._cache.clear()
+        self._before.clear()
         # Both stores follow the runtime's spill threshold between
         # flushes: the graph store parks its (populated) partitions,
         # so the next batch's admission exercises the single-key path.
@@ -246,8 +323,10 @@ class OnlineMatcher:
         assert self._txn_matching is not None
         self._partners, self._num_edges = self._txn_matching
         self._txn_matching = None
-        # The read cache may hold rolled-back records.
+        # The read cache may hold rolled-back records, and the retry
+        # snapshots its writes afresh.
         self._cache.clear()
+        self._before.clear()
 
     def flush(self, events: List[Event]) -> FlushReport:
         """Admit one micro-batch and re-converge once for all of it.
@@ -331,8 +410,6 @@ class OnlineMatcher:
         plan = self._fault_plan
         admitted = 0
         rejected: List[Tuple[Event, str]] = []
-        seeds: Set[str] = set()
-        retired: Set[str] = set()
         with self.runtime._span("flush", kind="flush", events=len(events)):
             stage_started = time.perf_counter()
             with self.runtime._span("admit", kind="stage"):
@@ -344,7 +421,7 @@ class OnlineMatcher:
                         self._admission_fault(event, sequence, max_attempts)
                         continue
                     try:
-                        seeds |= self._admit(event, retired)
+                        self._admit(event)
                     except EventError as exc:
                         rejected.append((event, str(exc)))
                         continue
@@ -357,10 +434,8 @@ class OnlineMatcher:
                 self._flush_index, attempt
             )
             with self.runtime._span("reconverge", kind="stage"):
-                affected = self._affected(seeds)
-                rounds = self._reconverge(
-                    affected, retired, inject_fault=inject
-                )
+                repair = self._repair_plan()
+                rounds = self._reconverge(repair, inject_fault=inject)
             self._stage_gauge("reconverge").add(
                 time.perf_counter() - stage_started
             )
@@ -373,7 +448,7 @@ class OnlineMatcher:
         return FlushReport(
             admitted=admitted,
             rejected=tuple(rejected),
-            affected_nodes=len(affected),
+            affected_nodes=len(repair),
             rounds=rounds,
             seconds=0.0,  # the committed report carries the real time
             dead_lettered=dead,
@@ -415,13 +490,13 @@ class OnlineMatcher:
 
     # -- event admission ---------------------------------------------------
 
-    def _admit(self, event: Event, retired: Set[str]) -> Set[str]:
-        """Validate + apply one event to the graph store; return seeds.
+    def _admit(self, event: Event) -> None:
+        """Validate + apply one event to the graph store.
 
         Validation is all-or-nothing: every check precedes the first
-        write, so a rejected event leaves no partial state.  The seed
-        rule: every node whose *eligible adjacency* the event may
-        change must be seeded (see the module docstring).
+        write, so a rejected event leaves no partial state.  Every
+        write goes through ``_put_node``/``_discard_node``, which is
+        where the repair plan's pre-batch snapshots are taken.
         """
         if isinstance(event, Arrival):
             _require(not self.graph_store.contains(event.node),
@@ -452,9 +527,7 @@ class OnlineMatcher:
                     (capacity, {**adj, event.node: weight}),
                 )
             self._num_edges += len(event.edges)
-            retired.discard(event.node)
-            return {event.node} | seen
-        if isinstance(event, EdgeArrival):
+        elif isinstance(event, EdgeArrival):
             _require(event.u != event.v, f"self-loop on {event.u!r}")
             for node in (event.u, event.v):
                 _require(self.graph_store.contains(node),
@@ -472,17 +545,14 @@ class OnlineMatcher:
             self._put_node(
                 event.v, (cap_v, {**adj_v, event.u: event.weight})
             )
-            return {event.u, event.v}
-        if isinstance(event, CapacityChange):
+        elif isinstance(event, CapacityChange):
             _require(self.graph_store.contains(event.node),
                      f"capacity change for unknown node {event.node!r}")
             _require(event.capacity >= 0,
                      f"capacity must be >= 0, got {event.capacity}")
             _, adj = self._node(event.node)
             self._put_node(event.node, (event.capacity, adj))
-            # Retuning b(v) can flip every incident edge's eligibility.
-            return {event.node} | set(adj)
-        if isinstance(event, Retirement):
+        elif isinstance(event, Retirement):
             _require(self.graph_store.contains(event.node),
                      f"retirement of unknown node {event.node!r}")
             _, adj = self._node(event.node)
@@ -493,47 +563,103 @@ class OnlineMatcher:
                 self._put_node(neighbor, (capacity, nbr_adj))
             self._discard_node(event.node)
             self._num_edges -= len(adj)
-            retired.add(event.node)
-            return set(adj)
-        raise EventError(f"unknown event type: {event!r}")
+        else:
+            raise EventError(f"unknown event type: {event!r}")
 
-    def _affected(self, seeds: Set[str]) -> Set[str]:
-        """Eligible components of the final graph containing a seed.
+    # -- the repair plan ---------------------------------------------------
 
-        Live-but-ineligible seeds (``b = 0`` or no eligible edge) are
-        included as singletons: they cannot match, but their stale
-        matched edges must be dropped.
+    def _blocked(self, plan: Dict[str, Rank], node: str, rank: Rank) -> bool:
+        """Whether ``node`` is closed to a change at ``rank``: not
+        planned at or before it, and saturated by pre-batch matched
+        edges ranked before it (which therefore all stand)."""
+        threshold = plan.get(node)
+        if threshold is not None and threshold <= rank:
+            return False
+        capacity = self._node(node)[0]
+        peers = self._partners.get(node, {})
+        if len(peers) < capacity:
+            return False
+        held = 0
+        for peer, weight in peers.items():
+            if _rank(node, peer, weight) < rank:
+                held += 1
+        return held >= capacity
+
+    def _repair_plan(self) -> Dict[str, Rank]:
+        """``node -> threshold rank`` for the open batch.
+
+        Sources from the pre-batch snapshots, then the closure over the
+        new graph — rules 1 and 2 of the module docstring.  The plan is
+        the least map closed under them, so it does not depend on the
+        order sources are read in; iteration is sorted anyway.
         """
-        live: Set[str] = set()
-        frontier: List[str] = []
-        for node in seeds:
-            record = self._node(node)
-            if record is None:
-                continue  # retired later in the batch
-            live.add(node)
-            if record[0] > 0:
-                frontier.append(node)
-        visited: Set[str] = set(frontier)
-        while frontier:
-            node = frontier.pop()
-            for neighbor in self._node(node)[1]:
-                if neighbor in visited:
-                    continue
-                record = self._node(neighbor)
-                if record is not None and record[0] > 0:
-                    visited.add(neighbor)
-                    frontier.append(neighbor)
-        return live | visited
+        plan: Dict[str, Rank] = {}
+        heap: List[Tuple[Rank, str]] = []
+
+        def lower(node: str, rank: Rank) -> None:
+            threshold = plan.get(node)
+            if threshold is None or rank < threshold:
+                plan[node] = rank
+                heapq.heappush(heap, (rank, node))
+
+        for node, old in sorted(self._before.items()):
+            new = self._node(node)
+            old_adj = old[1] if old is not None else {}
+            new_adj = new[1] if new is not None else {}
+            matched = self._partners.get(node, {})
+            for peer in old_adj:
+                if peer in matched and new_adj.get(peer) != old_adj[peer]:
+                    rank = _rank(node, peer, matched[peer])
+                    for end in (node, peer):
+                        if self._node(end) is not None:
+                            lower(end, rank)
+            for peer, weight in new_adj.items():
+                if old_adj.get(peer) != weight:
+                    rank = _rank(node, peer, weight)
+                    if not (
+                        self._blocked(plan, node, rank)
+                        or self._blocked(plan, peer, rank)
+                    ):
+                        lower(node, rank)
+                        lower(peer, rank)
+            if old is None or new is None or old[0] == new[0]:
+                continue
+            held = sorted(
+                _rank(node, peer, weight)
+                for peer, weight in matched.items()
+            )
+            if new[0] < len(held):
+                lower(node, held[new[0]])  # overfull from here on
+            elif new[0] > old[0] and len(held) == old[0]:
+                # Was saturated: every edge it lost only for want of
+                # a slot ranks after its last matched one.
+                last = held[-1] if held else _WHOLE_RANKING
+                for peer, weight in new_adj.items():
+                    rank = _rank(node, peer, weight)
+                    if rank > last:
+                        lower(node, rank)
+        while heap:
+            threshold, node = heapq.heappop(heap)
+            if plan[node] != threshold:
+                continue  # settled earlier at a better rank
+            for peer, weight in self._node(node)[1].items():
+                rank = _rank(node, peer, weight)
+                if rank >= threshold and not self._blocked(
+                    plan, peer, rank
+                ):
+                    lower(peer, rank)
+        return plan
 
     # -- incremental re-convergence ----------------------------------------
 
     def _reconverge(
-        self,
-        affected: Set[str],
-        retired: Optional[Set[str]] = None,
-        inject_fault: bool = False,
+        self, plan: Dict[str, Rank], inject_fault: bool = False
     ) -> int:
-        """Recompute the affected components; returns rounds run.
+        """Re-decide the planned rank suffixes; returns rounds run.
+
+        Rule 3 of the module docstring: drop each planned node's
+        matched edges from its threshold on, seed the dirty
+        sub-instance with residual capacities, run frontier rounds.
 
         ``inject_fault`` makes the re-convergence fail transiently
         after its first round's partner updates (or immediately when
@@ -541,29 +667,44 @@ class OnlineMatcher:
         transaction: stores and driver-side matching are maximally
         mid-update.
         """
-        for node in retired or ():
-            self.match_store.discard(canonical_bytes(node), node)
-            self._drop_matches(node)
+        assert not len(self.match_store), "match store did not drain"
+        for node in self._before:
+            if self._node(node) is None:  # retired: nothing stands
+                for peer in list(self._partners.get(node, ())):
+                    self._unmatch(node, peer)
+        for node, threshold in plan.items():
+            for peer, weight in list(self._partners.get(node, {}).items()):
+                rank = _rank(node, peer, weight)
+                if rank >= threshold:
+                    assert peer in plan and plan[peer] <= rank, (node, peer)
+                    self._unmatch(node, peer)
+        residual = {
+            node: self._node(node)[0] - len(self._partners.get(node, ()))
+            for node in plan
+        }
+        assert min(residual.values(), default=0) >= 0, residual
         deltas: List[Tuple[str, GreedyDeltaNode]] = []
         local_edges = 0
-        for node in sorted(affected):
-            self._drop_matches(node)
-            key_bytes = canonical_bytes(node)
-            b, full_adj = self._node(node)
+        for node in sorted(plan):
+            if residual[node] == 0:
+                continue
+            threshold = plan[node]
             adj: Dict[str, float] = {}
-            if b > 0:
-                for neighbor, weight in full_adj.items():
-                    if self._node(neighbor)[0] > 0:
-                        adj[neighbor] = weight
+            for peer, weight in self._node(node)[1].items():
+                if residual.get(peer, 0) > 0:
+                    rank = _rank(node, peer, weight)
+                    if rank >= threshold:
+                        # A peer planned later than this rank is
+                        # blocked at it: no residual capacity.
+                        assert rank >= plan[peer], (node, peer, rank)
+                        adj[peer] = weight
             if adj:
-                state = GreedyDeltaNode.seeded(b, adj)
-                self.match_store.put(key_bytes, node, state)
+                state = GreedyDeltaNode.seeded(residual[node], adj)
+                self.match_store.put(canonical_bytes(node), node, state)
                 deltas.append((node, state))
                 local_edges += len(adj)
-            else:
-                self.match_store.discard(key_bytes, node)
         # Every round with live eligible edges matches at least one, so
-        # rounds are bounded by the affected edge count (cf.
+        # rounds are bounded by the dirty edge count (cf.
         # ``default_max_rounds``); the +1 covers the seedless flush.
         max_rounds = local_edges // 2 + 1
         rounds = 0
@@ -584,19 +725,18 @@ class OnlineMatcher:
             self._inject_reconverge_fault()
         return rounds
 
+    def _unmatch(self, u: str, v: str) -> None:
+        """Forget the matched edge ``{u, v}``."""
+        for node, peer in ((u, v), (v, u)):
+            peers = self._partners[node]
+            del peers[peer]
+            if not peers:
+                del self._partners[node]
+
     def _inject_reconverge_fault(self) -> None:
         self._meter_fault("injected_flush")
         self._meter_fault("injected_total")
         raise InjectedFault("injected mid-reconvergence flush fault")
-
-    def _drop_matches(self, node: str) -> None:
-        """Forget every matched edge incident to ``node``."""
-        for partner in self._partners.pop(node, {}):
-            peers = self._partners.get(partner)
-            if peers is not None:
-                peers.pop(node, None)
-                if not peers:
-                    del self._partners[partner]
 
     def _meter(self, name: str, value: int = 1) -> None:
         self.runtime.counters.increment(

@@ -13,7 +13,11 @@ frontier re-convergence amortizes across every event in the batch.
 Flushes run in a worker thread (``loop.run_in_executor``) so the event
 loop stays responsive while the simulated cluster grinds, and are
 serialized by an :class:`asyncio.Lock` — the matcher is single-writer
-by design.  ``submit_event(s)`` resolves with the
+by design.  A trigger (full batch or timer) that fires *while a flush
+is running* cuts no batch: it is held, and when the running flush ends
+one follow-up flush takes everything that queued meanwhile — under
+backlog batches grow instead of degenerating into a queue of
+single-event flushes.  ``submit_event(s)`` resolves with the
 :class:`~repro.service.matcher.FlushReport` of the flush that admitted
 the caller's events; ``match_lookup``/``snapshot`` drain pending events
 first, so reads observe every prior write (read-your-writes).
@@ -71,6 +75,9 @@ class MatchingService:
         self._waiters: List[asyncio.Future] = []
         self._timer: Optional[asyncio.TimerHandle] = None
         self._lock = asyncio.Lock()
+        #: A trigger fired while a flush held the lock; that flush
+        #: starts the follow-up when it ends.
+        self._flush_due = False
         self._inflight: Set[asyncio.Task] = set()
         self._closed = False
 
@@ -109,6 +116,9 @@ class MatchingService:
             self._timer = None
         if not self._waiters:
             return
+        if self._lock.locked():
+            self._flush_due = True
+            return
         batch, waiters = self._pending, self._waiters
         self._pending, self._waiters = [], []
         task = asyncio.ensure_future(self._flush(batch, waiters))
@@ -125,18 +135,23 @@ class MatchingService:
                     None, self.matcher.flush, batch
                 )
             except BaseException as exc:  # matcher bugs -> every waiter
-                for waiter in waiters:
-                    if not waiter.done():
-                        waiter.set_exception(exc)
-                return
+                report = exc
         for waiter in waiters:
-            if not waiter.done():
+            if waiter.done():
+                continue
+            if isinstance(report, BaseException):
+                waiter.set_exception(report)
+            else:
                 waiter.set_result(report)
+        if self._flush_due:
+            self._flush_due = False
+            self._start_flush()
 
     async def drain(self) -> None:
-        """Flush anything pending and wait for in-flight flushes."""
-        self._start_flush()
-        if self._inflight:
+        """Flush anything pending and wait for in-flight flushes
+        (including the follow-up a running flush starts when it ends)."""
+        while self._waiters or self._inflight:
+            self._start_flush()
             await asyncio.gather(
                 *list(self._inflight), return_exceptions=True
             )

@@ -8,8 +8,8 @@ Two halves, both deterministic:
   skewed node selection**: non-arrival events target node *ranks* drawn
   from a Zipf distribution over the live population, so a handful of
   hot nodes absorb most of the churn — the traffic shape a content site
-  actually sees, and the one that stresses the matcher's eligible-
-  component re-convergence (hot components stay hot).  The
+  actually sees, and the one that stresses the matcher's repair
+  plan (hot neighborhoods stay hot).  The
   arrival/edge/capacity/retirement mix is configurable.  Same
   ``(graph, count, seed, skew, mix)`` always yields the same stream;
   :func:`events_digest` fingerprints a stream so the benchmark can
@@ -183,7 +183,7 @@ def zipf_events(
         event: Event
         if roll < thresholds[0] or len(nodes) < 2:
             # New nodes attach preferentially to the hot head — the
-            # rich-get-richer shape that keeps hot components hot.
+            # rich-get-richer shape that keeps hot neighborhoods hot.
             name = f"{node_prefix}-{arrivals}"
             arrivals += 1
             targets = picker.sample(
@@ -279,11 +279,12 @@ async def run_load(
     """Drive the service with ``events`` and measure per-event latency.
 
     ``offered_rate`` paces submissions (events/second, open-loop
-    arrivals); ``None`` submits the whole stream back to back, which —
-    with a generous ``max_delay`` — makes flush boundaries a pure
-    function of ``max_batch`` and therefore deterministic (what the
-    benchmark's regression gate relies on).  Latency is submit→flush-
-    converged on the event-loop clock, so it includes coalescing wait.
+    arrivals); ``None`` enqueues the whole stream before the first
+    flush starts, which — with a generous ``max_delay`` — makes flush
+    boundaries a pure function of ``max_batch`` and therefore
+    deterministic (what the benchmark's regression gate relies on).
+    Latency is submit→flush-converged on the event-loop clock, so it
+    includes coalescing wait.
     The sample lands in the runtime's registry as the volatile
     ``load.event_latency_seconds`` histogram (scrapeable mid-run via
     the metrics endpoint).  Does not close the service.
@@ -317,10 +318,13 @@ async def run_load(
         tasks.append(asyncio.ensure_future(one(event)))
         if interval:
             await asyncio.sleep(interval)
-        else:
-            # Yield once so the submission coroutine actually enqueues
-            # the event (keeps submission order = stream order).
-            await asyncio.sleep(0)
+    if not interval:
+        # One yield for the whole stream: the submission coroutines run
+        # in creation order (= stream order) and enqueue every event
+        # before the first flush starts, so batches are cut by
+        # ``max_batch`` alone — a trigger that fired while a flush was
+        # running would be held and merged (see MatchingService).
+        await asyncio.sleep(0)
     # Flush any straggler partial batch immediately — without this, a
     # stream that is not a multiple of max_batch waits out the full
     # max_delay timer before the last waiters resolve.

@@ -279,6 +279,41 @@ def test_retired_notices_reach_survivors(runtime):
     assert len(store) == 1 and store.contains("stays")
 
 
+def test_survivor_pruning_looks_each_named_peer_up_once(monkeypatch):
+    # GreedyMR's late retirees are named by most of their neighbours:
+    # one key-index lookup per distinct name and call, same notices.
+    runtime = MapReduceRuntime(counters=Counters())
+    store = runtime.state_store("prune-memo")
+    store.load([("a", 0), ("b", 0), (1, 0)])
+    looked_up = []
+    contains = store.contains
+    monkeypatch.setattr(
+        store,
+        "contains",
+        lambda key: looked_up.append(key) or contains(key),
+    )
+    updates = [
+        (canonical_bytes(key), key, Retired(notify))
+        for key, notify in (
+            ("x", ("a", "gone", "b")),
+            ("y", ("b", "a")),
+            ("z", ("gone",)),
+            # 1 == True == 1.0 as dict keys, three different keys to
+            # the store: only str names are memoised.
+            ("w", (1, True, 1.0, 1)),
+        )
+    ]
+    deltas, changed = MapReduceRuntime._apply_updates(store, updates)
+    assert deltas == [
+        ("x", Retired(("a", "b"))),
+        ("y", Retired(("b", "a"))),
+        ("w", Retired((1, 1))),
+    ]
+    assert [type(peer) for peer in deltas[2][1].notify] == [int, int]
+    assert changed == 4
+    assert looked_up == ["a", "gone", "b", 1, True, 1.0, 1]
+
+
 def test_stateful_rounds_count_as_jobs(runtime):
     store = runtime.state_store("jobs")
     store.load([("a", 1)])

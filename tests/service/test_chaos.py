@@ -128,6 +128,65 @@ def test_exhausted_flush_budget_rolls_back_and_raises():
         )
 
 
+def test_rolled_back_flush_replans_the_same_set():
+    """The repair plan is a function of (pre-batch state, batch): a
+    mid-reconvergence fault rolls matching, stores *and* the pre-batch
+    snapshots back, so the retry reads the same sources and plans the
+    same nodes at the same thresholds as the attempt that died — and
+    as a matcher that never faulted."""
+    events, _ = synthetic_events(_seeded_graph(9, n=12), 8, seed=9)
+
+    def planned(matcher):
+        plans = []
+        repair_plan = matcher._repair_plan
+
+        def spy():
+            plans.append(repair_plan())
+            return dict(plans[-1])
+
+        matcher._repair_plan = spy
+        report = matcher.flush(list(events))
+        return plans, report
+
+    with OnlineMatcher(graph=_seeded_graph(9, n=12)) as clean:
+        (reference,), clean_report = planned(clean)
+        expected = clean.matching_edges()
+    assert reference, "the batch must reach something to re-plan"
+
+    matcher = OnlineMatcher(
+        runtime=_faulted_runtime(
+            retry_policy=RetryPolicy(max_attempts=2),
+            fault_plan=FaultPlan(1, flush_rate=1.0),
+        ),
+        graph=_seeded_graph(9, n=12),
+    )
+    with matcher:
+        plans, report = planned(matcher)
+        assert plans == [reference, reference]
+        assert report.affected_nodes == clean_report.affected_nodes
+        assert matcher._before == {} and matcher._cache == {}
+        assert matcher.matching_edges() == expected
+        faults = matcher.runtime.counters.group("faults")
+        assert faults["injected_flush"] == 1
+        assert faults["flush.retries"] == 1
+
+    # Budget exhausted: the fault propagates, and nothing of the dead
+    # attempt's snapshots survives the rollback.
+    matcher = OnlineMatcher(
+        runtime=_faulted_runtime(fault_plan=FaultPlan(1, flush_rate=1.0)),
+        graph=_seeded_graph(9, n=12),
+    )
+    with matcher:
+        with pytest.raises(InjectedFault):
+            matcher.flush(list(events))
+        assert matcher._before == {} and matcher._cache == {}
+        assert not len(matcher.match_store)
+        matcher._fault_plan = None
+        plans, _ = planned(matcher)
+        assert plans == [reference]
+        assert matcher.matching_edges() == expected
+
+
 # -- dead letters: poisoned events drain instead of wedging ----------------
 
 

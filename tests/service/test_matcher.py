@@ -5,10 +5,12 @@ residual re-convergence (a heavy arrival that must displace an existing
 matched edge; a benched node whose matches must drop; a retirement felt
 two hops away).  The property test then drives seeded synthetic event
 streams through micro-batched flushes across every configured execution
-backend (× the storage/spill env knobs) and asserts the re-converged
-matching is bit-identical to sequential greedy on the mirror's final
-graph — which equals cold-batch GreedyMR by the matching layer's own
-equivalence tests.
+backend (× the storage/spill env knobs) and asserts, after *every*
+flush, that the re-converged matching is bit-identical to sequential
+greedy on the mirror graph — which equals cold-batch GreedyMR by the
+matching layer's own equivalence tests.  The locality tests pin what
+the repair plan reaches: nothing when a batch cannot change a decision,
+two nodes when it can change one, and the whole path in the worst case.
 """
 
 import os
@@ -17,10 +19,11 @@ import tempfile
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import Graph
+from repro.graph.generators import ascending_path
 from repro.mapreduce import (
     FAULT_COUNTER_GROUP,
     Counters,
@@ -67,11 +70,11 @@ def _cell_runtime(backend: str):
         )
 
 
-def _seeded_graph(seed: int, n: int = 8) -> Graph:
+def _seeded_graph(seed: int, n: int = 8, min_capacity: int = 1) -> Graph:
     rng = random.Random(seed)
     g = Graph()
     for i in range(n):
-        g.add_node(f"n{i}", rng.randint(1, 3))
+        g.add_node(f"n{i}", rng.randint(min_capacity, 3))
     nodes = sorted(g.nodes())
     for _ in range(2 * n):
         u, v = rng.sample(nodes, 2)
@@ -103,7 +106,7 @@ def test_heavy_arrival_displaces_existing_match():
     # a-b (w=2) is matched at bootstrap; then x arrives with a w=10
     # edge to a (capacity 1).  Greedy on the final graph matches x-a
     # and drops a-b: residual state could never produce this (greedy
-    # cannot un-match), so it proves real component recomputation.
+    # cannot un-match), so it proves matched edges are really re-decided.
     g = Graph()
     g.add_node("a", 1)
     g.add_node("b", 1)
@@ -249,23 +252,127 @@ def test_parked_graph_store_serves_admission_via_point_ops():
 
 
 @backend_matrix
+@settings(max_examples=100)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    batch=st.integers(min_value=1, max_value=5),
+    nodes=st.integers(min_value=4, max_value=40),
+    count=st.integers(min_value=5, max_value=60),
+    batch=st.integers(min_value=1, max_value=9),
 )
-def test_incremental_equals_cold_batch_matrix(seed, batch, backend):
-    """Any seeded event stream, any batching, any backend × storage:
-    the re-converged matching equals sequential greedy on the final
-    mirror graph (hence cold-batch GreedyMR, by the matching layer's
-    equivalence tests)."""
-    graph = _seeded_graph(seed, n=6)
-    events, mirror = synthetic_events(graph, 10, seed=seed)
+def test_incremental_equals_cold_batch_matrix(
+    seed, nodes, count, batch, backend
+):
+    """Any seeded event stream (tied weights, benched ``b = 0`` nodes),
+    any batching, any backend × storage: after every flush the
+    re-converged matching equals sequential greedy on the mirror graph
+    (hence cold-batch GreedyMR, by the matching layer's equivalence
+    tests), the match store has drained and no snapshot is left."""
+    graph = _seeded_graph(seed, n=nodes, min_capacity=0)
+    events, _ = synthetic_events(graph, count, seed=seed)
+    mirror = plain_graph(graph)
     with _cell_runtime(backend) as runtime:
         with OnlineMatcher(runtime=runtime, graph=graph) as m:
+            _assert_cold_identical(m, mirror)
             for start in range(0, len(events), batch):
                 report = m.flush(events[start : start + batch])
                 assert not report.rejected
-            _assert_cold_identical(m, mirror)
+                for event in events[start : start + batch]:
+                    apply_event(mirror, event)
+                _assert_cold_identical(m, mirror)  # includes verify()
+                assert report.affected_nodes <= m.num_nodes
+                assert not len(m.match_store) and not m._before
+
+
+# -- locality: what the repair plan reaches ----------------------------------
+
+
+def _saturated_chain() -> Graph:
+    """One component: five pairs matched at 10..14 and chained by
+    weight-5 edges that lose at both (saturated) ends, plus three
+    capacity-1 bystanders hanging off saturated nodes by lighter edges —
+    unmatched, hence unsaturated."""
+    g = Graph()
+    for i in range(5):
+        g.add_node(f"p{i}", 1)
+        g.add_node(f"q{i}", 1)
+        g.add_edge(f"p{i}", f"q{i}", 10.0 + i)
+    for i in range(4):
+        g.add_edge(f"q{i}", f"p{i + 1}", 5.0)
+    for name, anchor in (("u", "p0"), ("v", "q4"), ("z", "p2")):
+        g.add_node(name, 1)
+        g.add_edge(name, anchor, 3.0)
+    return g
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        # lighter than every matched edge of two saturated endpoints
+        EdgeArrival("p0", "q3", 1.0),
+        # re-scores of an unmatched edge: same weight; still losing
+        EdgeArrival("q0", "p1", 5.0),
+        EdgeArrival("q0", "p1", 4.0),
+        # removes unmatched edges only / retires an unmatched node
+        Retirement("z"),
+        # capacity of an unsaturated node, up and down
+        CapacityChange("u", 3),
+        CapacityChange("u", 0),
+        # a benched newcomer, and one whose only neighbor is full
+        Arrival("w", capacity=0, edges=(("u", 9.0),)),
+        Arrival("w", capacity=2, edges=(("p3", 9.0),)),
+    ],
+    ids=repr,
+)
+def test_sources_that_plan_nothing_run_no_job(event):
+    graph = _saturated_chain()
+    mirror = plain_graph(graph)
+    with OnlineMatcher(graph=graph) as m:
+        jobs = m.runtime.jobs_executed
+        before = m.matching_edges()
+        report = m.flush([event])
+        assert report.admitted == 1
+        assert report.affected_nodes == 0 and report.rounds == 0
+        assert m.runtime.jobs_executed == jobs
+        assert m.matching_edges() == before
+        apply_event(mirror, event)
+        _assert_cold_identical(m, mirror)
+
+
+def test_edge_between_unsaturated_nodes_plans_exactly_its_endpoints():
+    # u and v sit at the two ends of the component; each one's other
+    # neighbor is saturated by a heavier edge, so the closure stops
+    # there and the new edge is decided between the two of them.
+    graph = _saturated_chain()
+    mirror = plain_graph(graph)
+    with OnlineMatcher(graph=graph) as m:
+        event = EdgeArrival("u", "v", 1.0)
+        report = m.flush([event])
+        assert report.affected_nodes == 2 and report.rounds >= 1
+        assert m.match_lookup("u") == {"v": 1.0}
+        apply_event(mirror, event)
+        _assert_cold_identical(m, mirror)
+        counters = m.runtime.counters.group(SERVICE_COUNTER_GROUP)
+        assert counters["reconverge.affected_nodes"] == 2
+
+
+def test_worst_case_chain_plans_the_whole_path():
+    # A heavier edge appended past the heavy end of the ascending path
+    # wins its node, which frees the next, which ...: every matched
+    # edge flips, so the plan legitimately covers every node — the
+    # bound is the chain of decisions, not a constant.
+    n = 12
+    graph = ascending_path(n)
+    mirror = plain_graph(graph)
+    with OnlineMatcher(graph=graph) as m:
+        before = set(m.matching_edges())
+        event = Arrival(
+            "tail", capacity=1, edges=((f"u{n - 1:06d}", float(n)),)
+        )
+        report = m.flush([event])
+        assert report.affected_nodes == n + 1
+        apply_event(mirror, event)
+        _assert_cold_identical(m, mirror)
+        assert not before & set(m.matching_edges())
 
 
 # -- re-seeding: adjacency insertion order is not rank order -----------------

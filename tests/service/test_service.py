@@ -8,6 +8,7 @@ re-convergences, observable through the always-on service counters.
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -87,6 +88,84 @@ def test_timer_flushes_an_undersized_batch():
     report = asyncio.run(drive())
     assert report.admitted == 1
     assert service.metrics()["batches_flushed"] == 1
+
+
+class _GatedMatcher:
+    """A matcher whose ``flush`` parks in its worker thread until the
+    test releases it — an in-flight flush of any length, no sleeps."""
+
+    def __init__(self):
+        self.batches = []
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def flush(self, batch):
+        self.batches.append(list(batch))
+        self.started.set()
+        assert self.release.wait(30)
+        return FlushReport(
+            admitted=len(batch),
+            rejected=(),
+            affected_nodes=0,
+            rounds=0,
+            seconds=0.0,
+        )
+
+    def close(self):
+        pass
+
+
+def test_backlog_behind_a_running_flush_lands_in_one_follow_up():
+    """Triggers that fire while a flush runs are held, not queued: the
+    seven events below fill three batches and time one out during the
+    first flush, and still cost one follow-up flush, not four."""
+    matcher = _GatedMatcher()
+    service = MatchingService(matcher, max_batch=2, max_delay=0.005)
+
+    async def drive():
+        loop = asyncio.get_running_loop()
+        first = asyncio.ensure_future(service.submit_events(["a0", "a1"]))
+        assert await loop.run_in_executor(None, matcher.started.wait, 30)
+        backlog = [
+            asyncio.ensure_future(service.submit_event(f"b{i}"))
+            for i in range(7)
+        ]
+        await asyncio.sleep(0.05)  # ten timer periods, flush still running
+        assert len(matcher.batches) == 1
+        assert len(service._inflight) == 1
+        assert not any(task.done() for task in backlog)
+        matcher.release.set()
+        reports = await asyncio.gather(first, *backlog)
+        await service.close()
+        return reports
+
+    reports = asyncio.run(drive())
+    assert matcher.batches == [
+        ["a0", "a1"],
+        [f"b{i}" for i in range(7)],
+    ]
+    assert reports[0].admitted == 2
+    assert all(report is reports[1] for report in reports[1:])
+    assert reports[1].admitted == 7
+
+
+def test_drain_waits_for_the_follow_up_of_a_running_flush():
+    matcher = _GatedMatcher()
+    service = MatchingService(matcher, max_batch=1, max_delay=60.0)
+
+    async def drive():
+        loop = asyncio.get_running_loop()
+        first = asyncio.ensure_future(service.submit_event("a"))
+        assert await loop.run_in_executor(None, matcher.started.wait, 30)
+        late = asyncio.ensure_future(service.submit_event("b"))
+        await asyncio.sleep(0)  # "b" is pending behind the running flush
+        loop.call_later(0.01, matcher.release.set)
+        await service.drain()
+        assert first.done() and late.done()
+        await service.close()
+
+    asyncio.run(drive())
+    assert matcher.batches == [["a"], ["b"]]
 
 
 def test_submit_events_shares_one_flush():
