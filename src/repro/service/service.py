@@ -64,7 +64,7 @@ class MatchingService:
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay < 0:
+        if not max_delay >= 0:  # NaN too: its timer would never fire
             raise ValueError(
                 f"max_delay must be >= 0, got {max_delay}"
             )
@@ -177,7 +177,7 @@ class MatchingService:
         return self.matcher.snapshot()
 
     def metrics(self) -> Dict[str, float]:
-        """Always-on serving meters (see ``BENCH_serving.json``).
+        """Always-on serving meters (``repro serve``, ``/metrics``).
 
         Coalescing ratio is events admitted per flush; latency
         percentiles (p50/p95/p99 — the tail matters under skewed

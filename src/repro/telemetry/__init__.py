@@ -1,4 +1,4 @@
-"""Unified observability: metrics registry, tracing, exposition, load.
+"""Unified observability: metrics registry, tracing, exposition, traffic.
 
 One subsystem threaded through every layer of the reproduction:
 
@@ -12,11 +12,10 @@ One subsystem threaded through every layer of the reproduction:
 * :mod:`repro.telemetry.exporter` — a stdlib HTTP ``/metrics``
   endpoint (Prometheus text format + JSON snapshot);
 * :mod:`repro.telemetry.loadgen` — a seeded Zipf-skewed event
-  generator and closed-loop driver for the online matching service.
-  (Imported explicitly as ``repro.telemetry.loadgen``, not re-exported
-  here: it depends on :mod:`repro.service`, which depends on the
-  mapreduce layer, which imports this package — re-exporting it would
-  close that cycle.)
+  generator for the online matching service.  (Imported explicitly as
+  ``repro.telemetry.loadgen``, not re-exported here: it depends on
+  :mod:`repro.service`, which depends on the mapreduce layer, which
+  imports this package — re-exporting it would close that cycle.)
 
 The mapreduce layer imports only :mod:`~repro.telemetry.metrics`, so
 this package must stay free of imports back into the rest of

@@ -16,10 +16,10 @@ dependencies) on three routes:
 
 The server is a daemon-threaded :class:`ThreadingHTTPServer` bound to
 an ephemeral port by default (``port=0``), started by ``repro serve
---metrics-port`` and by ``bench_load.py --metrics-port`` for the CI
-curl smoke.  Snapshots are taken per scrape on the handler thread; the
-registry's structures are plain dicts and ints mutated by the event
-loop thread, so a scrape is read-only and never blocks the service.
+--metrics-port``.  Snapshots are taken per scrape on the handler
+thread; the registry's structures are plain dicts and ints mutated by
+the event loop thread, so a scrape is read-only and never blocks the
+service.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
@@ -262,21 +261,6 @@ class MetricsExporter:
         next successful scrape) — what ``/healthz`` reports."""
         with self._lock:
             return self._last_scrape_error
-
-    def wait_for_scrapes(self, count: int, timeout: float) -> bool:
-        """Block until at least ``count`` scrapes landed (or timeout).
-
-        Lets the load harness linger just long enough for an external
-        scraper (the CI curl smoke) to observe a live run.
-        """
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if self.scrape_count >= count:
-                    return True
-            time.sleep(0.05)
-        with self._lock:
-            return self.scrape_count >= count
 
     # -- lifecycle ---------------------------------------------------------
 

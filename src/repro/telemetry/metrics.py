@@ -36,8 +36,8 @@ This module imports nothing from the rest of the package (the runtime
 imports *it*), so it can be threaded through any layer without cycles.
 
 :func:`percentile` is the one nearest-rank implementation shared by the
-serving metrics, the load harness, and the distribution stats — the
-three layers that previously each hand-rolled their own.
+serving metrics and the distribution stats, which previously each
+hand-rolled their own.
 """
 
 from __future__ import annotations
@@ -75,14 +75,16 @@ COUNT_BUCKETS: Tuple[float, ...] = (
 def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of ``values`` (0.0 when empty).
 
-    The single implementation behind the serving metrics' p50/p95/p99,
-    the load harness, and the dataset tail summaries.  ``values`` need
-    not be sorted; pass ``q`` in ``[0, 1]``.
+    The single implementation behind the serving metrics' p50/p95/p99
+    and the dataset tail summaries.  ``values`` need not be sorted;
+    pass ``q`` in ``[0, 1]`` — checked even for an empty sample, so a
+    ``q`` on the 0–100 scale fails on the first call, not the first
+    non-empty one.
     """
-    if not values:
-        return 0.0
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
+    if not values:
+        return 0.0
     ordered = sorted(values)
     rank = max(1, math.ceil(q * len(ordered)))
     return ordered[min(rank, len(ordered)) - 1]
@@ -91,14 +93,13 @@ def percentile(values: Sequence[float], q: float) -> float:
 def latency_summary_ms(seconds: Sequence[float]) -> Dict[str, float]:
     """p50/p95/p99 of a seconds sample, in milliseconds.
 
-    The shape every serving surface reports (``MatchingService.
-    metrics()``, the load harness, ``BENCH_serving.json``).
+    The shape ``MatchingService.metrics()`` reports, and with it
+    ``repro serve`` and the ``/metrics`` endpoint.
     """
-    ordered = sorted(seconds)
     return {
-        "latency_p50_ms": percentile(ordered, 0.50) * 1000.0,
-        "latency_p95_ms": percentile(ordered, 0.95) * 1000.0,
-        "latency_p99_ms": percentile(ordered, 0.99) * 1000.0,
+        "latency_p50_ms": percentile(seconds, 0.50) * 1000.0,
+        "latency_p95_ms": percentile(seconds, 0.95) * 1000.0,
+        "latency_p99_ms": percentile(seconds, 0.99) * 1000.0,
     }
 
 

@@ -25,8 +25,8 @@ from repro.service import (
 
 from .test_matcher import _seeded_graph
 
-#: Keys the metrics endpoint must always expose (BENCH_serving.json
-#: records exactly these).
+#: Keys the metrics endpoint must always expose (``repro serve`` and
+#: ``/metrics`` report exactly these).
 METRIC_KEYS = {
     "events_admitted",
     "events_rejected",
@@ -269,12 +269,21 @@ def test_metrics_shape_and_sanity():
     assert metrics["reconverge_rounds"] >= 1
 
 
-def test_constructor_validation():
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"max_batch": 0}, "max_batch"),
+        ({"max_delay": -0.1}, "max_delay"),
+        # NaN passes a ``< 0`` check, and its timer never fires: an
+        # undersized batch would never flush.
+        ({"max_delay": float("nan")}, "max_delay"),
+    ],
+    ids=["max_batch-zero", "max_delay-negative", "max_delay-nan"],
+)
+def test_constructor_validation(kwargs, field):
     matcher = OnlineMatcher()
     try:
-        with pytest.raises(ValueError, match="max_batch"):
-            MatchingService(matcher, max_batch=0)
-        with pytest.raises(ValueError, match="max_delay"):
-            MatchingService(matcher, max_delay=-0.1)
+        with pytest.raises(ValueError, match=field):
+            MatchingService(matcher, **kwargs)
     finally:
         matcher.close()

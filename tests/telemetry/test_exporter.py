@@ -80,8 +80,6 @@ def test_exporter_serves_metrics_and_json():
         assert body == "ok\n"
         # Health checks are not scrapes; /metrics and /metrics.json are.
         assert exporter.scrape_count == 2
-        assert exporter.wait_for_scrapes(2, timeout=0.2)
-        assert not exporter.wait_for_scrapes(3, timeout=0.1)
         assert calls  # extra_metrics re-evaluated per scrape
     assert exporter._server is None  # context exit stopped the server
 

@@ -1,40 +1,30 @@
-"""The Zipf load generator: determinism, skew, validity, closed loop."""
+"""The Zipf event generator: determinism, skew, validity, event mix."""
 
-import asyncio
 from collections import Counter
 
 import pytest
 
-from repro.service import (
-    Arrival,
-    MatchingService,
-    OnlineMatcher,
-    apply_event,
-    plain_graph,
-)
+from repro.service import apply_event, plain_graph
 from repro.service.events import CapacityChange
 from repro.telemetry.loadgen import (
     DEFAULT_MIX,
     _normalized_mix,
     _ZipfPicker,
-    events_digest,
-    run_load,
     zipf_events,
 )
 
 from ..service.test_matcher import _seeded_graph
 
 
-def test_same_seed_same_stream_same_digest():
+def test_same_seed_same_stream():
     graph = _seeded_graph(0)
     first, mirror_a = zipf_events(graph, 30, seed=7)
     second, mirror_b = zipf_events(graph, 30, seed=7)
     assert first == second
-    assert events_digest(first) == events_digest(second)
     assert sorted(mirror_a.nodes()) == sorted(mirror_b.nodes())
     # A different seed is a different stream.
     other, _ = zipf_events(graph, 30, seed=8)
-    assert events_digest(other) != events_digest(first)
+    assert other != first
 
 
 def test_mirror_graph_is_the_stream_applied():
@@ -117,88 +107,3 @@ def test_traffic_targets_hot_nodes_more_than_cold():
     head = sum(targets.get(node, 0) for node in nodes[:5])
     tail = sum(targets.get(node, 0) for node in nodes[-20:])
     assert head > 2 * tail
-
-
-def test_run_load_measures_every_event():
-    graph = _seeded_graph(2)
-    events, mirror = zipf_events(graph, 10, seed=1)
-    matcher = OnlineMatcher(graph=graph)
-    service = MatchingService(matcher, max_batch=4, max_delay=60.0)
-
-    async def drive():
-        async with service:
-            return await run_load(service, events)
-
-    report = asyncio.run(drive())
-    assert report.events == 10
-    assert len(report.latencies) == 10
-    assert all(latency > 0 for latency in report.latencies)
-    # Unpaced: batches are cut by max_batch alone (4 + 4 + 2), however
-    # long a flush takes.
-    assert report.service_metrics["batches_flushed"] == 3
-    summary = report.summary()
-    assert summary["latency_p99_ms"] >= summary["latency_p50_ms"] > 0
-    assert summary["achieved_events_per_s"] > 0
-    assert summary["offered_rate_events_per_s"] == 0.0
-    # The sample landed in the runtime's registry for the exporter.
-    hist = matcher.runtime.metrics.histogram(
-        "load",
-        "event_latency_seconds",
-        volatile=True,
-        keep_samples=True,
-    )
-    assert hist.count == 10
-
-
-def test_run_load_paced_smoke():
-    graph = _seeded_graph(2)
-    events = [
-        Arrival(f"late-{index}", capacity=1, edges=())
-        for index in range(3)
-    ]
-    service = MatchingService(
-        OnlineMatcher(graph=graph), max_batch=2, max_delay=0.01
-    )
-
-    async def drive():
-        async with service:
-            return await run_load(service, events, offered_rate=200.0)
-
-    report = asyncio.run(drive())
-    assert report.events == 3
-    assert report.offered_rate == 200.0
-    # Pacing puts at least the inter-arrival gaps on the clock.
-    assert report.wall_seconds >= 2 / 200.0
-
-
-def test_run_load_wedged_drain_fails_with_diagnostic():
-    """A service that stops resolving submissions must fail the run
-    with a diagnostic instead of hanging the harness forever."""
-
-    class WedgedService:
-        """Accepts submissions that never resolve; drain is a no-op."""
-
-        def __init__(self):
-            self.matcher = OnlineMatcher()
-
-        async def submit_event(self, event):
-            await asyncio.Event().wait()  # pragma: no cover - cancelled
-
-        async def drain(self):
-            return None
-
-    service = WedgedService()
-    events = [
-        Arrival(f"stuck-{index}", capacity=1, edges=())
-        for index in range(3)
-    ]
-
-    async def drive():
-        try:
-            await run_load(service, events, drain_timeout=0.05)
-        finally:
-            service.matcher.close()
-
-    with pytest.raises(RuntimeError, match="load run wedged") as excinfo:
-        asyncio.run(drive())
-    assert "3 of 3 submissions" in str(excinfo.value)

@@ -44,8 +44,12 @@ def test_percentile_does_not_require_sorted_input():
 
 def test_percentile_empty_and_range_validation():
     assert percentile([], 0.5) == 0.0
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        percentile([1.0], 1.5)
+    # q is checked before the empty return: a q on the 0-100 scale
+    # fails on the first call, not once the sample has values.
+    for sample in ([], [1.0]):
+        for q in (95, 1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                percentile(sample, q)
 
 
 def test_latency_summary_is_milliseconds():
