@@ -4,7 +4,7 @@ The CLI mirrors how the paper's system would be operated as batch
 jobs::
 
     repro generate flickr-small --scale 0.2 --out /tmp/fs
-    repro join /tmp/fs --sigma 4.0 --method mapreduce --backend threads
+    repro join /tmp/fs --sigma 4.0 --method mapreduce --backend processes
     repro join /tmp/fs --sigma 4.0 --method mapreduce --fs disk \
         --spill-threshold 1000
     repro match /tmp/fs --sigma 4.0 --alpha 2.0 --algorithm greedy_mr \
@@ -12,7 +12,7 @@ jobs::
     repro serve /tmp/fs --sigma 4.0 --events 200 --batch-size 32
     repro experiment --only fig5 --scale 0.5
 
-``--backend {serial,threads,processes}`` selects the execution backend
+``--backend {serial,processes,cluster}`` selects the execution backend
 of the simulated cluster for the MapReduce paths; ``--fs
 {memory,disk}`` selects its storage backend (inter-job datasets and
 parked resident state in RAM or as on-disk JSONL), and
@@ -608,7 +608,7 @@ def _add_cluster_options(
         default=None,
         metavar="N",
         help="worker count for the parallel backends: pool size for "
-        "threads/processes, daemon-fleet size for cluster (default: "
+        "processes, daemon-fleet size for cluster (default: "
         f"backend-specific, bounded by CPU count; {applies_to})",
     )
     parser.add_argument(

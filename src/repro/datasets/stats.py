@@ -3,7 +3,7 @@
 Figure 6 plots the distribution of edge similarities, Figure 7 the
 distribution of capacities, for each dataset.  These helpers compute
 log-binned histograms plus tail summaries (skew diagnostics used by the
-shape checks in EXPERIMENTS.md).
+shape checks listed in DESIGN.md §4).
 """
 
 from __future__ import annotations

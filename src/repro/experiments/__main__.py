@@ -3,8 +3,8 @@
 ``python -m repro.experiments [--scale S] [--seed N] [--only fig1,...]``
 
 Prints every table/figure reproduction in sequence; use ``--scale`` to
-shrink or enlarge the synthetic datasets (1.0 = the defaults used in
-EXPERIMENTS.md).
+shrink or enlarge the synthetic datasets (1.0 = the default sizes of
+:mod:`repro.datasets`).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Benchmark scale is environment-tunable: ``REPRO_BENCH_SCALE`` multiplies
 dataset sizes (default keeps the whole suite laptop-sized), and
 ``REPRO_BENCH_SEED`` pins the generator seed.  The per-figure parameter
 grids (σ via target edge counts, α, ε) live here so benchmarks, tests,
-and EXPERIMENTS.md all agree on what was run.
+and the experiment reports all agree on what was run.
 """
 
 from __future__ import annotations

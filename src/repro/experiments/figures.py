@@ -3,8 +3,7 @@
 Each function runs the corresponding experiment at a configurable scale
 and returns ``(rows/data, report_text)`` where the report prints the
 same series the paper plots, next to the paper's own numbers.  The
-benchmark suite calls these functions; EXPERIMENTS.md records their
-output.
+benchmark suite and ``repro experiment`` call these functions.
 """
 
 from __future__ import annotations

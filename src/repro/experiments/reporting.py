@@ -1,8 +1,8 @@
 """Plain-text reporting: ASCII tables and paper-vs-measured blocks.
 
 The benchmark harness prints the same rows/series the paper's figures
-plot, so a reader can compare shapes directly from the terminal output
-(captured into EXPERIMENTS.md).
+plot, so a reader can compare shapes directly from the terminal
+output.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ Public API::
     output = runtime.run(WordCount(), [(0, "a b a")])
 
 Both halves of the execution model are pluggable: compute via
-``backend="serial" | "threads" | "processes"`` (see
+``backend="serial" | "processes" | "cluster"`` (see
 :mod:`repro.mapreduce.executors`) and storage via ``storage="memory" |
 "disk"`` plus ``spill_threshold=`` for the external sort-and-spill
 shuffle (see :mod:`repro.mapreduce.storage`).  Results are
@@ -41,7 +41,6 @@ from .executors import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     resolve_executor,
     shutdown_shared_pools,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "STATE_SPILL_COUNTERS",
     "SerialExecutor",
     "TaskFaultSpec",
-    "ThreadExecutor",
     "canonical_bytes",
     "fast_hash_bytes",
     "fired_specs",

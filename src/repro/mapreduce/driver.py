@@ -72,7 +72,7 @@ class IterativeDriver(Generic[State]):
 
         Every job launched by every round runs on this backend; the
         driver itself is backend-agnostic, so iterative results are
-        bit-identical across ``serial``/``threads``/``processes``.
+        bit-identical across ``serial``/``processes``/``cluster``.
         """
         return self.runtime.backend
 

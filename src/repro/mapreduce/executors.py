@@ -1,17 +1,15 @@
 """Pluggable task-execution backends for the MapReduce runtime.
 
 The runtime decomposes every job into *independent tasks* (map tasks,
-reduce tasks) and hands each batch to an :class:`Executor`.  Three
-backends are provided:
+reduce tasks) and hands each batch to an :class:`Executor`.  Two
+backends are provided here:
 
 * :class:`SerialExecutor` — run tasks inline, one after another (the
   default; zero overhead, ideal for small inputs and for debugging);
-* :class:`ThreadExecutor` — run tasks on a shared thread pool (cheap
-  dispatch; parallel speedups where task bodies release the GIL);
 * :class:`ProcessExecutor` — run tasks on a shared process pool
   (true CPU parallelism; tasks, jobs, and records must be picklable).
 
-A fourth backend, ``"cluster"``, lives in :mod:`repro.mapreduce.
+A third backend, ``"cluster"``, lives in :mod:`repro.mapreduce.
 cluster`: worker daemon processes served over localhost TCP sockets
 with worker-local result storage, heartbeats, death detection with
 task re-execution, and speculative backups.  It registers here through
@@ -60,7 +58,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -70,7 +67,6 @@ from .errors import ExecutorError
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "EXECUTOR_BACKENDS",
     "resolve_executor",
@@ -83,7 +79,7 @@ TaskFunction = Callable[..., Any]
 
 #: Canonical backend names accepted by :func:`resolve_executor` (and
 #: therefore by ``MapReduceRuntime(backend=...)`` and the CLI).
-EXECUTOR_BACKENDS = ("serial", "threads", "processes", "cluster")
+EXECUTOR_BACKENDS = ("serial", "processes", "cluster")
 
 
 class Executor:
@@ -166,12 +162,7 @@ def _shared_pool(kind: str, max_workers: int) -> Any:
                 k for k in _SHARED_POOLS if k[0] == kind
             ]:
                 stale.append(_SHARED_POOLS.pop(other_key))
-            if kind == "threads":
-                pool = ThreadPoolExecutor(
-                    max_workers=max_workers,
-                    thread_name_prefix="repro-mr",
-                )
-            elif kind == "cluster":
+            if kind == "cluster":
                 # Lazy import: the cluster plane is only paid for when
                 # the cluster backend is actually used.
                 from .cluster.driver import ClusterDriver
@@ -180,9 +171,9 @@ def _shared_pool(kind: str, max_workers: int) -> Any:
             else:
                 # The platform-default start method: fork on older
                 # Linux Pythons, forkserver/spawn elsewhere (safer in a
-                # process that also runs shared thread pools).  Under
-                # non-fork start methods jobs must live in importable
-                # modules — the same constraint pickling imposes anyway.
+                # multithreaded process).  Under non-fork start methods
+                # jobs must live in importable modules — the same
+                # constraint pickling imposes anyway.
                 pool = ProcessPoolExecutor(max_workers=max_workers)
             _SHARED_POOLS[key] = pool
     for old in stale:  # shutdown outside the lock; it can block
@@ -207,42 +198,6 @@ def shutdown_shared_pools() -> None:
 
 
 atexit.register(shutdown_shared_pools)
-
-
-class ThreadExecutor(Executor):
-    """Run tasks on a shared :class:`ThreadPoolExecutor`."""
-
-    name = "threads"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = max_workers or _default_workers()
-
-    def run_tasks(
-        self, fn: TaskFunction, tasks: Sequence[Task]
-    ) -> List[Any]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        pool = _shared_pool("threads", self.max_workers)
-        futures = [pool.submit(fn, *task) for task in tasks]
-        # Collect in submission order so the first task-order failure
-        # raises, mirroring the serial backend's error determinism.
-        return [future.result() for future in futures]
-
-    def run_tasks_speculative(
-        self, fn: TaskFunction, tasks: Sequence[Task], timeout: float
-    ) -> Tuple[List[Any], int]:
-        tasks = list(tasks)
-        if not tasks:
-            return [], 0
-        pool = _shared_pool("threads", self.max_workers)
-        return _speculate(pool.submit, fn, tasks, timeout)
-
-    def close(self) -> None:
-        _evict_pool("threads", self.max_workers)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ThreadExecutor(max_workers={self.max_workers})"
 
 
 def _speculate(
@@ -419,53 +374,27 @@ class ProcessExecutor(Executor):
         return f"ProcessExecutor(max_workers={self.max_workers})"
 
 
-_BACKEND_ALIASES = {
-    "serial": "serial",
-    "sequential": "serial",
-    "sync": "serial",
-    "threads": "threads",
-    "thread": "threads",
-    "threading": "threads",
-    "processes": "processes",
-    "process": "processes",
-    "multiprocessing": "processes",
-    "mp": "processes",
-    "cluster": "cluster",
-    "distributed": "cluster",
-}
-
-_BACKEND_CLASSES = {
-    "serial": SerialExecutor,
-    "threads": ThreadExecutor,
-    "processes": ProcessExecutor,
-}
-
-
 def resolve_executor(
     backend: Union[str, Executor, None],
     max_workers: Optional[int] = None,
 ) -> Executor:
     """Turn a backend name (or an :class:`Executor`) into an executor.
 
-    ``None`` selects the serial backend.  Unknown names raise
-    :class:`ExecutorError` listing :data:`EXECUTOR_BACKENDS`.
+    ``None`` selects the serial backend.  Only the exact names in
+    :data:`EXECUTOR_BACKENDS` are accepted; anything else raises
+    :class:`ExecutorError` listing them.
     """
-    if backend is None:
-        return SerialExecutor()
     if isinstance(backend, Executor):
         return backend
-    if isinstance(backend, str):
-        canonical = _BACKEND_ALIASES.get(backend.strip().lower())
-        if canonical == "cluster":
-            # Lazy: only cluster users pay the cluster plane's import.
-            from .cluster.executor import ClusterExecutor
+    if backend is None or backend == "serial":
+        return SerialExecutor()
+    if backend == "processes":
+        return ProcessExecutor(max_workers=max_workers)
+    if backend == "cluster":
+        # Lazy: only cluster users pay the cluster plane's import.
+        from .cluster.executor import ClusterExecutor
 
-            return ClusterExecutor(max_workers=max_workers)
-        if canonical is not None:
-            cls = _BACKEND_CLASSES[canonical]
-            if cls is SerialExecutor:
-                return cls()
-            return cls(max_workers=max_workers)
+        return ClusterExecutor(max_workers=max_workers)
     raise ExecutorError(
         f"unknown executor backend {backend!r}; "
         f"known backends: {', '.join(EXECUTOR_BACKENDS)}"

@@ -50,7 +50,7 @@ class Pipeline:
     """Run a sequence of stages on a runtime + filesystem pair.
 
     ``backend`` selects the execution backend (``"serial"``,
-    ``"threads"``, ``"processes"``) and ``storage`` the storage backend
+    ``"processes"``, ``"cluster"``) and ``storage`` the storage backend
     (``"memory"``, ``"disk"``) when no runtime/filesystem is supplied;
     a supplied runtime brings its own backend *and* its own filesystem
     (pass ``filesystem=`` to override the latter explicitly).

@@ -20,8 +20,8 @@ Execution model
 The runtime is faithful to MapReduce's *execution* model as well as its
 programming model: every phase is decomposed into independent task
 units and dispatched through an :class:`~repro.mapreduce.executors.
-Executor` (``backend="serial" | "threads" | "processes" |
-"cluster"`` — the last a real localhost worker fleet over TCP, see
+Executor` (``backend="serial" | "processes" | "cluster"`` — the
+last a real localhost worker fleet over TCP, see
 :mod:`repro.mapreduce.cluster`).
 
 * A **map task** is one unit of work: it applies ``job.map`` to every
@@ -67,7 +67,7 @@ threshold and are k-way merged at reduce time
 (:class:`~repro.mapreduce.storage.ExternalShuffle`), metering
 ``spilled_records``/``spill_files``/``spilled_bytes``.  Because the
 spill path delivers each partition already merge-sorted, the reduce
-tasks skip their sort; on the serial and threads backends they consume
+tasks skip their sort; on the serial backend they consume
 the merged runs as a lazy stream, never re-materializing the partition
 driver-side.
 
@@ -210,7 +210,7 @@ class MapReduceRuntime:
         a real cluster.  Costs 2x map work; intended for tests.
     backend:
         Execution backend for map and reduce tasks: ``"serial"``
-        (default), ``"threads"``, ``"processes"``, ``"cluster"``
+        (default), ``"processes"``, ``"cluster"``
         (worker daemon processes over localhost TCP sockets), or any
         :class:`~repro.mapreduce.executors.Executor` instance.  Results
         and counters are bit-identical across backends.
@@ -1000,8 +1000,8 @@ def _timed_call(fn: Callable, *args: Any) -> Tuple[float, Any]:
     """Run a task unit and measure its wall-clock inside the worker.
 
     Used only when a tracer is attached: measuring inside the (still
-    picklable) wrapper means serial, thread, and process backends all
-    report the task's own execution time, not dispatch overhead.
+    picklable) wrapper means the serial, process, and cluster backends
+    all report the task's own execution time, not dispatch overhead.
     """
     started = time.perf_counter()
     result = fn(*args)

@@ -1,8 +1,8 @@
 """Pluggable storage subsystem for the MapReduce simulator.
 
-PR 1 made *compute* pluggable (``backend="serial" | "threads" |
-"processes"``); this package does the same for *storage*, the other
-half of the runtime's execution model.  It provides:
+The executors make *compute* pluggable (``backend="serial" |
+"processes" | "cluster"``); this package does the same for
+*storage*, the other half of the runtime's execution model.  It provides:
 
 * the :class:`~repro.mapreduce.storage.base.FileSystem` contract for
   inter-job datasets, with two implementations —

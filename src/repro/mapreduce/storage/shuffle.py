@@ -48,11 +48,11 @@ on first spill and removed by :meth:`ExternalShuffle.close`.
 Scope.  While records are routed, at most ``spill_threshold`` of them
 per partition sit in RAM (the runtime also releases each map task's
 output list once routed), with the bulk of the shuffle parked in run
-files.  For executors that can share memory (serial, threads) the
-runtime hands each reduce task the lazy :meth:`merged_stream`, so a
-partition is never re-materialized driver-side; only the ``processes``
-backend — whose task arguments must pickle — still receives the
-materialized :meth:`merged_partition` list.
+files.  On the ``serial`` backend, which shares the driver's memory,
+the runtime hands each reduce task the lazy :meth:`merged_stream`, so
+a partition is never re-materialized driver-side; the ``processes``
+and ``cluster`` backends — whose task arguments must pickle — receive
+the materialized :meth:`merged_partition` list.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ Design constraints, in order:
   clock reads, no per-task timing wrappers unless a tracer is attached.
 * **Backend-agnostic.**  Per-task durations are measured by wrapping
   the picklable task callables (see ``_timed_call`` in the runtime), so
-  the same span shapes come back from serial, thread, and process
-  executors.  Span construction itself happens driver-side only — the
+  the same span shapes come back from the serial, process, and
+  cluster executors.  Span construction itself happens driver-side only — the
   tracer is never shipped to workers.
 * **No global state.**  A tracer is an ordinary object handed to the
   runtime; two runtimes can trace independently in one process.

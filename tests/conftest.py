@@ -24,13 +24,13 @@ settings.register_profile(
 settings.load_profile("repro")
 
 # Execution backends the `runtime` fixture cycles through.  CI narrows
-# this (e.g. REPRO_TEST_BACKENDS=processes for the smoke job); the
-# default exercises every backend so backend-sensitive regressions
-# surface in the ordinary suite.
+# this (e.g. REPRO_TEST_BACKENDS=processes for the out-of-core matrix
+# jobs); the default exercises every registered backend so
+# backend-sensitive regressions surface in the ordinary suite.
 BACKENDS = tuple(
     name.strip()
     for name in os.environ.get(
-        "REPRO_TEST_BACKENDS", "serial,threads,processes"
+        "REPRO_TEST_BACKENDS", "serial,processes,cluster"
     ).split(",")
     if name.strip()
 )
@@ -74,7 +74,7 @@ def all_backends(request) -> str:
 
     ``backend`` follows REPRO_TEST_BACKENDS so CI matrix jobs can run
     one cell at a time; this fixture always cycles the full registry
-    (serial, threads, processes, cluster) — for the registry-driven
+    (serial, processes, cluster) — for the registry-driven
     smoke tests that must prove each backend at least boots and agrees,
     no matter how the matrix is narrowed.
     """

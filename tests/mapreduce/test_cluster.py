@@ -15,7 +15,7 @@ Four layers of the distributed plane, bottom-up:
 * **executor equivalence** — ``--backend cluster`` plugged into the
   full :class:`MapReduceRuntime` produces output records, ``job_log``,
   and volatile-stripped counters bit-identical to ``serial``, the same
-  contract the threads/processes backends already carry.
+  contract the processes backend already carries.
 
 Everything here runs real worker processes, so the whole module wears
 the ``cluster`` marker (deselect with ``-m "not cluster"``).
@@ -52,6 +52,7 @@ from repro.mapreduce.cluster import (
 from repro.mapreduce.cluster.heartbeat import ALIVE, DEAD, SUSPECT
 from repro.mapreduce.cluster.protocol import connect, request
 from repro.mapreduce.executors import _SHARED_POOLS
+from repro.mapreduce.faults import _claim_once
 from repro.mapreduce.state import strip_volatile_counters
 from repro.telemetry import MetricsRegistry
 
@@ -80,16 +81,14 @@ def _blob_payload(n):
 
 def _exit_once(sentinel, value):
     """SIGKILL-shaped worker death on the first execution only."""
-    if not os.path.exists(sentinel):
-        open(sentinel, "w").close()
+    if _claim_once(sentinel):
         os._exit(13)
     return value
 
 
 def _sleep_once(sentinel, value, seconds):
     """Straggle on the first execution; the backup runs full speed."""
-    if not os.path.exists(sentinel):
-        open(sentinel, "w").close()
+    if _claim_once(sentinel):
         time.sleep(seconds)
     return value
 
@@ -486,8 +485,6 @@ def test_resolve_executor_knows_cluster():
     assert isinstance(executor, ClusterExecutor)
     assert executor.name == "cluster"
     assert executor.picklable_tasks  # runtime must materialize spills
-    alias = resolve_executor("distributed")
-    assert isinstance(alias, ClusterExecutor)
 
 
 def test_cluster_executor_close_reaps_workers():

@@ -3,7 +3,7 @@
 The heart of the pluggable-executor contract: for any job, input, and
 task-count choice, the output records, the ``job_log``, and the merged
 counter totals must be *bit-identical* across the ``serial``,
-``threads``, and ``processes`` backends.  These tests also cover the
+``processes``, and ``cluster`` backends.  These tests also cover the
 failure paths — job errors must traverse the process boundary with
 their original type, and unpicklable work must fail with a diagnosable
 :class:`ExecutorError` rather than a bare pool error.
@@ -28,13 +28,12 @@ from repro.mapreduce import (
     Pipeline,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     resolve_executor,
 )
 from repro.matching import greedy_mr_b_matching, stack_mr_b_matching
 from repro.simjoin import mapreduce_similarity_join
 
-PARALLEL_BACKENDS = ("threads", "processes")
+PARALLEL_BACKENDS = ("processes", "cluster")
 
 
 # -- module-level jobs (picklable for the processes backend) ---------------
@@ -106,19 +105,51 @@ def _maybe_fail(x):
 
 def test_resolve_executor_names_and_aliases():
     assert isinstance(resolve_executor("serial"), SerialExecutor)
-    assert isinstance(resolve_executor("threads"), ThreadExecutor)
     assert isinstance(resolve_executor("processes"), ProcessExecutor)
-    assert isinstance(resolve_executor("multiprocessing"), ProcessExecutor)
     assert isinstance(resolve_executor(None), SerialExecutor)
-    existing = ThreadExecutor(max_workers=2)
+    existing = ProcessExecutor(max_workers=2)
     assert resolve_executor(existing) is existing
 
 
 def test_resolve_executor_rejects_unknown():
     with pytest.raises(ExecutorError, match="unknown executor backend"):
         resolve_executor("gpu")
-    with pytest.raises(ExecutorError, match="serial, threads, processes"):
+    with pytest.raises(ExecutorError, match="serial, processes, cluster"):
         resolve_executor(42)
+
+
+@pytest.mark.parametrize(
+    "make",
+    (
+        lambda: resolve_executor("threads"),
+        lambda: resolve_executor("multiprocessing"),
+        lambda: MapReduceRuntime(backend="threads"),
+        lambda: resolve_executor("thread"),
+        lambda: resolve_executor("threading"),
+        lambda: resolve_executor("sequential"),
+        lambda: resolve_executor("sync"),
+        lambda: resolve_executor("process"),
+        lambda: resolve_executor("mp"),
+        lambda: resolve_executor("distributed"),
+    ),
+    ids=(
+        "threads",
+        "alias",
+        "runtime",
+        "thread",
+        "threading",
+        "sequential",
+        "sync",
+        "process",
+        "mp",
+        "distributed",
+    ),
+)
+def test_removed_backend_and_aliases_are_rejected(make):
+    # One name per backend: the deleted ``threads`` backend and the old
+    # spellings are unknown names, not shims onto another backend.
+    with pytest.raises(ExecutorError, match="serial, processes, cluster"):
+        make()
 
 
 @pytest.mark.parametrize("name", EXECUTOR_BACKENDS)
@@ -140,7 +171,6 @@ def test_run_tasks_propagates_original_exception(name):
 
 def test_runtime_exposes_backend_name():
     assert MapReduceRuntime().backend == "serial"
-    assert MapReduceRuntime(backend="threads").backend == "threads"
     assert MapReduceRuntime(backend="processes").backend == "processes"
 
 
@@ -149,7 +179,7 @@ def test_shared_pools_recreate_after_shutdown():
 
     records = [(0, "a b a")]
     baseline = MapReduceRuntime().run(WordCount(), records)
-    runtime = MapReduceRuntime(backend="threads")
+    runtime = MapReduceRuntime(backend="processes", max_workers=2)
     assert runtime.run(WordCount(), records) == baseline
     shutdown_shared_pools()
     # Pools are lazily rebuilt: the same runtime keeps working.
@@ -157,10 +187,10 @@ def test_shared_pools_recreate_after_shutdown():
 
 
 def test_pipeline_accepts_backend_name():
-    pipeline = Pipeline(backend="threads")
-    assert pipeline.runtime.backend == "threads"
+    pipeline = Pipeline(backend="processes")
+    assert pipeline.runtime.backend == "processes"
     with pytest.raises(Exception, match="not both"):
-        Pipeline(runtime=MapReduceRuntime(), backend="threads")
+        Pipeline(runtime=MapReduceRuntime(), backend="processes")
 
 
 def test_counters_survive_pickling():

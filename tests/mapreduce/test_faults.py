@@ -30,10 +30,10 @@ from repro.mapreduce import (
     RetryingFileSystem,
     FaultyFileSystem,
     TaskFaultSpec,
-    ThreadExecutor,
     fired_specs,
 )
 from repro.mapreduce.executors import _SHARED_POOLS
+from repro.mapreduce.faults import _claim_once
 from repro.mapreduce.state import strip_volatile_counters
 from repro.mapreduce.storage import InMemoryFileSystem
 
@@ -76,8 +76,7 @@ class KamikazeOnce(MapReduceJob):
         self.sentinel = sentinel
 
     def map(self, key, value):
-        if not os.path.exists(self.sentinel):
-            open(self.sentinel, "w").close()
+        if _claim_once(self.sentinel):
             os._exit(13)
         yield value % 3, value
 
@@ -87,8 +86,7 @@ class KamikazeOnce(MapReduceJob):
 
 def _exit_once(sentinel, value):
     """Plain task-function variant of the same worker-death shape."""
-    if not os.path.exists(sentinel):
-        open(sentinel, "w").close()
+    if _claim_once(sentinel):
         os._exit(13)
     return value
 
@@ -490,7 +488,7 @@ def _straggler_runtime(backend, tmp, **kwargs):
     )
 
 
-@pytest.mark.parametrize("backend", ("threads", "processes"))
+@pytest.mark.parametrize("backend", ("processes",))
 def test_speculative_backup_beats_straggler(backend, tmp_path):
     baseline = _straggler_runtime("serial", str(tmp_path / "clean")).run(
         Histogram(), RECORDS
@@ -516,11 +514,11 @@ def test_speculative_backup_beats_straggler(backend, tmp_path):
 
 
 def test_executor_close_evicts_its_shared_pool():
-    executor = ThreadExecutor(max_workers=2)
+    executor = ProcessExecutor(max_workers=2)
     assert executor.run_tasks(_identity, [(1,)]) == [1]
-    assert ("threads", 2) in _SHARED_POOLS
+    assert ("processes", 2) in _SHARED_POOLS
     executor.close()
-    assert ("threads", 2) not in _SHARED_POOLS
+    assert ("processes", 2) not in _SHARED_POOLS
     # close() is idempotent, and the pool lazily rebuilds on reuse.
     executor.close()
     assert executor.run_tasks(_identity, [(2,)]) == [2]
@@ -528,15 +526,15 @@ def test_executor_close_evicts_its_shared_pool():
 
 
 def test_changing_worker_count_evicts_the_stale_pool():
-    small = ThreadExecutor(max_workers=2)
+    small = ProcessExecutor(max_workers=2)
     assert small.run_tasks(_identity, [(1,)]) == [1]
-    assert ("threads", 2) in _SHARED_POOLS
-    large = ThreadExecutor(max_workers=3)
+    assert ("processes", 2) in _SHARED_POOLS
+    large = ProcessExecutor(max_workers=3)
     assert large.run_tasks(_identity, [(2,)]) == [2]
     # One pool per kind: asking for a different size evicted the old
     # one instead of accumulating idle worker fleets.
-    assert ("threads", 2) not in _SHARED_POOLS
-    assert ("threads", 3) in _SHARED_POOLS
+    assert ("processes", 2) not in _SHARED_POOLS
+    assert ("processes", 3) in _SHARED_POOLS
     # The evicted executor still works — its pool rebuilds on demand.
     assert small.run_tasks(_identity, [(3,)]) == [3]
     small.close()

@@ -66,7 +66,7 @@ def test_pure_job_passes_speculative_execution(backend):
 
 def test_stateful_job_detected(backend):
     # Mismatch detection lives inside the task unit of work, so it
-    # fires identically on the serial, threads, and processes backends.
+    # fires identically on every backend.
     runtime = MapReduceRuntime(
         speculative_execution=True, backend=backend
     )

@@ -6,7 +6,7 @@ counter totals (minus the spill counters) are bit-identical across
 * filesystems (``memory`` / ``disk``),
 * spill thresholds (``None`` = never spill, ``0`` = spill every
   record, and sizes in between), and
-* execution backends (``serial`` / ``threads`` / ``processes``)
+* execution backends (``serial`` / ``processes``)
 
 — plus the crash-safety clause: a failing job never leaves a visible
 partial dataset, on any filesystem.
@@ -298,7 +298,7 @@ def test_wordcount_identical_across_backends_with_spill(
 ):
     records = [(i, "a b c a b a" * (1 + i % 3)) for i in range(30)]
     baseline = _observe(WordCount, records, tmp_path=tmp_path)
-    for backend in ("serial", "threads", "processes"):
+    for backend in ("serial", "processes"):
         observed = _observe(
             WordCount,
             records,

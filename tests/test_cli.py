@@ -290,8 +290,16 @@ def test_join_profile_without_cluster_prints_note(
 
 
 def test_join_rejects_unknown_fs(corpus_dir):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["join", corpus_dir, "--sigma", "2.0", "--fs", "tape"])
+    assert exc.value.code == 2
+    # Backends take exactly their canonical names: the removed
+    # ``threads`` backend is an argparse usage error on every
+    # subcommand that takes --backend.
+    for command in ("join", "match", "serve"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, corpus_dir, "--sigma", "2.0", "--backend", "threads"])
+        assert exc.value.code == 2, command
 
 
 def test_join_rejects_negative_spill_threshold(corpus_dir):
@@ -403,7 +411,7 @@ def test_serve_accepts_cluster_options(corpus_dir, capsys):
             "--events",
             "12",
             "--backend",
-            "threads",
+            "processes",
             "--fs",
             "disk",
             "--spill-threshold",

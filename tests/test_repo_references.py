@@ -1,9 +1,11 @@
-"""Every benchmark file the docs, CI and docstrings name must exist.
+"""Every benchmark file and document the docs, CI and docstrings name
+must exist.
 
 A deleted benchmark leaves its name behind in CI steps, README
 paragraphs and docstrings; CI finds a stale step only when it runs it,
-and prose never fails at all.  These tests fail on the first such
-reference instead.
+and prose never fails at all.  The same goes for a docstring sending the
+reader to a design note that was never written.  These tests fail on the
+first such reference instead.
 """
 
 import re
@@ -15,6 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 _BENCH_PATH = re.compile(r"benchmarks/[\w./*-]*[\w/*]")
 #: A benchmark script or result file cited without its directory.
 _BENCH_NAME = re.compile(r"\b(?:bench|BENCH)_[\w*]+\.(?:py|json)\b")
+#: A Markdown document cited by name, e.g. ``DESIGN.md``.
+_DOC_NAME = re.compile(r"\b[\w./-]+\.md\b")
 #: A CI step running a benchmark script.
 _CI_COMMAND = re.compile(r"python3? benchmarks/\S+\.py")
 
@@ -50,6 +54,21 @@ def test_source_docstrings_cite_existing_benchmark_files():
     stale = {}
     for path in sorted((ROOT / "src").rglob("*.py")):
         missing = _missing(path.read_text())
+        if missing:
+            stale[str(path.relative_to(ROOT))] = missing
+    assert stale == {}
+
+
+def test_source_docstrings_cite_existing_documents():
+    stale = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        missing = sorted(
+            {
+                name
+                for name in _DOC_NAME.findall(path.read_text())
+                if not (ROOT / name).exists()
+            }
+        )
         if missing:
             stale[str(path.relative_to(ROOT))] = missing
     assert stale == {}
