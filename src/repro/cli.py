@@ -44,7 +44,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from .datasets import load_dataset
 from .datasets.registry import DATASETS
@@ -576,19 +576,41 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return experiments_main(argv)
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type for --spill-threshold: an integer >= 0."""
+def _number(text: str, kind: type) -> Any:
+    """Parse an argparse value as ``kind`` (``int`` or ``float``)."""
     try:
-        value = int(text)
+        return kind(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
+            f"invalid {kind.__name__} value: {text!r}"
         ) from None
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for --spill-threshold: an integer >= 0."""
+    value = _number(text, int)
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"must be >= 0, got {value}"
         )
     return value
+
+
+def _positive(value: Any) -> Any:
+    """``value`` if it is > 0.  ``nan`` fails too: ``nan > 0`` is false."""
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for --workers: an integer > 0."""
+    return _positive(_number(text, int))
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for --sigma, --alpha, --epsilon and --scale."""
+    return _positive(_number(text, float))
 
 
 def _add_cluster_options(
@@ -604,7 +626,7 @@ def _add_cluster_options(
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="worker count for the parallel backends: pool size for "
@@ -697,14 +719,14 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("dataset", choices=sorted(DATASETS))
     generate.add_argument("--out", required=True)
     generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument("--scale", type=float, default=1.0)
+    generate.add_argument("--scale", type=_positive_float, default=1.0)
     generate.set_defaults(func=_cmd_generate)
 
     join = sub.add_parser(
         "join", help="compute candidate edges for a generated corpus"
     )
     join.add_argument("corpus", help="directory written by 'generate'")
-    join.add_argument("--sigma", type=float, required=True)
+    join.add_argument("--sigma", type=_positive_float, required=True)
     join.add_argument(
         "--method",
         default="auto",
@@ -718,12 +740,12 @@ def build_parser() -> argparse.ArgumentParser:
         "match", help="solve the b-matching for a generated corpus"
     )
     match.add_argument("corpus", help="directory written by 'generate'")
-    match.add_argument("--sigma", type=float, required=True)
-    match.add_argument("--alpha", type=float, default=2.0)
+    match.add_argument("--sigma", type=_positive_float, required=True)
+    match.add_argument("--alpha", type=_positive_float, default=2.0)
     match.add_argument(
         "--algorithm", default="greedy_mr", choices=sorted(ALGORITHMS)
     )
-    match.add_argument("--epsilon", type=float, default=1.0)
+    match.add_argument("--epsilon", type=_positive_float, default=1.0)
     match.add_argument(
         "--delta",
         action=argparse.BooleanOptionalAction,
@@ -745,8 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
         "live event stream",
     )
     serve.add_argument("corpus", help="directory written by 'generate'")
-    serve.add_argument("--sigma", type=float, required=True)
-    serve.add_argument("--alpha", type=float, default=2.0)
+    serve.add_argument("--sigma", type=_positive_float, required=True)
+    serve.add_argument("--alpha", type=_positive_float, default=2.0)
     serve.add_argument(
         "--events",
         type=int,
@@ -863,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", help="reproduce the paper's tables and figures"
     )
-    experiment.add_argument("--scale", type=float, default=1.0)
+    experiment.add_argument("--scale", type=_positive_float, default=1.0)
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--only", default="")
     experiment.set_defaults(func=_cmd_experiment)

@@ -130,7 +130,7 @@ class Dataset:
 
     def edges(self, sigma: float, method: Optional[str] = None) -> List[JoinRow]:
         """Candidate edges at threshold ``sigma`` (cached, see above)."""
-        if sigma <= 0:
+        if not sigma > 0:
             raise ValueError(f"sigma must be positive, got {sigma}")
         if self._edge_cache_sigma is None or sigma < self._edge_cache_sigma:
             self._edge_cache = candidate_edges(

@@ -32,4 +32,6 @@ def load_dataset(name: str, seed: int = 0, scale: float = 1.0) -> Dataset:
         raise ValueError(
             f"unknown dataset {name!r}; known: {known}"
         ) from None
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale}")
     return builder(seed=seed, scale=scale)

@@ -49,7 +49,7 @@ def activity_capacities(
     is the paper's activity multiplier (higher α simulates higher system
     activity).
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     return {
         node: round_capacity(alpha * n) for node, n in activity.items()

@@ -107,7 +107,7 @@ def greedy_tightness_triangle(epsilon: float = 0.1) -> Graph:
     ``w(uv)=w(vz)=1, w(zu)=1+ε``: greedy picks only the ``(1+ε)`` edge
     while the optimum takes both unit edges (value 2).
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     graph = Graph()
     graph.add_node("u", 1)

@@ -8,12 +8,14 @@ be sorted deterministically.
 
 The encoding is the currency of the runtime's *encoded shuffle plane*
 (see :mod:`repro.mapreduce.runtime`): :func:`canonical_bytes` is computed
-exactly once per intermediate record, and everything downstream —
-partitioning, spill sorting, merging, reduce-side sort/group — reuses the
-cached bytes.  Partitioning therefore has a bytes-first entry point,
-:meth:`HashPartitioner.partition_bytes`, built on :func:`fast_hash_bytes`
-— a CRC32 with a murmur3-style finalizer, several times cheaper than the
-MD5 it replaced.  :func:`stable_hash` keeps the original MD5 construction
+once per run — all the values one map-task attempt emits under one
+``str`` key, or a single value under any other key — and everything
+downstream — partitioning, spill sorting, merging, reduce-side
+sort/group — reuses the cached bytes.  Partitioning therefore has a
+bytes-first entry point, :meth:`HashPartitioner.partition_bytes`,
+built on :func:`fast_hash_bytes` — a CRC32 with a murmur3-style
+finalizer, several times cheaper than the MD5 it replaced.
+:func:`stable_hash` keeps the original MD5 construction
 because it seeds per-node RNGs in the matching drivers (wider digest,
 pinned by golden tests); it is no longer on the shuffle hot path.
 """
@@ -42,9 +44,9 @@ def canonical_bytes(key: Any) -> bytes:
     (arbitrarily nested) tuples thereof.  Each value is prefixed with a
     type tag so that e.g. ``1`` and ``"1"`` encode differently.
 
-    This runs once per intermediate record (the encoded shuffle
-    plane's invariant), which still makes it the hottest function in
-    the simulator — the type checks are ordered by observed key
+    This runs once per run of intermediate values (the encoded shuffle
+    plane's invariant), which still makes it one of the hottest
+    functions in the simulator — the type checks are ordered by observed key
     frequency (str and tuple-of-str keys dominate every pipeline in
     the repo), with the bool check kept ahead of int, of which bool is
     a subclass.

@@ -43,15 +43,29 @@ The encoded shuffle plane
 Everything between ``job.map`` emitting a pair and ``job.reduce``
 receiving a key group flows as an *encoded record* — the triple
 ``(key_bytes, key, value)`` where ``key_bytes = canonical_bytes(key)``
-is computed **exactly once**, at emit time.  Partitioning hashes the
-cached bytes (:meth:`~repro.mapreduce.partitioner.HashPartitioner.
-partition_bytes`, a CRC-based hash far cheaper than the per-record MD5
-it replaced), the combiner and reduce-side sort/group compare the
-cached bytes (a combiner output under its group's own key object
-inherits the group's bytes), and the external shuffle spills and k-way
-merges them byte-first — no stage re-encodes.  The invariant — one
-``canonical_bytes`` call per emitted key object — is asserted by a
-counting-codec test in ``tests/mapreduce/test_encoded_plane.py``.
+is computed **once per run**, at emit time.  A *run* is every value
+one map-task attempt emits under one exact-``str`` key: the first
+emission makes the record, later ones join its value slot, which
+becomes a private ``_Run`` list in emission order.  Any other key makes
+one record per value.  GreedyMR's messages are the case in point: one
+task names the same vertex many times in a round.
+
+Partitioning hashes the cached bytes (:meth:`~repro.mapreduce.
+partitioner.HashPartitioner.partition_bytes`, a CRC-based hash far
+cheaper than the per-record MD5 it replaced), the combiner and
+reduce-side sort/group compare the cached bytes (a combiner output
+under its group's own key object inherits the group's bytes), and the
+external shuffle spills and k-way merges them byte-first — no stage
+re-encodes, and each stage handles a run as one record.  Grouping
+unpacks a run into its values, so ``job.reduce`` sees the same values
+in the same order, and the counters (``map.output.records``,
+``shuffle.records``, ``shuffle.encoded_bytes``, ``shuffle.bytes``)
+still count values.  Only the volatile spill counters
+(``spilled_records``, ``spill_files``) count encoded records.  The
+invariant — one ``canonical_bytes`` call per distinct ``str`` key per
+map-task attempt, per emitted non-``str`` key object, and per fresh
+combiner key — is asserted by counting-codec tests in
+``tests/mapreduce/test_encoded_plane.py``.
 
 Storage model
 -------------
@@ -151,11 +165,23 @@ __all__ = ["MapReduceRuntime"]
 Partitioner = Callable[[Any, int], int]
 
 #: One record on the encoded shuffle plane: the canonical key encoding
-#: (computed once, at map-emit time), the key, and the value.
+#: (computed once per run, at map-emit time), the key, and the value —
+#: or a :class:`_Run` of values.
 EncodedRecord = Tuple[bytes, Any, Any]
 
 #: Sort/group key of the encoded plane: the cached canonical bytes.
 _record_key_bytes = itemgetter(0)
+
+
+class _Run(list):
+    """The values one map-task attempt emitted under one ``str`` key.
+
+    Occupies the value slot of that key's first encoded record, in
+    emission order.  Private, so no job can emit one: a value whose
+    class is ``_Run`` always means "several values", never one.
+    """
+
+    __slots__ = ()
 
 
 def _custom_partition_bytes(partitioner: Any):
@@ -869,9 +895,9 @@ class MapReduceRuntime:
             "runtime", "task.map_output_records", COUNT_BUCKETS
         )
         intermediate: List[List[EncodedRecord]] = []
-        for emitted, task_counters in results:
+        for emitted, values, task_counters in results:
             self.counters.merge(task_counters)
-            map_hist.observe(len(emitted))
+            map_hist.observe(values)
             intermediate.append(emitted)
         return intermediate
 
@@ -896,7 +922,8 @@ class MapReduceRuntime:
         Routing reuses each record's cached key bytes: the default
         partitioner hashes them directly via ``partition_bytes``, and
         byte metering measures them with ``len`` instead of re-pickling
-        the key.
+        the key.  A :class:`_Run` is routed once and metered per value,
+        so every counter reads as if each value were its own record.
         """
         group = job.name
         partitions: List[Any] = [
@@ -939,12 +966,15 @@ class MapReduceRuntime:
                     spiller.add(index, record)
                 else:
                     partitions[index].append(record)
-                shuffled += 1
-                encoded_bytes += len(key_bytes)
+                value = record[2]
+                run = value if value.__class__ is _Run else (value,)
+                shuffled += len(run)
+                encoded_bytes += len(key_bytes) * len(run)
                 if self.meter_bytes:
-                    shuffled_bytes += len(key_bytes) + len(
-                        pickle.dumps(record[2], pickle.HIGHEST_PROTOCOL)
-                    )
+                    for value in run:
+                        shuffled_bytes += len(key_bytes) + len(
+                            pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+                        )
             if spiller is not None:
                 # These records now live in the spiller's bounded
                 # buffers or on-disk runs; drop the driver's copy so
@@ -1013,18 +1043,20 @@ def _execute_map_task(
     split: List[KeyValue],
     speculative: bool,
     scan: Optional[bool] = None,
-) -> Tuple[List[EncodedRecord], Counters]:
+) -> Tuple[List[EncodedRecord], int, Counters]:
     """One map task: map every record, verify retries, combine, meter.
 
     ``scan`` selects the map function: ``None`` for the plain
     ``job.map``, ``True`` for the stateful plane's ``map_resident``,
-    ``False`` for its ``map_delta``.
+    ``False`` for its ``map_delta``.  Returns ``(records, values,
+    counters)``: ``values`` counts what the task emitted, a
+    :class:`_Run` contributing each of its values.
     """
     counters = Counters()
     group = job.name
-    emitted = _attempt_map(job, split, group, counters, scan)
+    emitted, values = _attempt_map(job, split, group, counters, scan)
     if speculative:
-        retry = _attempt_map(job, split, group, None, scan)
+        retry, _ = _attempt_map(job, split, group, None, scan)
         if retry != emitted:
             raise JobValidationError(
                 f"{job.name}.map is non-deterministic: a "
@@ -1034,8 +1066,9 @@ def _execute_map_task(
             )
     if job.has_combiner and emitted:
         emitted = _apply_combiner(job, emitted)
-    counters.increment(group, "map.output.records", len(emitted))
-    return emitted, counters
+        values = len(emitted)
+    counters.increment(group, "map.output.records", values)
+    return emitted, values, counters
 
 
 def _attempt_map(
@@ -1044,18 +1077,30 @@ def _attempt_map(
     group: str,
     counters: Optional[Counters],
     scan: Optional[bool] = None,
-) -> List[EncodedRecord]:
-    """Run one attempt of a map task (``counters=None`` for retries).
+) -> Tuple[List[EncodedRecord], int]:
+    """Run one attempt of a map task (``counters=None`` for retries);
+    return its encoded records and the number of values emitted.
 
     This is where intermediate records enter the encoded plane: each
-    emitted pair is validated and its key canonically encoded — the one
-    and only ``canonical_bytes`` call that record will ever see.
+    emitted pair is validated, and its key canonically encoded the
+    first time this attempt emits it — the one ``canonical_bytes`` call
+    the run will ever see.  A later value under an exact-``str`` key
+    joins that key's first record, whose value slot becomes a
+    :class:`_Run`.  Other keys stay one record per value: ``1``,
+    ``True`` and ``1.0`` are equal dict keys but encode differently,
+    and a ``str`` subclass encodes like the ``str`` it equals — so
+    emitting one closes every open run, keeping equal-bytes values in
+    arrival order.
     """
     if scan is None:
         mapper = job.map
     else:
         mapper = job.map_resident if scan else job.map_delta
     emitted: List[EncodedRecord] = []
+    # str key -> its record's index in ``emitted``, or its _Run once
+    # the key has been emitted twice.
+    seen: Dict[str, Any] = {}
+    values = 0
     if counters is not None and split:
         counters.increment(group, "map.input.records", len(split))
     for key, value in split:
@@ -1068,10 +1113,25 @@ def _attempt_map(
             if type(pair) is not tuple or len(pair) != 2:
                 _validated_pair(job, pair)
             out_key, out_value = pair
+            values += 1
+            cls = out_key.__class__
+            if cls is str:
+                entry = seen.get(out_key)
+                if entry is not None:
+                    if entry.__class__ is _Run:
+                        entry.append(out_value)
+                    else:
+                        first = emitted[entry]
+                        run = seen[out_key] = _Run((first[2], out_value))
+                        emitted[entry] = (first[0], first[1], run)
+                    continue
+                seen[out_key] = len(emitted)
+            elif cls is not tuple and isinstance(out_key, str):
+                seen.clear()
             emitted.append(
                 (canonical_bytes(out_key), out_key, out_value)
             )
-    return emitted
+    return emitted, values
 
 
 def _apply_combiner(
@@ -1256,17 +1316,26 @@ def _group_encoded_bytes(
     """Like :func:`_group_encoded` but keeps each group's key bytes.
 
     The stateful reduce joins groups against the resident state store
-    by those cached bytes, so they must survive the grouping.
+    by those cached bytes, so they must survive the grouping.  A
+    :class:`_Run` contributes its values in order; it is copied, never
+    extended, because a retried task re-reads the same records.
     """
-    run_key: Any = None
-    run_bytes: Optional[bytes] = None
-    run_values: List[Any] = []
+    group_key: Any = None
+    group_bytes: Optional[bytes] = None
+    group_values: List[Any] = []
     for key_bytes, key, value in records:
-        if run_bytes is not None and key_bytes == run_bytes:
-            run_values.append(value)
+        if group_bytes is not None and key_bytes == group_bytes:
+            if value.__class__ is _Run:
+                group_values.extend(value)
+            else:
+                group_values.append(value)
         else:
-            if run_bytes is not None:
-                yield run_bytes, run_key, run_values
-            run_key, run_bytes, run_values = key, key_bytes, [value]
-    if run_bytes is not None:
-        yield run_bytes, run_key, run_values
+            if group_bytes is not None:
+                yield group_bytes, group_key, group_values
+            group_key, group_bytes = key, key_bytes
+            if value.__class__ is _Run:
+                group_values = list(value)
+            else:
+                group_values = [value]
+    if group_bytes is not None:
+        yield group_bytes, group_key, group_values

@@ -16,10 +16,14 @@ alternative — the *external* shuffle:
 
 Encoded records.  The shuffle operates on the runtime's *encoded
 shuffle plane*: every record is a ``(key_bytes, key, value)`` triple
-whose first element is the canonical key encoding computed exactly once
-at map time.  Spill sorting, run-file IO (the frame codec in
-:mod:`repro.mapreduce.storage.codec`), and the k-way merge all compare
-those cached bytes — this module never calls ``canonical_bytes``.
+whose first element is the canonical key encoding computed once per run
+at map time.  A record's value may be a run — the list of values one
+map task emitted under one ``str`` key — which this module moves, sorts,
+spills and merges as the one record it is; so ``spilled_records`` and
+the buffer threshold count encoded records, not values.  Spill sorting,
+run-file IO (the frame codec in :mod:`repro.mapreduce.storage.codec`),
+and the k-way merge all compare those cached bytes — this module never
+calls ``canonical_bytes``.
 
 Determinism.  Every spill is a *stable* sort of a contiguous chunk of
 the arrival sequence, runs are merged in spill order, and

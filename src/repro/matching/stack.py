@@ -70,7 +70,7 @@ def layer_capacities(
     capacities: Dict[str, int], epsilon: float
 ) -> Dict[str, int]:
     """Per-layer budgets ``⌈ε·b(v)⌉`` (at least 1 for capacitated nodes)."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     return {
         node: max(1, math.ceil(epsilon * b)) if b > 0 else 0

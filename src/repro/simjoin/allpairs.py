@@ -31,7 +31,7 @@ def exact_similarity_join(
     Builds an inverted index over consumers, then accumulates each
     item's scores term-at-a-time — exact, no pruning.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     postings: Dict[str, List[Tuple[str, float]]] = {}
     for consumer, vector in consumers.items():
@@ -68,7 +68,7 @@ def scipy_similarity_join(
     import numpy as np
     from scipy import sparse
 
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     item_ids = sorted(items)
     consumer_ids = sorted(consumers)

@@ -250,7 +250,7 @@ def similarity_join_pipeline(
     bounds (one scalar per term) and job 3 only ``sigma`` — the corpus
     itself flows exclusively through datasets and the shuffle.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     pipeline = Pipeline(runtime=runtime, filesystem=filesystem)
     documents: List[KeyValue] = [

@@ -51,7 +51,7 @@ def prefix_terms(
     means the vector cannot reach ``sigma`` against any counterpart and
     can be skipped entirely.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     contributions = sorted(
         (

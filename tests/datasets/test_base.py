@@ -52,6 +52,11 @@ def test_edges_rejects_bad_sigma():
         make_dataset().edges(0.0)
 
 
+def test_edges_rejects_nan_sigma():
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        make_dataset().edges(float("nan"))
+
+
 def test_sigma_for_edge_count_inverts_distribution():
     ds = make_dataset()
     total = len(ds.edges(0.5))

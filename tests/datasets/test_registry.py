@@ -25,3 +25,9 @@ def test_load_tiny_scale(name):
 def test_unknown_dataset():
     with pytest.raises(ValueError, match="unknown dataset"):
         load_dataset("netflix")
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+def test_load_dataset_rejects_non_positive_scale(scale):
+    with pytest.raises(ValueError, match="scale must be positive"):
+        load_dataset("flickr-small", scale=scale)

@@ -35,6 +35,11 @@ def test_activity_capacities_rejects_bad_alpha():
         activity_capacities({"u": 1}, -2.0)
 
 
+def test_activity_capacities_rejects_nan_alpha():
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        activity_capacities({"u": 1}, float("nan"))
+
+
 def test_total_bandwidth():
     assert total_bandwidth({"a": 2, "b": 5}) == 7
     assert total_bandwidth({}) == 0

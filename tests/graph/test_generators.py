@@ -57,6 +57,11 @@ def test_tightness_triangle_structure():
         greedy_tightness_triangle(0.0)
 
 
+def test_tightness_triangle_rejects_nan_epsilon():
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        greedy_tightness_triangle(float("nan"))
+
+
 def test_star_graph_weights_distinct():
     g = star_graph(5, center_capacity=2)
     weights = sorted(e.weight for e in g.edges())

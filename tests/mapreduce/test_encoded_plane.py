@@ -1,22 +1,29 @@
 """The encoded shuffle plane's contracts.
 
-The runtime computes ``canonical_bytes(key)`` exactly once per
-intermediate record — at map-emit time — and carries the
+The runtime computes ``canonical_bytes(key)`` once per run — at
+map-emit time, where every value one map-task attempt emits under one
+exact-``str`` key shares a single record — and carries the
 ``(key_bytes, key, value)`` triple through partitioning, the in-memory
 shuffle, the external sort-and-spill shuffle, and the reduce-side
 sort/group.  These tests pin:
 
 * the **encode-once invariant** — one ``canonical_bytes`` call per
-  distinct emitted key object — by counting calls through a patched
-  codec (with and without a combiner, with and without spilling);
+  distinct ``str`` key per map-task attempt, per emitted non-``str``
+  key object, and per fresh combiner key — by counting calls through a
+  patched codec (with and without a combiner, with and without
+  spilling);
 * **equal-key arrival order** through the encoded plane, at every
-  spill threshold;
+  spill threshold, for keys that form runs and keys that do not;
+* what runs must **not** change: the key object reduce receives, the
+  keys that may share a run, a reducer mutating its ``values`` under
+  retries, and ``shuffle.bytes``;
 * the **presorted hand-off**: the spill path delivers merge-sorted
   partitions and the reduce task must not destroy that (outputs match
   the in-memory path bit-identically);
 * the ``shuffle.encoded_bytes`` counter and ``phase_timings`` meters.
 """
 
+import pickle
 from collections import Counter
 
 import pytest
@@ -28,6 +35,12 @@ from repro.mapreduce import (
 )
 from repro.mapreduce import runtime as runtime_module
 from repro.mapreduce import partitioner as partitioner_module
+from repro.mapreduce.faults import (
+    FaultPlan,
+    InjectedTaskFault,
+    RetryPolicy,
+    _claim_once,
+)
 
 
 class PlainWordCount(MapReduceJob):
@@ -80,6 +93,68 @@ class ArrivalOrder(MapReduceJob):
         yield key, list(values)
 
 
+class StrArrivalOrder(ArrivalOrder):
+    """The same under ``str`` keys, interleaved, so every task forms
+    runs whose values are not adjacent in emission order."""
+
+    name = "StrArrivalOrder"
+
+    def map(self, key, value):
+        yield f"p{key % 2}", (key, value)
+        yield "all", key
+
+
+class Tagged(str):
+    """A ``str`` subclass: equal to, and encoded like, its ``str``."""
+
+
+class KeyTypes(MapReduceJob):
+    """Emits the value's ``(key, tag)`` pairs; reduce reports the key
+    type it received and the arrival sequence."""
+
+    name = "KeyTypes"
+
+    def map(self, key, pairs):
+        yield from pairs
+
+    def reduce(self, key, values):
+        yield (type(key).__name__, key), list(values)
+
+
+class FirstKeyObject(MapReduceJob):
+    """Reduce reports which of several equal key objects it got."""
+
+    name = "FirstKeyObject"
+
+    def map(self, key, word):
+        yield word, id(word)
+
+    def reduce(self, key, ids):
+        yield key, (id(key), list(ids))
+
+
+class MutatingReduce(MapReduceJob):
+    """A reducer that edits its ``values`` list in place, then (on the
+    first execution of any reduce attempt) crashes, so the retry
+    re-reads a partition whose list it already mutated once."""
+
+    name = "MutatingReduce"
+
+    def __init__(self, sentinel):
+        self.sentinel = sentinel
+
+    def map(self, key, value):
+        yield f"k{value % 3}", value
+        yield f"k{value % 3}", -value
+
+    def reduce(self, key, values):
+        values.append("seen")
+        values.reverse()
+        if _claim_once(self.sentinel):
+            raise InjectedTaskFault("reduce crashed after mutating")
+        yield key, tuple(values)
+
+
 LINES = [
     (0, "the quick brown fox"),
     (1, "the lazy dog the fox"),
@@ -119,10 +194,36 @@ def _map_emissions(job_factory, records):
     return emissions
 
 
+def _map_encodes(job_factory, records, num_map_tasks):
+    """The ``canonical_bytes`` calls the map phase owes: per task (the
+    runtime splits round-robin), one per distinct exact-``str`` key and
+    one per emission under any other key."""
+    job = job_factory()
+    encodes = 0
+    for task in range(num_map_tasks):
+        keys = [
+            out_key
+            for key, value in records[task::num_map_tasks]
+            for out_key, _ in job.map(key, value)
+        ]
+        encodes += len({k for k in keys if type(k) is str})
+        encodes += sum(1 for k in keys if type(k) is not str)
+    return encodes
+
+
 def test_encode_once_without_combiner(counting_codec):
     runtime = MapReduceRuntime(num_map_tasks=3, num_reduce_tasks=3)
     runtime.run(PlainWordCount(), LINES)
-    assert counting_codec.calls == _map_emissions(PlainWordCount, LINES)
+    encodes = _map_encodes(PlainWordCount, LINES, 3)
+    # "the" twice in one line: one task, one run, one encode.
+    assert counting_codec.calls == encodes
+    assert encodes == _map_emissions(PlainWordCount, LINES) - 1
+    # Non-str keys never form a run: one encode per emitted key object.
+    counting_codec.calls = 0
+    records = [(i, f"v{i}") for i in range(12)]
+    runtime.run(ArrivalOrder(), records)
+    assert counting_codec.calls == _map_encodes(ArrivalOrder, records, 3)
+    assert counting_codec.calls == len(records)
 
 
 @pytest.mark.parametrize(
@@ -130,9 +231,9 @@ def test_encode_once_without_combiner(counting_codec):
     [(CombiningWordCount, False), (RekeyingWordCount, True)],
 )
 def test_encode_once_with_combiner(counting_codec, job_class, fresh_keys):
-    """One encode per distinct emitted key object: a combiner output
-    under its group's own key object reuses the group's cached bytes;
-    only an output under a fresh key object is encoded."""
+    """One encode per run: a combiner output under its group's own key
+    object reuses the group's cached bytes; only an output under a
+    fresh key object is encoded."""
     runtime = MapReduceRuntime(num_map_tasks=3, num_reduce_tasks=3)
     output = runtime.run(job_class(), LINES)
     words = [word for _, line in LINES for word in line.split()]
@@ -140,7 +241,7 @@ def test_encode_once_with_combiner(counting_codec, job_class, fresh_keys):
     map_emitted = _map_emissions(job_class, LINES)
     combined = runtime.counters.get(job_class.name, "map.output.records")
     assert 0 < combined < map_emitted
-    assert counting_codec.calls == map_emitted + (
+    assert counting_codec.calls == _map_encodes(job_class, LINES, 3) + (
         combined if fresh_keys else 0
     )
 
@@ -172,7 +273,7 @@ def test_encode_once_with_spilling(counting_codec, tmp_path, threshold):
     )
     runtime.run(PlainWordCount(), LINES)
     assert runtime.counters.get("runtime", "spilled_records") > 0
-    assert counting_codec.calls == _map_emissions(PlainWordCount, LINES)
+    assert counting_codec.calls == _map_encodes(PlainWordCount, LINES, 3)
 
 
 @pytest.mark.parametrize("threshold", [None, 0, 1, 5])
@@ -196,6 +297,137 @@ def test_equal_key_arrival_order_preserved(tmp_path, threshold):
             key=lambda kv: (kv[0] % 4, kv[0]),
         )
         assert values == expected
+
+
+@pytest.mark.parametrize("threshold", [None, 0, 1, 5])
+def test_equal_str_key_arrival_order_preserved(backend, tmp_path, threshold):
+    """The ``str``-key twin: each task folds a key's values into one
+    run, and reduce still sees map task index order, then emission
+    order — on every backend and shuffle path."""
+    records = [(i, f"v{i}") for i in range(40)]
+    runtime = MapReduceRuntime(
+        num_map_tasks=4,
+        num_reduce_tasks=3,
+        backend=backend,
+        spill_threshold=threshold,
+        spill_dir=str(tmp_path),
+    )
+    output = dict(runtime.run(StrArrivalOrder(), records))
+    by_arrival = sorted(records, key=lambda kv: (kv[0] % 4, kv[0]))
+    assert output["all"] == [k for k, _ in by_arrival]
+    for parity in (0, 1):
+        assert output[f"p{parity}"] == [
+            kv for kv in by_arrival if kv[0] % 2 == parity
+        ]
+    assert runtime.counters.get("runtime", "shuffle.records") == 80
+    assert runtime.counters.get(
+        StrArrivalOrder.name, "map.output.records"
+    ) == 80
+
+
+def test_reduce_receives_the_first_arriving_key_object():
+    """Equal ``str`` keys share a run; the key reduce is handed is the
+    object that arrived first, as without runs."""
+    first, second, third = ("".join(["ke", "y"]) for _ in range(3))
+    assert first == second == third and first is not second
+    runtime = MapReduceRuntime(num_map_tasks=1, num_reduce_tasks=1)
+    [(key, (key_id, ids))] = runtime.run(
+        FirstKeyObject(), [(0, first), (1, second), (2, third)]
+    )
+    assert key_id == id(first) and key is first
+    assert ids == [id(first), id(second), id(third)]
+
+
+def test_only_exact_str_keys_form_runs():
+    """``str`` subclasses and ``1``/``True``/``1.0`` never share a
+    record, and values with equal key bytes keep their arrival order."""
+    pairs = [
+        ("k", 1),
+        (Tagged("k"), 2),
+        ("k", 3),
+        ("k", 4),
+        (1, "a"),
+        (True, "b"),
+        (1.0, "c"),
+        (1, "d"),
+        (Tagged("t"), 5),
+        (Tagged("t"), 6),
+    ]
+    emitted, values = runtime_module._attempt_map(
+        KeyTypes(), [(0, pairs)], "KeyTypes", None
+    )
+    assert values == len(pairs)
+    assert [(type(key), value) for _, key, value in emitted] == [
+        (str, 1),
+        (Tagged, 2),
+        (str, [3, 4]),
+        (int, "a"),
+        (bool, "b"),
+        (float, "c"),
+        (int, "d"),
+        (Tagged, 5),
+        (Tagged, 6),
+    ]
+    assert type(emitted[2][2]) is runtime_module._Run
+    runtime = MapReduceRuntime(num_map_tasks=1, num_reduce_tasks=2)
+    output = dict(runtime.run(KeyTypes(), [(0, pairs)]))
+    assert output == {
+        ("str", "k"): [1, 2, 3, 4],
+        ("int", 1): ["a", "d"],
+        ("bool", True): ["b"],
+        ("float", 1.0): ["c"],
+        ("Tagged", "t"): [5, 6],
+    }
+    # Order decides the key object, as without runs.
+    pairs[0], pairs[1] = pairs[1], pairs[0]
+    output = dict(runtime.run(KeyTypes(), [(0, pairs)]))
+    assert output[("Tagged", "k")] == [2, 1, 3, 4]
+
+
+def test_mutating_reduce_under_retries_matches_fault_free(backend, tmp_path):
+    """Grouping copies a run, never hands it out: a reducer that
+    mutates ``values`` and then crashes leaves the partition intact for
+    the retry, so the output equals the fault-free run's."""
+    records = [(i, i) for i in range(24)]
+    clean = tmp_path / "clean"
+    clean.touch()  # already claimed: this run never crashes
+    expected = MapReduceRuntime(num_map_tasks=4, num_reduce_tasks=2).run(
+        MutatingReduce(str(clean)), records
+    )
+    assert any(len(values) > 3 for _, values in expected)  # runs formed
+    with FaultPlan(3, crash_rate=1.0) as plan:
+        runtime = MapReduceRuntime(
+            num_map_tasks=4,
+            num_reduce_tasks=2,
+            backend=backend,
+            retry_policy=RetryPolicy(max_attempts=3),
+            fault_plan=plan,
+        )
+        output = runtime.run(
+            MutatingReduce(str(tmp_path / "crash")), records
+        )
+    assert output == expected
+    assert (tmp_path / "crash").exists()
+    assert runtime.counters.get("faults", "injected_crash") > 0
+
+
+def test_meter_bytes_counts_every_value_of_a_run():
+    """``shuffle.bytes`` on a run-heavy job is what one record per
+    value measures: cached key bytes plus the pickled value, each."""
+    records = [(i, f"v{i}") for i in range(40)]
+    runtime = MapReduceRuntime(meter_bytes=True)
+    runtime.run(StrArrivalOrder(), records)
+    job = StrArrivalOrder()
+    expected = sum(
+        len(canonical_bytes(key))
+        + len(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+        for record in records
+        for key, value in job.map(*record)
+    )
+    assert runtime.counters.get(StrArrivalOrder.name, "shuffle.bytes") == (
+        expected
+    )
+    assert expected == 1350  # the one-record-per-value shuffle's reading
 
 
 def test_spill_path_bit_identical_to_memory_path(tmp_path):

@@ -214,6 +214,48 @@ def test_flush_ranks_once_per_reseeded_node(kernel_counters, monkeypatch):
         assert matcher.verify()[0]
 
 
+def test_messages_shuffle_as_one_record_per_task_and_node(monkeypatch):
+    """A round's messages name each node many times per map task; the
+    encoded plane folds them into one run per (task, node), so the
+    map-side ``canonical_bytes`` calls — one per message before runs —
+    fall by more than 5x while ``shuffle.records`` still counts every
+    message."""
+    from repro.datasets import load_dataset
+    from repro.mapreduce import runtime as runtime_module
+
+    graph = load_dataset("flickr-small", seed=1, scale=0.2).graph(
+        sigma=2.0, alpha=2.0
+    )
+    encodes = []
+    canonical_bytes = runtime_module.canonical_bytes
+
+    def counted(key):
+        encodes.append(key)
+        return canonical_bytes(key)
+
+    monkeypatch.setattr(runtime_module, "canonical_bytes", counted)
+    records = distinct = 0
+    shuffle = MapReduceRuntime._shuffle
+
+    def spy(self, job, intermediate, spiller):
+        nonlocal records, distinct
+        for task_output in intermediate:
+            keys = [key for _, key, _ in task_output]
+            assert all(type(key) is str for key in keys)
+            records += len(keys)
+            distinct += len(set(keys))
+        return shuffle(self, job, intermediate, spiller)
+
+    monkeypatch.setattr(MapReduceRuntime, "_shuffle", spy)
+    runtime = _serial_runtime()
+    result = greedy_mr_b_matching(graph, runtime=runtime)
+    assert result.mr_jobs == 14
+    shuffled = runtime.counters.get("runtime", "shuffle.records")
+    assert shuffled == 33006  # one per message, as before runs
+    assert records == distinct == len(encodes)
+    assert shuffled >= 5 * len(encodes)
+
+
 # -- purity of the reducer -----------------------------------------------------
 
 

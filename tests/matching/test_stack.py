@@ -39,6 +39,11 @@ def test_layer_capacities_formula():
         layer_capacities(caps, 0.0)
 
 
+def test_layer_capacities_rejects_nan_epsilon():
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        layer_capacities({"a": 1}, float("nan"))
+
+
 @given(
     graph=small_general_graphs(),
     epsilon=st.sampled_from(EPSILONS),

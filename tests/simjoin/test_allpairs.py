@@ -42,6 +42,12 @@ def test_join_rejects_nonpositive_sigma():
         scipy_similarity_join({}, {}, -1.0)
 
 
+def test_join_rejects_nan_sigma():
+    for join in (exact_similarity_join, scipy_similarity_join):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            join({"t": {"a": 1.0}}, {"c": {"a": 1.0}}, float("nan"))
+
+
 def test_scipy_join_empty_collections():
     assert scipy_similarity_join({}, {"c": {"a": 1.0}}, 1.0) == []
     assert scipy_similarity_join({"t": {"a": 1.0}}, {}, 1.0) == []

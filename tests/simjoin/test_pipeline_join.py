@@ -53,6 +53,11 @@ def test_pipeline_rejects_bad_sigma():
         similarity_join_pipeline(ITEMS, CONSUMERS, 0.0)
 
 
+def test_pipeline_rejects_nan_sigma():
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        similarity_join_pipeline(ITEMS, CONSUMERS, float("nan"))
+
+
 # -- the stage hand-off ------------------------------------------------------
 
 

@@ -49,6 +49,11 @@ def test_prefix_rejects_nonpositive_sigma():
         prefix_terms({"a": 1.0}, {"a": 1.0}, sigma=0.0)
 
 
+def test_prefix_rejects_nan_sigma():
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        prefix_terms({"a": 1.0}, {"a": 1.0}, sigma=float("nan"))
+
+
 def test_max_term_weights():
     bounds = max_term_weights([{"a": 1.0, "b": 2.0}, {"a": 3.0}])
     assert bounds == {"a": 3.0, "b": 2.0}

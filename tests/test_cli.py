@@ -318,6 +318,41 @@ def test_join_rejects_negative_spill_threshold(corpus_dir):
         )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["join", "{corpus}", "--sigma", "nan"],
+        ["join", "{corpus}", "--sigma", "0"],
+        ["serve", "{corpus}", "--sigma", "-2"],
+        ["match", "{corpus}", "--sigma", "2.0", "--alpha", "nan"],
+        ["match", "{corpus}", "--sigma", "2.0", "--alpha", "-1"],
+        ["match", "{corpus}", "--sigma", "2.0", "--epsilon", "-1"],
+        ["match", "{corpus}", "--sigma", "2.0", "--epsilon", "nan"],
+        ["generate", "flickr-small", "--out", "{out}", "--scale", "-1"],
+        ["generate", "flickr-small", "--out", "{out}", "--scale", "0"],
+        ["experiment", "--scale", "nan"],
+        ["join", "{corpus}", "--sigma", "2.0", "--method", "mapreduce",
+         "--out", "{out}", "--workers", "0"],
+    ],
+    ids=lambda argv: " ".join(argv[0:1] + argv[-2:]),
+)
+def test_out_of_range_parameters_are_usage_errors(
+    corpus_dir, tmp_path, capsys, argv
+):
+    """NaN, zero and negative values exit 2 at argparse, naming the
+    option — not a traceback, and never a silent run."""
+    argv = [
+        arg.format(corpus=corpus_dir, out=str(tmp_path / "out"))
+        for arg in argv
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be > 0" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("algorithm", ["greedy_mr", "stack_mr"])
 def test_match_produces_feasible_output(
     corpus_dir, tmp_path, capsys, algorithm
