@@ -19,11 +19,10 @@ parked resident state in RAM or as on-disk JSONL), and
 ``--spill-threshold N`` bounds the shuffle buffers — map outputs
 beyond ``N`` records per reduce partition are sorted and spilled to
 disk runs, then k-way merged at reduce time — as well as the resident
-state store's parking point.  ``match --delta/--no-delta`` switches
-the ``*_mr`` algorithms between the delta iteration plane (resident
-node state, only changed records per round) and the paper's
-full-state-per-round formulation.  Results are bit-identical across
-all four knobs; the spill counters report the extra IO.
+state store's parking point.  The ``*_mr`` algorithms keep node state
+resident between rounds and shuffle only messages.  Results are
+bit-identical across all three knobs; the spill counters report the
+extra IO.
 
 ``generate`` persists the item/consumer vectors, activity, and quality
 signals as TSV (via :mod:`repro.mapreduce.storage.tsvio`); ``join``
@@ -241,17 +240,10 @@ def _cmd_match(args: argparse.Namespace) -> int:
     tracer = None
     if "_mr" in args.algorithm:
         # Only the MapReduce adaptations take a simulated cluster; the
-        # centralized solvers ignore the backend/storage choices.  On
-        # the delta plane (the default) --fs backs the resident state
-        # store, so node records park out-of-core between rounds once
-        # --spill-threshold is exceeded; --spill-threshold also bounds
-        # every round's shuffle on both planes.
-        if args.fs != "memory" and not args.delta:
-            print(
-                f"note: --fs {args.fs} has little effect with "
-                "--no-delta (the full-state drivers keep round state "
-                "driver-side); --spill-threshold still applies"
-            )
+        # centralized solvers ignore the backend/storage choices.  --fs
+        # backs the resident state store, so node records park
+        # out-of-core between rounds once --spill-threshold is
+        # exceeded; --spill-threshold also bounds every round's shuffle.
         tracer = _make_tracer(args)
         runtime = MapReduceRuntime(
             backend=args.backend,
@@ -262,7 +254,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
             retry_policy=_make_retry_policy(args),
         )
         kwargs["runtime"] = runtime
-        kwargs["delta"] = args.delta
     start = time.perf_counter()
     result = solve(graph, args.algorithm, **kwargs)
     elapsed = time.perf_counter() - start
@@ -464,16 +455,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         max_attempts=args.max_task_attempts or 3,
         task_timeout=args.task_timeout,
     )
-    seeds = [int(token) for token in args.seeds.split(",") if token]
-
     baseline_rt = make_runtime()
     baseline_data = exercise_storage(baseline_rt)
-    baseline = solve(graph, "greedy_mr", runtime=baseline_rt, delta=True)
+    baseline = solve(graph, "greedy_mr", runtime=baseline_rt)
     baseline_counters = strip_volatile_counters(
         baseline_rt.counters.snapshot()
     )
     failures = 0
-    for seed in seeds:
+    for seed in args.seeds:
         with FaultPlan(
             seed=seed,
             crash_rate=args.crash_rate,
@@ -485,9 +474,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         ) as plan:
             runtime = make_runtime(retry_policy=policy, fault_plan=plan)
             data = exercise_storage(runtime)
-            result = solve(
-                graph, "greedy_mr", runtime=runtime, delta=True
-            )
+            result = solve(graph, "greedy_mr", runtime=runtime)
             faults = runtime.counters.group("faults")
             injected = faults.get("injected_total", 0)
             identical = (
@@ -519,7 +506,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         )
 
     events, _ = synthetic_events(graph, args.events, seed=args.seed)
-    for seed in seeds:
+    for seed in args.seeds:
         with FaultPlan(
             seed=seed,
             flush_rate=args.flush_rate,
@@ -549,7 +536,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"chaos: {failures} run(s) diverged or injected nothing")
         return 1
     print(
-        f"chaos: all {2 * len(seeds)} runs recovered bit-identically "
+        f"chaos: all {2 * len(args.seeds)} runs recovered bit-identically "
         f"under injected faults"
     )
     return 0
@@ -586,14 +573,22 @@ def _number(text: str, kind: type) -> Any:
         ) from None
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type for --spill-threshold: an integer >= 0."""
-    value = _number(text, int)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0, got {value}"
-        )
+def _nonnegative(value: Any) -> Any:
+    """``value`` if it is >= 0.  ``nan`` fails too: ``nan >= 0`` is false."""
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for --spill-threshold and serve --events: an
+    integer >= 0."""
+    return _nonnegative(_number(text, int))
+
+
+def _nonnegative_float(text: str) -> float:
+    """argparse type for --max-delay-ms: a float >= 0."""
+    return _nonnegative(_number(text, float))
 
 
 def _positive(value: Any) -> Any:
@@ -604,8 +599,18 @@ def _positive(value: Any) -> Any:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for --workers: an integer > 0."""
+    """argparse type for --workers, --batch-size and chaos --events:
+    an integer > 0."""
     return _positive(_number(text, int))
+
+
+def _seed_list(text: str) -> List[int]:
+    """argparse type for chaos --seeds: comma-separated integers.
+
+    Every token must parse, so ``""`` and ``"1,,2"`` are rejected: a
+    run over no seeds would pass vacuously.
+    """
+    return [_number(token, int) for token in text.split(",")]
 
 
 def _positive_float(text: str) -> float:
@@ -746,15 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", default="greedy_mr", choices=sorted(ALGORITHMS)
     )
     match.add_argument("--epsilon", type=_positive_float, default=1.0)
-    match.add_argument(
-        "--delta",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run the *_mr algorithms on the delta iteration plane "
-        "(resident node state, only changed records per round; the "
-        "default) or, with --no-delta, re-ship the full state every "
-        "round as the paper formulates it — results are bit-identical",
-    )
     _add_cluster_options(match, "*_mr algorithms only")
     match.add_argument("--seed", type=int, default=0)
     match.add_argument("--out")
@@ -771,20 +767,20 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--alpha", type=_positive_float, default=2.0)
     serve.add_argument(
         "--events",
-        type=int,
+        type=_nonnegative_int,
         default=50,
         help="number of synthetic live events to stream (default 50)",
     )
     serve.add_argument(
         "--batch-size",
-        type=int,
+        type=_positive_int,
         default=16,
         metavar="N",
         help="flush the pending micro-batch at N events (default 16)",
     )
     serve.add_argument(
         "--max-delay-ms",
-        type=float,
+        type=_nonnegative_float,
         default=50.0,
         metavar="MS",
         help="flush at latest MS milliseconds after the first pending "
@@ -818,7 +814,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--seeds",
-        default="1,2,3",
+        type=_seed_list,
+        default=[1, 2, 3],
         help="comma-separated fault-plan seeds (default 1,2,3; each "
         "seed reproduces one whole failure scenario)",
     )
@@ -836,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--events",
-        type=int,
+        type=_positive_int,
         default=24,
         help="synthetic live events for the service smoke (default 24)",
     )

@@ -58,7 +58,7 @@ class IterativeDriver(Generic[State]):
         self.rounds_completed = 0
         self.jobs_per_round: List[int] = []
         #: Resident state store of the delta iteration plane, attached
-        #: by :meth:`create_store`; ``None`` for full-state drivers.
+        #: by :meth:`create_store`; ``None`` until then.
         self.store: Optional[ResidentStateStore] = None
 
     @property
@@ -137,8 +137,8 @@ class IterativeDriver(Generic[State]):
         Computed from the ``iteration.*`` counters accumulated across
         every stateful round this driver's runtime has run — 0.0 when
         nothing stateful ran yet.  This is the savings meter of the
-        delta plane: the full-state path re-ships and re-reduces every
-        record every round, so its ratio is by definition 0.
+        delta plane: the paper's formulation re-ships and re-reduces
+        every record every round, so its ratio is by definition 0.
         """
         resident = self.counters.get(
             "runtime", "iteration.resident_records"

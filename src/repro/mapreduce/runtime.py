@@ -652,8 +652,9 @@ class MapReduceRuntime:
         * ``scan=True`` — *resident scan*: the map phase iterates every
           resident record (``job.map_resident``), and the reduce visits
           the byte-sorted union of resident keys and message groups, so
-          every record re-evaluates exactly as it would on the
-          full-state path — minus the state records in the shuffle.
+          every record re-evaluates exactly as it would if its state
+          were shuffled each round, as the paper's jobs do — minus the
+          state records in the shuffle.
         * ``scan=False`` — *frontier*: the map phase covers only
           ``deltas`` (``job.map_delta``) — last round's changed records
           plus :class:`~repro.mapreduce.state.Retired` notices — and
@@ -814,8 +815,9 @@ class MapReduceRuntime:
         records are deleted; their ``notify`` lists are pruned against
         the *post-round* store (a peer that left in the same round
         needs no notice) and re-emitted only when a surviving peer
-        remains — this pruning is what keeps the delta path's round
-        count identical to the full-state path's.
+        remains — this pruning is what keeps frontier round counts
+        identical to the paper's formulation, where a dead node simply
+        stops sending.
         """
         retirements: List[Tuple[Any, Retired]] = []
         next_deltas: List[KeyValue] = []
@@ -1266,8 +1268,8 @@ def _scan_join(
     by the shuffle sort, the partition by an explicit sort here), so
     the join is a linear two-pointer merge — resident keys without
     messages are visited with an empty value list, message keys without
-    state with ``entry=None``, exactly the union the full-state path's
-    reduce would see.
+    state with ``entry=None``, exactly the union a reduce would see if
+    every state record were shuffled with the messages.
     """
     resident = sorted(state_partition.items())
     index = 0

@@ -79,9 +79,9 @@ def strip_volatile_counters(snapshot: dict) -> dict:
     """Drop shuffle-spill, state-spill, point-access, and fault counters.
 
     The cross-cell equivalence contract of the matching test matrix:
-    for a fixed delta mode, counter totals are bit-identical across
-    executors, filesystems, and spill thresholds once the
-    threshold-dependent counters are stripped.  The ``faults`` group
+    counter totals are bit-identical across executors, filesystems, and
+    spill thresholds once the threshold-dependent counters are
+    stripped.  The ``faults`` group
     (injection and recovery meters) is dropped wholesale for the same
     reason: a chaos run must agree with the fault-free run on
     everything *except* the record of the faults themselves.
@@ -157,8 +157,9 @@ class Retired:
     are no longer resident themselves and, if any survive, re-emits
     ``(key, Retired(notify))`` into the next round's delta stream so
     the job's ``map_delta`` can send death notices.  (Pruning is what
-    keeps round counts identical to the full-state path: a round whose
-    only pending work is notifying already-dead peers never runs.)
+    keeps round counts identical to the paper's formulation, where a
+    dead node simply stops sending: a round whose only pending work is
+    notifying already-dead peers never runs.)
     """
 
     notify: Tuple[str, ...] = ()

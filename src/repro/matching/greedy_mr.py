@@ -16,7 +16,7 @@ ascending), so the parallel process simulates the sequential greedy —
 therefore inherits its ½-approximation guarantee.  That order never
 changes during a run — edges only *leave* — so each node record is
 ranked under it exactly once, when it is seeded
-(:func:`rank_neighbors`, via :meth:`GreedyNode.seeded`); a node's
+(:func:`rank_neighbors`, via :meth:`GreedyDeltaNode.seeded`); a node's
 proposals are the first ``b`` names of its ``rank`` tuple, deletions
 filter the tuple, and no map or reduce method sorts or builds a sort
 key (pinned by the counting test in
@@ -30,14 +30,14 @@ Two properties the paper highlights are surfaced here:
   linear in the graph size (see ``repro.graph.generators.ascending_path``
   and the ablation benchmark).
 
-Delta rounds (the default, ``delta=True``)
-------------------------------------------
+Frontier rounds
+---------------
 
 The any-time curve of Figure 5 flattens fast: after the first few
 rounds most nodes are *quiescent* — same capacity, same edges, same
-proposals — yet the classic formulation re-ships every node record and
-every proposal through the shuffle each round.  The delta path runs the
-same Algorithm 3 on the runtime's delta iteration plane instead
+proposals — yet Algorithm 3 as written re-ships every node record and
+every proposal through the shuffle each round.  This implementation
+runs the same rounds on the runtime's resident-state plane
 (:meth:`~repro.mapreduce.runtime.MapReduceRuntime.run_stateful`,
 frontier mode):
 
@@ -54,8 +54,13 @@ frontier mode):
   core change — the only ones its next map messages;
 * a node that leaves the graph retires with explicit death notices
   (:class:`~repro.mapreduce.state.Retired`) to its surviving
-  neighbors, replacing the full path's absence-of-message signal;
+  neighbors, where Algorithm 3 signals a death by the absence of a
+  message;
 * convergence is an empty delta stream.
+
+Matchings, ``value_history``, round counts and job counts are those of
+Algorithm 3 round for round (pinned by the golden convergence curves);
+``iteration.quiescent_records`` meters what the frontier skipped.
 
 The reducer decides in O(messages + b).  It copies the inbox only when
 a received bit differs from the cached one and tests mutual proposals
@@ -80,12 +85,6 @@ Two rules the kernel must keep:
   sum in emission order, so ``value_history`` is order-sensitive at
   the last ulp (pinned by ``tests/matching/golden_emission_order.json``,
   frozen before this kernel replaced the per-round sort).
-
-The two paths produce bit-identical matchings, ``value_history``,
-round counts, and job counts (property-tested and pinned by the golden
-convergence curves); only the shuffle volume differs, which is the
-point — ``iteration.quiescent_records`` meters what the frontier
-skipped.
 """
 
 from __future__ import annotations
@@ -105,9 +104,7 @@ from ..mapreduce import (
 from .types import Matching, MatchingResult
 
 __all__ = [
-    "GreedyNode",
     "GreedyDeltaNode",
-    "GreedyRoundJob",
     "GreedyDeltaRoundJob",
     "default_max_rounds",
     "greedy_mr_b_matching",
@@ -133,8 +130,8 @@ def rank_neighbors(adj: Dict[str, float]) -> Tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class GreedyNode:
-    """A node record: residual capacity and live incident edges.
+class GreedyDeltaNode:
+    """A resident node record: residual capacity and live incident edges.
 
     ``rank`` lists ``adj``'s keys by :func:`rank_neighbors`; deletions
     filter it, nothing ever re-sorts it, and the node's proposals are
@@ -142,27 +139,12 @@ class GreedyNode:
     node emits same-round matches in that order, and the matching value
     is a running float sum in emission order.  Live records always have
     ``b >= 1`` and a non-empty ``adj``.
-    """
 
-    b: int
-    adj: Dict[str, float]
-    rank: Tuple[str, ...]
-
-    @classmethod
-    def seeded(cls, b: int, adj: Dict[str, float]):
-        """A fresh record for ``(b, adj)`` — the one place ranks are made."""
-        return cls(b=b, adj=adj, rank=rank_neighbors(adj))
-
-
-@dataclass(frozen=True)
-class GreedyDeltaNode(GreedyNode):
-    """A resident node record of the delta path.
-
-    On top of :class:`GreedyNode`'s fields it carries the incremental
-    bookkeeping that lets quiescent neighbors stay silent:
+    The incremental bookkeeping that lets quiescent neighbors stay
+    silent:
 
     * ``inbox`` — the last proposal bit received from each live
-      neighbor (the full-state path re-receives every bit every round);
+      neighbor;
     * ``props`` — the proposal set the node's neighbors currently hold
       in *their* inboxes, i.e. ``frozenset(rank[:b])`` as of the last
       broadcast; ``None`` on a freshly seeded record, which tells the
@@ -178,12 +160,20 @@ class GreedyDeltaNode(GreedyNode):
     ``rank`` on an inbox-only update) is shared with its predecessor.
     """
 
+    b: int
+    adj: Dict[str, float]
+    rank: Tuple[str, ...]
     inbox: Dict[str, bool] = field(default_factory=dict)
     props: Optional[FrozenSet[str]] = None
     flips: Tuple[str, ...] = ()
 
+    @classmethod
+    def seeded(cls, b: int, adj: Dict[str, float]) -> "GreedyDeltaNode":
+        """A fresh record for ``(b, adj)`` — the one place ranks are made."""
+        return cls(b=b, adj=adj, rank=rank_neighbors(adj))
 
-def _proposals(state: GreedyNode) -> FrozenSet[str]:
+
+def _proposals(state: GreedyDeltaNode) -> FrozenSet[str]:
     """The neighbors of the node's top-``b`` edges by the global order.
 
     Called identically from map and reduce, so both phases agree without
@@ -192,58 +182,13 @@ def _proposals(state: GreedyNode) -> FrozenSet[str]:
     return frozenset(state.rank[: state.b])
 
 
-class GreedyRoundJob(MapReduceJob):
-    """One GreedyMR iteration (Algorithm 3's parallel loop body)."""
-
-    name = "greedy-round"
-
-    def map(self, node: str, state: GreedyNode) -> Iterable[KeyValue]:
-        proposals = _proposals(state)
-        yield node, ("self", state)
-        for neighbor in state.adj:
-            yield neighbor, ("prop", node, neighbor in proposals)
-
-    def reduce(self, node: str, values: List) -> Iterable[KeyValue]:
-        state: Optional[GreedyNode] = None
-        neighbor_proposals: Dict[str, bool] = {}
-        for value in values:
-            if value[0] == "self":
-                state = value[1]
-            else:
-                _, neighbor, proposed = value
-                neighbor_proposals[neighbor] = proposed
-        if state is None:
-            # This node's record died in an earlier round; stray proposal
-            # messages are ignored (the sender drops the edge likewise).
-            return
-        my_proposals = _proposals(state)
-        new_adj: Dict[str, float] = {}
-        matched: List[Tuple[str, float]] = []
-        for neighbor, weight in state.adj.items():
-            if neighbor not in neighbor_proposals:
-                continue  # the neighbor died: retract the edge
-            if neighbor in my_proposals and neighbor_proposals[neighbor]:
-                matched.append((neighbor, weight))
-            else:
-                new_adj[neighbor] = weight
-        for neighbor, weight in matched:
-            if node < neighbor:
-                yield ("matched", node, neighbor), weight
-        new_b = state.b - len(matched)
-        if new_b > 0 and new_adj:
-            new_rank = tuple([n for n in state.rank if n in new_adj])
-            yield node, GreedyNode(b=new_b, adj=new_adj, rank=new_rank)
-
-
 class GreedyDeltaRoundJob(MapReduceJob):
-    """One GreedyMR iteration on the delta plane (frontier mode).
+    """One GreedyMR iteration on the resident plane (frontier mode).
 
-    Same round semantics as :class:`GreedyRoundJob`, expressed over
-    deltas: only changed nodes map, proposals from quiescent neighbors
-    come from the resident inbox, and departures are announced with
-    explicit ``("dead", node)`` notices instead of message absence.
-    The job name is shared so job logs and counter groups line up
-    across the two paths.
+    Algorithm 3's round, expressed over deltas: only changed nodes map,
+    proposals from quiescent neighbors come from the resident inbox,
+    and departures are announced with explicit ``("dead", node)``
+    notices.
     """
 
     name = "greedy-round"
@@ -355,7 +300,7 @@ class GreedyDeltaRoundJob(MapReduceJob):
 
 
 def default_max_rounds(graph: Graph) -> int:
-    """The round cap derived from the delta plane's progress guarantee.
+    """The round cap derived from GreedyMR's progress guarantee.
 
     Every GreedyMR round with live edges matches at least one edge (the
     globally maximum edge in the residual graph is mutually proposed),
@@ -369,7 +314,7 @@ def default_max_rounds(graph: Graph) -> int:
     return graph.num_edges + 1
 
 
-def _initial_records(graph: Graph, record_class) -> List[KeyValue]:
+def _initial_records(graph: Graph) -> List[KeyValue]:
     """Seeded records for every capacitated node with live edges."""
     capacities = graph.capacities()
     records: List[KeyValue] = []
@@ -383,21 +328,8 @@ def _initial_records(graph: Graph, record_class) -> List[KeyValue]:
         }
         if adj:
             records.append(
-                (node, record_class.seeded(capacities[node], adj))
+                (node, GreedyDeltaNode.seeded(capacities[node], adj))
             )
-    return records
-
-
-def _collect_round(
-    output: List[KeyValue], matching: Matching
-) -> List[KeyValue]:
-    """Split one round's output into matches (applied) and records."""
-    records: List[KeyValue] = []
-    for key, value in output:
-        if isinstance(key, tuple) and key[0] == "matched":
-            matching.add(key[1], key[2], value)
-        else:
-            records.append((key, value))
     return records
 
 
@@ -405,30 +337,17 @@ def greedy_mr_b_matching(
     graph: Graph,
     runtime: Optional[MapReduceRuntime] = None,
     max_rounds: Optional[int] = None,
-    delta: bool = True,
-    on_round_end=None,
 ) -> MatchingResult:
     """Run GreedyMR on ``graph`` and return the matching with its history.
 
     ``value_history[i]`` is the (feasible) matching value after round
     ``i+1`` — the any-time property of §5.4 and the series of Figure 5.
-
-    ``delta`` selects the execution plane: ``True`` (default) runs
-    resident-state frontier rounds, ``False`` the classic
-    full-state-per-round formulation.  Matchings, ``value_history``,
-    round counts, and job counts are bit-identical either way; only
-    shuffle volume and wall-clock differ (see
-    ``benchmarks/bench_matching_rounds.py``).  ``on_round_end(state,
-    round_number)`` is forwarded to the :class:`IterativeDriver` for
-    per-round instrumentation.
     """
     runtime = runtime or MapReduceRuntime()
     if max_rounds is None:
         max_rounds = default_max_rounds(graph)
     jobs_before = runtime.jobs_executed
-    records = _initial_records(
-        graph, GreedyDeltaNode if delta else GreedyNode
-    )
+    records = _initial_records(graph)
     matching = Matching()
     history: List[float] = []
     if not records:
@@ -440,35 +359,22 @@ def greedy_mr_b_matching(
             value_history=history,
         )
     driver: IterativeDriver = IterativeDriver(
-        runtime,
-        name="greedy-mr",
-        max_rounds=max_rounds,
-        on_round_end=on_round_end,
+        runtime, name="greedy-mr", max_rounds=max_rounds
     )
-    if delta:
-        job = GreedyDeltaRoundJob()
-        driver.create_store(records)
+    job = GreedyDeltaRoundJob()
+    driver.create_store(records)
 
-        def step(deltas, round_number):
-            output, next_deltas = driver.run_stateful(job, deltas=deltas)
-            _collect_round(output, matching)
-            history.append(matching.value)
-            return next_deltas, not next_deltas
+    def step(deltas, round_number):
+        output, next_deltas = driver.run_stateful(job, deltas=deltas)
+        for key, weight in output:
+            matching.add(key[1], key[2], weight)
+        history.append(matching.value)
+        return next_deltas, not next_deltas
 
-        try:
-            driver.iterate(step, records)
-        finally:
-            driver.close()
-    else:
-        job = GreedyRoundJob()
-
-        def step(records, round_number):
-            output = runtime.run(job, records)
-            next_records = _collect_round(output, matching)
-            history.append(matching.value)
-            return next_records, not next_records
-
+    try:
         driver.iterate(step, records)
+    finally:
+        driver.close()
     return MatchingResult(
         matching=matching,
         algorithm="GreedyMR",

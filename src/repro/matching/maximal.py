@@ -35,6 +35,7 @@ from ..mapreduce.errors import RoundLimitExceeded
 
 __all__ = [
     "MARKING_STRATEGIES",
+    "check_strategy",
     "choose_edges",
     "maximal_b_matching_adjacency",
     "maximal_b_matching",
@@ -44,6 +45,19 @@ __all__ = [
 MARKING_STRATEGIES = ("uniform", "greedy", "weighted")
 
 Adjacency = Dict[str, Dict[str, float]]
+
+
+def check_strategy(strategy: str) -> None:
+    """Raise ``ValueError`` unless ``strategy`` is a marking strategy.
+
+    Entry points call this up front, so a bad name fails even on a
+    graph with no live edge, where no mark is ever drawn.
+    """
+    if strategy not in MARKING_STRATEGIES:
+        raise ValueError(
+            f"unknown strategy {strategy!r}; expected one of "
+            f"{MARKING_STRATEGIES}"
+        )
 
 
 def choose_edges(
@@ -58,11 +72,7 @@ def choose_edges(
     (the helpers here sort by neighbor id) so that a seeded RNG yields
     reproducible draws.
     """
-    if strategy not in MARKING_STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected one of "
-            f"{MARKING_STRATEGIES}"
-        )
+    check_strategy(strategy)
     if count >= len(candidates):
         return [neighbor for neighbor, _ in candidates]
     if strategy == "greedy":

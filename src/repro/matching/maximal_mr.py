@@ -2,9 +2,9 @@
 
 One MapReduce job per stage (marking, selection, matching, cleanup), all
 sharing the communication pattern the paper describes: the graph is kept
-as node-keyed adjacency lists; each map emits, for every incident edge,
-the node's local view of the edge state to *both* endpoints, and each
-reduce unifies the two views back into a consistent adjacency list.
+as node-keyed adjacency lists, each node's local view of every incident
+edge reaches the other endpoint, and each reduce unifies the two views
+back into a consistent adjacency list.
 
 Edge states of the paper map onto this implementation as follows:
 
@@ -20,20 +20,21 @@ Randomness is per-node and derived from ``stable_hash((seed, round,
 stage, node))``, so runs are reproducible and independent of task
 placement — exactly what a deterministic-seeded Hadoop job would do.
 
-Resident-state rounds (``delta=True``)
---------------------------------------
+Resident-state rounds
+---------------------
 
-On the delta iteration plane (:meth:`~repro.mapreduce.runtime.
-MapReduceRuntime.run_stateful`, scan mode) the node records stay in a
-partition-aligned resident store and each stage's map emits only the
-*cross* view — ``(neighbor, ("edge", node, view))`` — instead of
-posting every view to both endpoints plus a capacity self-message.
-The reduce recomputes the node's own local views from resident state
-(the per-node RNG makes that free of coordination) and merges them
-with the arrived neighbor views, halving the shuffled records per
-stage while producing bit-identical matchings, round counts, and job
-counts (the state-unification rules are symmetric, so merge order
-cannot matter).  StackMR drives this path for its inner subroutine.
+Every stage runs as a resident scan round
+(:meth:`~repro.mapreduce.runtime.MapReduceRuntime.run_stateful`,
+scan mode): the node records stay in a partition-aligned resident
+store and each stage's map emits only the *cross* view —
+``(neighbor, ("edge", node, view))``.  The reduce recomputes the node's
+own local views from resident state (the per-node RNG makes that free
+of coordination) and merges them with the arrived neighbor views, so
+neither the node record nor its own views enter the shuffle.  The
+state-unification rules are symmetric, so merge order cannot matter:
+matched edges, round counts, and job counts are those of the paper's
+formulation (pinned by the golden convergence curves).  StackMR drives
+this loop for its inner subroutine.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from ..mapreduce import (
     stable_hash,
 )
 from ..mapreduce.state import ResidentStateStore
-from .maximal import choose_edges
+from .maximal import check_strategy, choose_edges
 
 __all__ = ["MMEdge", "MMNode", "mm_records_from_adjacency", "mr_maximal_b_matching"]
 
@@ -146,45 +147,6 @@ class _StageJob(MapReduceJob):
         return True
 
     # -- the shared pattern ----------------------------------------------------
-
-    def map(self, node: str, state: MMNode) -> Iterable[KeyValue]:
-        rng = _node_rng(self.seed, self.round_index, self.stage, node)
-        views = self.local_views(node, state, rng)
-        yield node, ("cap", self.new_capacity(state, views))
-        for neighbor, view in views.items():
-            if not self.keep_view(view):
-                continue
-            yield node, ("edge", neighbor, view)
-            yield neighbor, ("edge", node, view)
-        yield from self.extra_output(node, state, views)
-
-    def reduce(self, node: str, values: List) -> Iterable[KeyValue]:
-        if isinstance(node, tuple) and node and node[0] == "matched":
-            # Matched-edge records emitted by cleanup maps: pass through
-            # (emitted once, from the smaller endpoint).
-            yield node, values[0]
-            return
-        capacity: Optional[int] = None
-        views: Dict[str, List[MMEdge]] = {}
-        for value in values:
-            kind = value[0]
-            if kind == "cap":
-                capacity = value[1]
-            else:
-                _, neighbor, view = value
-                views.setdefault(neighbor, []).append(view)
-        if capacity is None:
-            # The node itself was dropped earlier; ignore stray messages.
-            return
-        adj: Dict[str, MMEdge] = {}
-        for neighbor, pair in sorted(views.items()):
-            if len(pair) != 2:
-                continue  # one side dropped the edge -> it is dead
-            adj[neighbor] = self.merge(pair[0], pair[1])
-        if capacity > 0 and adj:
-            yield node, MMNode(b=capacity, adj=adj)
-
-    # -- the resident-state (scan-mode) variant ----------------------------
 
     def map_resident(
         self, node: str, state: MMNode
@@ -364,7 +326,6 @@ def mr_maximal_b_matching(
     strategy: str = "uniform",
     round_offset: int = 0,
     max_rounds: int = 10_000,
-    delta: bool = False,
 ) -> Tuple[Dict[EdgeKey, float], int]:
     """Run the four-stage loop to a maximal b-matching.
 
@@ -375,49 +336,10 @@ def mr_maximal_b_matching(
     round_offset:
         Distinguishes RNG streams when StackMR invokes the subroutine
         many times with the same seed.
-    delta:
-        ``True`` runs the stages as resident-state scan rounds (node
-        records never shuffle); ``False`` (the default for direct
-        callers) keeps the classic full-state formulation.  Matched
-        edges, rounds, and job counts are bit-identical either way.
 
     Returns the matched edges and the number of (four-job) iterations.
     """
-    if delta:
-        return _mr_maximal_delta(
-            records, runtime, seed, strategy, round_offset, max_rounds
-        )
-    matched: Dict[EdgeKey, float] = {}
-    rounds = 0
-    while records:
-        if rounds >= max_rounds:
-            raise RoundLimitExceeded("mr-maximal-b-matching", max_rounds)
-        round_index = round_offset + rounds
-        for stage_class in (_MarkJob, _SelectJob, _MatchFixJob):
-            job = stage_class(seed, round_index, strategy)
-            records = runtime.run(job, records)
-        cleanup_output = runtime.run(
-            _CleanupJob(seed, round_index, strategy), records
-        )
-        records = []
-        for key, value in cleanup_output:
-            if isinstance(key, tuple) and key[0] == "matched":
-                matched[edge_key(key[1], key[2])] = value
-            else:
-                records.append((key, value))
-        rounds += 1
-    return matched, rounds
-
-
-def _mr_maximal_delta(
-    records: List[KeyValue],
-    runtime: MapReduceRuntime,
-    seed: int,
-    strategy: str,
-    round_offset: int,
-    max_rounds: int,
-) -> Tuple[Dict[EdgeKey, float], int]:
-    """The four-stage loop over a resident state store (scan rounds)."""
+    check_strategy(strategy)
     matched: Dict[EdgeKey, float] = {}
     rounds = 0
     store: ResidentStateStore = runtime.state_store("maximal-mm")

@@ -45,13 +45,33 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..graph.bipartite import Graph
 from ..graph.edges import EdgeKey, edge_key
 from ..mapreduce.errors import RoundLimitExceeded
-from .maximal import maximal_b_matching_adjacency
+from .maximal import check_strategy, maximal_b_matching_adjacency
 from .types import Matching, MatchingResult
 
-__all__ = ["StackLayer", "stack_b_matching", "layer_capacities", "COVERAGE_TOLERANCE"]
+__all__ = [
+    "StackLayer",
+    "stack_algorithm_name",
+    "stack_b_matching",
+    "layer_capacities",
+    "COVERAGE_TOLERANCE",
+]
 
 #: Numerical slack when testing Definition 1 (weak coverage).
 COVERAGE_TOLERANCE = 1e-12
+
+#: Algorithm 2's result name by marking strategy (§6); the MapReduce
+#: adaptation appends ``"MR"`` (StackMR, StackGreedyMR, StackWeightedMR).
+STACK_NAMES = {
+    "uniform": "Stack",
+    "greedy": "StackGreedy",
+    "weighted": "StackWeighted",
+}
+
+
+def stack_algorithm_name(strategy: str) -> str:
+    """Algorithm 2's name under ``strategy``; unknown strategies raise."""
+    check_strategy(strategy)
+    return STACK_NAMES[strategy]
 
 
 @dataclass
@@ -276,6 +296,7 @@ def stack_b_matching(
         ``False`` → Algorithm 2 (may violate capacities, the paper's
         StackMR); ``True`` → Algorithm 1 (strictly feasible).
     """
+    name = stack_algorithm_name(strategy)
     rng = random.Random(seed)
     layers, duals = _push_phase(
         graph, epsilon, rng, strategy, max_rounds
@@ -288,7 +309,6 @@ def stack_b_matching(
         name = "StackFeasible"
     else:
         matching = _pop_violating(layers, capacities)
-        name = "Stack" if strategy == "uniform" else "StackGreedy"
     upper_bound = (3.0 + 2.0 * epsilon) * sum(duals.values())
     return MatchingResult(
         matching=matching,

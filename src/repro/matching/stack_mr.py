@@ -28,41 +28,38 @@ maximal-matching marking stage proposes the heaviest edges instead of
 uniform-random ones); ``strategy="weighted"`` gives the third variant
 mentioned in §6.
 
-Resident-state rounds (``delta=True``, the default)
----------------------------------------------------
+Resident-state rounds
+---------------------
 
-On the delta iteration plane every push- and pop-phase job runs in
-scan mode (:meth:`~repro.mapreduce.runtime.MapReduceRuntime.
-run_stateful`): the ``StackNode``/``PopNode`` records live in a
-partition-aligned resident store (spillable to the runtime's
-filesystem) and only the lightweight messages — dual ratios for (2)
-and (3), pop confirmations for the pop jobs — flow through the
-shuffle.  The update job receives the fresh layer's stacked sets as
-side data instead of re-shipping annotated copies of every node
-record, and nodes outside the layer are quiescent: the scan visits
-them, finds nothing changed, and emits no delta.  The maximal
-subroutine (1) runs its four stages on the same plane.  Matchings,
-duals, layer and round counts, and job counts are bit-identical to the
-full-state path (``delta=False``), which remains available for A/B
-benchmarking.
+Every push- and pop-phase job runs in scan mode
+(:meth:`~repro.mapreduce.runtime.MapReduceRuntime.run_stateful`): the
+``StackNode``/``PopNode`` records live in a partition-aligned resident
+store (spillable to the runtime's filesystem) and only the lightweight
+messages — dual ratios for (2) and (3), pop confirmations for the pop
+jobs — flow through the shuffle.  The update job receives the fresh
+layer's stacked sets as side data, and nodes outside the layer are
+quiescent: the scan visits them, finds nothing changed, and emits no
+delta.  The maximal subroutine (1) runs its four stages on the same
+plane.  Every record re-evaluates each job exactly as in the paper's
+formulation, so matchings, duals, layer and round counts, and job
+counts are those of §5.2–5.3 (pinned by the golden convergence
+curves); only the node records stay out of the shuffle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..graph.bipartite import Graph
-from ..graph.edges import EdgeKey, edge_key
+from ..graph.edges import EdgeKey
 from ..mapreduce import KeyValue, MapReduceJob, MapReduceRuntime, Retired
 from ..mapreduce.errors import RoundLimitExceeded
 from .maximal_mr import mm_records_from_adjacency, mr_maximal_b_matching
-from .stack import COVERAGE_TOLERANCE, layer_capacities
+from .stack import COVERAGE_TOLERANCE, layer_capacities, stack_algorithm_name
 from .types import Matching, MatchingResult
 
 __all__ = ["stack_mr_b_matching", "StackNode", "PopNode"]
-
-_EMPTY: FrozenSet[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,6 @@ class StackNode:
     b: int
     y: float
     adj: Dict[str, float]
-    stacked_now: FrozenSet[str] = _EMPTY
 
 
 @dataclass(frozen=True)
@@ -84,57 +80,15 @@ class PopNode:
 
 
 class _UpdateJob(MapReduceJob):
-    """Raise duals across the freshly stacked layer (push step 2)."""
+    """Raise duals across the freshly stacked layer (push step 2).
+
+    The layer's stacked sets travel as side data
+    (``side_data["stacked"]``), and only the stacked nodes exchange
+    ratio messages — everyone else is visited by the scan, matches the
+    quiescent fast path, and emits nothing.
+    """
 
     name = "stack-update"
-
-    def map(self, node: str, state: StackNode) -> Iterable[KeyValue]:
-        yield node, ("self", state)
-        ratio = state.y / state.b
-        # Sorted iteration: frozenset order depends on the process's
-        # string hash seed, and the dual increment below is a float
-        # sum, so a deterministic order is what makes runs (and the
-        # golden convergence curves) bit-identical across machines.
-        for neighbor in sorted(state.stacked_now):
-            yield neighbor, ("ratio", node, ratio)
-
-    def reduce(self, node, values: List) -> Iterable[KeyValue]:
-        if isinstance(node, tuple):
-            yield node, values[0]
-            return
-        state: Optional[StackNode] = None
-        ratios: Dict[str, float] = {}
-        for value in values:
-            if value[0] == "self":
-                state = value[1]
-            else:
-                _, neighbor, ratio = value
-                ratios[neighbor] = ratio
-        assert state is not None, "push-phase records never vanish"
-        my_ratio = state.y / state.b
-        increment = 0.0
-        for neighbor in sorted(state.stacked_now):
-            weight = state.adj[neighbor]
-            delta = (weight - ratios[neighbor] - my_ratio) / 2.0
-            increment += delta
-            if node < neighbor:
-                yield ("delta", node, neighbor), delta
-        new_adj = {
-            nbr: w
-            for nbr, w in state.adj.items()
-            if nbr not in state.stacked_now
-        }
-        yield node, StackNode(
-            b=state.b, y=state.y + increment, adj=new_adj
-        )
-
-    # -- the resident-state (scan-mode) variant ----------------------------
-    #
-    # On the delta plane the layer's stacked sets travel as side data
-    # (``side_data["stacked"]``) instead of being baked into per-round
-    # copies of every node record, and only the stacked nodes exchange
-    # ratio messages — everyone else is visited by the scan, matches
-    # the quiescent fast path, and emits nothing.
 
     def map_resident(
         self, node: str, state: StackNode
@@ -156,6 +110,10 @@ class _UpdateJob(MapReduceJob):
         my_ratio = state.y / state.b
         increment = 0.0
         outputs: List[KeyValue] = []
+        # Sorted iteration: frozenset order depends on the process's
+        # string hash seed, and the dual increment below is a float
+        # sum, so a deterministic order is what makes runs (and the
+        # golden convergence curves) bit-identical across machines.
         for neighbor in sorted(stacked):
             weight = state.adj[neighbor]
             delta = (weight - ratios[neighbor] - my_ratio) / 2.0
@@ -181,35 +139,6 @@ class _CoverageJob(MapReduceJob):
     def __init__(self, epsilon: float) -> None:
         super().__init__()
         self.threshold_factor = 1.0 / (3.0 + 2.0 * epsilon)
-
-    def map(self, node: str, state: StackNode) -> Iterable[KeyValue]:
-        yield node, ("self", state)
-        ratio = state.y / state.b
-        for neighbor in state.adj:
-            yield neighbor, ("ratio", node, ratio)
-
-    def reduce(self, node: str, values: List) -> Iterable[KeyValue]:
-        state: Optional[StackNode] = None
-        ratios: Dict[str, float] = {}
-        for value in values:
-            if value[0] == "self":
-                state = value[1]
-            else:
-                _, neighbor, ratio = value
-                ratios[neighbor] = ratio
-        assert state is not None, "push-phase records never vanish"
-        my_ratio = state.y / state.b
-        new_adj: Dict[str, float] = {}
-        for neighbor, weight in state.adj.items():
-            coverage = my_ratio + ratios[neighbor]
-            if (
-                coverage
-                < self.threshold_factor * weight - COVERAGE_TOLERANCE
-            ):
-                new_adj[neighbor] = weight
-        yield node, StackNode(b=state.b, y=state.y, adj=new_adj)
-
-    # -- the resident-state (scan-mode) variant ----------------------------
 
     def map_resident(
         self, node: str, state: StackNode
@@ -246,40 +175,6 @@ class _PopLayerJob(MapReduceJob):
     def __init__(self, level: int) -> None:
         super().__init__()
         self.level = level
-
-    def map(self, node: str, state: PopNode) -> Iterable[KeyValue]:
-        yield node, ("self", state)
-        for neighbor, (level, _) in state.stacked.items():
-            if level == self.level:
-                yield neighbor, ("inc", node)
-
-    def reduce(self, node: str, values: List) -> Iterable[KeyValue]:
-        state: Optional[PopNode] = None
-        confirmations = set()
-        for value in values:
-            if value[0] == "self":
-                state = value[1]
-            else:
-                confirmations.add(value[1])
-        if state is None:
-            return  # node died in a higher layer; ignore stray messages
-        included: List[Tuple[str, float]] = []
-        new_stacked: Dict[str, Tuple[int, float]] = {}
-        for neighbor, (level, weight) in state.stacked.items():
-            if level == self.level:
-                if neighbor in confirmations:
-                    included.append((neighbor, weight))
-                # else: the neighbor died earlier -> the edge is gone
-            else:
-                new_stacked[neighbor] = (level, weight)
-        for neighbor, weight in included:
-            if node < neighbor:
-                yield ("matched", node, neighbor), weight
-        residual = state.residual - len(included)
-        if residual > 0 and new_stacked:
-            yield node, PopNode(residual=residual, stacked=new_stacked)
-
-    # -- the resident-state (scan-mode) variant ----------------------------
 
     def map_resident(
         self, node: str, state: PopNode
@@ -349,7 +244,6 @@ def stack_mr_b_matching(
     runtime: Optional[MapReduceRuntime] = None,
     max_push_rounds: int = 10_000,
     max_inner_rounds: int = 10_000,
-    delta: bool = True,
 ) -> MatchingResult:
     """Run StackMR on ``graph`` through the MapReduce simulator.
 
@@ -357,47 +251,29 @@ def stack_mr_b_matching(
     ``strategy="greedy"`` yields StackGreedyMR.  The returned result
     carries the dual variables, the certified dual upper bound
     ``(3+2ε)·Σy_v``, the number of stack layers, and the number of
-    simulated MapReduce jobs (the paper's efficiency metric).
-
-    ``delta`` selects the execution plane: ``True`` (default) keeps
-    push- and pop-phase node records resident
+    simulated MapReduce jobs (the paper's efficiency metric).  Push-
+    and pop-phase node records stay resident
     (:meth:`~repro.mapreduce.runtime.MapReduceRuntime.run_stateful`,
-    scan mode — the maximal subroutine included), ``False`` re-ships
-    the full state through every job as the paper's formulation does.
-    Matchings, duals, layer/round counts, and job counts are
-    bit-identical across the two paths.
+    scan mode — the maximal subroutine included).
     """
+    name = stack_algorithm_name(strategy) + "MR"
     runtime = runtime or MapReduceRuntime()
     jobs_before = runtime.jobs_executed
     capacities = graph.capacities()
     caps_layer = layer_capacities(capacities, epsilon)
-    initial = _initial_states(graph, capacities)
 
     layers: List[Dict[EdgeKey, float]] = []
-    deltas: Dict[EdgeKey, float] = {}
     push_rounds = 0
     update_job = _UpdateJob()
     coverage_job = _CoverageJob(epsilon)
 
-    push_store = None
-    states: Dict[str, StackNode] = {}
-    if delta:
-        push_store = runtime.state_store("stack-push")
-        push_store.load(initial)
-        # No driver-side copy: the store is the single owner, so its
-        # out-of-core parking actually bounds between-round memory.
-        del initial
-    else:
-        states = dict(initial)
-
-    def current_states() -> List[Tuple[str, StackNode]]:
-        if push_store is not None:
-            return list(push_store.records())
-        return list(states.items())
-
+    # No driver-side copy: the store is the single owner, so its
+    # out-of-core parking actually bounds between-round memory.
+    push_store = runtime.state_store("stack-push")
+    push_store.load(_initial_states(graph, capacities))
     try:
         while True:
-            snapshot = current_states()
+            snapshot = list(push_store.records())
             live_edges = sum(len(state.adj) for _, state in snapshot)
             if live_edges == 0:
                 break
@@ -416,52 +292,20 @@ def stack_mr_b_matching(
                 strategy=strategy,
                 round_offset=push_rounds * max_inner_rounds,
                 max_rounds=max_inner_rounds,
-                delta=delta,
             )
             layers.append(matched)
-            stacked = _stacked_by_node(matched)
-            if push_store is not None:
-                updated, _ = runtime.run_stateful(
-                    update_job,
-                    push_store,
-                    scan=True,
-                    side_data={"stacked": stacked},
-                )
-                for key, value in updated:
-                    deltas[edge_key(key[1], key[2])] = value
-                runtime.run_stateful(
-                    coverage_job, push_store, scan=True
-                )
-            else:
-                update_records: List[KeyValue] = [
-                    (
-                        node,
-                        StackNode(
-                            b=state.b,
-                            y=state.y,
-                            adj=state.adj,
-                            stacked_now=stacked.get(node, _EMPTY),
-                        ),
-                    )
-                    for node, state in sorted(states.items())
-                ]
-                updated = runtime.run(update_job, update_records)
-                states = {}
-                for key, value in updated:
-                    if isinstance(key, tuple) and key[0] == "delta":
-                        deltas[edge_key(key[1], key[2])] = value
-                    else:
-                        states[key] = value
-                covered = runtime.run(
-                    coverage_job, sorted(states.items())
-                )
-                states = dict(covered)
+            runtime.run_stateful(
+                update_job,
+                push_store,
+                scan=True,
+                side_data={"stacked": _stacked_by_node(matched)},
+            )
+            runtime.run_stateful(coverage_job, push_store, scan=True)
             push_rounds += 1
 
-        duals = {node: state.y for node, state in current_states()}
+        duals = {node: state.y for node, state in push_store.records()}
     finally:
-        if push_store is not None:
-            push_store.close()
+        push_store.close()
     upper_bound = (3.0 + 2.0 * epsilon) * sum(
         duals[node] for node in sorted(duals)
     )
@@ -477,31 +321,18 @@ def stack_mr_b_matching(
         for node, stacked in sorted(stacked_edges.items())
     ]
     matching = Matching()
-    if delta:
-        pop_store = runtime.state_store("stack-pop")
-        pop_store.load(pop_records)
-        try:
-            for level in range(len(layers) - 1, -1, -1):
-                output, _ = runtime.run_stateful(
-                    _PopLayerJob(level), pop_store, scan=True
-                )
-                for key, value in output:
-                    matching.add(key[1], key[2], value)
-        finally:
-            pop_store.close()
-    else:
+    pop_store = runtime.state_store("stack-pop")
+    pop_store.load(pop_records)
+    try:
         for level in range(len(layers) - 1, -1, -1):
-            output = runtime.run(_PopLayerJob(level), pop_records)
-            pop_records = []
+            output, _ = runtime.run_stateful(
+                _PopLayerJob(level), pop_store, scan=True
+            )
             for key, value in output:
-                if isinstance(key, tuple) and key[0] == "matched":
-                    matching.add(key[1], key[2], value)
-                else:
-                    pop_records.append((key, value))
+                matching.add(key[1], key[2], value)
+    finally:
+        pop_store.close()
 
-    name = "StackMR" if strategy == "uniform" else (
-        "StackGreedyMR" if strategy == "greedy" else "StackWeightedMR"
-    )
     return MatchingResult(
         matching=matching,
         algorithm=name,

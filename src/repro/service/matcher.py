@@ -68,7 +68,7 @@ is the least map closed under three rules:
    rank with residual capacity left.  Nodes with residual capacity and
    a dirty edge are seeded as fresh
    :class:`~repro.matching.greedy_mr.GreedyDeltaNode` records (ranked
-   once, by the same :meth:`~repro.matching.greedy_mr.GreedyNode.seeded`
+   once, by the same :meth:`~repro.matching.greedy_mr.GreedyDeltaNode.seeded`
    cold-batch GreedyMR seeds with) and the unchanged GreedyMR frontier
    rounds run until the delta stream drains.
 

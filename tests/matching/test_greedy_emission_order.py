@@ -49,8 +49,8 @@ def _graph(spec) -> Graph:
     return graph
 
 
-def _measure(graph: Graph, runtime: MapReduceRuntime, delta: bool):
-    result = greedy_mr_b_matching(graph, runtime=runtime, delta=delta)
+def _measure(graph: Graph, runtime: MapReduceRuntime):
+    result = greedy_mr_b_matching(graph, runtime=runtime)
     return {
         "matching": [list(edge) for edge in result.matching.edges()],
         "value_history": result.value_history,
@@ -80,9 +80,9 @@ def test_star_is_order_sensitive():
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_emission_order_frozen_from_parent(case, runtime, delta):
-    """Both planes, every backend: exactly the parent's floats."""
-    measured = _measure(_graph(case), runtime, delta)
+def test_emission_order_frozen_from_parent(case, runtime):
+    """Every backend: exactly the parent's floats."""
+    measured = _measure(_graph(case), runtime)
     # JSON round-trips floats exactly (repr), so == is bit-identity.
     assert measured == case["expected"]
 
@@ -90,18 +90,12 @@ def test_emission_order_frozen_from_parent(case, runtime, delta):
 if __name__ == "__main__":
     cases = _load()
     for case in cases:
-        rows = [
-            _measure(
-                _graph(case),
-                MapReduceRuntime(
-                    num_map_tasks=4, num_reduce_tasks=4, counters=Counters()
-                ),
-                delta,
-            )
-            for delta in (False, True)
-        ]
-        assert rows[0] == rows[1], case["name"]
-        case["expected"] = rows[0]
+        case["expected"] = _measure(
+            _graph(case),
+            MapReduceRuntime(
+                num_map_tasks=4, num_reduce_tasks=4, counters=Counters()
+            ),
+        )
     with open(GOLDEN_PATH, "w") as handle:
         json.dump(cases, handle, indent=1, sort_keys=True)
         handle.write("\n")

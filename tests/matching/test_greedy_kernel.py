@@ -32,7 +32,6 @@ from repro.matching import greedy_mr, greedy_mr_b_matching
 from repro.matching.greedy_mr import (
     GreedyDeltaNode,
     GreedyDeltaRoundJob,
-    GreedyRoundJob,
     rank_neighbors,
 )
 from repro.service import (
@@ -64,13 +63,11 @@ def test_rank_is_the_global_edge_order_restricted_to_the_node(node, adj):
 
 def test_seeded_records_carry_the_rank_and_share_the_adjacency():
     adj = {"c": 1.0, "a": 1.0, "b": 3.0}
-    for record_class in (greedy_mr.GreedyNode, GreedyDeltaNode):
-        record = record_class.seeded(2, adj)
-        assert record.rank == ("b", "a", "c")
-        assert record.adj is adj and list(record.adj) == ["c", "a", "b"]
-        assert greedy_mr._proposals(record) == {"b", "a"}
-    assert GreedyDeltaNode.seeded(2, adj).inbox == {}
-    assert GreedyDeltaNode.seeded(2, adj).props is None
+    record = GreedyDeltaNode.seeded(2, adj)
+    assert record.rank == ("b", "a", "c")
+    assert record.adj is adj and list(record.adj) == ["c", "a", "b"]
+    assert greedy_mr._proposals(record) == {"b", "a"}
+    assert record.inbox == {} and record.props is None and record.flips == ()
 
 
 # -- counting: once per seeded record, never in the round loop ---------------
@@ -133,14 +130,12 @@ def kernel_counters(monkeypatch):
         # however it re-introduces them.
         monkeypatch.setattr(edges_module, name, counted)
         monkeypatch.setattr(greedy_mr, name, counted, raising=False)
-    for job_class, methods in (
-        (GreedyDeltaRoundJob, ("map_delta", "reduce_state")),
-        (GreedyRoundJob, ("map", "reduce")),
-    ):
-        for name in methods:
-            monkeypatch.setattr(
-                job_class, name, counters.kernel(getattr(job_class, name))
-            )
+    for name in ("map_delta", "reduce_state"):
+        monkeypatch.setattr(
+            GreedyDeltaRoundJob,
+            name,
+            counters.kernel(getattr(GreedyDeltaRoundJob, name)),
+        )
     return counters
 
 
@@ -166,13 +161,9 @@ def _seeded_record_count(graph: Graph) -> int:
     [_flickr_graph, lambda: ascending_path(40)],
     ids=["flickr-small", "ascending-path"],
 )
-def test_ranked_once_per_record_never_in_a_round(
-    kernel_counters, make_graph, delta
-):
+def test_ranked_once_per_record_never_in_a_round(kernel_counters, make_graph):
     graph = make_graph()
-    result = greedy_mr_b_matching(
-        graph, runtime=_serial_runtime(), delta=delta
-    )
+    result = greedy_mr_b_matching(graph, runtime=_serial_runtime())
     assert result.rounds > 1 and kernel_counters.depth == 0
     assert kernel_counters.ranked == _seeded_record_count(graph) > 0
     assert kernel_counters.ranked_in_kernel == 0

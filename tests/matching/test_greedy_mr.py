@@ -130,18 +130,17 @@ def test_default_round_cap_is_linear_not_quadratic():
     assert default_max_rounds(Graph()) == 1
 
 
-@pytest.mark.parametrize("delta", [False, True])
-def test_ascending_path_converges_within_default_cap(delta):
+def test_ascending_path_converges_within_default_cap():
     """The adversarial worst case fits the derived cap with room: the
     cascade is one match per round, which is exactly what the progress
     guarantee promises."""
     g = ascending_path(40)
-    result = greedy_mr_b_matching(g, delta=delta)
+    result = greedy_mr_b_matching(g)
     assert result.rounds <= default_max_rounds(g)
     assert result.value == pytest.approx(greedy_b_matching(g).value)
     # A cap below the true round count still trips the guard.
     with pytest.raises(RoundLimitExceeded):
-        greedy_mr_b_matching(g, max_rounds=result.rounds - 1, delta=delta)
+        greedy_mr_b_matching(g, max_rounds=result.rounds - 1)
 
 
 @given(graph=small_general_graphs())

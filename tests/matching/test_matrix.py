@@ -1,4 +1,4 @@
-"""Cross-backend matching test matrix (executors × filesystems × delta).
+"""Cross-backend matching test matrix (executors × filesystems).
 
 ``tests/mapreduce`` pins the runtime's equivalence contract on generic
 jobs; this module pins it *end to end* through the matching layer: for
@@ -7,14 +7,14 @@ every cell of the matrix —
 * execution backend (``runtime`` fixture, via ``REPRO_TEST_BACKENDS``),
 * storage backend / spill threshold (``REPRO_TEST_FS`` /
   ``REPRO_TEST_SPILL_THRESHOLD``),
-* iteration plane (``delta`` fixture: full-state vs resident-state),
 
 GreedyMR and StackMR must produce bit-identical matchings,
 ``value_history``, round counts, and job counts; and counter totals
 minus the spill counters (shuffle spill + state-store parking, the
-only threshold-dependent meters) must be bit-identical across cells
-sharing a delta mode.  The reference cell is always a fresh
-serial/in-memory, no-spill runtime on the full-state plane.
+only threshold-dependent meters) must be bit-identical too.  The
+reference cell is always a fresh serial/in-memory, no-spill runtime.
+``golden_convergence.json`` pins the same fields, plus the exact
+shuffle volume, against fixed inputs.
 
 The degenerate property tests at the bottom are the satellite of the
 shared hypothesis strategies: ``greedy_mr == greedy`` and the StackMR
@@ -48,14 +48,11 @@ from ..strategies import (
 )
 
 #: One marker per configured execution backend; combined with the env
-#: storage knobs and the delta axis this spans the full matrix.
+#: storage knobs this spans the full matrix.
 #: (Markers rather than fixtures inside ``@given`` tests: hypothesis
 #: forbids function-scoped fixtures there, and parametrized arguments
 #: are regenerated per test id anyway.)
 backend_matrix = pytest.mark.parametrize("backend", BACKENDS)
-delta_matrix = pytest.mark.parametrize(
-    "delta", [False, True], ids=["full-state", "delta"]
-)
 
 
 def _reference_runtime() -> MapReduceRuntime:
@@ -99,31 +96,25 @@ def _result_fingerprint(result):
 
 
 @backend_matrix
-@delta_matrix
 @given(graph=small_general_graphs())
-def test_greedy_mr_matrix_cell_matches_reference(graph, backend, delta):
+def test_greedy_mr_matrix_cell_matches_reference(graph, backend):
     """Matchings/history/rounds/jobs identical across every cell."""
     with _cell_runtime(backend) as runtime:
-        cell = greedy_mr_b_matching(graph, runtime=runtime, delta=delta)
-    reference = greedy_mr_b_matching(
-        graph, runtime=_reference_runtime(), delta=False
-    )
+        cell = greedy_mr_b_matching(graph, runtime=runtime)
+    reference = greedy_mr_b_matching(graph, runtime=_reference_runtime())
     assert _result_fingerprint(cell) == _result_fingerprint(reference)
 
 
 @backend_matrix
-@delta_matrix
 @given(
     graph=small_general_graphs(),
     seed=st.integers(min_value=0, max_value=2),
 )
-def test_stack_mr_matrix_cell_matches_reference(graph, seed, backend, delta):
+def test_stack_mr_matrix_cell_matches_reference(graph, seed, backend):
     with _cell_runtime(backend) as runtime:
-        cell = stack_mr_b_matching(
-            graph, seed=seed, runtime=runtime, delta=delta
-        )
+        cell = stack_mr_b_matching(graph, seed=seed, runtime=runtime)
     reference = stack_mr_b_matching(
-        graph, seed=seed, runtime=_reference_runtime(), delta=False
+        graph, seed=seed, runtime=_reference_runtime()
     )
     assert _result_fingerprint(cell) == _result_fingerprint(reference)
     assert cell.duals == reference.duals
@@ -132,23 +123,18 @@ def test_stack_mr_matrix_cell_matches_reference(graph, seed, backend, delta):
 
 
 @backend_matrix
-@delta_matrix
 @given(graph=small_general_graphs())
-def test_greedy_mr_counters_identical_within_delta_mode(
-    graph, backend, delta
-):
-    """Counters minus spill are a pure function of (input, delta mode).
+def test_greedy_mr_counters_identical_across_cells(graph, backend):
+    """Counters minus spill are a pure function of the input.
 
     The cell's runtime may spill its shuffle or park its state store
     (threshold-dependent); everything else it meters must equal a
-    serial in-memory run of the same plane exactly.
+    serial in-memory run exactly.
     """
     reference_runtime = _reference_runtime()
     with _cell_runtime(backend) as runtime:
-        greedy_mr_b_matching(graph, runtime=runtime, delta=delta)
-        greedy_mr_b_matching(
-            graph, runtime=reference_runtime, delta=delta
-        )
+        greedy_mr_b_matching(graph, runtime=runtime)
+        greedy_mr_b_matching(graph, runtime=reference_runtime)
         assert strip_volatile_counters(
             runtime.counters.snapshot()
         ) == strip_volatile_counters(
@@ -158,22 +144,15 @@ def test_greedy_mr_counters_identical_within_delta_mode(
 
 
 @backend_matrix
-@delta_matrix
 @given(
     graph=small_general_graphs(),
     seed=st.integers(min_value=0, max_value=1),
 )
-def test_stack_mr_counters_identical_within_delta_mode(
-    graph, seed, backend, delta
-):
+def test_stack_mr_counters_identical_across_cells(graph, seed, backend):
     reference_runtime = _reference_runtime()
     with _cell_runtime(backend) as runtime:
-        stack_mr_b_matching(
-            graph, seed=seed, runtime=runtime, delta=delta
-        )
-        stack_mr_b_matching(
-            graph, seed=seed, runtime=reference_runtime, delta=delta
-        )
+        stack_mr_b_matching(graph, seed=seed, runtime=runtime)
+        stack_mr_b_matching(graph, seed=seed, runtime=reference_runtime)
         assert strip_volatile_counters(
             runtime.counters.snapshot()
         ) == strip_volatile_counters(
@@ -183,10 +162,10 @@ def test_stack_mr_counters_identical_within_delta_mode(
 
 
 def test_delta_plane_meters_iteration_savings(runtime):
-    """The delta path reports resident/delta/quiescent records."""
+    """Frontier rounds report resident/delta/quiescent records."""
     from repro.graph import ascending_path
 
-    greedy_mr_b_matching(ascending_path(20), runtime=runtime, delta=True)
+    greedy_mr_b_matching(ascending_path(20), runtime=runtime)
     resident = runtime.counters.get(
         "runtime", "iteration.resident_records"
     )
@@ -201,52 +180,29 @@ def test_delta_plane_meters_iteration_savings(runtime):
     assert quiescent > resident // 2
 
 
-def test_delta_plane_shuffles_fewer_records(runtime):
-    """The point of the plane: strictly less shuffle, same answer."""
-    from repro.graph import ascending_path
-
-    graph = ascending_path(24)
-    full_runtime = _reference_runtime()
-    full = greedy_mr_b_matching(graph, runtime=full_runtime, delta=False)
-    lean = greedy_mr_b_matching(graph, runtime=runtime, delta=True)
-    assert set(full.matching) == set(lean.matching)
-    assert runtime.counters.get(
-        "runtime", "shuffle.records"
-    ) < full_runtime.counters.get("runtime", "shuffle.records")
-    assert runtime.counters.get(
-        "runtime", "shuffle.encoded_bytes"
-    ) < full_runtime.counters.get("runtime", "shuffle.encoded_bytes")
-
-
 # -- degenerate-case property tests (shared strategies satellite) -----------
 
 
-@delta_matrix
 @given(
     graph=st.one_of(
         degenerate_matching_graphs(), degenerate_bipartite_graphs()
     )
 )
-def test_greedy_mr_equals_greedy_on_degenerate_graphs(graph, delta):
-    parallel = greedy_mr_b_matching(graph, delta=delta)
+def test_greedy_mr_equals_greedy_on_degenerate_graphs(graph):
+    parallel = greedy_mr_b_matching(graph)
     sequential = greedy_b_matching(graph)
     assert set(parallel.matching) == set(sequential.matching)
     assert parallel.value == pytest.approx(sequential.value)
 
 
-@delta_matrix
 @given(
     graph=degenerate_matching_graphs(),
     epsilon=st.sampled_from([0.5, 1.0]),
     seed=st.integers(min_value=0, max_value=1),
 )
-def test_stack_mr_violation_bound_on_degenerate_graphs(
-    graph, epsilon, seed, delta
-):
+def test_stack_mr_violation_bound_on_degenerate_graphs(graph, epsilon, seed):
     """Theorem 1's (1+ε) guarantee survives b=0 nodes and weight ties."""
-    result = stack_mr_b_matching(
-        graph, epsilon=epsilon, seed=seed, delta=delta
-    )
+    result = stack_mr_b_matching(graph, epsilon=epsilon, seed=seed)
     capacities = graph.capacities()
     for node in capacities:
         degree = result.matching.degree(node)

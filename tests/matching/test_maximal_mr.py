@@ -18,7 +18,7 @@ from repro.matching import (
 from ..strategies import small_general_graphs
 
 
-def _run(graph, seed=0, strategy="uniform", maps=4, reduces=4, delta=False):
+def _run(graph, seed=0, strategy="uniform", maps=4, reduces=4):
     runtime = MapReduceRuntime(
         num_map_tasks=maps, num_reduce_tasks=reduces
     )
@@ -26,7 +26,7 @@ def _run(graph, seed=0, strategy="uniform", maps=4, reduces=4, delta=False):
         graph.adjacency_copy(), graph.capacities()
     )
     matched, rounds = mr_maximal_b_matching(
-        records, runtime, seed=seed, strategy=strategy, delta=delta
+        records, runtime, seed=seed, strategy=strategy
     )
     return matched, rounds, runtime
 
@@ -83,25 +83,6 @@ def test_round_offset_changes_random_stream():
     assert m1 != m2 or len(m1) <= 1
 
 
-@given(
-    graph=small_general_graphs(),
-    strategy=st.sampled_from(MARKING_STRATEGIES),
-    seed=st.integers(min_value=0, max_value=3),
-)
-def test_delta_plane_matches_full_state(graph, strategy, seed):
-    """Resident-scan stages = classic stages: same edges, rounds, jobs."""
-    full, full_rounds, full_runtime = _run(
-        graph, seed=seed, strategy=strategy, delta=False
-    )
-    lean, lean_rounds, lean_runtime = _run(
-        graph, seed=seed, strategy=strategy, delta=True
-    )
-    assert full == lean
-    assert full_rounds == lean_rounds
-    assert full_runtime.jobs_executed == lean_runtime.jobs_executed
-    assert full_runtime.job_log == lean_runtime.job_log
-
-
 def test_four_jobs_per_round():
     g = random_graph(10, 0.5, rng=random.Random(3))
     matched, rounds, runtime = _run(g)
@@ -128,4 +109,12 @@ def test_empty_records_no_jobs(runtime):
     matched, rounds = mr_maximal_b_matching([], runtime)
     assert matched == {}
     assert rounds == 0
+    assert runtime.jobs_executed == 0
+
+
+def test_unknown_strategy_rejected_without_live_edges():
+    """The name is checked on entry, not when the first mark is drawn."""
+    runtime = MapReduceRuntime()
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        mr_maximal_b_matching([], runtime, strategy="bogus")
     assert runtime.jobs_executed == 0

@@ -136,6 +136,23 @@ def test_strategies_run_and_label_results():
     )
 
 
+def test_weighted_strategy_labels_result():
+    g = star_graph(6, center_capacity=2)
+    assert (
+        stack_b_matching(g, strategy="weighted").algorithm
+        == "StackWeighted"
+    )
+
+
+@pytest.mark.parametrize("feasible", [False, True])
+def test_unknown_strategy_rejected_without_live_edges(feasible):
+    """The name is checked on entry, not when the first mark is drawn."""
+    from repro.graph import Graph
+
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        stack_b_matching(Graph(), strategy="bogus", feasible=feasible)
+
+
 def test_zero_capacity_nodes_ignored():
     from repro.graph import Graph
 

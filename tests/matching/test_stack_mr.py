@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from repro.graph import check_matching, star_graph
 from repro.mapreduce import MapReduceRuntime
 from repro.matching import (
+    MARKING_STRATEGIES,
     bruteforce_b_matching,
+    stack_b_matching,
     stack_mr_b_matching,
 )
 
@@ -91,6 +93,33 @@ def test_algorithm_names_by_strategy():
         stack_mr_b_matching(g, strategy="weighted").algorithm
         == "StackWeightedMR"
     )
+
+
+def test_names_are_the_centralized_names_plus_mr():
+    """One strategy -> name table serves both stack modules."""
+    g = star_graph(5, center_capacity=2)
+    for strategy in MARKING_STRATEGIES:
+        centralized = stack_b_matching(g, strategy=strategy).algorithm
+        assert (
+            stack_mr_b_matching(g, strategy=strategy).algorithm
+            == centralized + "MR"
+        )
+
+
+def test_unknown_strategy_rejected_without_live_edges():
+    """A graph with no live edge never draws a mark, yet a bad strategy
+    name still fails on entry — before any job runs."""
+    from repro.graph import Graph
+
+    g = Graph()
+    g.add_node("a", 0)
+    g.add_node("b", 1)
+    g.add_edge("a", "b", 1.0)
+    runtime = MapReduceRuntime()
+    for graph in (Graph(), g):
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            stack_mr_b_matching(graph, strategy="bogus", runtime=runtime)
+    assert runtime.jobs_executed == 0
 
 
 def test_job_accounting(runtime):

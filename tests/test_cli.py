@@ -166,62 +166,17 @@ def test_match_accepts_storage_options(corpus_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "value=" in out
     assert "shuffle spilled" in out
-    # On the delta plane (the default) --fs backs the resident state
-    # store, so no "little effect" note is printed...
-    assert "little effect" not in out
     assert os.path.getsize(matching_path) > 0
 
 
-def test_match_no_delta_notes_fs_is_mostly_unused(corpus_dir, tmp_path, capsys):
-    # ...whereas the full-state plane streams round state driver-side,
-    # and the CLI says so instead of pretending the dfs matters.
-    code = main(
-        [
-            "match",
-            corpus_dir,
-            "--sigma",
-            "2.0",
-            "--algorithm",
-            "greedy_mr",
-            "--no-delta",
-            "--fs",
-            "disk",
-            "--out",
-            str(tmp_path / "matching-full.tsv"),
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "little effect" in out
-
-
-def test_match_delta_modes_agree(corpus_dir, tmp_path, capsys):
-    """--delta and --no-delta write byte-identical matchings."""
-    paths = {}
+def test_match_rejects_removed_plane_flags(corpus_dir, capsys):
+    """There is one iteration plane: ``--delta`` / ``--no-delta`` are
+    argparse usage errors, not silently accepted no-ops."""
     for flag in ("--delta", "--no-delta"):
-        paths[flag] = str(tmp_path / f"matching{flag}.tsv")
-        assert (
-            main(
-                [
-                    "match",
-                    corpus_dir,
-                    "--sigma",
-                    "2.0",
-                    "--algorithm",
-                    "stack_mr",
-                    flag,
-                    "--out",
-                    paths[flag],
-                ]
-            )
-            == 0
-        )
-    capsys.readouterr()
-    with open(paths["--delta"], "rb") as handle:
-        delta_bytes = handle.read()
-    with open(paths["--no-delta"], "rb") as handle:
-        full_bytes = handle.read()
-    assert delta_bytes == full_bytes and delta_bytes
+        with pytest.raises(SystemExit) as exc:
+            main(["match", corpus_dir, "--sigma", "2.0", flag])
+        assert exc.value.code == 2, flag
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_join_profile_reports_phase_timings(corpus_dir, tmp_path, capsys):
@@ -351,6 +306,42 @@ def test_out_of_range_parameters_are_usage_errors(
     err = capsys.readouterr().err
     assert f"argument {argv[-2]}: must be > 0" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, option, message",
+    [
+        (["serve", "{corpus}", "--batch-size", "0"], "--batch-size",
+         "must be > 0"),
+        (["serve", "{corpus}", "--max-delay-ms", "-1"], "--max-delay-ms",
+         "must be >= 0"),
+        (["serve", "{corpus}", "--events", "-3"], "--events",
+         "must be >= 0"),
+        (["chaos", "--events", "0"], "--events", "must be > 0"),
+        (["chaos", "--seeds", ""], "--seeds", "invalid int value: ''"),
+        (["chaos", "--seeds", "a"], "--seeds", "invalid int value: 'a'"),
+    ],
+    ids=[
+        "serve-batch-size-0",
+        "serve-max-delay-ms-negative",
+        "serve-events-negative",
+        "chaos-events-0",
+        "chaos-seeds-empty",
+        "chaos-seeds-not-int",
+    ],
+)
+def test_serve_and_chaos_reject_bad_values(
+    corpus_dir, capsys, argv, option, message
+):
+    """Each value exits 2 at argparse: no traceback, no silent run over
+    zero events, and no chaos run that passes over zero seeds."""
+    argv = [arg.format(corpus=corpus_dir) for arg in argv]
+    if argv[0] == "serve":
+        argv[2:2] = ["--sigma", "2.0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm", ["greedy_mr", "stack_mr"])
