@@ -46,6 +46,7 @@ import time
 from typing import Any, List, Optional
 
 from .datasets import load_dataset
+from .datasets.base import Dataset
 from .datasets.registry import DATASETS
 from .graph import BipartiteGraph, write_capacities, write_edges
 from .mapreduce import (
@@ -166,33 +167,52 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_corpus(directory: str):
-    items = read_vectors(os.path.join(directory, "items.tsv"))
-    consumers = read_vectors(os.path.join(directory, "consumers.tsv"))
+def _corpus_dataset(directory: str) -> Dataset:
+    """The :class:`Dataset` a ``generate`` run wrote to ``directory``."""
     with open(
         os.path.join(directory, "meta.json"), "r", encoding="utf-8"
     ) as handle:
         meta = json.load(handle)
-    return items, consumers, meta
+    return Dataset(
+        name=meta["name"],
+        items=read_vectors(os.path.join(directory, "items.tsv")),
+        consumers=read_vectors(os.path.join(directory, "consumers.tsv")),
+        consumer_activity=read_scalars(
+            os.path.join(directory, "activity.tsv")
+        ),
+        item_quality=read_scalars(os.path.join(directory, "quality.tsv")),
+        capacity_scheme=meta["capacity_scheme"],
+    )
+
+
+def _make_runtime(args: argparse.Namespace, **overrides) -> MapReduceRuntime:
+    """The simulated cluster the shared cluster options describe;
+    ``overrides`` replace or extend its constructor arguments."""
+    options = dict(
+        backend=args.backend,
+        max_workers=args.workers,
+        storage=args.fs,
+        spill_threshold=args.spill_threshold,
+        retry_policy=_make_retry_policy(args),
+    )
+    options.update(overrides)
+    return MapReduceRuntime(**options)
 
 
 def _cmd_join(args: argparse.Namespace) -> int:
-    items, consumers, _ = _load_corpus(args.corpus)
+    dataset = _corpus_dataset(args.corpus)
     runtime = None
     tracer = None
     if args.method == "mapreduce":
         tracer = _make_tracer(args)
-        runtime = MapReduceRuntime(
-            backend=args.backend,
-            max_workers=args.workers,
-            storage=args.fs,
-            spill_threshold=args.spill_threshold,
-            tracer=tracer,
-            retry_policy=_make_retry_policy(args),
-        )
+        runtime = _make_runtime(args, tracer=tracer)
     start = time.perf_counter()
     edges = candidate_edges(
-        items, consumers, args.sigma, method=args.method, runtime=runtime
+        dataset.items,
+        dataset.consumers,
+        args.sigma,
+        method=args.method,
+        runtime=runtime,
     )
     elapsed = time.perf_counter() - start
     out = args.out or os.path.join(args.corpus, "edges.tsv")
@@ -216,21 +236,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    from .datasets.base import Dataset
-
-    items, consumers, meta = _load_corpus(args.corpus)
-    dataset = Dataset(
-        name=meta["name"],
-        items=items,
-        consumers=consumers,
-        consumer_activity=read_scalars(
-            os.path.join(args.corpus, "activity.tsv")
-        ),
-        item_quality=read_scalars(
-            os.path.join(args.corpus, "quality.tsv")
-        ),
-        capacity_scheme=meta["capacity_scheme"],
-    )
+    dataset = _corpus_dataset(args.corpus)
     graph = dataset.graph(sigma=args.sigma, alpha=args.alpha)
     kwargs = {}
     if args.algorithm.startswith("stack"):
@@ -245,14 +251,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         # out-of-core between rounds once --spill-threshold is
         # exceeded; --spill-threshold also bounds every round's shuffle.
         tracer = _make_tracer(args)
-        runtime = MapReduceRuntime(
-            backend=args.backend,
-            max_workers=args.workers,
-            storage=args.fs,
-            spill_threshold=args.spill_threshold,
-            tracer=tracer,
-            retry_policy=_make_retry_policy(args),
-        )
+        runtime = _make_runtime(args, tracer=tracer)
         kwargs["runtime"] = runtime
     start = time.perf_counter()
     result = solve(graph, args.algorithm, **kwargs)
@@ -290,33 +289,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     import asyncio
 
-    from .datasets.base import Dataset
     from .service import MatchingService, OnlineMatcher, synthetic_events
 
-    items, consumers, meta = _load_corpus(args.corpus)
-    dataset = Dataset(
-        name=meta["name"],
-        items=items,
-        consumers=consumers,
-        consumer_activity=read_scalars(
-            os.path.join(args.corpus, "activity.tsv")
-        ),
-        item_quality=read_scalars(
-            os.path.join(args.corpus, "quality.tsv")
-        ),
-        capacity_scheme=meta["capacity_scheme"],
-    )
+    dataset = _corpus_dataset(args.corpus)
     graph = dataset.graph(sigma=args.sigma, alpha=args.alpha)
     events, _ = synthetic_events(graph, args.events, seed=args.seed)
     tracer = _make_tracer(args)
-    runtime = MapReduceRuntime(
-        backend=args.backend,
-        max_workers=args.workers,
-        storage=args.fs,
-        spill_threshold=args.spill_threshold,
-        tracer=tracer,
-        retry_policy=_make_retry_policy(args),
-    )
+    runtime = _make_runtime(args, tracer=tracer)
     matcher = OnlineMatcher(runtime=runtime, graph=graph)
     service = MatchingService(
         matcher,
@@ -430,15 +409,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 graph.add_edge(u, v, round(rng.uniform(0.1, 5.0), 3))
         return graph
 
-    def make_runtime(**kwargs) -> MapReduceRuntime:
-        return MapReduceRuntime(
-            backend=args.backend,
-            max_workers=args.workers,
-            storage=args.fs,
-            spill_threshold=args.spill_threshold,
-            **kwargs,
-        )
-
     def exercise_storage(runtime: MapReduceRuntime) -> List:
         """A read/write burst through the (possibly faulty) filesystem."""
         outputs = []
@@ -455,7 +425,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         max_attempts=args.max_task_attempts or 3,
         task_timeout=args.task_timeout,
     )
-    baseline_rt = make_runtime()
+    baseline_rt = _make_runtime(args, retry_policy=None)
     baseline_data = exercise_storage(baseline_rt)
     baseline = solve(graph, "greedy_mr", runtime=baseline_rt)
     baseline_counters = strip_volatile_counters(
@@ -472,7 +442,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             worker_kill_rate=args.worker_kill_rate,
             frame_drop_rate=args.frame_drop_rate,
         ) as plan:
-            runtime = make_runtime(retry_policy=policy, fault_plan=plan)
+            runtime = _make_runtime(
+                args, retry_policy=policy, fault_plan=plan
+            )
             data = exercise_storage(runtime)
             result = solve(graph, "greedy_mr", runtime=runtime)
             faults = runtime.counters.group("faults")
@@ -512,7 +484,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             flush_rate=args.flush_rate,
             poison_rate=args.poison_rate,
         ) as plan:
-            runtime = make_runtime(retry_policy=policy, fault_plan=plan)
+            runtime = _make_runtime(
+                args, retry_policy=policy, fault_plan=plan
+            )
             matcher = OnlineMatcher(runtime=runtime, graph=graph)
             for start in range(0, len(events), 8):
                 matcher.flush(list(events[start : start + 8]))
@@ -599,9 +573,18 @@ def _positive(value: Any) -> Any:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for --workers, --batch-size and chaos --events:
-    an integer > 0."""
+    """argparse type for --workers, --batch-size, --max-task-attempts
+    and chaos --events/--nodes: an integer > 0."""
     return _positive(_number(text, int))
+
+
+def _probability(text: str) -> float:
+    """argparse type for the chaos --*-rate flags: a float in [0, 1].
+    ``nan`` fails too: every comparison with it is false."""
+    value = _number(text, float)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
 
 
 def _seed_list(text: str) -> List[int]:
@@ -614,7 +597,8 @@ def _seed_list(text: str) -> List[int]:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for --sigma, --alpha, --epsilon and --scale."""
+    """argparse type for --sigma, --alpha, --epsilon, --scale and
+    --task-timeout."""
     return _positive(_number(text, float))
 
 
@@ -673,7 +657,7 @@ def _add_cluster_options(
     )
     parser.add_argument(
         "--max-task-attempts",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="retry failed task attempts, storage operations, and "
@@ -683,7 +667,7 @@ def _add_cluster_options(
     )
     parser.add_argument(
         "--task-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help="straggler mitigation on parallel backends: tasks still "
@@ -827,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--nodes",
-        type=int,
+        type=_positive_int,
         default=12,
         help="graph size: N items + N consumers (default 12)",
     )
@@ -837,14 +821,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=24,
         help="synthetic live events for the service smoke (default 24)",
     )
-    chaos.add_argument("--crash-rate", type=float, default=0.3)
-    chaos.add_argument("--delay-rate", type=float, default=0.15)
-    chaos.add_argument("--io-rate", type=float, default=0.2)
-    chaos.add_argument("--flush-rate", type=float, default=0.5)
-    chaos.add_argument("--poison-rate", type=float, default=0.1)
+    chaos.add_argument("--crash-rate", type=_probability, default=0.3)
+    chaos.add_argument("--delay-rate", type=_probability, default=0.15)
+    chaos.add_argument("--io-rate", type=_probability, default=0.2)
+    chaos.add_argument("--flush-rate", type=_probability, default=0.5)
+    chaos.add_argument("--poison-rate", type=_probability, default=0.1)
     chaos.add_argument(
         "--worker-kill-rate",
-        type=float,
+        type=_probability,
         default=0.0,
         help="cluster-backend fault kind: probability a task's first "
         "attempt hard-kills its worker daemon mid-execution "
@@ -852,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--frame-drop-rate",
-        type=float,
+        type=_probability,
         default=0.0,
         help="cluster-backend fault kind: probability a task's reply "
         "frame is dropped on the wire after the work completed "

@@ -157,11 +157,12 @@ class RetryPolicy:
             raise JobValidationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff < 0:
+        # ``not x >= 0`` rather than ``x < 0``: NaN fails it too.
+        if not self.backoff >= 0:
             raise JobValidationError(
                 f"backoff must be >= 0, got {self.backoff}"
             )
-        if self.task_timeout is not None and self.task_timeout <= 0:
+        if self.task_timeout is not None and not self.task_timeout > 0:
             raise JobValidationError(
                 f"task_timeout must be > 0, got {self.task_timeout}"
             )
@@ -176,7 +177,10 @@ class RetryPolicy:
 
         Injected faults and OS-level errors qualify; deterministic job
         bugs (validation errors, event rejections) do not — retrying a
-        deterministic failure is wasted work that hides the bug.
+        deterministic failure is wasted work that hides the bug.  The
+        one definition every retry loop asks: task attempts
+        (:func:`resilient_task_call`), storage operations
+        (:class:`RetryingFileSystem`) and service flushes.
         """
         return isinstance(exc, (InjectedFault, OSError))
 
@@ -540,9 +544,10 @@ def resilient_task_call(
     trailing counters under :data:`FAULT_COUNTER_GROUP`, which the
     bit-identical comparisons strip.
 
-    Retries cover injected faults only: a deterministic job bug (a
-    validation error, say) fails fast on its first attempt exactly as
-    it does without a fault plan.
+    Retries cover transient failures only (:meth:`RetryPolicy.
+    retryable`: injected faults and ``OSError``): a deterministic job
+    bug (a validation error, say) fails fast on its first attempt
+    exactly as it does without a retry policy.
     """
     attempt = 0
     while True:
@@ -551,9 +556,9 @@ def resilient_task_call(
             if spec is not None:
                 _fire(spec)
             result = fn(*args)
-        except InjectedFault:
+        except Exception as exc:
             attempt += 1
-            if attempt >= max_attempts:
+            if not RetryPolicy.retryable(exc) or attempt >= max_attempts:
                 raise
             if backoff:
                 time.sleep(backoff * attempt)
@@ -677,8 +682,8 @@ class RetryingFileSystem(_DelegatingFileSystem):
 
     The driver-side half of storage recovery: wraps the (possibly
     faulty) filesystem so state parking, point reads, and pipeline
-    stage writes transparently survive transient errors.  Retries
-    :class:`InjectedFault` and :class:`OSError` only — contract
+    stage writes transparently survive transient errors.  Retries only
+    what :meth:`RetryPolicy.retryable` calls transient — contract
     violations (:class:`~repro.mapreduce.storage.FileSystemError`,
     e.g. an overwrite without ``overwrite=True``) are deterministic
     and fail fast.
@@ -694,14 +699,17 @@ class RetryingFileSystem(_DelegatingFileSystem):
         self.policy = policy
         self.counters = counters
 
-    def _with_retries(self, fn: Callable[[], Any], what: str) -> Any:
+    def _with_retries(self, fn: Callable[[], Any]) -> Any:
         attempt = 0
         while True:
             try:
                 return fn()
-            except (InjectedFault, OSError):
+            except Exception as exc:
                 attempt += 1
-                if attempt >= self.policy.max_attempts:
+                if (
+                    not self.policy.retryable(exc)
+                    or attempt >= self.policy.max_attempts
+                ):
                     raise
                 if self.counters is not None:
                     self.counters.increment(
@@ -721,11 +729,8 @@ class RetryingFileSystem(_DelegatingFileSystem):
         # even when the caller streams them.
         rows = records if isinstance(records, list) else list(records)
         return self._with_retries(
-            lambda: self.inner.write(path, rows, overwrite=overwrite),
-            f"write {path!r}",
+            lambda: self.inner.write(path, rows, overwrite=overwrite)
         )
 
     def read(self, path: str) -> List[KeyValue]:
-        return self._with_retries(
-            lambda: self.inner.read(path), f"read {path!r}"
-        )
+        return self._with_retries(lambda: self.inner.read(path))

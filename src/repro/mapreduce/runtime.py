@@ -35,7 +35,17 @@ last a real localhost worker fleet over TCP, see
 * A **reduce task** is one unit of work per partition: it sorts its
   partition by the canonical key order (unless the external shuffle
   already merge-sorted it), groups, applies ``job.reduce`` to each
-  group, and meters into a task-local :class:`Counters`.
+  group, and meters into a task-local :class:`Counters`.  On the
+  stateful plane (:meth:`MapReduceRuntime.run_stateful`) the same task
+  also receives its partition of the resident state store, joins the
+  groups against it by cached key bytes, calls ``job.reduce_state``
+  instead, and reports the changed records — a plain job is the case
+  with no state partition.
+
+Plain and stateful jobs run through one job skeleton (configure,
+split, map, shuffle, reduce, counter merge, job accounting); they
+differ only in the records the map reads, the map method it calls, and
+the state partition each reduce task joins against.
 
 The encoded shuffle plane
 -------------------------
@@ -124,7 +134,7 @@ from __future__ import annotations
 
 import pickle
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from operator import itemgetter
 from typing import (
     Any,
@@ -182,23 +192,6 @@ class _Run(list):
     """
 
     __slots__ = ()
-
-
-def _custom_partition_bytes(partitioner: Any):
-    """The byte-level entry point of a custom partitioner, or ``None``.
-
-    Only honored when the partitioner's own class *defines*
-    ``partition_bytes`` — merely inheriting :class:`HashPartitioner`'s
-    must not bypass an overridden ``__call__``.  Shared by the shuffle
-    and the resident state store so both route identically.
-    """
-    if any(
-        "partition_bytes" in cls.__dict__
-        for cls in type(partitioner).__mro__
-        if cls is not HashPartitioner
-    ):
-        return partitioner.partition_bytes
-    return None
 
 
 class MapReduceRuntime:
@@ -383,12 +376,21 @@ class MapReduceRuntime:
             return nullcontext()
         return self.tracer.span(name, kind=kind, **attrs)
 
+    @contextmanager
+    def _phase(self, phase: str, **attrs: Any) -> Iterator[None]:
+        """One job phase: a ``phase:`` span, metered by
+        :meth:`_meter_phase` when it completes."""
+        started = time.perf_counter()
+        with self._span(f"phase:{phase}", kind="phase", **attrs):
+            yield
+        self._meter_phase(phase, time.perf_counter() - started)
+
     def _run_tasks(
         self,
         fn: Callable,
         tasks: List[Tuple],
         label: str,
-        job: Optional[MapReduceJob] = None,
+        job: MapReduceJob,
     ) -> List[Any]:
         """Dispatch task units, recording per-task spans when tracing.
 
@@ -412,13 +414,17 @@ class MapReduceRuntime:
         plan = self.fault_plan
         max_attempts = policy.max_attempts if policy is not None else 1
         backoff = policy.backoff if policy is not None else 0.0
-        if plan is not None and plan.has_task_faults:
-            job_name = job.name if job is not None else label
+        faulty = plan is not None and plan.has_task_faults
+        if faulty or max_attempts > 1:
+            # Without scheduled faults, real transient errors (OSError
+            # from a flaky disk, say) still get the retry budget.
             wrapped: List[Tuple] = []
             for index, task in enumerate(tasks):
-                specs = plan.task_faults(
-                    job_name, label, index, max_attempts
-                )
+                specs: Tuple = ()
+                if faulty:
+                    specs = plan.task_faults(
+                        job.name, label, index, max_attempts
+                    )
                 for spec in fired_specs(specs):
                     self.counters.increment(
                         FAULT_COUNTER_GROUP, f"injected_{spec.kind}"
@@ -430,14 +436,6 @@ class MapReduceRuntime:
                     (max_attempts, backoff, specs, fn) + tuple(task)
                 )
             fn, tasks = resilient_task_call, wrapped
-        elif max_attempts > 1:
-            # No scheduled faults, but real transient errors (OSError
-            # from a flaky disk, say) still get the retry budget.
-            tasks = [
-                (max_attempts, backoff, (), fn) + tuple(task)
-                for task in tasks
-            ]
-            fn = resilient_task_call
         executor = self.executor
         respawns_before = getattr(executor, "pool_respawns", 0)
         resubmits_before = getattr(executor, "resubmitted_tasks", 0)
@@ -540,44 +538,12 @@ class MapReduceRuntime:
         streams this straight into ``filesystem.write``, so a stage's
         output never exists twice driver-side.
         """
-        job.configure(side_data)
-        splits = self._split_input(records)
-        spiller = self._make_spiller()
-        with self._span(f"job:{job.name}", kind="job"):
-            try:
-                partitions = self._map_and_shuffle(job, splits, spiller)
-                started = time.perf_counter()
-                with self._span(
-                    "phase:reduce", kind="phase", tasks=len(partitions)
-                ):
-                    # The external shuffle hands each partition over
-                    # already merge-sorted, so the reduce tasks skip
-                    # their sort.
-                    results = self._run_tasks(
-                        _execute_reduce_task,
-                        [
-                            (job, partition, spiller is not None)
-                            for partition in partitions
-                        ],
-                        label="reduce",
-                        job=job,
-                    )
-                self._meter_phase(
-                    "reduce", time.perf_counter() - started
-                )
-            finally:
-                self._close_spiller(spiller)
-            reduce_hist = self.metrics.histogram(
-                "runtime", "task.reduce_output_records", COUNT_BUCKETS
-            )
-            for task_output, task_counters in results:
-                self.counters.merge(task_counters)
-                reduce_hist.observe(len(task_output))
-            self._finish_job(job)
+        with self._job(job, records, side_data) as results:
+            pass
 
         def stream() -> Iterator[KeyValue]:
             for index in range(len(results)):
-                task_output, _ = results[index]
+                task_output = results[index][0]
                 results[index] = None  # release as consumed
                 yield from task_output
 
@@ -605,20 +571,32 @@ class MapReduceRuntime:
             router=self._partition_router(),
         )
 
-    def _partition_router(self):
-        """A ``(key_bytes, key, n) -> index`` mirror of the shuffle's
-        routing, or ``None`` for the fully inlined default."""
-        if type(self.partitioner) is HashPartitioner:
-            return None
-        partition_bytes = _custom_partition_bytes(self.partitioner)
-        if partition_bytes is not None:
-            return lambda key_bytes, key, n: partition_bytes(
-                key_bytes, n
-            )
+    def _partition_router(
+        self,
+    ) -> Optional[Callable[[bytes, Any, int], int]]:
+        """The one routing decision of the shuffle and the state store.
+
+        ``None`` for the default :class:`HashPartitioner`, whose hash
+        both callers inline.  Otherwise a validating ``(key_bytes, key,
+        n) -> index`` callable: a partitioner whose own class *defines*
+        ``partition_bytes`` is fed the cached key bytes (merely
+        inheriting :class:`HashPartitioner`'s must not bypass an
+        overridden ``__call__``); any other receives the key itself.
+        """
         partitioner = self.partitioner
+        if type(partitioner) is HashPartitioner:
+            return None
+        by_bytes = any(
+            "partition_bytes" in cls.__dict__
+            for cls in type(partitioner).__mro__
+            if cls is not HashPartitioner
+        )
 
         def route(key_bytes: bytes, key: Any, n: int) -> int:
-            index = partitioner(key, n)
+            if by_bytes:
+                index = partitioner.partition_bytes(key_bytes, n)
+            else:
+                index = partitioner(key, n)
             if not 0 <= index < n:
                 raise JobValidationError(
                     f"partitioner returned {index} for {n} partitions"
@@ -673,77 +651,19 @@ class MapReduceRuntime:
                 f"but the runtime runs {self.num_reduce_tasks} reduce "
                 "tasks; create stores via MapReduceRuntime.state_store"
             )
-        job.configure(side_data)
-        records: Iterable[KeyValue]
         records = store.records() if scan else (deltas or [])
-        splits = self._split_input(records)
         resident_before = len(store)
-        spiller = self._make_spiller()
-        with self._span(
-            f"job:{job.name}",
-            kind="job",
-            mode="scan" if scan else "frontier",
-        ):
-            try:
-                partitions = self._map_and_shuffle(
-                    job, splits, spiller, scan=scan
-                )
-                started = time.perf_counter()
-                # Frontier rounds touch only the partitions that
-                # received messages: a message-less partition has no
-                # groups to visit, so its state partition is never
-                # loaded (a parked one stays parked on disk) and no
-                # task is dispatched.  Scan rounds dispatch every
-                # partition; on the spill path the spiller's routing
-                # counts stand in for the lazy partition streams,
-                # which cannot be emptiness-tested.  Which partitions
-                # carry messages is decided by the deterministic
-                # partitioner, so the skip is identical across
-                # backends, filesystems, and spill thresholds.
-                def has_messages(index: int) -> bool:
-                    if spiller is not None:
-                        return spiller.partition_records[index] > 0
-                    return bool(partitions[index])
-
-                tasks = [
-                    (
-                        job,
-                        partitions[index],
-                        store.partition(index),
-                        spiller is not None,
-                        scan,
-                    )
-                    for index in range(self.num_reduce_tasks)
-                    if scan or has_messages(index)
-                ]
-                with self._span(
-                    "phase:reduce", kind="phase", tasks=len(tasks)
-                ):
-                    results = self._run_tasks(
-                        _execute_stateful_reduce_task,
-                        tasks,
-                        label="reduce",
-                        job=job,
-                    )
-                self._meter_phase(
-                    "reduce", time.perf_counter() - started
-                )
-            finally:
-                self._close_spiller(spiller)
+        with self._job(
+            job, records, side_data, store=store, scan=scan
+        ) as results:
             output: List[KeyValue] = []
             updates: List[Tuple[bytes, Any, Any]] = []
-            reduce_hist = self.metrics.histogram(
-                "runtime", "task.reduce_output_records", COUNT_BUCKETS
-            )
-            for task_output, task_updates, task_counters in results:
-                self.counters.merge(task_counters)
-                reduce_hist.observe(len(task_output))
+            for task_output, task_updates, _ in results:
                 output.extend(task_output)
                 updates.extend(task_updates)
             next_deltas, changed = self._apply_updates(store, updates)
             store.maybe_park()
-            group = job.name
-            for target in (group, "runtime"):
+            for target in (job.name, "runtime"):
                 self.counters.increment(
                     target, "iteration.resident_records", resident_before
                 )
@@ -755,52 +675,96 @@ class MapReduceRuntime:
                     "iteration.quiescent_records",
                     max(0, resident_before - changed),
                 )
-            self._finish_job(job)
         return output, next_deltas
 
-    # -- shared job scaffolding --------------------------------------------
-    #
-    # run() and run_stateful() share the front half (timed map +
-    # shuffle through an optional external spiller) and the tail
-    # (job accounting); keeping them here keeps the two paths'
-    # metering identical by construction.
+    # -- the job skeleton ----------------------------------------------------
 
-    def _make_spiller(self) -> Optional[ExternalShuffle]:
-        if self.spill_threshold is None:
-            return None
-        return ExternalShuffle(
-            self.num_reduce_tasks,
-            self.spill_threshold,
-            spill_dir=self.spill_dir,
-        )
-
-    def _close_spiller(self, spiller: Optional[ExternalShuffle]) -> None:
-        if spiller is not None:
-            self._meter_phase("spill", spiller.spill_seconds)
-            spiller.close()
-
-    def _map_and_shuffle(
+    @contextmanager
+    def _job(
         self,
         job: MapReduceJob,
-        splits: List[List[KeyValue]],
-        spiller: Optional[ExternalShuffle],
-        scan: Optional[bool] = None,
-    ) -> List[Any]:
-        """The timed map phase followed by the timed shuffle."""
-        started = time.perf_counter()
-        with self._span("phase:map", kind="phase", tasks=len(splits)):
-            intermediate = self._run_map_phase(job, splits, scan=scan)
-        self._meter_phase("map", time.perf_counter() - started)
-        started = time.perf_counter()
-        with self._span("phase:shuffle", kind="phase"):
-            partitions = self._shuffle(job, intermediate, spiller)
-        self._meter_phase("shuffle", time.perf_counter() - started)
-        return partitions
+        records: Iterable[KeyValue],
+        side_data: Optional[Mapping[str, Any]],
+        store: Optional[ResidentStateStore] = None,
+        scan: bool = False,
+    ) -> Iterator[List[Tuple[List[KeyValue], List[Any], Counters]]]:
+        """The one path every job takes: run map, shuffle and reduce,
+        then yield the reduce tasks' ``(outputs, updates, counters)``
+        in task-index order, counters already merged.
 
-    def _finish_job(self, job: MapReduceJob) -> None:
-        self.jobs_executed += 1
-        self.job_log.append(job.name)
-        self.counters.increment("runtime", "jobs")
+        ``store=None`` is a plain job; with a store it is a stateful
+        round, ``scan`` choosing ``map_resident`` over ``map_delta``.
+        The caller's block runs inside the ``job:`` span, before the
+        job is logged.
+        """
+        job.configure(side_data)
+        splits = self._split_input(records)
+        spiller = None
+        if self.spill_threshold is not None:
+            spiller = ExternalShuffle(
+                self.num_reduce_tasks,
+                self.spill_threshold,
+                spill_dir=self.spill_dir,
+            )
+        if store is None:
+            method, attrs = "map", {}
+        elif scan:
+            method, attrs = "map_resident", {"mode": "scan"}
+        else:
+            method, attrs = "map_delta", {"mode": "frontier"}
+        with self._span(f"job:{job.name}", kind="job", **attrs):
+            try:
+                with self._phase("map", tasks=len(splits)):
+                    intermediate = self._run_map_phase(job, splits, method)
+                with self._phase("shuffle"):
+                    partitions = self._shuffle(job, intermediate, spiller)
+                del intermediate  # the partitions hold every record now
+                # Frontier rounds dispatch only the partitions that
+                # received messages, so a message-less partition's
+                # state is never loaded (a parked one stays on disk).
+                # The spiller's routing counts stand in for its lazy
+                # streams, which cannot be emptiness-tested; either way
+                # the deterministic partitioner decides, so the skip is
+                # identical across backends, filesystems and spills.
+                routed = partitions
+                if spiller is not None:
+                    routed = spiller.partition_records
+                dispatched = [
+                    index
+                    for index in range(self.num_reduce_tasks)
+                    if store is None or scan or routed[index]
+                ]
+                with self._phase("reduce", tasks=len(dispatched)):
+                    # The external shuffle hands each partition over
+                    # already merge-sorted, so the reduce tasks skip
+                    # their sort.
+                    tasks = [
+                        (
+                            job,
+                            partitions[index],
+                            spiller is not None,
+                            None if store is None else store.partition(index),
+                            scan,
+                        )
+                        for index in dispatched
+                    ]
+                    results = self._run_tasks(
+                        _execute_reduce_task, tasks, label="reduce", job=job
+                    )
+            finally:
+                if spiller is not None:
+                    self._meter_phase("spill", spiller.spill_seconds)
+                    spiller.close()
+            reduce_hist = self.metrics.histogram(
+                "runtime", "task.reduce_output_records", COUNT_BUCKETS
+            )
+            for result in results:
+                self.counters.merge(result[-1])
+                reduce_hist.observe(len(result[0]))
+            yield results
+            self.jobs_executed += 1
+            self.job_log.append(job.name)
+            self.counters.increment("runtime", "jobs")
 
     @staticmethod
     def _apply_updates(
@@ -877,17 +841,14 @@ class MapReduceRuntime:
         self,
         job: MapReduceJob,
         splits: List[List[KeyValue]],
-        scan: Optional[bool] = None,
+        method: str,
     ) -> List[List[EncodedRecord]]:
-        """Dispatch one map task per split through the executor.
-
-        ``scan=None`` runs the plain ``job.map``; ``True``/``False``
-        select the stateful plane's ``map_resident``/``map_delta``.
-        """
+        """Dispatch one map task per split through the executor;
+        ``method`` names the job's map function."""
         results = self._run_tasks(
             _execute_map_task,
             [
-                (job, split, self.speculative_execution, scan)
+                (job, split, self.speculative_execution, method)
                 for split in splits
             ],
             label="map",
@@ -933,37 +894,19 @@ class MapReduceRuntime:
         ]
         num_partitions = self.num_reduce_tasks
         # The default partitioner gets a fully inlined hash-and-mod
-        # (the modulo proves the range, so no per-record validation).
-        # A custom partitioner routes through its byte-level entry
-        # point only when its own class *defines* partition_bytes —
-        # merely inheriting HashPartitioner's must not bypass an
-        # overridden __call__ — and otherwise receives the key itself.
-        default_partitioner = type(self.partitioner) is HashPartitioner
-        partition_bytes = None
-        if not default_partitioner:
-            partition_bytes = _custom_partition_bytes(self.partitioner)
+        # (the modulo proves the range, so no per-record validation);
+        # any other routes exactly as the state store does.
+        route = self._partition_router()
         shuffled = 0
         encoded_bytes = 0
         shuffled_bytes = 0
         for task_index, task_output in enumerate(intermediate):
             for record in task_output:
                 key_bytes = record[0]
-                if default_partitioner:
+                if route is None:
                     index = fast_hash_bytes(key_bytes) % num_partitions
                 else:
-                    if partition_bytes is not None:
-                        index = partition_bytes(
-                            key_bytes, num_partitions
-                        )
-                    else:
-                        index = self.partitioner(
-                            record[1], num_partitions
-                        )
-                    if not 0 <= index < num_partitions:
-                        raise JobValidationError(
-                            f"partitioner returned {index} for "
-                            f"{num_partitions} partitions"
-                        )
+                    index = route(key_bytes, record[1], num_partitions)
                 if spiller is not None:
                     spiller.add(index, record)
                 else:
@@ -983,8 +926,12 @@ class MapReduceRuntime:
                 # routing never holds the shuffle twice.
                 intermediate[task_index] = []
         if spiller is not None:
-            if self.executor.picklable_tasks:
-                # Task arguments cross a process boundary: materialize.
+            policy = self.retry_policy
+            if self.executor.picklable_tasks or (
+                policy is not None and policy.max_attempts > 1
+            ):
+                # Task arguments cross a process boundary, or a retried
+                # attempt must re-read them from the start: materialize.
                 partitions = [
                     spiller.merged_partition(index)
                     for index in range(num_partitions)
@@ -993,7 +940,8 @@ class MapReduceRuntime:
                 # Shared-memory executors consume the merged runs
                 # lazily — the partition is never re-materialized
                 # driver-side.  (Run files live until after reduce;
-                # ``run`` closes the spiller in its ``finally``.)
+                # the job skeleton closes the spiller in its
+                # ``finally``.)
                 partitions = [
                     spiller.merged_stream(index)
                     for index in range(num_partitions)
@@ -1024,8 +972,8 @@ class MapReduceRuntime:
 # -- task units of work ------------------------------------------------------
 #
 # Module-level functions (not methods) so the processes backend can
-# pickle them by reference.  Each returns ``(records, Counters)``; the
-# runtime merges the counters in task-index order.
+# pickle them by reference.  Each returns a tuple whose last item is its
+# task-local Counters; the runtime merges them in task-index order.
 
 
 def _timed_call(fn: Callable, *args: Any) -> Tuple[float, Any]:
@@ -1044,21 +992,20 @@ def _execute_map_task(
     job: MapReduceJob,
     split: List[KeyValue],
     speculative: bool,
-    scan: Optional[bool] = None,
+    method: str,
 ) -> Tuple[List[EncodedRecord], int, Counters]:
     """One map task: map every record, verify retries, combine, meter.
 
-    ``scan`` selects the map function: ``None`` for the plain
-    ``job.map``, ``True`` for the stateful plane's ``map_resident``,
-    ``False`` for its ``map_delta``.  Returns ``(records, values,
-    counters)``: ``values`` counts what the task emitted, a
+    ``method`` names the map function: ``"map"``, or the stateful
+    plane's ``"map_resident"`` / ``"map_delta"``.  Returns ``(records,
+    values, counters)``: ``values`` counts what the task emitted, a
     :class:`_Run` contributing each of its values.
     """
     counters = Counters()
     group = job.name
-    emitted, values = _attempt_map(job, split, group, counters, scan)
+    emitted, values = _attempt_map(job, split, group, counters, method)
     if speculative:
-        retry, _ = _attempt_map(job, split, group, None, scan)
+        retry, _ = _attempt_map(job, split, group, None, method)
         if retry != emitted:
             raise JobValidationError(
                 f"{job.name}.map is non-deterministic: a "
@@ -1078,7 +1025,7 @@ def _attempt_map(
     split: List[KeyValue],
     group: str,
     counters: Optional[Counters],
-    scan: Optional[bool] = None,
+    method: str,
 ) -> Tuple[List[EncodedRecord], int]:
     """Run one attempt of a map task (``counters=None`` for retries);
     return its encoded records and the number of values emitted.
@@ -1094,10 +1041,7 @@ def _attempt_map(
     emitting one closes every open run, keeping equal-bytes values in
     arrival order.
     """
-    if scan is None:
-        mapper = job.map
-    else:
-        mapper = job.map_resident if scan else job.map_delta
+    mapper = getattr(job, method)
     emitted: List[EncodedRecord] = []
     # str key -> its record's index in ``emitted``, or its _Run once
     # the key has been emitted twice.
@@ -1166,49 +1110,22 @@ def _execute_reduce_task(
     job: MapReduceJob,
     partition: Iterable[EncodedRecord],
     presorted: bool,
-) -> Tuple[List[KeyValue], Counters]:
-    """One reduce task: sort its partition (unless the external shuffle
-    already merge-sorted it), group, reduce, meter."""
-    counters = Counters()
-    group = job.name
-    if not presorted:
-        partition = sorted(partition, key=_record_key_bytes)
-    output: List[KeyValue] = []
-    groups = 0
-    for key, values in _group_encoded(partition):
-        groups += 1
-        produced = job.reduce(key, values)
-        if produced is None:
-            raise JobValidationError(
-                f"{job.name}.reduce returned None; return an "
-                "iterable"
-            )
-        for pair in produced:
-            if type(pair) is not tuple or len(pair) != 2:
-                _validated_pair(job, pair)
-            output.append(pair)
-    if groups:
-        counters.increment(group, "reduce.input.groups", groups)
-    counters.increment(group, "reduce.output.records", len(output))
-    return output, counters
-
-
-def _execute_stateful_reduce_task(
-    job: MapReduceJob,
-    partition: Iterable[EncodedRecord],
-    state_partition: Dict[bytes, Tuple[Any, Any]],
-    presorted: bool,
+    state_partition: Optional[Dict[bytes, Tuple[Any, Any]]],
     scan: bool,
 ) -> Tuple[List[KeyValue], List[Tuple[bytes, Any, Any]], Counters]:
-    """One resident-state reduce task: join messages against state.
+    """One reduce task: sort, group, reduce, meter.
 
-    Visits either the byte-sorted union of resident keys and message
-    groups (``scan=True``) or the message groups alone (frontier mode),
-    hands each key's resident state and message values to
-    ``job.reduce_state``, and returns ``(outputs, updates, counters)``
-    where ``updates`` holds only the *changed* records — ``(key_bytes,
-    key, new_state)`` with :class:`Retired` marking departures.  The
-    state partition is read-only here; the runtime applies the updates
+    Sorts its partition (unless the external shuffle already
+    merge-sorted it) and groups it by cached key bytes.  With no
+    ``state_partition`` — a plain job — each group goes to
+    ``job.reduce``.  With one, the groups join against it: the
+    byte-sorted union of resident keys and message groups (``scan``)
+    or the message groups alone (frontier), each key's resident state
+    and messages going to ``job.reduce_state``.  Returns ``(outputs,
+    updates, counters)``, where ``updates`` holds only the *changed*
+    records — ``(key_bytes, key, new_state)`` with :class:`Retired`
+    marking departures — and stays empty for a plain job.  The state
+    partition is read-only here; the runtime applies the updates
     driver-side, after every task of the round has finished.
     """
     counters = Counters()
@@ -1216,11 +1133,13 @@ def _execute_stateful_reduce_task(
     if not presorted:
         partition = sorted(partition, key=_record_key_bytes)
     groups = _group_encoded_bytes(partition)
+    stateful = state_partition is not None
     if scan:
         visits = _scan_join(groups, state_partition)
     else:
+        resident = state_partition or {}
         visits = (
-            (key_bytes, key, state_partition.get(key_bytes), values)
+            (key_bytes, key, resident.get(key_bytes), values)
             for key_bytes, key, values in groups
         )
     output: List[KeyValue] = []
@@ -1228,17 +1147,27 @@ def _execute_stateful_reduce_task(
     visited = 0
     for key_bytes, key, entry, values in visits:
         visited += 1
-        state = entry[1] if entry is not None else None
-        new_state, produced = job.reduce_state(key, state, values)
-        if produced is None:
-            raise JobValidationError(
-                f"{job.name}.reduce_state returned no output "
-                "iterable; return (new_state, outputs)"
-            )
+        if not stateful:
+            produced = job.reduce(key, values)
+            if produced is None:
+                raise JobValidationError(
+                    f"{job.name}.reduce returned None; return an "
+                    "iterable"
+                )
+        else:
+            state = entry[1] if entry is not None else None
+            new_state, produced = job.reduce_state(key, state, values)
+            if produced is None:
+                raise JobValidationError(
+                    f"{job.name}.reduce_state returned no output "
+                    "iterable; return (new_state, outputs)"
+                )
         for pair in produced:
             if type(pair) is not tuple or len(pair) != 2:
                 _validated_pair(job, pair)
             output.append(pair)
+        if not stateful:
+            continue
         if isinstance(new_state, Retired):
             if entry is not None:
                 updates.append((key_bytes, key, new_state))
@@ -1298,29 +1227,20 @@ def _validated_pair(job: MapReduceJob, pair: Any) -> KeyValue:
     return pair
 
 
-def _group_encoded(
-    records: Iterable[EncodedRecord],
-) -> Iterator[Tuple[Any, List[Any]]]:
-    """Group a key-sorted encoded-record stream into ``(key, [values])``.
-
-    Key equality is byte equality on the cached canonical encoding —
-    no re-encoding, and it works for keys of mixed types exactly like
-    the sort order does.  The stream may be lazy (the external
-    shuffle's merged runs); it is consumed once, in order.
-    """
-    for _, key, values in _group_encoded_bytes(records):
-        yield key, values
-
-
 def _group_encoded_bytes(
     records: Iterable[EncodedRecord],
 ) -> Iterator[Tuple[bytes, Any, List[Any]]]:
-    """Like :func:`_group_encoded` but keeps each group's key bytes.
+    """Group a key-sorted encoded-record stream into ``(key_bytes,
+    key, [values])``.
 
-    The stateful reduce joins groups against the resident state store
-    by those cached bytes, so they must survive the grouping.  A
-    :class:`_Run` contributes its values in order; it is copied, never
-    extended, because a retried task re-reads the same records.
+    Key equality is byte equality on the cached canonical encoding —
+    no re-encoding, and it works for keys of mixed types exactly like
+    the sort order does.  The bytes survive the grouping because the
+    stateful reduce joins groups against the resident state store by
+    them.  The stream may be lazy (the external shuffle's merged runs);
+    it is consumed once, in order.  A :class:`_Run` contributes its
+    values in order; it is copied, never extended, because a retried
+    task re-reads the same records.
     """
     group_key: Any = None
     group_bytes: Optional[bytes] = None

@@ -123,6 +123,7 @@ from ..mapreduce.faults import (
     FAULT_COUNTER_GROUP,
     InjectedFault,
     PoisonedEvent,
+    RetryPolicy,
 )
 from ..telemetry.metrics import TIMING_BUCKETS
 from ..matching.greedy_mr import GreedyDeltaNode, GreedyDeltaRoundJob
@@ -368,8 +369,13 @@ class OnlineMatcher:
                 # attempt counter, and saturated events stop raising.
                 self._rollback_flush_txn()
                 continue
-            except (InjectedFault, OSError):
+            except BaseException as exc:
+                # Even a non-retryable failure (validation bugs,
+                # round-limit blowups) leaves consistent pre-flush
+                # state behind.
                 self._rollback_flush_txn()
+                if not RetryPolicy.retryable(exc):
+                    raise
                 self._meter_fault("flush.retries")
                 attempt += 1
                 if attempt >= max_attempts:
@@ -378,11 +384,6 @@ class OnlineMatcher:
                 if delay:
                     time.sleep(delay)
                 continue
-            except BaseException:
-                # Non-retryable (validation bugs, round-limit blowups):
-                # still leave consistent pre-flush state behind.
-                self._rollback_flush_txn()
-                raise
             self._commit_flush_txn()
             break
         self._event_seq += len(events)

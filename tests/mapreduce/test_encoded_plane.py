@@ -354,7 +354,7 @@ def test_only_exact_str_keys_form_runs():
         (Tagged("t"), 6),
     ]
     emitted, values = runtime_module._attempt_map(
-        KeyTypes(), [(0, pairs)], "KeyTypes", None
+        KeyTypes(), [(0, pairs)], "KeyTypes", None, "map"
     )
     assert values == len(pairs)
     assert [(type(key), value) for _, key, value in emitted] == [
@@ -597,3 +597,30 @@ def test_custom_partitioner_out_of_range_rejected():
     )
     with pytest.raises(JobValidationError, match="partitioner returned"):
         runtime.run(PlainWordCount(), LINES)
+
+
+class OutOfRangeBytePartitioner:
+    def __call__(self, key, num_partitions):  # pragma: no cover
+        raise AssertionError("byte-level entry point not used")
+
+    def partition_bytes(self, key_bytes, num_partitions):
+        return num_partitions  # off by one
+
+
+@pytest.mark.parametrize(
+    "partitioner",
+    [OutOfRangePartitioner, OutOfRangeBytePartitioner],
+    ids=["call", "partition_bytes"],
+)
+def test_shuffle_and_state_store_share_the_range_check(partitioner):
+    """One routing decision: an out-of-range partitioner fails the
+    shuffle and the state store with the same error."""
+    from repro.mapreduce import JobValidationError
+
+    runtime = MapReduceRuntime(
+        num_reduce_tasks=2, partitioner=partitioner()
+    )
+    with pytest.raises(JobValidationError, match="returned 2 for 2"):
+        runtime.run(PlainWordCount(), LINES)
+    with pytest.raises(JobValidationError, match="returned 2 for 2"):
+        runtime.state_store("routed").load([("k", 1)])

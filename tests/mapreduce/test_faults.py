@@ -84,6 +84,33 @@ class KamikazeOnce(MapReduceJob):
         yield key, sum(values)
 
 
+class FlakyOnce(MapReduceJob):
+    """The first map call anywhere raises ``OSError``, every later one
+    runs clean: a transient disk error, claimed through the sentinel
+    file named in side data."""
+
+    def map(self, key, value):
+        if _claim_once(self.side_data["sentinel"]):
+            raise OSError("transient read error")
+        yield value % 5, 1
+
+    def reduce(self, key, counts):
+        yield key, sum(counts)
+
+
+class FlakyReduceOnce(MapReduceJob):
+    """Like :class:`FlakyOnce`, but the first *reduce* call fails —
+    after its task has already read into its partition."""
+
+    def map(self, key, value):
+        yield value % 5, 1
+
+    def reduce(self, key, counts):
+        if _claim_once(self.side_data["sentinel"]):
+            raise OSError("transient read error")
+        yield key, sum(counts)
+
+
 def _exit_once(sentinel, value):
     """Plain task-function variant of the same worker-death shape."""
     if _claim_once(sentinel):
@@ -168,6 +195,19 @@ def test_fault_plan_validates_rates():
         FaultPlan(0, delay_seconds=-1)
     with pytest.raises(JobValidationError, match="max_faults_per_site"):
         FaultPlan(0, max_faults_per_site=-1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(backoff=float("nan")), "backoff"),
+        (dict(task_timeout=float("nan")), "task_timeout"),
+    ],
+    ids=["backoff-nan", "task-timeout-nan"],
+)
+def test_retry_policy_rejects_nan(kwargs, name):
+    with pytest.raises(JobValidationError, match=name):
+        RetryPolicy(**kwargs)
 
 
 def test_fault_plan_cleans_up_its_scratch_dir():
@@ -318,6 +358,55 @@ def test_chaos_fault_metering_is_backend_independent(backend):
             _observe_chaos(runtime)
             observed = dict(runtime.counters.group("faults"))
     assert observed == reference
+
+
+def test_transient_oserror_in_a_task_is_retried(backend, tmp_path):
+    """A real ``OSError`` gets the retry budget without any fault plan:
+    the task re-executes once and the output matches the clean run."""
+    claimed = tmp_path / "claimed"
+    claimed.touch()
+    with _cell_runtime(backend) as clean:
+        baseline = clean.run(
+            FlakyOnce(), RECORDS, side_data={"sentinel": str(claimed)}
+        )
+    with _cell_runtime(
+        backend, retry_policy=RetryPolicy(max_attempts=3)
+    ) as runtime:
+        output = runtime.run(
+            FlakyOnce(),
+            RECORDS,
+            side_data={"sentinel": str(tmp_path / "flaky")},
+        )
+        retries = runtime.counters.get("faults", "task.retries")
+    assert output == baseline
+    assert retries == 1
+
+
+def test_retried_reduce_rereads_its_spilled_partition(tmp_path):
+    """A retried reduce attempt starts from its partition's first
+    record: with retries on, the serial backend gets spilled partitions
+    materialized, not as lazy streams a failed attempt half consumed."""
+    claimed = tmp_path / "claimed"
+    claimed.touch()
+
+    def run(sentinel, **kwargs):
+        runtime = MapReduceRuntime(
+            counters=Counters(),
+            spill_threshold=0,
+            spill_dir=str(tmp_path / "spills"),
+            **kwargs,
+        )
+        output = runtime.run(
+            FlakyReduceOnce(), RECORDS, side_data={"sentinel": sentinel}
+        )
+        return output, runtime.counters.get("faults", "task.retries")
+
+    baseline, _ = run(str(claimed))
+    output, retries = run(
+        str(tmp_path / "flaky"), retry_policy=RetryPolicy(max_attempts=2)
+    )
+    assert output == baseline
+    assert retries == 1
 
 
 # -- worker death: the pool respawns and the job completes -----------------

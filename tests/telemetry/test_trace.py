@@ -5,6 +5,7 @@ import pytest
 from repro.mapreduce import Counters, MapReduceRuntime
 from repro.telemetry import Span, Tracer, load_spans, render_spans
 
+from ..mapreduce.test_state import CountDown
 from .test_metrics import _Rollup
 
 
@@ -76,7 +77,36 @@ def test_render_marks_open_spans():
     assert text == "x (job) open"
 
 
-def test_runtime_emits_job_phase_task_spans():
+def _plain_job(runtime, data):
+    list(runtime.run_iter(_Rollup(), data))
+
+
+def _scan_round(runtime, data):
+    store = runtime.state_store("trace")
+    store.load(data)
+    runtime.run_stateful(CountDown(), store, scan=True)
+
+
+def _frontier_round(runtime, data):
+    store = runtime.state_store("trace")
+    store.load(data)
+    # One changed record: only its partition receives a message.
+    runtime.run_stateful(CountDown(), store, deltas=data[:1])
+
+
+@pytest.mark.parametrize(
+    "run, job_name, mode, reduce_tasks",
+    [
+        (_plain_job, "job:_Rollup", None, 2),
+        (_scan_round, "job:count-down", "scan", 2),
+        (_frontier_round, "job:count-down", "frontier", 1),
+    ],
+    ids=["plain", "scan", "frontier"],
+)
+def test_runtime_emits_job_phase_task_spans(run, job_name, mode, reduce_tasks):
+    """Plain jobs and both stateful modes emit the same span tree; a
+    stateful job span names its mode, and a frontier round dispatches
+    only the partitions that received messages."""
     tracer = Tracer()
     runtime = MapReduceRuntime(
         num_map_tasks=2,
@@ -84,12 +114,12 @@ def test_runtime_emits_job_phase_task_spans():
         counters=Counters(),
         tracer=tracer,
     )
-    data = [(f"r{index}", 4) for index in range(8)]
-    list(runtime.run_iter(_Rollup(), data))
+    run(runtime, [(f"r{index}", 4) for index in range(8)])
     kinds = {}
     for span in tracer.spans:
         kinds.setdefault(span.kind, []).append(span)
-    assert [span.name for span in kinds["job"]] == ["job:_Rollup"]
+    assert [span.name for span in kinds["job"]] == [job_name]
+    assert kinds["job"][0].attrs.get("mode") == mode
     assert {span.name for span in kinds["phase"]} == {
         "phase:map",
         "phase:shuffle",
@@ -104,7 +134,10 @@ def test_runtime_emits_job_phase_task_spans():
         assert by_id[task.parent_id].kind == "phase"
         assert by_id[by_id[task.parent_id].parent_id] is job
     assert len([s for s in kinds["task"] if s.name.startswith("map-")]) == 2
-    assert len([s for s in kinds["task"] if s.name.startswith("reduce-")]) == 2
+    reduces = [s for s in kinds["task"] if s.name.startswith("reduce-")]
+    assert len(reduces) == reduce_tasks
+    (reduce_phase,) = [s for s in kinds["phase"] if s.name == "phase:reduce"]
+    assert reduce_phase.attrs == {"tasks": reduce_tasks}
 
 
 def test_untraced_runtime_records_nothing():

@@ -288,6 +288,16 @@ def test_join_rejects_negative_spill_threshold(corpus_dir):
         ["experiment", "--scale", "nan"],
         ["join", "{corpus}", "--sigma", "2.0", "--method", "mapreduce",
          "--out", "{out}", "--workers", "0"],
+        ["match", "{corpus}", "--sigma", "2.0", "--out", "{out}",
+         "--max-task-attempts", "0"],
+        ["match", "{corpus}", "--sigma", "2.0", "--out", "{out}",
+         "--max-task-attempts", "-2"],
+        ["match", "{corpus}", "--sigma", "2.0", "--out", "{out}",
+         "--task-timeout", "-1"],
+        ["match", "{corpus}", "--sigma", "2.0", "--out", "{out}",
+         "--task-timeout", "nan"],
+        ["chaos", "--max-task-attempts", "0"],
+        ["chaos", "--nodes", "0"],
     ],
     ids=lambda argv: " ".join(argv[0:1] + argv[-2:]),
 )
@@ -342,6 +352,28 @@ def test_serve_and_chaos_reject_bad_values(
         main(argv)
     assert exc.value.code == 2
     assert f"argument {option}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1.5", "nan"])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--crash-rate",
+        "--delay-rate",
+        "--io-rate",
+        "--flush-rate",
+        "--poison-rate",
+        "--worker-kill-rate",
+        "--frame-drop-rate",
+    ],
+)
+def test_chaos_rates_are_probabilities(capsys, flag, value):
+    """Every chaos rate is a probability: anything outside [0, 1],
+    NaN included, exits 2 at argparse instead of a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be in [0, 1]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm", ["greedy_mr", "stack_mr"])

@@ -59,6 +59,26 @@ def test_source_docstrings_cite_existing_benchmark_files():
     assert stale == {}
 
 
+def test_traced_pass_wrap_points_are_defined_on_their_owners(monkeypatch):
+    """The traced benchmark pass wraps each point through
+    ``owner.__dict__[attr]``, so a refactor that deletes a wrapped name
+    or leaves it inherited breaks ``run.py --trace`` alone.  Importing
+    ``layers`` wraps nothing; ``layers.install`` is never called here,
+    since its wraps would last for the whole test process."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks" / "e2e"))
+    import layers
+    from repro.service.matcher import OnlineMatcher
+
+    points = [(owner, attr) for owner, attr, _, _ in layers.WRAPS]
+    points.append((OnlineMatcher, "flush"))
+    unwrappable = [
+        f"{owner.__name__}.{attr}"
+        for owner, attr in points
+        if not callable(vars(owner).get(attr))
+    ]
+    assert unwrappable == []
+
+
 def test_source_docstrings_cite_existing_documents():
     stale = {}
     for path in sorted((ROOT / "src").rglob("*.py")):
