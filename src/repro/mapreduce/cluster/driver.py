@@ -11,26 +11,25 @@ with speculative backup attempts.
 
 The driver is *also* the shared pool behind ``backend="cluster"``: it
 duck-types the ``shutdown(wait, cancel_futures)`` surface the shared
-pool registry expects, and it exposes the same ``pool_respawns`` /
-``resubmitted_tasks`` lifetime meters as
-:class:`~repro.mapreduce.executors.ProcessExecutor`, so the runtime's
-recovery metering (``pool.respawns`` / ``task.resubmits`` in the
-volatile ``faults`` group) covers the cluster without a single runtime
-change.
+pool registry expects.
 
 Dispatch model
 --------------
 
-One dispatch at a time (the runtime is phase-synchronous anyway): the
-batch becomes a shared pending deque, one driver-side serving thread
-per worker pulls from it, executes over that worker's control
-connection, and stores the outcome under the task's index — so results
-come back in input order and the first task-order failure raises,
-preserving the backend bit-identity contract.  A thread whose
-interaction fails (connection drop, worker death, lost blob) re-queues
-the task and runs recovery on its worker: reconnect if the process is
-alive (a dropped frame), respawn it if not, giving up with
-:class:`WorkerDied` once the dispatch's respawn budget is spent.
+One dispatch at a time (the runtime is phase-synchronous anyway).  The
+batch's attempt bookkeeping is a
+:class:`~repro.mapreduce.executors.TaskLedger`, the same one the
+processes backend drives: one driver-side serving thread per worker
+pulls the next attempt from the ledger, executes it over that worker's
+control connection, and records the outcome under the task's index —
+so results come back in input order and the first task-order failure
+raises, preserving the backend bit-identity contract.  A thread whose
+interaction fails (connection drop, worker death, lost blob) reports
+the lost attempt to the ledger, which re-queues it, and runs recovery
+on its worker: reconnect if the process is alive (a dropped frame),
+respawn it if not, giving up with :class:`WorkerDied` once the
+ledger's respawn budget is spent.  Every ledger call happens under the
+ledger's condition variable.
 
 When the batch completes while a discarded attempt is still running
 (a speculative loser, or a task re-executed past a slow primary), the
@@ -52,10 +51,10 @@ import socket as _socket
 import tempfile
 import threading
 import time
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutorError
+from ..executors import TaskLedger, WorkerDied
 from .heartbeat import DEAD, HeartbeatMonitor
 from .protocol import (
     ConnectionClosed,
@@ -76,8 +75,13 @@ class TaskLost(ConnectionError):
     worker, dropped frame); the task will be re-executed."""
 
 
-class WorkerDied(ExecutorError):
-    """Workers kept dying past the dispatch's respawn budget."""
+#: Seconds to wait for a worker's TCP connect, and for a spawned
+#: worker's ready announcement.
+CONNECT_TIMEOUT = 10.0
+START_TIMEOUT = 20.0
+
+#: Data-plane attempts per result-blob fetch before the task is lost.
+FETCH_RETRIES = 3
 
 
 def _default_cluster_workers() -> int:
@@ -131,30 +135,6 @@ class _WorkerHandle:
                     setattr(self, attr, None)
 
 
-class _Dispatch:
-    """Shared state of one batch: the pending queue and the outcomes."""
-
-    def __init__(self, frames: List[bytes], respawn_budget: int) -> None:
-        self.frames = frames
-        count = len(frames)
-        self.pending: deque = deque(
-            (index, 0) for index in range(count)
-        )
-        self.done = [False] * count
-        self.outcomes: List[Any] = [None] * count
-        self.workers: List[Optional[int]] = [None] * count
-        self.failures = [0] * count
-        self.completed = 0
-        self.wins = 0
-        self.resubmits = 0
-        self.respawns_left = respawn_budget
-        self.finished = False
-        self.abandoned = False
-        self.failure: Optional[BaseException] = None
-        self.lock = threading.Lock()
-        self.cond = threading.Condition(self.lock)
-
-
 class ClusterDriver:
     """Supervise a localhost worker fleet and execute task batches.
 
@@ -171,10 +151,6 @@ class ClusterDriver:
         Ping cadence and the silent-interval budget before a worker is
         declared dead (see :class:`~repro.mapreduce.cluster.heartbeat.
         HeartbeatMonitor`).
-    max_worker_respawns:
-        Worker deaths tolerated per dispatch before the batch fails
-        with :class:`WorkerDied` (mirrors
-        ``ProcessExecutor.max_pool_respawns``).
     """
 
     def __init__(
@@ -183,32 +159,21 @@ class ClusterDriver:
         blob_threshold: int = 256 * 1024,
         heartbeat_interval: float = 0.5,
         miss_limit: int = 10,
-        max_worker_respawns: int = 6,
-        connect_timeout: float = 10.0,
-        start_timeout: float = 20.0,
-        fetch_retries: int = 3,
-        max_task_failures: int = 10,
     ) -> None:
         self.num_workers = num_workers or _default_cluster_workers()
         self.blob_threshold = blob_threshold
         self.heartbeat_interval = heartbeat_interval
         self.miss_limit = miss_limit
-        self.max_worker_respawns = max_worker_respawns
-        self.connect_timeout = connect_timeout
-        self.start_timeout = start_timeout
-        self.fetch_retries = fetch_retries
-        self.max_task_failures = max_task_failures
-        #: Lifetime recovery meters; same names as ProcessExecutor, so
-        #: the runtime's before/after delta metering applies verbatim.
-        self.pool_respawns = 0
-        self.resubmitted_tasks = 0
-        #: Worker slot that produced each accepted result of the most
-        #: recent dispatch (for span attribution / telemetry).
-        self.last_task_workers: List[Optional[int]] = []
-        #: Lifetime accepted-result counts per worker slot.
+        #: Lifetime recovery totals and accepted-result counts per
+        #: worker slot, folded in from each batch's ledger (telemetry
+        #: gauges).
+        self.respawns = 0
+        self.resubmits = 0
         self.tasks_by_worker: Dict[int, int] = {}
         #: High-water mark of the pending queue (telemetry gauge).
         self.queue_depth_highwater = 0
+        #: The ledger of the latest :meth:`run_tasks` batch.
+        self.ledger: Optional[TaskLedger] = None
         #: Test hook: called with the RemoteBlob before every fetch.
         self._before_fetch: Optional[Callable[[RemoteBlob], None]] = None
 
@@ -285,7 +250,7 @@ class ClusterDriver:
         is reported immediately (with its exit code) instead of being
         waited out.
         """
-        deadline = time.monotonic() + self.start_timeout
+        deadline = time.monotonic() + START_TIMEOUT
         path = os.path.join(handle.spill_dir, READY_FILE)
         while True:
             try:
@@ -311,7 +276,7 @@ class ClusterDriver:
                 raise ExecutorError(
                     f"cluster worker {handle.slot} (generation "
                     f"{handle.generation}) failed to start within "
-                    f"{self.start_timeout}s"
+                    f"{START_TIMEOUT}s"
                 )
             time.sleep(0.005)
 
@@ -424,29 +389,26 @@ class ClusterDriver:
     # -- dispatch ----------------------------------------------------------
 
     def run_tasks(
-        self, fn: Callable, tasks: Sequence[Tuple]
+        self,
+        fn: Callable,
+        tasks: Sequence[Tuple],
+        timeout: Optional[float] = None,
     ) -> List[Any]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        outcomes, _ = self._dispatch(fn, tasks, timeout=None)
-        return _unwrap(outcomes)
-
-    def run_tasks_speculative(
-        self, fn: Callable, tasks: Sequence[Tuple], timeout: float
-    ) -> Tuple[List[Any], int]:
-        tasks = list(tasks)
-        if not tasks:
-            return [], 0
-        outcomes, wins = self._dispatch(fn, tasks, timeout=timeout)
-        return _unwrap(outcomes), wins
+        """Run a batch on the fleet, in input order; :attr:`ledger`
+        keeps the batch's bookkeeping.  With ``timeout``, tasks still
+        open after ``timeout`` seconds get one backup attempt each."""
+        self.ledger = self._dispatch(fn, tasks, timeout)
+        return self.ledger.results()
 
     def _dispatch(
         self,
         fn: Callable,
-        tasks: List[Tuple],
+        tasks: Sequence[Tuple],
         timeout: Optional[float],
-    ) -> Tuple[List[Any], int]:
+    ) -> TaskLedger:
+        ledger = TaskLedger(len(tasks))
+        if not tasks:
+            return ledger
         self._ensure_started()
         frames: List[bytes] = []
         for task in tasks:
@@ -464,14 +426,13 @@ class ClusterDriver:
                     "must be picklable — define jobs at module level)"
                 ) from exc
         with self._dispatch_lock:
-            dispatch = _Dispatch(frames, self.max_worker_respawns)
             self.queue_depth_highwater = max(
                 self.queue_depth_highwater, len(frames)
             )
             threads = [
                 threading.Thread(
                     target=self._serve,
-                    args=(handle, dispatch),
+                    args=(handle, ledger, frames),
                     name=f"repro-cluster-serve-w{handle.slot}",
                     daemon=True,
                 )
@@ -480,140 +441,79 @@ class ClusterDriver:
             for thread in threads:
                 thread.start()
             try:
-                if timeout is not None:
-                    self._speculate(dispatch, timeout)
-                with dispatch.cond:
-                    while (
-                        not dispatch.finished
-                        and dispatch.failure is None
-                    ):
-                        dispatch.cond.wait(0.1)
+                with ledger.cond:
+                    if timeout is not None:
+                        ledger.cond.wait_for(
+                            lambda: ledger.settled, timeout
+                        )
+                        ledger.back_up()
+                        ledger.cond.notify_all()
+                    ledger.cond.wait_for(lambda: ledger.settled)
             finally:
-                self._abandon(dispatch)
+                self._abandon(ledger)
                 for thread in threads:
                     thread.join(timeout=2.0)
-            self.resubmitted_tasks += dispatch.resubmits
-            self.last_task_workers = list(dispatch.workers)
-            for slot in dispatch.workers:
+            self.respawns += ledger.respawns
+            self.resubmits += ledger.resubmits
+            for slot in ledger.workers:
                 if slot is not None:
                     self.tasks_by_worker[slot] = (
                         self.tasks_by_worker.get(slot, 0) + 1
                     )
-            if dispatch.failure is not None:
-                raise dispatch.failure
-            return dispatch.outcomes, dispatch.wins
+            return ledger
 
-    def _speculate(self, dispatch: _Dispatch, timeout: float) -> None:
-        """After ``timeout`` seconds, enqueue backups for stragglers."""
-        deadline = time.monotonic() + timeout
-        with dispatch.cond:
-            while not dispatch.finished and dispatch.failure is None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                dispatch.cond.wait(min(remaining, 0.1))
-            if dispatch.finished or dispatch.failure is not None:
-                return
-            for index in range(len(dispatch.frames)):
-                if not dispatch.done[index]:
-                    dispatch.pending.append((index, 1))
-            dispatch.cond.notify_all()
-
-    def _abandon(self, dispatch: _Dispatch) -> None:
+    def _abandon(self, ledger: TaskLedger) -> None:
         """Release serving threads still waiting on discarded attempts."""
-        with dispatch.cond:
-            dispatch.abandoned = True
-            dispatch.cond.notify_all()
+        with ledger.cond:
+            if not ledger.settled:  # interrupted mid-batch
+                ledger.fail(ExecutorError("cluster dispatch abandoned"))
+            ledger.cond.notify_all()
         for handle in self._handles:
             if handle.in_flight:
                 handle.close_sockets()
 
-    def _serve(self, handle: _WorkerHandle, dispatch: _Dispatch) -> None:
-        """One worker's serving loop: pull, execute, store, recover."""
-        while True:
-            with dispatch.cond:
-                while (
-                    not dispatch.pending
-                    and not dispatch.finished
-                    and not dispatch.abandoned
-                    and dispatch.failure is None
-                ):
-                    dispatch.cond.wait(0.1)
-                if (
-                    dispatch.finished
-                    or dispatch.abandoned
-                    or dispatch.failure is not None
-                ):
-                    return
-                index, attempt = dispatch.pending.popleft()
-                if dispatch.done[index]:
-                    continue
-            try:
-                outcome, produced_by = self._execute(
-                    handle, dispatch, index, attempt
-                )
-            except ExecutorError as exc:
-                with dispatch.cond:
-                    if dispatch.failure is None:
-                        dispatch.failure = exc
-                    dispatch.cond.notify_all()
-                return
-            except (TaskLost, ProtocolError, OSError) as exc:
-                with dispatch.cond:
-                    if dispatch.abandoned or dispatch.finished:
+    def _serve(
+        self, handle: _WorkerHandle, ledger: TaskLedger, frames: List[bytes]
+    ) -> None:
+        """One worker's serving loop: pull, execute, record, recover."""
+        try:
+            while True:
+                with ledger.cond:
+                    attempt = ledger.next()
+                    while attempt is None and not ledger.settled:
+                        ledger.cond.wait(0.1)
+                        attempt = ledger.next()
+                    if ledger.settled:
                         return
-                    if not dispatch.done[index]:
-                        dispatch.failures[index] += 1
-                        if (
-                            dispatch.failures[index]
-                            >= self.max_task_failures
-                        ):
-                            dispatch.failure = WorkerDied(
-                                f"cluster backend: task {index} failed "
-                                f"{dispatch.failures[index]} times "
-                                f"(last: {exc})"
-                            )
-                            dispatch.cond.notify_all()
-                            return
-                        dispatch.pending.append((index, attempt))
-                        dispatch.resubmits += 1
-                        dispatch.cond.notify_all()
                 try:
-                    self._recover(handle, dispatch)
-                except ExecutorError as budget_exc:
-                    with dispatch.cond:
-                        if dispatch.failure is None:
-                            dispatch.failure = budget_exc
-                        dispatch.cond.notify_all()
-                    return
-                continue
-            with dispatch.cond:
-                if not dispatch.done[index]:
-                    dispatch.done[index] = True
-                    dispatch.outcomes[index] = outcome
-                    dispatch.workers[index] = produced_by
-                    if attempt > 0:
-                        dispatch.wins += 1
-                    dispatch.completed += 1
-                    if dispatch.completed == len(dispatch.frames):
-                        dispatch.finished = True
-                dispatch.cond.notify_all()
+                    outcome, worker = self._execute(
+                        handle, frames[attempt[0]], *attempt
+                    )
+                except (TaskLost, ProtocolError, OSError) as exc:
+                    with ledger.cond:
+                        if ledger.settled:
+                            return
+                        ledger.lose(*attempt, exc)
+                        ledger.cond.notify_all()
+                    self._recover(handle, ledger)
+                    continue
+                with ledger.cond:
+                    ledger.record(*attempt, outcome, worker)
+                    ledger.cond.notify_all()
+        except ExecutorError as exc:  # WorkerDied included
+            with ledger.cond:
+                ledger.fail(exc)
+                ledger.cond.notify_all()
 
     def _execute(
-        self,
-        handle: _WorkerHandle,
-        dispatch: _Dispatch,
-        index: int,
-        attempt: int,
+        self, handle: _WorkerHandle, frame: bytes, index: int, attempt: int
     ) -> Tuple[Any, int]:
         """One task interaction: send, await, fetch (if blob), decode."""
         handle.in_flight = True
         try:
             sock = self._control(handle)
             send_frame(
-                sock,
-                {"op": "task", "id": f"{index}.{attempt}"},
-                dispatch.frames[index],
+                sock, {"op": "task", "id": f"{index}.{attempt}"}, frame
             )
             header, payload = recv_frame(sock)
             if header.get("op") == "error":
@@ -642,7 +542,7 @@ class ClusterDriver:
             sock = handle.control
         if sock is not None:
             return sock
-        sock = connect(handle.port, timeout=self.connect_timeout)
+        sock = connect(handle.port, timeout=CONNECT_TIMEOUT)
         sock.settimeout(None)  # task replies take as long as tasks do
         with handle.sock_lock:
             handle.control = sock
@@ -660,9 +560,9 @@ class ClusterDriver:
         if hook is not None:
             hook(blob)
         last: Optional[BaseException] = None
-        for attempt in range(self.fetch_retries):
+        for attempt in range(FETCH_RETRIES):
             try:
-                sock = connect(blob.port, timeout=self.connect_timeout)
+                sock = connect(blob.port, timeout=CONNECT_TIMEOUT)
                 try:
                     header, payload = request(
                         sock, {"op": "fetch", "blob": blob.blob}
@@ -671,7 +571,8 @@ class ClusterDriver:
                     sock.close()
             except (OSError, ProtocolError) as exc:
                 last = exc
-                time.sleep(0.05 * (attempt + 1))
+                if attempt + 1 < FETCH_RETRIES:
+                    time.sleep(0.05 * (attempt + 1))
                 continue
             if header.get("op") == "error":
                 raise TaskLost(
@@ -686,20 +587,17 @@ class ClusterDriver:
             return payload
         raise TaskLost(
             f"could not reach worker {blob.worker} for blob "
-            f"{blob.blob!r} after {self.fetch_retries} attempts: {last}"
+            f"{blob.blob!r} after {FETCH_RETRIES} attempts: {last}"
         )
 
-    def _recover(
-        self, handle: _WorkerHandle, dispatch: _Dispatch
-    ) -> bool:
-        """Bring a failed worker slot back; returns True on respawn.
+    def _recover(self, handle: _WorkerHandle, ledger: TaskLedger) -> None:
+        """Bring a failed worker slot back.
 
         A live process whose connection dropped (injected frame drop,
         severed socket) is simply reconnected.  A dead process is
         respawned with a fresh generation — new port, new empty spill
-        directory — consuming one unit of the dispatch's respawn
-        budget; past the budget the dispatch fails with
-        :class:`WorkerDied`.
+        directory — charged to the ledger's respawn budget; past the
+        budget the batch fails with :class:`WorkerDied`.
         """
         with handle.lock:
             handle.close_sockets()
@@ -716,20 +614,13 @@ class ClusterDriver:
                     sock.settimeout(None)
                     with handle.sock_lock:
                         handle.control = sock
-                    return False
+                    return
             if process is not None:
                 process.join(timeout=2.0)
-            with dispatch.cond:
-                if dispatch.respawns_left <= 0:
-                    raise WorkerDied(
-                        "cluster backend: workers kept dying after "
-                        f"{self.max_worker_respawns} respawns"
-                    )
-                dispatch.respawns_left -= 1
+            with ledger.cond:
+                ledger.respawn(f"cluster worker {handle.slot} died")
             self._launch(handle)
             self._finish_spawn(handle)
-            self.pool_respawns += 1
-            return True
 
     # -- telemetry ---------------------------------------------------------
 
@@ -737,8 +628,8 @@ class ClusterDriver:
         """A snapshot for the telemetry plane (volatile by nature)."""
         return {
             "workers": self.num_workers,
-            "respawns": self.pool_respawns,
-            "resubmits": self.resubmitted_tasks,
+            "respawns": self.respawns,
+            "resubmits": self.resubmits,
             "queue_depth_highwater": self.queue_depth_highwater,
             "tasks_by_worker": dict(self.tasks_by_worker),
         }
@@ -751,16 +642,6 @@ class ClusterDriver:
         return (
             f"ClusterDriver(num_workers={self.num_workers}, "
             f"started={bool(self._handles)}, "
-            f"respawns={self.pool_respawns})"
+            f"respawns={self.respawns})"
         )
 
-
-def _unwrap(outcomes: List[Any]) -> List[Any]:
-    """Turn ``(ok, value)`` outcomes into results, raising the first
-    task-order failure — the cross-backend error determinism rule."""
-    results = []
-    for ok, value in outcomes:
-        if not ok:
-            raise value
-        results.append(value)
-    return results

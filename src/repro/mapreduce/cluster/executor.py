@@ -7,7 +7,7 @@ CLI all gain the distributed backend without any API change — and the
 cluster joins the bit-identical-across-backends verification battery
 for free.
 
-Like the thread and process backends, the heavy resource (the
+Like the process backend, the heavy resource (the
 :class:`~repro.mapreduce.cluster.driver.ClusterDriver` and its worker
 fleet) lives in the module-level shared pool registry, keyed
 ``("cluster", num_workers)``: constructing many runtimes — as
@@ -15,12 +15,10 @@ property-based tests do — shares one fleet, :meth:`close` evicts it,
 and ``shutdown_shared_pools()`` / ``atexit`` reap the worker processes
 at interpreter exit, so ``pytest -x`` leaves no orphaned daemons.
 
-The recovery meters (``pool_respawns`` / ``resubmitted_tasks``) proxy
-the shared driver's lifetime counts under the same names
-:class:`~repro.mapreduce.executors.ProcessExecutor` uses, so the
-runtime's delta metering into the volatile ``faults`` counter group
-(``pool.respawns`` / ``task.resubmits``) covers cluster recovery with
-zero runtime changes.
+Each batch's :class:`~repro.mapreduce.executors.TaskLedger` comes back
+from the driver and is kept as :attr:`ledger`, from which the runtime
+meters recovery (``pool.respawns`` / ``task.resubmits`` /
+``task.speculative_wins``) and worker attribution.
 """
 
 from __future__ import annotations
@@ -28,6 +26,8 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..executors import (
+    _POOL_LOCK,
+    _SHARED_POOLS,
     Executor,
     _evict_pool,
     _shared_pool,
@@ -51,54 +51,18 @@ class ClusterExecutor(Executor):
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers or _default_cluster_workers()
 
-    def _driver(self) -> ClusterDriver:
-        return _shared_pool("cluster", self.max_workers)
-
-    def _peek_driver(self) -> Optional[ClusterDriver]:
-        """The shared driver if it exists — without creating one."""
-        from ..executors import _POOL_LOCK, _SHARED_POOLS
-
-        with _POOL_LOCK:
-            return _SHARED_POOLS.get(("cluster", self.max_workers))
-
-    # -- the Executor contract ---------------------------------------------
-
     def run_tasks(
-        self, fn: Callable, tasks: Sequence[Tuple]
+        self,
+        fn: Callable,
+        tasks: Sequence[Tuple],
+        timeout: Optional[float] = None,
     ) -> List[Any]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        return self._driver().run_tasks(fn, tasks)
-
-    def run_tasks_speculative(
-        self, fn: Callable, tasks: Sequence[Tuple], timeout: float
-    ) -> Tuple[List[Any], int]:
-        tasks = list(tasks)
-        if not tasks:
-            return [], 0
-        return self._driver().run_tasks_speculative(fn, tasks, timeout)
+        driver: ClusterDriver = _shared_pool("cluster", self.max_workers)
+        self.ledger = driver._dispatch(fn, tasks, timeout)
+        return self.ledger.results()
 
     def close(self) -> None:
         _evict_pool("cluster", self.max_workers)
-
-    # -- recovery meters (proxied from the shared driver) -------------------
-
-    @property
-    def pool_respawns(self) -> int:
-        driver = self._peek_driver()
-        return driver.pool_respawns if driver is not None else 0
-
-    @property
-    def resubmitted_tasks(self) -> int:
-        driver = self._peek_driver()
-        return driver.resubmitted_tasks if driver is not None else 0
-
-    @property
-    def last_task_workers(self) -> List[Optional[int]]:
-        """Worker slot per accepted result of the latest dispatch."""
-        driver = self._peek_driver()
-        return driver.last_task_workers if driver is not None else []
 
     def publish_metrics(self, registry: Any) -> None:
         """Export fleet health as (volatile) telemetry gauges.
@@ -107,7 +71,8 @@ class ClusterExecutor(Executor):
         is a gauge — excluded from the bit-identity contract by
         ``strip_volatile_counters`` wholesale.
         """
-        driver = self._peek_driver()
+        with _POOL_LOCK:
+            driver = _SHARED_POOLS.get(("cluster", self.max_workers))
         if driver is None:
             return
         stats = driver.worker_stats()

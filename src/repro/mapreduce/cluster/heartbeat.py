@@ -51,7 +51,7 @@ class HeartbeatMonitor:
     """
 
     def __init__(self, interval: float, miss_limit: int = 5) -> None:
-        if interval <= 0:
+        if not interval > 0:
             raise JobValidationError(
                 f"heartbeat interval must be > 0, got {interval}"
             )

@@ -37,15 +37,18 @@ other.  Individual executors may release their pool early with
 :func:`shutdown_shared_pools` (also registered ``atexit``).  Either
 way pools are lazily recreated on the next use.
 
-Fault tolerance: :class:`ProcessExecutor` survives a
-``BrokenProcessPool`` (a worker dying mid-task, e.g. via ``os._exit``)
-by respawning the pool and re-submitting the tasks that were in
-flight, up to :attr:`ProcessExecutor.max_pool_respawns` times per
-batch — re-execution is safe because task units are stateless and
-idempotent.  Parallel backends also implement
-:meth:`Executor.run_tasks_speculative`: tasks still running after a
-timeout get a backup attempt and the first finisher wins, the loser's
-result being discarded (identical by the statelessness contract).
+Fault tolerance: both parallel backends drive one
+:class:`TaskLedger` per batch — the pending ``(index, attempt)``
+queue, the outcomes (the first attempt to finish wins), per-task
+losses and their cap, resubmits, backup wins, the respawn budget, and
+which worker produced each result.  A task whose attempt is lost (a
+worker dying mid-task, e.g. via ``os._exit``, or a dropped reply) is
+re-queued; re-execution is safe because task units are stateless and
+idempotent.  With ``run_tasks(..., timeout=t)``, every task still open
+``t`` seconds after dispatch gets one backup attempt and the first
+finisher wins, the loser's result being discarded (identical by the
+statelessness contract).  The runtime meters the batch's recovery from
+its ledger, :attr:`Executor.ledger`.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ import atexit
 import os
 import pickle
 import threading
+import time
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -68,6 +73,8 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",
+    "TaskLedger",
+    "WorkerDied",
     "EXECUTOR_BACKENDS",
     "resolve_executor",
     "shutdown_shared_pools",
@@ -80,6 +87,137 @@ TaskFunction = Callable[..., Any]
 #: Canonical backend names accepted by :func:`resolve_executor` (and
 #: therefore by ``MapReduceRuntime(backend=...)`` and the CLI).
 EXECUTOR_BACKENDS = ("serial", "processes", "cluster")
+
+#: Worker deaths (pool respawns) tolerated per batch before it fails
+#: with :class:`WorkerDied`.
+RESPAWN_BUDGET = 6
+
+#: Lost attempts tolerated per task before the batch fails with
+#: :class:`WorkerDied`.
+MAX_TASK_LOSSES = 10
+
+
+class WorkerDied(ExecutorError):
+    """Workers kept dying (or a task kept being lost) past a batch's
+    budget."""
+
+
+class TaskLedger:
+    """The attempt bookkeeping of one batch on a parallel backend.
+
+    Attempt ``0`` of every task is queued up front; :meth:`back_up`
+    queues attempt ``1`` of every open task.  The first attempt of a
+    task to :meth:`record` its outcome wins and a late duplicate is
+    ignored, so results are independent of which attempt got there
+    first.  A lost attempt is re-queued by :meth:`lose`, and a worker
+    death is charged by :meth:`respawn`; either raises
+    :class:`WorkerDied` once its budget is spent.
+
+    The ledger does no locking of its own: a backend that drives it
+    from several threads holds :attr:`cond` around every call.
+    """
+
+    def __init__(self, count: int) -> None:
+        self.pending: deque[Tuple[int, int]] = deque(
+            (index, 0) for index in range(count)
+        )
+        self.done = [False] * count
+        #: ``(ok, value)`` per task, as :func:`_run_guarded` returns it.
+        self.outcomes: List[Any] = [None] * count
+        #: The worker slot that produced each accepted result, where
+        #: the backend knows it.
+        self.workers: List[Optional[int]] = [None] * count
+        self.losses = [0] * count
+        self.completed = 0
+        #: Tasks whose winning attempt was a backup.
+        self.wins = 0
+        self.resubmits = 0
+        self.respawns = 0
+        #: An infrastructure failure that ended the batch early.
+        self.failure: Optional[BaseException] = None
+        self.cond = threading.Condition()
+
+    @property
+    def settled(self) -> bool:
+        """Every task has an outcome, or the batch has failed."""
+        return self.failure is not None or self.completed == len(self.done)
+
+    def next(self) -> Optional[Tuple[int, int]]:
+        """Pop the next queued attempt of a still-open task."""
+        while self.pending:
+            index, attempt = self.pending.popleft()
+            if not self.done[index]:
+                return index, attempt
+        return None
+
+    def record(
+        self,
+        index: int,
+        attempt: int,
+        outcome: Any,
+        worker: Optional[int] = None,
+    ) -> None:
+        """Accept an attempt's outcome unless the task already has one."""
+        if self.done[index]:
+            return
+        self.done[index] = True
+        self.outcomes[index] = outcome
+        self.workers[index] = worker
+        self.completed += 1
+        if attempt > 0:
+            self.wins += 1
+
+    def lose(self, index: int, attempt: int, cause: BaseException) -> None:
+        """Re-queue an attempt whose result never arrived."""
+        if self.done[index]:
+            return
+        self.losses[index] += 1
+        if self.losses[index] >= MAX_TASK_LOSSES:
+            raise WorkerDied(
+                f"task {index} was lost {self.losses[index]} times "
+                f"(last: {cause})"
+            )
+        self.pending.append((index, attempt))
+        self.resubmits += 1
+
+    def back_up(self) -> None:
+        """Queue one backup attempt for every task still open."""
+        for index, done in enumerate(self.done):
+            if not done:
+                self.pending.append((index, 1))
+
+    def respawn(self, cause: object) -> None:
+        """Charge one worker respawn to the batch's budget."""
+        if self.respawns >= RESPAWN_BUDGET:
+            raise WorkerDied(
+                f"workers kept dying after {self.respawns} respawns: "
+                f"{cause}"
+            )
+        self.respawns += 1
+
+    def fail(self, failure: BaseException) -> None:
+        """End the batch with an infrastructure failure (first wins)."""
+        if self.failure is None:
+            self.failure = failure
+
+    def results(self) -> List[Any]:
+        """Hand over the results in task order; raises the batch's
+        failure, else the first task failure in task order — the
+        cross-backend error determinism rule.
+
+        The ledger keeps no reference to them afterwards: an executor
+        holds its last ledger, which must not keep a finished batch's
+        outputs alive.
+        """
+        if self.failure is not None:
+            raise self.failure
+        outcomes, self.outcomes = self.outcomes, []
+        results = []
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+            results.append(value)
+        return results
 
 
 class Executor:
@@ -94,25 +232,23 @@ class Executor:
     #: the external shuffle or needs a materialized list.
     picklable_tasks: bool = False
 
+    #: The :class:`TaskLedger` of the most recent batch.  The serial
+    #: backend builds none: it has no attempts to race or lose.
+    ledger: Optional[TaskLedger] = None
+
     def run_tasks(
-        self, fn: TaskFunction, tasks: Sequence[Task]
+        self,
+        fn: TaskFunction,
+        tasks: Sequence[Task],
+        timeout: Optional[float] = None,
     ) -> List[Any]:
-        """Return ``[fn(*task) for task in tasks]`` in input order."""
-        raise NotImplementedError
+        """Return ``[fn(*task) for task in tasks]`` in input order.
 
-    def run_tasks_speculative(
-        self, fn: TaskFunction, tasks: Sequence[Task], timeout: float
-    ) -> Tuple[List[Any], int]:
-        """Like :meth:`run_tasks`, plus straggler mitigation.
-
-        Tasks still running ``timeout`` seconds after dispatch get a
-        backup attempt; whichever attempt finishes first supplies the
-        result and the loser is discarded.  Returns ``(results,
-        backup_wins)``.  Backends without real parallelism have no
-        stragglers to race, so the base implementation just runs the
-        batch.
+        With ``timeout``, a parallel backend gives every task still
+        open ``timeout`` seconds after dispatch one backup attempt;
+        whichever attempt finishes first supplies the result.
         """
-        return self.run_tasks(fn, tasks), 0
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release any worker pool this executor was using.
@@ -121,17 +257,26 @@ class Executor:
         next use.  The serial backend holds no resources.
         """
 
+    def publish_metrics(self, registry: Any) -> None:
+        """Export fleet health as gauges after a batch (if any)."""
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
 
 
 class SerialExecutor(Executor):
-    """Run every task inline in the calling thread (default backend)."""
+    """Run every task inline in the calling thread (default backend).
+
+    There are no stragglers to race, so ``timeout`` is ignored.
+    """
 
     name = "serial"
 
     def run_tasks(
-        self, fn: TaskFunction, tasks: Sequence[Task]
+        self,
+        fn: TaskFunction,
+        tasks: Sequence[Task],
+        timeout: Optional[float] = None,
     ) -> List[Any]:
         return [fn(*task) for task in tasks]
 
@@ -200,40 +345,6 @@ def shutdown_shared_pools() -> None:
 atexit.register(shutdown_shared_pools)
 
 
-def _speculate(
-    submit: Callable[..., Any],
-    fn: TaskFunction,
-    tasks: List[Task],
-    timeout: float,
-) -> Tuple[List[Any], int]:
-    """First-finisher-wins straggler racing over ``submit``.
-
-    Primaries for every task are dispatched up front; any primary
-    still running after ``timeout`` seconds gets one backup attempt,
-    and whichever of the pair completes first supplies the result.
-    The loser keeps running to completion in the pool but its result
-    is never read — safe, because task units are stateless and their
-    outputs identical.  Task-order error determinism is preserved:
-    results (and the first failure) are collected in input order.
-    """
-    primaries = [submit(fn, *task) for task in tasks]
-    done, straggling = wait(primaries, timeout=timeout)
-    wins = 0
-    winners: List[Any] = list(primaries)
-    for index, primary in enumerate(primaries):
-        if primary not in straggling:
-            continue
-        backup = submit(fn, *tasks[index])
-        wait([primary, backup], return_when=FIRST_COMPLETED)
-        # Prefer the primary on a photo finish — fewer discarded wins.
-        if primary.done():
-            backup.cancel()
-        else:
-            winners[index] = backup
-            wins += 1
-    return [future.result() for future in winners], wins
-
-
 def _run_guarded(fn: TaskFunction, task: Task) -> Tuple[bool, Any]:
     """Process-pool trampoline: capture task errors as return values.
 
@@ -265,107 +376,75 @@ class ProcessExecutor(Executor):
     name = "processes"
     picklable_tasks = True
 
-    #: Pool respawns allowed per batch before giving up: a worker can
-    #: die (and be replaced) this many times without failing the job.
-    max_pool_respawns: int = 3
-
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers or _default_workers()
-        #: Lifetime meters, read by the runtime to fill the ``faults``
-        #: counter group after each dispatch.
-        self.pool_respawns = 0
-        self.resubmitted_tasks = 0
 
     def run_tasks(
-        self, fn: TaskFunction, tasks: Sequence[Task]
+        self,
+        fn: TaskFunction,
+        tasks: Sequence[Task],
+        timeout: Optional[float] = None,
     ) -> List[Any]:
         tasks = list(tasks)
-        if not tasks:
-            return []
-        outcomes: List[Any] = [None] * len(tasks)
-        pending = list(range(len(tasks)))
-        respawns_left = self.max_pool_respawns
-        while pending:
-            pool = _shared_pool("processes", self.max_workers)
-            futures: Dict[int, Any] = {}
-            failed: List[int] = []
+        ledger = self.ledger = TaskLedger(len(tasks))
+        deadline = None if timeout is None else time.monotonic() + timeout
+        #: future -> (index, attempt, the pool it was submitted to)
+        running: Dict[Any, Tuple[int, int, Any]] = {}
+        pool: Any = None
+        while not ledger.settled:
+            if pool is None:
+                pool = _shared_pool("processes", self.max_workers)
             broken: Optional[BaseException] = None
-            for index in pending:
-                try:
-                    futures[index] = pool.submit(
-                        _run_guarded, fn, tasks[index]
-                    )
-                except (BrokenExecutor, RuntimeError) as exc:
-                    # The pool died under us before accepting the task;
-                    # everything not yet submitted needs the next pool.
-                    broken = exc
-                    failed.append(index)
-            for index in sorted(futures):
-                try:
-                    outcomes[index] = futures[index].result()
-                except BrokenExecutor as exc:
-                    # The worker holding this task died (e.g. hard
-                    # os._exit); the task itself is innocent and gets
-                    # re-submitted to a fresh pool.
-                    broken = exc
-                    failed.append(index)
-                except Exception as exc:
-                    # _run_guarded converts job errors into values, so
-                    # any other exception is infrastructure:
-                    # unpicklable inputs.
-                    name = getattr(fn, "__name__", str(fn))
-                    raise ExecutorError(
-                        f"processes backend could not execute {name!r}: "
-                        f"{exc} (jobs, side data, and records must be "
-                        "picklable — define jobs at module level)"
-                    ) from exc
-            if broken is None:
-                break
-            _evict_pool("processes", self.max_workers)
-            if respawns_left <= 0:
-                raise ExecutorError(
-                    "processes backend: worker pool kept breaking "
-                    f"after {self.max_pool_respawns} respawns: {broken}"
-                ) from broken
-            respawns_left -= 1
-            self.pool_respawns += 1
-            self.resubmitted_tasks += len(failed)
-            pending = sorted(failed)
-        results = []
-        for ok, value in outcomes:
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-
-    def run_tasks_speculative(
-        self, fn: TaskFunction, tasks: Sequence[Task], timeout: float
-    ) -> Tuple[List[Any], int]:
-        tasks = list(tasks)
-        if not tasks:
-            return [], 0
-        pool = _shared_pool("processes", self.max_workers)
-
-        def submit(task_fn: TaskFunction, *args: Any) -> Any:
-            return pool.submit(_run_guarded, task_fn, args)
-
-        try:
-            outcomes, wins = _speculate(submit, fn, tasks, timeout)
-        except BrokenExecutor as exc:
-            # Speculative batches do not respawn mid-race (primary and
-            # backup attempts would lose their pairing); the plain
-            # run_tasks path is the recovery story for worker death.
-            _evict_pool("processes", self.max_workers)
-            raise ExecutorError(
-                f"processes backend pool broke during speculative "
-                f"execution: {exc}"
-            ) from exc
-        results = []
-        for ok, value in outcomes:
-            if not ok:
-                raise value
-            results.append(value)
-        return results, wins
+            try:
+                for index, attempt in iter(ledger.next, None):
+                    future = pool.submit(_run_guarded, fn, tasks[index])
+                    running[future] = (index, attempt, pool)
+            except (BrokenExecutor, RuntimeError) as exc:
+                # The pool died before accepting the attempt.
+                ledger.lose(index, attempt, exc)
+                broken = exc
+            else:
+                remaining = None
+                if deadline is not None:
+                    remaining = max(deadline - time.monotonic(), 0.0)
+                done, _ = wait(
+                    running, timeout=remaining, return_when=FIRST_COMPLETED
+                )
+                if not done:  # the deadline passed: race the stragglers
+                    ledger.back_up()
+                    deadline = None
+                # In task order, primaries first: a photo finish goes
+                # to the primary.
+                for future in sorted(done, key=lambda f: running[f][:2]):
+                    index, attempt, owner = running.pop(future)
+                    try:
+                        ledger.record(index, attempt, future.result())
+                    except BrokenExecutor as exc:
+                        # The worker holding this attempt died (e.g. a
+                        # hard os._exit); the task is innocent and runs
+                        # again.  Attempts of an already replaced pool
+                        # cost no second respawn.
+                        ledger.lose(index, attempt, exc)
+                        if owner is pool:
+                            broken = exc
+                    except Exception as exc:
+                        # _run_guarded turns job errors into values, so
+                        # anything else is infrastructure: unpicklable
+                        # inputs.
+                        name = getattr(fn, "__name__", str(fn))
+                        raise ExecutorError(
+                            f"processes backend could not execute "
+                            f"{name!r}: {exc} (jobs, side data, and "
+                            "records must be picklable — define jobs at "
+                            "module level)"
+                        ) from exc
+            if broken is not None:
+                _evict_pool("processes", self.max_workers)
+                ledger.respawn(broken)
+                pool = None
+        for future in running:  # discarded stragglers and backups
+            future.cancel()
+        return ledger.results()
 
     def close(self) -> None:
         _evict_pool("processes", self.max_workers)

@@ -281,6 +281,17 @@ class FaultPlan:
         :meth:`cleanup` / context-manager exit).
     """
 
+    #: The probability parameters, each validated to lie in [0, 1].
+    _RATES = (
+        "crash_rate",
+        "delay_rate",
+        "worker_kill_rate",
+        "frame_drop_rate",
+        "io_rate",
+        "flush_rate",
+        "poison_rate",
+    )
+
     def __init__(
         self,
         seed: int,
@@ -295,28 +306,6 @@ class FaultPlan:
         max_faults_per_site: int = 1,
         scratch_dir: Optional[str] = None,
     ) -> None:
-        for name, rate in (
-            ("crash_rate", crash_rate),
-            ("delay_rate", delay_rate),
-            ("worker_kill_rate", worker_kill_rate),
-            ("frame_drop_rate", frame_drop_rate),
-            ("io_rate", io_rate),
-            ("flush_rate", flush_rate),
-            ("poison_rate", poison_rate),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise JobValidationError(
-                    f"{name} must be in [0, 1], got {rate}"
-                )
-        if delay_seconds < 0:
-            raise JobValidationError(
-                f"delay_seconds must be >= 0, got {delay_seconds}"
-            )
-        if max_faults_per_site < 0:
-            raise JobValidationError(
-                "max_faults_per_site must be >= 0, got "
-                f"{max_faults_per_site}"
-            )
         self.seed = seed
         self.crash_rate = crash_rate
         self.delay_rate = delay_rate
@@ -327,6 +316,22 @@ class FaultPlan:
         self.flush_rate = flush_rate
         self.poison_rate = poison_rate
         self.max_faults_per_site = max_faults_per_site
+        for name in self._RATES:
+            rate = getattr(self, name)
+            if not 0.0 <= rate <= 1.0:
+                raise JobValidationError(
+                    f"{name} must be in [0, 1], got {rate}"
+                )
+        # ``not x >= 0`` rather than ``x < 0``: NaN fails it too.
+        if not delay_seconds >= 0:
+            raise JobValidationError(
+                f"delay_seconds must be >= 0, got {delay_seconds}"
+            )
+        if max_faults_per_site < 0:
+            raise JobValidationError(
+                "max_faults_per_site must be >= 0, got "
+                f"{max_faults_per_site}"
+            )
         self._scratch_dir = scratch_dir
         self._owns_scratch = False
 
@@ -458,13 +463,7 @@ class FaultPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rates = ", ".join(
             f"{name}={getattr(self, name)}"
-            for name in (
-                "crash_rate",
-                "delay_rate",
-                "io_rate",
-                "flush_rate",
-                "poison_rate",
-            )
+            for name in self._RATES
             if getattr(self, name)
         )
         return f"FaultPlan(seed={self.seed}{', ' + rates if rates else ''})"

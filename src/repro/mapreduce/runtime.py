@@ -403,8 +403,8 @@ class MapReduceRuntime:
         :class:`RetryPolicy`, every task is wrapped in
         :func:`~repro.mapreduce.faults.resilient_task_call` (retries
         stay inside the worker, so the backend sees one submission per
-        task) and a ``task_timeout`` routes the batch through the
-        executor's speculative path; with a :class:`FaultPlan`, the
+        task) and a ``task_timeout`` gives straggling tasks a backup
+        attempt on a parallel backend; with a :class:`FaultPlan`, the
         wrapper also fires the scheduled crashes and delays.  Failed
         attempts never return their counters, so the merged totals are
         bit-identical with the fault-free run; recovery activity lands
@@ -437,8 +437,6 @@ class MapReduceRuntime:
                 )
             fn, tasks = resilient_task_call, wrapped
         executor = self.executor
-        respawns_before = getattr(executor, "pool_respawns", 0)
-        resubmits_before = getattr(executor, "resubmitted_tasks", 0)
         tracer = self.tracer
         if tracer is not None:
             # Timing composes outside the retry wrapper: a task's span
@@ -448,46 +446,29 @@ class MapReduceRuntime:
                 (fn,) + tuple(task) for task in tasks
             ]
         timeout = policy.task_timeout if policy is not None else None
-        if timeout is not None:
-            raw, wins = executor.run_tasks_speculative(
-                fn, tasks, timeout
-            )
-            if wins:
-                self.counters.increment(
-                    FAULT_COUNTER_GROUP, "task.speculative_wins", wins
-                )
-        else:
-            raw = executor.run_tasks(fn, tasks)
-        respawned = (
-            getattr(executor, "pool_respawns", 0) - respawns_before
-        )
-        resubmitted = (
-            getattr(executor, "resubmitted_tasks", 0) - resubmits_before
-        )
-        if respawned:
-            self.counters.increment(
-                FAULT_COUNTER_GROUP, "pool.respawns", respawned
-            )
-        if resubmitted:
-            self.counters.increment(
-                FAULT_COUNTER_GROUP, "task.resubmits", resubmitted
-            )
-        # Executors with fleet-level health (the cluster backend's
-        # per-worker task counts, respawns, queue depth) export it as
-        # volatile gauges after each dispatch; the duck-typed hook
-        # keeps the runtime backend-agnostic.
-        publish = getattr(executor, "publish_metrics", None)
-        if publish is not None:
-            publish(self.metrics)
+        raw = executor.run_tasks(fn, tasks, timeout=timeout)
+        # A parallel backend's batch ledger says where the batch's
+        # failures went; the serial backend keeps none.
+        ledger = executor.ledger
+        if ledger is not None:
+            for name, count in (
+                ("task.speculative_wins", ledger.wins),
+                ("pool.respawns", ledger.respawns),
+                ("task.resubmits", ledger.resubmits),
+            ):
+                if count:
+                    self.counters.increment(
+                        FAULT_COUNTER_GROUP, name, count
+                    )
+        executor.publish_metrics(self.metrics)
         if tracer is None:
             return raw
-        # Worker attribution (which fleet slot produced each accepted
-        # result) rides on the task spans when the backend reports it.
-        workers = getattr(executor, "last_task_workers", None) or ()
+        # Worker attribution rides on the task spans where it is known.
+        workers = ledger.workers if ledger is not None else [None] * len(raw)
         results: List[Any] = []
         for index, (seconds, result) in enumerate(raw):
             attrs: Dict[str, Any] = {}
-            if index < len(workers) and workers[index] is not None:
+            if workers[index] is not None:
                 attrs["worker"] = workers[index]
             tracer.record(
                 f"{label}-{index}", kind="task", seconds=seconds, **attrs

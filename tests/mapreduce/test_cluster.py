@@ -51,7 +51,7 @@ from repro.mapreduce.cluster import (
 )
 from repro.mapreduce.cluster.heartbeat import ALIVE, DEAD, SUSPECT
 from repro.mapreduce.cluster.protocol import connect, request
-from repro.mapreduce.executors import _SHARED_POOLS
+from repro.mapreduce.executors import _SHARED_POOLS, _evict_pool
 from repro.mapreduce.faults import _claim_once
 from repro.mapreduce.state import strip_volatile_counters
 from repro.telemetry import MetricsRegistry
@@ -264,6 +264,8 @@ def test_heartbeat_slots_are_independent():
 def test_heartbeat_validates_parameters():
     with pytest.raises(JobValidationError, match="interval"):
         HeartbeatMonitor(interval=0.0)
+    with pytest.raises(JobValidationError, match="interval"):
+        HeartbeatMonitor(interval=float("nan"))
     with pytest.raises(JobValidationError, match="miss_limit"):
         HeartbeatMonitor(interval=1.0, miss_limit=1)
 
@@ -288,7 +290,7 @@ def test_driver_runs_tasks_in_order(driver):
     pids = driver.worker_pids()
     assert driver.run_tasks(_square, [(3,)]) == [9]
     assert driver.worker_pids() == pids
-    assert driver.pool_respawns == 0
+    assert driver.worker_stats()["respawns"] == 0
 
 
 def test_driver_raises_first_task_order_failure(driver):
@@ -297,7 +299,8 @@ def test_driver_raises_first_task_order_failure(driver):
     with pytest.raises(ValueError, match="task 3 failed"):
         driver.run_tasks(_fail_on, [(i, 3) for i in range(8)])
     # The fleet survives job errors; no recovery was involved.
-    assert driver.pool_respawns == 0
+    assert driver.ledger.respawns == 0
+    assert driver.ledger.resubmits == 0
     assert driver.run_tasks(_square, [(2,)]) == [4]
 
 
@@ -308,10 +311,8 @@ def test_driver_empty_batch_and_stats(driver):
     assert stats["workers"] == 2
     assert sum(stats["tasks_by_worker"].values()) == 2
     assert stats["queue_depth_highwater"] >= 2
-    assert len(driver.last_task_workers) == 2
-    assert all(
-        slot in (0, 1) for slot in driver.last_task_workers
-    )
+    assert len(driver.ledger.workers) == 2
+    assert all(slot in (0, 1) for slot in driver.ledger.workers)
 
 
 def test_driver_rejects_unpicklable_tasks(driver):
@@ -353,8 +354,8 @@ def test_mid_task_sigkill_is_reexecuted(driver, tmp_path):
         _exit_once, [(sentinel, i) for i in range(8)]
     )
     assert results == list(range(8))
-    assert driver.pool_respawns >= 1
-    assert driver.resubmitted_tasks >= 1
+    assert driver.ledger.respawns >= 1
+    assert driver.ledger.resubmits >= 1
     # The respawned slot serves the next batch like nothing happened.
     assert driver.run_tasks(_square, [(5,)]) == [25]
 
@@ -378,8 +379,8 @@ def test_fetch_retry_on_restarted_worker(tmp_path):
         )
         assert results == [_blob_payload(n) for n in range(4)]
         assert len(killed) == 1
-        assert driver.pool_respawns >= 1
-        assert driver.resubmitted_tasks >= 1
+        assert driver.ledger.respawns >= 1
+        assert driver.ledger.resubmits >= 1
     finally:
         driver.shutdown()
 
@@ -441,7 +442,7 @@ def test_muted_worker_is_declared_dead_and_replaced():
         # generation dead once too before its first pong lands, so the
         # respawn count is at-least-one, not exactly-one.
         assert driver.run_tasks(_square, [(6,)]) == [36]
-        assert driver.pool_respawns >= 1
+        assert driver.worker_stats()["respawns"] >= 1
         assert driver.worker_pids()[0] != first_pid
     finally:
         driver.shutdown()
@@ -451,21 +452,23 @@ def test_speculative_backup_beats_cluster_straggler(tmp_path):
     driver = ClusterDriver(num_workers=2)
     sentinel = str(tmp_path / "slow")
     try:
-        results, wins = driver.run_tasks_speculative(
+        results = driver.run_tasks(
             _sleep_once,
             [(sentinel, i, 30.0) for i in range(2)],
             timeout=0.2,
         )
         assert results == [0, 1]
-        assert wins >= 1
+        assert driver.ledger.wins >= 1
     finally:
         driver.shutdown()
 
 
-def test_worker_death_budget_exhaustion_raises_worker_died():
+def test_worker_death_budget_exhaustion_raises_worker_died(monkeypatch):
+    from repro.mapreduce import executors
     from repro.mapreduce.cluster.driver import WorkerDied
 
-    driver = ClusterDriver(num_workers=1, max_worker_respawns=1)
+    monkeypatch.setattr(executors, "RESPAWN_BUDGET", 1)
+    driver = ClusterDriver(num_workers=1)
     try:
         # Every execution of this task kills its worker (fresh spill
         # dir per generation, so the sentinel trick can't save it);
@@ -490,6 +493,9 @@ def test_resolve_executor_knows_cluster():
 def test_cluster_executor_close_reaps_workers():
     """The latent ``Executor.close()`` gap, fixed: no orphan worker
     daemons survive the executor — counted via live children."""
+    # A fleet of this size left by an earlier test (the ``runtime``
+    # fixture's, say) would serve the batch and spawn nothing.
+    _evict_pool("cluster", 2)
     baseline = {p.pid for p in multiprocessing.active_children()}
     executor = ClusterExecutor(max_workers=2)
     try:
@@ -532,9 +538,9 @@ def test_cluster_executor_meters_and_gauges(tmp_path):
         assert executor.run_tasks(
             _exit_once, [(sentinel, i) for i in range(4)]
         ) == list(range(4))
-        assert executor.pool_respawns >= 1
-        assert executor.resubmitted_tasks >= 1
-        assert len(executor.last_task_workers) == 4
+        assert executor.ledger.respawns >= 1
+        assert executor.ledger.resubmits >= 1
+        assert len(executor.ledger.workers) == 4
         registry = MetricsRegistry()
         executor.publish_metrics(registry)
         gauges = registry.snapshot()["gauges"]["cluster"]

@@ -30,6 +30,8 @@ from repro.mapreduce import (
     SerialExecutor,
     resolve_executor,
 )
+from repro.mapreduce import executors
+from repro.mapreduce.executors import TaskLedger, WorkerDied
 from repro.matching import greedy_mr_b_matching, stack_mr_b_matching
 from repro.simjoin import mapreduce_similarity_join
 
@@ -201,6 +203,83 @@ def test_counters_survive_pickling():
     assert clone.snapshot() == counters.snapshot()
     clone.increment("g", "a")
     assert counters.get("g", "a") == 7
+
+
+# -- the task ledger (no process, no socket) --------------------------------
+
+
+def _drain(ledger):
+    return list(iter(ledger.next, None))
+
+
+def test_ledger_first_finisher_wins_and_late_duplicate_is_ignored():
+    ledger = TaskLedger(2)
+    assert _drain(ledger) == [(0, 0), (1, 0)]
+    ledger.back_up()
+    assert _drain(ledger) == [(0, 1), (1, 1)]
+    ledger.record(0, 1, (True, "backup"), worker=1)
+    ledger.record(0, 0, (True, "primary"), worker=0)
+    assert not ledger.settled
+    ledger.record(1, 0, (True, "primary"), worker=0)
+    assert ledger.settled
+    assert ledger.results() == ["backup", "primary"]
+    assert ledger.outcomes == []  # handed over, not kept alive
+    assert ledger.workers == [1, 0]
+    # A late duplicate of a finished task is neither queued nor lost.
+    ledger.lose(1, 1, ConnectionError("late"))
+    assert _drain(ledger) == [] and ledger.resubmits == 0
+
+
+def test_ledger_counts_only_backup_attempts_as_wins():
+    ledger = TaskLedger(3)
+    ledger.back_up()
+    ledger.record(0, 0, (True, 0))
+    ledger.record(1, 1, (True, 1))
+    ledger.record(2, 0, (True, 2))
+    assert ledger.wins == 1
+    # Backups of tasks finished meanwhile are skipped, not run.
+    assert _drain(ledger) == []
+
+
+def test_ledger_loss_requeues_the_attempt_and_counts_one_resubmit():
+    ledger = TaskLedger(2)
+    assert ledger.next() == (0, 0)
+    ledger.lose(0, 0, ConnectionError("dropped frame"))
+    assert ledger.resubmits == 1
+    assert ledger.losses == [1, 0]
+    assert _drain(ledger) == [(1, 0), (0, 0)]
+
+
+def test_ledger_loss_cap_and_respawn_budget_raise_worker_died():
+    ledger = TaskLedger(1)
+    for _ in range(executors.MAX_TASK_LOSSES - 1):
+        ledger.lose(0, 0, ConnectionError("lost"))
+    with pytest.raises(WorkerDied, match="task 0 was lost"):
+        ledger.lose(0, 0, ConnectionError("lost"))
+    for _ in range(executors.RESPAWN_BUDGET):
+        ledger.respawn("worker died")
+    with pytest.raises(WorkerDied, match="respawns"):
+        ledger.respawn("worker died")
+    assert ledger.respawns == executors.RESPAWN_BUDGET
+
+
+def test_ledger_results_raise_the_first_failure_in_task_order():
+    ledger = TaskLedger(3)
+    ledger.record(2, 0, (False, KeyError("third")))
+    ledger.record(1, 0, (False, ValueError("second")))
+    ledger.record(0, 0, (True, "first"))
+    with pytest.raises(ValueError, match="second"):
+        ledger.results()
+    # An infrastructure failure outranks every task outcome.
+    ledger.fail(WorkerDied("fleet gone"))
+    with pytest.raises(WorkerDied, match="fleet gone"):
+        ledger.results()
+
+
+def test_serial_executor_builds_no_ledger():
+    executor = SerialExecutor()
+    assert executor.run_tasks(_square, [(2,)], timeout=1.0) == [4]
+    assert executor.ledger is None
 
 
 # -- the bit-identical equivalence property --------------------------------

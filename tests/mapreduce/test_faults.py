@@ -193,6 +193,8 @@ def test_fault_plan_validates_rates():
         FaultPlan(0, io_rate=1.5)
     with pytest.raises(JobValidationError, match="delay_seconds"):
         FaultPlan(0, delay_seconds=-1)
+    with pytest.raises(JobValidationError, match="delay_seconds"):
+        FaultPlan(0, delay_seconds=float("nan"))
     with pytest.raises(JobValidationError, match="max_faults_per_site"):
         FaultPlan(0, max_faults_per_site=-1)
 
@@ -412,16 +414,19 @@ def test_retried_reduce_rereads_its_spilled_partition(tmp_path):
 # -- worker death: the pool respawns and the job completes -----------------
 
 
-def test_process_pool_respawns_after_worker_death(tmp_path):
+def test_process_pool_recovers_from_worker_death(tmp_path):
+    # With a timeout, stragglers are raced on the same loop that
+    # respawns the pool: the death costs one respawn either way.
     executor = ProcessExecutor(max_workers=2)
     try:
-        sentinel = str(tmp_path / "boom")
-        results = executor.run_tasks(
-            _exit_once, [(sentinel, i) for i in range(6)]
-        )
-        assert results == list(range(6))
-        assert executor.pool_respawns >= 1
-        assert executor.resubmitted_tasks >= 1
+        for timeout in (None, 5.0):
+            sentinel = str(tmp_path / f"boom-{timeout}")
+            results = executor.run_tasks(
+                _exit_once, [(sentinel, i) for i in range(6)], timeout
+            )
+            assert results == list(range(6))
+            assert executor.ledger.respawns >= 1
+            assert executor.ledger.resubmits >= 1
     finally:
         executor.close()
 
@@ -433,14 +438,15 @@ def test_runtime_job_survives_worker_death(tmp_path):
     baseline_sentinel.touch()
     with _cell_runtime("serial") as clean:
         baseline = clean.run(KamikazeOnce(str(baseline_sentinel)), records)
-    with _cell_runtime("processes") as runtime:
-        output = runtime.run(
-            KamikazeOnce(str(tmp_path / "boom")), records
-        )
-        faults = runtime.counters.group("faults")
-    assert output == baseline
-    assert faults["pool.respawns"] >= 1
-    assert faults["task.resubmits"] >= 1
+    for index, policy in enumerate((None, RetryPolicy(task_timeout=5.0))):
+        with _cell_runtime("processes", retry_policy=policy) as runtime:
+            output = runtime.run(
+                KamikazeOnce(str(tmp_path / f"boom-{index}")), records
+            )
+            faults = runtime.counters.group("faults")
+        assert output == baseline
+        assert faults["pool.respawns"] >= 1
+        assert faults["task.resubmits"] >= 1
 
 
 # -- cluster chaos: kills and dropped frames recover bit-identically -------
