@@ -364,15 +364,15 @@ def greedy_mr_b_matching(
     job = GreedyDeltaRoundJob()
     driver.create_store(records)
 
-    def step(deltas, round_number):
-        output, next_deltas = driver.run_stateful(job, deltas=deltas)
+    def frontier_round(deltas, round_number):
+        output, deltas = driver.run_stateful(job, deltas=deltas)
         for key, weight in output:
             matching.add(key[1], key[2], weight)
         history.append(matching.value)
-        return next_deltas, not next_deltas
+        return deltas
 
     try:
-        driver.iterate(step, records)
+        driver.iterate(frontier_round, records)
     finally:
         driver.close()
     return MatchingResult(

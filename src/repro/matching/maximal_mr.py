@@ -45,11 +45,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..graph.edges import EdgeKey, edge_key
 from ..mapreduce import (
+    IterativeDriver,
     KeyValue,
     MapReduceJob,
     MapReduceRuntime,
     Retired,
-    RoundLimitExceeded,
     stable_hash,
 )
 from ..mapreduce.state import ResidentStateStore
@@ -319,13 +319,20 @@ class _CleanupJob(_StageJob):
         return MMEdge(weight=mine.weight)
 
 
+#: Round cap of the subroutine.  StackMR also spaces the RNG streams of
+#: its push rounds by it (``round_offset``), so changing it changes
+#: StackMR's matchings.
+MAX_ROUNDS = 10_000
+
+_STAGES = (_MarkJob, _SelectJob, _MatchFixJob, _CleanupJob)
+
+
 def mr_maximal_b_matching(
     records: List[KeyValue],
     runtime: MapReduceRuntime,
     seed: int = 0,
     strategy: str = "uniform",
     round_offset: int = 0,
-    max_rounds: int = 10_000,
 ) -> Tuple[Dict[EdgeKey, float], int]:
     """Run the four-stage loop to a maximal b-matching.
 
@@ -337,31 +344,29 @@ def mr_maximal_b_matching(
         Distinguishes RNG streams when StackMR invokes the subroutine
         many times with the same seed.
 
-    Returns the matched edges and the number of (four-job) iterations.
+    Returns the matched edges and the number of (four-job) rounds, run
+    as the ``mr-maximal-b-matching`` loop of
+    :class:`~repro.mapreduce.IterativeDriver`.
     """
     check_strategy(strategy)
     matched: Dict[EdgeKey, float] = {}
-    rounds = 0
     store: ResidentStateStore = runtime.state_store("maximal-mm")
     store.load(records)
-    try:
-        while len(store):
-            if rounds >= max_rounds:
-                raise RoundLimitExceeded(
-                    "mr-maximal-b-matching", max_rounds
-                )
-            round_index = round_offset + rounds
-            for stage_class in (_MarkJob, _SelectJob, _MatchFixJob):
-                job = stage_class(seed, round_index, strategy)
-                runtime.run_stateful(job, store, scan=True)
+    driver = IterativeDriver(runtime, "mr-maximal-b-matching", MAX_ROUNDS)
+
+    def stage_round(live: int, round_number: int) -> int:
+        round_index = round_offset + round_number
+        for stage_class in _STAGES:
+            # Only cleanup emits output: the round's matched edges.
             output, _ = runtime.run_stateful(
-                _CleanupJob(seed, round_index, strategy),
-                store,
-                scan=True,
+                stage_class(seed, round_index, strategy), store, scan=True
             )
             for key, value in output:
                 matched[edge_key(key[1], key[2])] = value
-            rounds += 1
+        return len(store)
+
+    try:
+        driver.iterate(stage_round, len(store))
     finally:
         store.close()
-    return matched, rounds
+    return matched, driver.rounds_completed

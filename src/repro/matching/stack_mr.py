@@ -15,7 +15,10 @@ Each *push* iteration consists of
 The paper folds (2) and (3) into one phase; we split them because the
 weak-coverage test needs post-update duals from *both* endpoints, which
 costs one extra round of communication per push iteration (job counts
-are reported accordingly).
+are reported accordingly).  Push iterations run as the
+``stack-mr-push`` loop of :class:`~repro.mapreduce.IterativeDriver`,
+and each one's subroutine as an ``mr-maximal-b-matching`` loop nested
+inside it, so a trace shows the inner rounds under their push round.
 
 The *pop* phase runs one job per layer, from the top of the stack: all
 surviving edges of the layer enter the solution in parallel, nodes whose
@@ -53,13 +56,22 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..graph.bipartite import Graph
 from ..graph.edges import EdgeKey
-from ..mapreduce import KeyValue, MapReduceJob, MapReduceRuntime, Retired
-from ..mapreduce.errors import RoundLimitExceeded
+from ..mapreduce import (
+    IterativeDriver,
+    KeyValue,
+    MapReduceJob,
+    MapReduceRuntime,
+    Retired,
+)
+from .maximal_mr import MAX_ROUNDS as MAX_INNER_ROUNDS
 from .maximal_mr import mm_records_from_adjacency, mr_maximal_b_matching
 from .stack import COVERAGE_TOLERANCE, layer_capacities, stack_algorithm_name
 from .types import Matching, MatchingResult
 
 __all__ = ["stack_mr_b_matching", "StackNode", "PopNode"]
+
+#: Round cap of the push phase.
+MAX_PUSH_ROUNDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -227,6 +239,11 @@ def _initial_states(
     return states
 
 
+def _has_live_edges(snapshot: List[Tuple[str, StackNode]]) -> bool:
+    """Whether a push-store snapshot has an edge left to stack."""
+    return any(state.adj for _, state in snapshot)
+
+
 def _stacked_by_node(matched: Dict[EdgeKey, float]) -> Dict[str, frozenset]:
     """Each node's partners in a freshly stacked layer."""
     stacked: Dict[str, set] = {}
@@ -242,8 +259,6 @@ def stack_mr_b_matching(
     seed: int = 0,
     strategy: str = "uniform",
     runtime: Optional[MapReduceRuntime] = None,
-    max_push_rounds: int = 10_000,
-    max_inner_rounds: int = 10_000,
 ) -> MatchingResult:
     """Run StackMR on ``graph`` through the MapReduce simulator.
 
@@ -254,7 +269,9 @@ def stack_mr_b_matching(
     simulated MapReduce jobs (the paper's efficiency metric).  Push-
     and pop-phase node records stay resident
     (:meth:`~repro.mapreduce.runtime.MapReduceRuntime.run_stateful`,
-    scan mode — the maximal subroutine included).
+    scan mode — the maximal subroutine included).  Each push round
+    ends with one snapshot of the push store; the loop stops at a
+    snapshot without live edges, and the duals are read off it.
     """
     name = stack_algorithm_name(strategy) + "MR"
     runtime = runtime or MapReduceRuntime()
@@ -263,49 +280,43 @@ def stack_mr_b_matching(
     caps_layer = layer_capacities(capacities, epsilon)
 
     layers: List[Dict[EdgeKey, float]] = []
-    push_rounds = 0
     update_job = _UpdateJob()
     coverage_job = _CoverageJob(epsilon)
+    driver = IterativeDriver(runtime, "stack-mr-push", MAX_PUSH_ROUNDS)
 
     # No driver-side copy: the store is the single owner, so its
     # out-of-core parking actually bounds between-round memory.
     push_store = runtime.state_store("stack-push")
     push_store.load(_initial_states(graph, capacities))
-    try:
-        while True:
-            snapshot = list(push_store.records())
-            live_edges = sum(len(state.adj) for _, state in snapshot)
-            if live_edges == 0:
-                break
-            if push_rounds >= max_push_rounds:
-                raise RoundLimitExceeded(
-                    "stack-mr-push", max_push_rounds
-                )
-            mm_records = mm_records_from_adjacency(
-                {node: state.adj for node, state in snapshot},
-                caps_layer,
-            )
-            matched, _ = mr_maximal_b_matching(
-                mm_records,
-                runtime,
-                seed=seed,
-                strategy=strategy,
-                round_offset=push_rounds * max_inner_rounds,
-                max_rounds=max_inner_rounds,
-            )
-            layers.append(matched)
-            runtime.run_stateful(
-                update_job,
-                push_store,
-                scan=True,
-                side_data={"stacked": _stacked_by_node(matched)},
-            )
-            runtime.run_stateful(coverage_job, push_store, scan=True)
-            push_rounds += 1
 
-        duals = {node: state.y for node, state in push_store.records()}
+    def push_round(snapshot, round_number):
+        mm_records = mm_records_from_adjacency(
+            {node: state.adj for node, state in snapshot}, caps_layer
+        )
+        matched, _ = mr_maximal_b_matching(
+            mm_records,
+            runtime,
+            seed=seed,
+            strategy=strategy,
+            round_offset=round_number * MAX_INNER_ROUNDS,
+        )
+        layers.append(matched)
+        runtime.run_stateful(
+            update_job,
+            push_store,
+            scan=True,
+            side_data={"stacked": _stacked_by_node(matched)},
+        )
+        runtime.run_stateful(coverage_job, push_store, scan=True)
+        return list(push_store.records())
+
+    try:
+        snapshot = driver.iterate(
+            push_round, list(push_store.records()), pending=_has_live_edges
+        )
     finally:
         push_store.close()
+    duals = {node: state.y for node, state in snapshot}
     upper_bound = (3.0 + 2.0 * epsilon) * sum(
         duals[node] for node in sorted(duals)
     )
@@ -336,7 +347,7 @@ def stack_mr_b_matching(
     return MatchingResult(
         matching=matching,
         algorithm=name,
-        rounds=push_rounds + len(layers),
+        rounds=driver.rounds_completed + len(layers),
         mr_jobs=runtime.jobs_executed - jobs_before,
         value_history=[matching.value],
         duals=duals,

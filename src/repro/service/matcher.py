@@ -117,8 +117,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..graph import Graph
 from ..graph.edges import edge_key, edge_sort_key
-from ..mapreduce import MapReduceRuntime, canonical_bytes
-from ..mapreduce.errors import RoundLimitExceeded
+from ..mapreduce import IterativeDriver, MapReduceRuntime, canonical_bytes
 from ..mapreduce.faults import (
     FAULT_COUNTER_GROUP,
     InjectedFault,
@@ -660,7 +659,14 @@ class OnlineMatcher:
 
         Rule 3 of the module docstring: drop each planned node's
         matched edges from its threshold on, seed the dirty
-        sub-instance with residual capacities, run frontier rounds.
+        sub-instance with residual capacities, run frontier rounds as
+        the ``online-matching`` loop of :class:`~repro.mapreduce.
+        IterativeDriver` (under the flush's ``reconverge`` span when
+        traced).  Its ``online-matching.rounds`` counter counts the
+        rounds of every attempt, rolled back or not; the service's
+        ``reconverge.rounds`` counts committed flushes only.  The round
+        is GreedyMR's, but it folds into ``_partners`` and runs on the
+        matcher's own match store, so it does not share GreedyMR's body.
 
         ``inject_fault`` makes the re-convergence fail transiently
         after its first round's partner updates (or immediately when
@@ -707,24 +713,25 @@ class OnlineMatcher:
         # Every round with live eligible edges matches at least one, so
         # rounds are bounded by the dirty edge count (cf.
         # ``default_max_rounds``); the +1 covers the seedless flush.
-        max_rounds = local_edges // 2 + 1
-        rounds = 0
-        while deltas:
-            if rounds >= max_rounds:
-                raise RoundLimitExceeded("online-matching", max_rounds)
+        driver = IterativeDriver(
+            self.runtime, "online-matching", local_edges // 2 + 1
+        )
+
+        def frontier_round(deltas, round_number):
             output, deltas = self.runtime.run_stateful(
                 self._job, self.match_store, deltas=deltas
             )
-            rounds += 1
-            for key, weight in output:
-                if isinstance(key, tuple) and key[0] == "matched":
-                    self._partners.setdefault(key[1], {})[key[2]] = weight
-                    self._partners.setdefault(key[2], {})[key[1]] = weight
+            for key, weight in output:  # ("matched", u, v) only
+                self._partners.setdefault(key[1], {})[key[2]] = weight
+                self._partners.setdefault(key[2], {})[key[1]] = weight
             if inject_fault:
                 self._inject_reconverge_fault()
+            return deltas
+
+        driver.iterate(frontier_round, deltas)
         if inject_fault:
             self._inject_reconverge_fault()
-        return rounds
+        return driver.rounds_completed
 
     def _unmatch(self, u: str, v: str) -> None:
         """Forget the matched edge ``{u, v}``."""

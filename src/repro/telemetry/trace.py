@@ -1,11 +1,11 @@
 """Lightweight tracing: span trees over jobs, phases, tasks, flushes.
 
-A :class:`Tracer` records a tree of :class:`Span` objects — ``job →
-phase → task`` on the batch plane, ``flush → admit → reconverge`` on
-the serving plane — with parent ids, wall-clock durations, and free-form
-attributes.  The tree is exported as a JSON span log per run
-(``--trace PATH`` on the CLI) and rendered back as an indented timing
-tree by ``repro trace <span-log.json>``.
+A :class:`Tracer` records a tree of :class:`Span` objects — ``round →
+job → phase → task`` on the batch plane, ``flush → admit → reconverge
+→ round`` on the serving plane — with parent ids, wall-clock
+durations, and free-form attributes.  The tree is exported as a JSON
+span log per run (``--trace PATH`` on the CLI) and rendered back as an
+indented timing tree by ``repro trace <span-log.json>``.
 
 Design constraints, in order:
 

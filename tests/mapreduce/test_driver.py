@@ -1,4 +1,4 @@
-"""Tests for the iterative driver."""
+"""Tests for the one round loop, ``IterativeDriver.iterate``."""
 
 import pytest
 
@@ -8,6 +8,7 @@ from repro.mapreduce import (
     MapReduceRuntime,
     RoundLimitExceeded,
 )
+from repro.telemetry import Tracer
 
 
 class AddOne(MapReduceJob):
@@ -22,36 +23,56 @@ def test_driver_iterates_to_convergence(runtime):
     driver = IterativeDriver(runtime, name="count-to-5")
 
     def step(state, round_number):
-        output = runtime.run(AddOne(), state)
-        return output, output[0][1] >= 5
+        return runtime.run(AddOne(), state)
 
-    final = driver.iterate(step, [("k", 0)])
+    final = driver.iterate(step, [("k", 0)], pending=lambda s: s[0][1] < 5)
     assert final == [("k", 5)]
     assert driver.rounds_completed == 5
-    assert driver.jobs_per_round == [1, 1, 1, 1, 1]
+    assert runtime.jobs_executed == 5
     assert runtime.counters.get("count-to-5", "rounds") == 5
 
 
 def test_driver_round_limit(runtime):
     driver = IterativeDriver(runtime, name="never", max_rounds=3)
     with pytest.raises(RoundLimitExceeded) as excinfo:
-        driver.iterate(lambda state, n: (state, False), None)
+        driver.iterate(lambda state, n: state, True)
     assert excinfo.value.max_rounds == 3
     assert "never" in str(excinfo.value)
-
-
-def test_driver_round_callback(runtime):
-    seen = []
-    driver = IterativeDriver(
-        runtime,
-        name="cb",
-        on_round_end=lambda state, n: seen.append((state, n)),
-    )
-    driver.iterate(lambda state, n: (state + 1, state + 1 >= 2), 0)
-    assert seen == [(1, 0), (2, 1)]
+    # The cap is reached after exactly ``max_rounds`` rounds.
+    assert driver.rounds_completed == 3
+    assert runtime.counters.get("never", "rounds") == 3
 
 
 def test_driver_zero_jobs_per_round_allowed(runtime):
+    """A round may run no job; one that finishes in round 1 runs once."""
     driver = IterativeDriver(runtime, name="pure")
-    driver.iterate(lambda state, n: (state, True), None)
-    assert driver.jobs_per_round == [0]
+    assert driver.iterate(lambda state, n: [], ["work"]) == []
+    assert driver.rounds_completed == 1
+    assert runtime.jobs_executed == 0
+    assert runtime.counters.get("pure", "rounds") == 1
+
+
+def test_driver_runs_nothing_when_nothing_is_pending():
+    tracer = Tracer()
+    runtime = MapReduceRuntime(tracer=tracer)
+    driver = IterativeDriver(runtime, name="idle", max_rounds=0)
+
+    def step(state, n):
+        raise AssertionError("no round may run")
+
+    assert driver.iterate(step, []) == []
+    assert driver.rounds_completed == 0
+    assert runtime.counters.group("idle") == {}
+    assert tracer.spans == []
+
+
+def test_driver_traces_one_span_per_round():
+    tracer = Tracer()
+    runtime = MapReduceRuntime(tracer=tracer)
+    driver = IterativeDriver(runtime, name="countdown")
+    driver.iterate(lambda state, n: state - 1, 3)
+    assert [(s.name, s.kind) for s in tracer.spans] == [
+        ("round:countdown:0", "round"),
+        ("round:countdown:1", "round"),
+        ("round:countdown:2", "round"),
+    ]

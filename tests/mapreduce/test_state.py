@@ -364,7 +364,12 @@ def test_driver_integration(runtime):
         rounds += 1
     assert rounds == 2
     assert len(driver.store) == 1 and driver.store.contains("b")
-    assert driver.quiescent_ratio() == 0.5
+    counters = runtime.counters.group("runtime")
+    assert (
+        counters["iteration.quiescent_records"]
+        / counters["iteration.resident_records"]
+        == 0.5
+    )
     driver.close()
     assert driver.store is None
 
