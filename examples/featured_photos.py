@@ -25,8 +25,9 @@ from repro.matching import (
     greedy_mr_b_matching,
     stack_mr_b_matching,
 )
-from repro.service import MatchingService, OnlineMatcher, synthetic_events
+from repro.service import MatchingService, OnlineMatcher
 from repro.simjoin import mapreduce_similarity_join
+from repro.telemetry.loadgen import zipf_events
 
 SIGMA = 3.0  # minimum tag-overlap score for a candidate edge
 ALPHA = 2.0  # system activity multiplier
@@ -105,7 +106,7 @@ def main(
     # The batch answer above is the bootstrap; from here the online
     # service admits uploads / re-scores / budget retunes / departures
     # in micro-batches and re-decides only what each batch can reach.
-    events, _ = synthetic_events(
+    events, _ = zipf_events(
         graph, live_events, seed=42, node_prefix="upload"
     )
 

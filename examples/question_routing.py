@@ -15,7 +15,8 @@ import asyncio
 
 from repro.datasets import yahoo_answers_dataset
 from repro.matching import greedy_mr_b_matching, solve
-from repro.service import MatchingService, OnlineMatcher, synthetic_events
+from repro.service import MatchingService, OnlineMatcher
+from repro.telemetry.loadgen import zipf_events
 from repro.text import (
     TfIdfModel,
     from_counts,
@@ -97,7 +98,7 @@ def main(
     )
 
     # -- live mode: new questions arrive, the routing stays warm ---------
-    events, _ = synthetic_events(
+    events, _ = zipf_events(
         graph, live_events, seed=9, node_prefix="question"
     )
 

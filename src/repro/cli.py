@@ -29,11 +29,12 @@ signals as TSV (via :mod:`repro.mapreduce.storage.tsvio`); ``join``
 materializes candidate edges; ``match`` builds the Problem-1 instance
 (capacities per §4) and writes the matched edges; ``serve`` keeps the
 matching *warm* — it bootstraps the online service from the corpus
-graph and streams synthetic live events (arrivals, re-scores, budget
-retunes, retirements) through micro-batched incremental
-re-convergence, reporting coalescing, latency percentiles, and the
-cold-batch verification; ``experiment`` delegates to
-:mod:`repro.experiments.__main__`.
+graph and streams seeded Zipf live events (arrivals, re-scores,
+budget retunes, retirements; :mod:`repro.telemetry.loadgen`) through
+micro-batched incremental re-convergence, reporting coalescing,
+latency percentiles, and the cold-batch verification; ``experiment``
+runs the paper's tables and figures from
+:data:`repro.experiments.figures.EXPERIMENTS` and prints each report.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from typing import Any, List, Optional
 from .datasets import load_dataset
 from .datasets.base import Dataset
 from .datasets.registry import DATASETS
+from .experiments.figures import EXPERIMENTS
 from .graph import BipartiteGraph, write_capacities, write_edges
 from .mapreduce import (
     EXECUTOR_BACKENDS,
@@ -278,7 +280,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Drive the online matching service over a synthetic live stream.
+    """Drive the online matching service over a Zipf live stream.
 
     Bootstraps an :class:`~repro.service.OnlineMatcher` from the
     corpus's Problem-1 graph (same ``--sigma``/``--alpha`` path as
@@ -289,11 +291,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     import asyncio
 
-    from .service import MatchingService, OnlineMatcher, synthetic_events
+    from .service import MatchingService, OnlineMatcher
+    from .telemetry.loadgen import zipf_events
 
     dataset = _corpus_dataset(args.corpus)
     graph = dataset.graph(sigma=args.sigma, alpha=args.alpha)
-    events, _ = synthetic_events(graph, args.events, seed=args.seed)
+    events, _ = zipf_events(graph, args.events, seed=args.seed)
     tracer = _make_tracer(args)
     runtime = _make_runtime(args, tracer=tracer)
     matcher = OnlineMatcher(runtime=runtime, graph=graph)
@@ -381,7 +384,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     with injected task crashes / straggler delays / transient storage
     errors and a retry budget, and check the result, job log, and
     volatile-stripped counters are bit-identical to the fault-free
-    run; then stream a synthetic event batch through an
+    run; then stream a Zipf event batch through an
     :class:`~repro.service.OnlineMatcher` under mid-flush faults and
     poisoned admissions and check the cold-batch verification.  Exits
     1 on any divergence — or if a seed injected nothing (a chaos run
@@ -395,7 +398,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         RetryPolicy,
         strip_volatile_counters,
     )
-    from .service import OnlineMatcher, synthetic_events
+    from .service import OnlineMatcher
+    from .telemetry.loadgen import zipf_events
 
     def build_graph() -> Graph:
         rng = random.Random(args.seed)
@@ -477,7 +481,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             f"storage retries {faults.get('storage.retries', 0)}"
         )
 
-    events, _ = synthetic_events(graph, args.events, seed=args.seed)
+    events, _ = zipf_events(graph, args.events, seed=args.seed)
     for seed in args.seeds:
         with FaultPlan(
             seed=seed,
@@ -529,12 +533,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from .experiments.__main__ import main as experiments_main
-
-    argv: List[str] = ["--scale", str(args.scale), "--seed", str(args.seed)]
-    if args.only:
-        argv += ["--only", args.only]
-    return experiments_main(argv)
+    """Run the selected experiments (default: the whole menu) in
+    order, printing each report and its wall-clock."""
+    for name in args.only or EXPERIMENTS:
+        start = time.perf_counter()
+        print(EXPERIMENTS[name](args.scale, args.seed))
+        print(
+            f"[{name} completed in "
+            f"{time.perf_counter() - start:.1f}s]\n"
+        )
+    return 0
 
 
 def _number(text: str, kind: type) -> Any:
@@ -555,8 +563,8 @@ def _nonnegative(value: Any) -> Any:
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type for --spill-threshold and serve --events: an
-    integer >= 0."""
+    """argparse type for --spill-threshold, serve --events and trace
+    --max-tasks: an integer >= 0."""
     return _nonnegative(_number(text, int))
 
 
@@ -587,6 +595,17 @@ def _probability(text: str) -> float:
     return value
 
 
+def _port(text: str) -> int:
+    """argparse type for serve --metrics-port: a TCP port in
+    [0, 65535] (0 picks an ephemeral port)."""
+    value = _number(text, int)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be in [0, 65535], got {value}"
+        )
+    return value
+
+
 def _seed_list(text: str) -> List[int]:
     """argparse type for chaos --seeds: comma-separated integers.
 
@@ -594,6 +613,28 @@ def _seed_list(text: str) -> List[int]:
     run over no seeds would pass vacuously.
     """
     return [_number(token, int) for token in text.split(",")]
+
+
+def _experiment_list(text: str) -> List[str]:
+    """argparse type for experiment --only: comma-separated names from
+    :data:`~repro.experiments.figures.EXPERIMENTS`.
+
+    Every token must name an experiment, so ``""`` and ``",,"`` are
+    rejected like chaos --seeds: a run of no experiments would pass
+    vacuously.
+    """
+    names = [token.strip() for token in text.split(",")]
+    if "" in names:
+        raise argparse.ArgumentTypeError(
+            f"empty experiment name in {text!r}"
+        )
+    unknown = [name for name in names if name not in EXPERIMENTS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiments {unknown}; choose from "
+            + ", ".join(EXPERIMENTS)
+        )
+    return names
 
 
 def _positive_float(text: str) -> float:
@@ -779,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--metrics-port",
-        type=int,
+        type=_port,
         default=None,
         metavar="PORT",
         help="serve the metrics registry over HTTP on 127.0.0.1:PORT "
@@ -855,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--max-tasks",
-        type=int,
+        type=_nonnegative_int,
         default=4,
         metavar="N",
         help="show at most N task spans per parent, eliding the rest "
@@ -868,7 +909,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument("--scale", type=_positive_float, default=1.0)
     experiment.add_argument("--seed", type=int, default=0)
-    experiment.add_argument("--only", default="")
+    experiment.add_argument(
+        "--only",
+        type=_experiment_list,
+        default=None,
+        metavar="NAMES",
+        help="comma-separated subset of: " + ", ".join(EXPERIMENTS)
+        + " (default: all, in that order)",
+    )
     experiment.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -8,7 +8,7 @@ Programmatic use::
 
 Command line (scaled-down quick pass over everything)::
 
-    python -m repro.experiments --scale 0.5
+    repro experiment --scale 0.5
 """
 
 from .config import FIGURE_SWEEPS, SweepSpec, bench_scale, bench_seed

@@ -8,7 +8,7 @@ benchmark suite and ``repro experiment`` call these functions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datasets.base import Dataset
 from ..datasets.registry import load_dataset
@@ -24,6 +24,7 @@ from .paper_reference import (
 from .reporting import ascii_table, banner, format_rows
 
 __all__ = [
+    "EXPERIMENTS",
     "table1_experiment",
     "value_iterations_experiment",
     "violations_experiment",
@@ -368,3 +369,27 @@ def capacity_distribution_experiment(
         "constant by construction.\n"
     )
     return data, text
+
+
+#: The menu ``repro experiment`` runs, in this order: each entry maps
+#: ``(scale, seed)`` to the experiment's report text.
+EXPERIMENTS: Dict[str, Callable[[float, int], str]] = {
+    "table1": lambda scale, seed: table1_experiment(scale, seed)[1],
+    "fig1": lambda scale, seed: value_iterations_experiment(
+        "fig1", scale, seed
+    )[1],
+    "fig2": lambda scale, seed: value_iterations_experiment(
+        "fig2", scale, seed
+    )[1],
+    "fig3": lambda scale, seed: value_iterations_experiment(
+        "fig3", scale, seed
+    )[1],
+    "fig4": lambda scale, seed: violations_experiment(scale, seed)[1],
+    "fig5": lambda scale, seed: anytime_experiment(scale, seed)[1],
+    "fig6": lambda scale, seed: similarity_distribution_experiment(
+        scale, seed
+    )[1],
+    "fig7": lambda scale, seed: capacity_distribution_experiment(
+        scale, seed
+    )[1],
+}

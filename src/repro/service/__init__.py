@@ -15,9 +15,7 @@ micro-batching with request coalescing, ``submit_event(s)`` /
 Quickstart::
 
     import asyncio
-    from repro.service import (
-        Arrival, MatchingService, OnlineMatcher, synthetic_events,
-    )
+    from repro.service import Arrival, MatchingService, OnlineMatcher
 
     async def demo(graph):
         service = MatchingService(OnlineMatcher(graph=graph))
@@ -28,9 +26,10 @@ Quickstart::
         await service.close()
         return feed
 
-CLI: ``repro serve`` drives a synthetic event stream against a
-generated corpus and reports coalescing, latency percentiles, and the
-cold-batch verification.
+CLI: ``repro serve`` drives a seeded Zipf event stream
+(:func:`repro.telemetry.loadgen.zipf_events`) against a generated
+corpus and reports coalescing, latency percentiles, and the cold-batch
+verification.
 """
 
 from .events import (
@@ -45,7 +44,6 @@ from .events import (
 )
 from .matcher import SERVICE_COUNTER_GROUP, FlushReport, OnlineMatcher
 from .service import MatchingService, ServiceClosed
-from .workload import synthetic_events
 
 __all__ = [
     "Arrival",
@@ -61,5 +59,4 @@ __all__ = [
     "ServiceClosed",
     "apply_event",
     "plain_graph",
-    "synthetic_events",
 ]

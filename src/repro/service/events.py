@@ -5,7 +5,7 @@ setting it motivates (SocialScope's content-site framing) is a stream:
 photos are uploaded, users sign up, budgets are retuned, accounts are
 deleted.  This module defines the four event types the service admits
 and — crucially — a single driver-side interpretation of each
-(:func:`apply_event`), shared by the matcher, the synthetic workload
+(:func:`apply_event`), shared by the matcher, the Zipf event
 generator, and the tests' cold-batch verification, so "the final graph
 after these events" means exactly one thing everywhere.
 
@@ -84,7 +84,7 @@ def apply_event(graph: Graph, event: Event) -> None:
 
     Raises :class:`EventError` without touching the graph when the
     event is invalid.  This is the one semantic authority for events:
-    the matcher's authoritative graph, the workload generator's mirror,
+    the matcher's authoritative graph, the event generator's mirror,
     and the verification cold-batch all evolve through this function.
     """
     if isinstance(event, Arrival):

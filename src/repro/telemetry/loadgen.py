@@ -1,19 +1,23 @@
 """Seeded Zipf traffic for the matching service.
 
-:func:`zipf_events` is a seeded event generator like
-:func:`~repro.service.workload.synthetic_events` (same mirror-graph
-validity-by-construction, same event vocabulary) but with **Zipf-skewed
-node selection**: non-arrival events target node *ranks* drawn from a
-Zipf distribution over the live population, so a handful of hot nodes
-absorb most of the churn — the traffic shape a content site actually
-sees, and the one that stresses the matcher's repair plan (hot
-neighborhoods stay hot).  The arrival/edge/capacity/retirement mix is
-configurable.  Same ``(graph, count, seed, skew, mix)`` always yields
-the same stream.
+:func:`zipf_events` is the package's one seeded event generator.  It
+generates a stream of valid events against an evolving graph —
+arrivals with candidate edges to the live population, re-scores,
+budget retunes and retirements — with **Zipf-skewed node selection**:
+non-arrival events target node *ranks* drawn from a Zipf distribution
+over the live population, so a handful of hot nodes absorb most of the
+churn — the traffic shape a content site actually sees, and the one
+that stresses the matcher's repair plan (hot neighborhoods stay hot).
+Validity holds by construction: every generated event is applied to a
+*mirror* graph via :func:`~repro.service.events.apply_event`, the same
+semantic authority the matcher uses.  The arrival/edge/capacity/
+retirement mix is configurable.  Same ``(graph, count, seed, skew,
+mix)`` always yields the same stream.
 
-The serving workloads of the benchmark of record
-(``benchmarks/e2e/workloads.py``) draw their event streams from here
-and drive them with their own closed and open loops.
+``repro serve``, ``repro chaos``, the examples' live modes, the service
+tests and the serving workloads of the benchmark of record
+(``benchmarks/e2e/workloads.py``) all draw their event streams from
+here; the benchmark drives them with its own closed and open loops.
 
 This module imports the service layer, so it is *not* re-exported from
 ``repro.telemetry`` (the mapreduce layer imports that package);
@@ -43,8 +47,8 @@ __all__ = [
     "zipf_events",
 ]
 
-#: Default event mix: the proportions of
-#: :func:`~repro.service.workload.synthetic_events`, named.
+#: Default event mix: 45 % arrivals, 20 % edge arrivals (re-scores),
+#: 20 % capacity changes (budget retunes) and 15 % retirements.
 DEFAULT_MIX: Mapping[str, float] = {
     "arrival": 0.45,
     "edge": 0.20,
@@ -52,8 +56,8 @@ DEFAULT_MIX: Mapping[str, float] = {
     "retirement": 0.15,
 }
 
-#: Same coarse weight grid as the uniform workload generator — keeps
-#: the total edge order's tie-breaking exercised.
+#: Weight grid for generated edges — coarse enough to keep the total
+#: edge order's tie-breaking exercised, like the test strategies do.
 _WEIGHTS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 7.0, 10.0)
 
 
@@ -139,9 +143,9 @@ def zipf_events(
     """Generate ``count`` valid events with Zipf-skewed node targeting.
 
     Returns ``(events, final_graph)``: the mirror graph after every
-    event applied is the cold-batch reference, exactly like
-    :func:`~repro.service.workload.synthetic_events`.  The input graph
-    is not mutated.  ``skew`` is the Zipf exponent over node ranks
+    event applied is the cold-batch reference for the service's
+    bit-identical re-convergence contract.  The input graph is not
+    mutated.  ``skew`` is the Zipf exponent over node ranks
     (sorted name order; ``0`` = uniform), ``mix`` the
     arrival/edge/capacity/retirement proportions (normalized).
     """

@@ -22,8 +22,9 @@ from repro.matching.maximal_mr import (
     mm_records_from_adjacency,
     mr_maximal_b_matching,
 )
-from repro.service import OnlineMatcher, synthetic_events
+from repro.service import OnlineMatcher
 from repro.telemetry import Tracer
+from repro.telemetry.loadgen import zipf_events
 
 
 def _graph():
@@ -104,7 +105,7 @@ def test_stack_mr_push_rounds_nest_the_maximal_rounds(runtime):
 
 def test_serving_flush_rounds_nest_under_reconverge(runtime):
     graph = _graph()
-    events, _ = synthetic_events(graph, 24, seed=3)
+    events, _ = zipf_events(graph, 24, seed=3)
     with OnlineMatcher(runtime=runtime, graph=graph) as matcher:
         bootstrap = runtime.counters.get("service", "bootstrap.rounds")
         assert runtime.counters.get("online-matching", "rounds") == bootstrap

@@ -27,8 +27,8 @@ from repro.service import (
     EdgeArrival,
     MatchingService,
     OnlineMatcher,
-    synthetic_events,
 )
+from repro.telemetry.loadgen import zipf_events
 
 from .test_matcher import _seeded_graph
 
@@ -64,7 +64,7 @@ def _batches(events, size=8):
 
 def test_flush_fault_retries_and_matches_fault_free():
     graph = _seeded_graph(3)
-    events, _ = synthetic_events(graph, 16, seed=3)
+    events, _ = zipf_events(graph, 16, seed=3)
     batches = _batches(events)
     reference = _reference_matching(_seeded_graph(3), batches)
     # flush_rate=1.0: attempt 0 of *every* flush faults mid-
@@ -94,7 +94,7 @@ def test_flush_fault_retries_and_matches_fault_free():
 
 def test_exhausted_flush_budget_rolls_back_and_raises():
     graph = _seeded_graph(5)
-    events, _ = synthetic_events(graph, 8, seed=5)
+    events, _ = zipf_events(graph, 8, seed=5)
     # No retry policy: a single attempt, so the injected fault
     # propagates — but the matcher must stay at the pre-flush state.
     matcher = OnlineMatcher(
@@ -134,7 +134,7 @@ def test_rolled_back_flush_replans_the_same_set():
     snapshots back, so the retry reads the same sources and plans the
     same nodes at the same thresholds as the attempt that died — and
     as a matcher that never faulted."""
-    events, _ = synthetic_events(_seeded_graph(9, n=12), 8, seed=9)
+    events, _ = zipf_events(_seeded_graph(9, n=12), 8, seed=9)
 
     def planned(matcher):
         plans = []
@@ -192,7 +192,7 @@ def test_rolled_back_flush_replans_the_same_set():
 
 def test_poisoned_events_dead_letter_after_their_budget():
     graph = _seeded_graph(7)
-    events, _ = synthetic_events(graph, 4, seed=7)
+    events, _ = zipf_events(graph, 4, seed=7)
     plan = FaultPlan(POISON_SEED, poison_rate=0.5)
     assert [plan.event_poisoned(seq) for seq in range(4)] == [
         False,
@@ -235,7 +235,7 @@ def test_poisoned_events_dead_letter_after_their_budget():
 
 def test_service_metrics_surface_recovery_activity():
     graph = _seeded_graph(7)
-    events, _ = synthetic_events(graph, 4, seed=7)
+    events, _ = zipf_events(graph, 4, seed=7)
     plan = FaultPlan(POISON_SEED, flush_rate=1.0, poison_rate=0.5)
     matcher = OnlineMatcher(
         runtime=_faulted_runtime(

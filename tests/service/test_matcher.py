@@ -43,8 +43,8 @@ from repro.service import (
     Retirement,
     apply_event,
     plain_graph,
-    synthetic_events,
 )
+from repro.telemetry.loadgen import zipf_events
 
 from ..conftest import BACKENDS, SPILL_THRESHOLD, STORAGE
 
@@ -175,7 +175,7 @@ def test_rejected_event_reports_without_poisoning_batch():
 def test_flush_counters_and_report_agree():
     g = _seeded_graph(4)
     with OnlineMatcher(graph=g) as m:
-        events, mirror = synthetic_events(g, 9, seed=4)
+        events, mirror = zipf_events(g, 9, seed=4)
         reports = [m.flush(events[i : i + 3]) for i in range(0, 9, 3)]
         counters = m.runtime.counters.group(SERVICE_COUNTER_GROUP)
         assert counters["batches.flushed"] == 3
@@ -239,7 +239,7 @@ def test_parked_graph_store_serves_admission_via_point_ops():
     runtime = MapReduceRuntime(spill_threshold=2, counters=Counters())
     g = _seeded_graph(8, n=10)
     with OnlineMatcher(runtime=runtime, graph=g) as m:
-        events, mirror = synthetic_events(g, 30, seed=8)
+        events, mirror = zipf_events(g, 30, seed=8)
         for i in range(0, 30, 5):
             m.flush(events[i : i + 5])
         _assert_cold_identical(m, mirror)
@@ -268,7 +268,7 @@ def test_incremental_equals_cold_batch_matrix(
     (hence cold-batch GreedyMR, by the matching layer's equivalence
     tests), the match store has drained and no snapshot is left."""
     graph = _seeded_graph(seed, n=nodes, min_capacity=0)
-    events, _ = synthetic_events(graph, count, seed=seed)
+    events, _ = zipf_events(graph, count, seed=seed)
     mirror = plain_graph(graph)
     with _cell_runtime(backend) as runtime:
         with OnlineMatcher(runtime=runtime, graph=graph) as m:

@@ -20,8 +20,8 @@ from repro.service import (
     MatchingService,
     OnlineMatcher,
     ServiceClosed,
-    synthetic_events,
 )
+from repro.telemetry.loadgen import zipf_events
 
 from .test_matcher import _seeded_graph
 
@@ -45,7 +45,7 @@ METRIC_KEYS = {
 
 def _service(seed=0, **kwargs):
     graph = _seeded_graph(seed)
-    events, mirror = synthetic_events(graph, 12, seed=seed)
+    events, mirror = zipf_events(graph, 12, seed=seed)
     return (
         MatchingService(OnlineMatcher(graph=graph), **kwargs),
         events,

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.experiments.figures import EXPERIMENTS
 from repro.graph import read_edges
 from repro.matching import ALGORITHMS
 
@@ -327,24 +328,43 @@ def test_out_of_range_parameters_are_usage_errors(
          "must be >= 0"),
         (["serve", "{corpus}", "--events", "-3"], "--events",
          "must be >= 0"),
+        (["serve", "{corpus}", "--metrics-port", "70000"], "--metrics-port",
+         "must be in [0, 65535]"),
+        (["serve", "{corpus}", "--metrics-port", "-1"], "--metrics-port",
+         "must be in [0, 65535]"),
         (["chaos", "--events", "0"], "--events", "must be > 0"),
         (["chaos", "--seeds", ""], "--seeds", "invalid int value: ''"),
         (["chaos", "--seeds", "a"], "--seeds", "invalid int value: 'a'"),
+        (["experiment", "--only", ",,"], "--only",
+         "empty experiment name in ',,'"),
+        (["experiment", "--only", ""], "--only",
+         "empty experiment name in ''"),
+        (["experiment", "--only", "table1,"], "--only",
+         "empty experiment name in 'table1,'"),
+        (["trace", "spans.json", "--max-tasks", "-1"], "--max-tasks",
+         "must be >= 0"),
     ],
     ids=[
         "serve-batch-size-0",
         "serve-max-delay-ms-negative",
         "serve-events-negative",
+        "serve-metrics-port-too-large",
+        "serve-metrics-port-negative",
         "chaos-events-0",
         "chaos-seeds-empty",
         "chaos-seeds-not-int",
+        "experiment-only-commas",
+        "experiment-only-empty",
+        "experiment-only-trailing-comma",
+        "trace-max-tasks-negative",
     ],
 )
 def test_serve_and_chaos_reject_bad_values(
     corpus_dir, capsys, argv, option, message
 ):
     """Each value exits 2 at argparse: no traceback, no silent run over
-    zero events, and no chaos run that passes over zero seeds."""
+    zero events, no chaos run that passes over zero seeds or experiment
+    run over no experiments, and no task span sliced off a trace."""
     argv = [arg.format(corpus=corpus_dir) for arg in argv]
     if argv[0] == "serve":
         argv[2:2] = ["--sigma", "2.0"]
@@ -422,6 +442,56 @@ def test_experiment_subcommand(capsys):
     )
     assert code == 0
     assert "Table 1" in capsys.readouterr().out
+
+
+def test_experiments_menu_complete():
+    assert set(EXPERIMENTS) == {
+        "table1",
+        "fig1",
+        "fig2",
+        "fig3",
+        "fig4",
+        "fig5",
+        "fig6",
+        "fig7",
+    }
+
+
+def test_main_runs_selected_experiment(capsys):
+    """``--only`` runs exactly the named experiments, in the order
+    given; blanks around a name are ignored."""
+    code = main(["experiment", "--scale", "0.05", "--only", "fig7, table1"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "Table 1" in out
+    completed = [
+        line.split()[0][1:] for line in out.splitlines()
+        if line.startswith("[") and " completed in " in line
+    ]
+    assert completed == ["fig7", "table1"]
+
+
+def test_experiment_runs_whole_menu(capsys):
+    """Without ``--only`` the whole menu runs, in menu order."""
+    code = main(["experiment", "--scale", "0.05"])
+    assert code == 0
+    out = capsys.readouterr().out
+    positions = [out.index(f"[{name} completed in ") for name in EXPERIMENTS]
+    assert positions == sorted(positions)
+
+
+def test_main_rejects_unknown_experiment(capsys):
+    """An unknown name exits 2 at ``repro experiment``'s own parser
+    before any experiment runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--only", "fig99"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (
+        "repro experiment: error: argument --only: "
+        "unknown experiments ['fig99']"
+    ) in captured.err
 
 
 def test_missing_command_rejected():

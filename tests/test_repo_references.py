@@ -1,13 +1,17 @@
-"""Every benchmark file and document the docs, CI and docstrings name
-must exist.
+"""Every benchmark file, document, ``repro.*`` name and
+``python -m repro.X`` command the docs, CI and docstrings name must
+exist.
 
 A deleted benchmark leaves its name behind in CI steps, README
 paragraphs and docstrings; CI finds a stale step only when it runs it,
 and prose never fails at all.  The same goes for a docstring sending the
-reader to a design note that was never written.  These tests fail on the
-first such reference instead.
+reader to a design note that was never written, to a function that was
+deleted, or to a module entry point that no longer runs.  These tests
+fail on the first such reference instead.
 """
 
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -21,6 +25,54 @@ _BENCH_NAME = re.compile(r"\b(?:bench|BENCH)_[\w*]+\.(?:py|json)\b")
 _DOC_NAME = re.compile(r"\b[\w./-]+\.md\b")
 #: A CI step running a benchmark script.
 _CI_COMMAND = re.compile(r"python3? benchmarks/\S+\.py")
+#: A dotted name in the package, e.g. ``repro.service.OnlineMatcher``;
+#: ``src/repro/cli.py`` and ``paper-repro.x`` are not names.
+_DOTTED_NAME = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
+#: A module run as a script, e.g. ``python -m repro.cli``.
+_MODULE_COMMAND = re.compile(r"python3? -m (repro(?:\.\w+)*)")
+
+
+def _citing_files():
+    """The prose and code that cite package names: the two top-level
+    documents, the examples and every source module."""
+    return [
+        ROOT / "README.md",
+        ROOT / "DESIGN.md",
+        *sorted((ROOT / "examples").glob("*.py")),
+        *sorted((ROOT / "src").rglob("*.py")),
+    ]
+
+
+def _resolves(name):
+    """Import the longest importable module prefix of ``name``, then
+    ``getattr`` the rest of it."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def _runs_as_script(module):
+    """``python -m module`` runs: a package with a ``__main__`` module,
+    or a module with a ``__name__ == "__main__"`` block."""
+    try:
+        spec = importlib.util.find_spec(module)
+    except ImportError:
+        return False
+    if spec is None:
+        return False
+    if spec.submodule_search_locations is not None:
+        return _runs_as_script(f"{module}.__main__")
+    source = Path(spec.origin).read_text()
+    return re.search(r"__name__ == [\"']__main__[\"']", source) is not None
 
 
 def _exists(path):
@@ -91,4 +143,35 @@ def test_source_docstrings_cite_existing_documents():
         )
         if missing:
             stale[str(path.relative_to(ROOT))] = missing
+    assert stale == {}
+
+
+def test_cited_package_names_resolve():
+    """Every dotted ``repro.*`` name cited resolves by import plus
+    ``getattr``, so a deleted or moved function leaves no reference
+    behind in a docstring, the README or an example."""
+    cited = {}
+    for path in _citing_files():
+        for name in _DOTTED_NAME.findall(path.read_text()):
+            cited.setdefault(name, str(path.relative_to(ROOT)))
+    # This only keeps the check from passing on a regex matching nothing.
+    assert "repro.telemetry.loadgen.zipf_events" in cited
+    stale = {name: where for name, where in cited.items() if not _resolves(name)}
+    assert stale == {}
+
+
+def test_cited_module_commands_run_as_scripts():
+    """Every ``python -m repro.X`` cited names a module that runs as a
+    script."""
+    files = _citing_files() + [ROOT / ".github" / "workflows" / "ci.yml"]
+    cited = {}
+    for path in files:
+        for module in _MODULE_COMMAND.findall(path.read_text()):
+            cited.setdefault(module, str(path.relative_to(ROOT)))
+    assert "repro.cli" in cited
+    stale = {
+        module: where
+        for module, where in cited.items()
+        if not _runs_as_script(module)
+    }
     assert stale == {}
