@@ -524,7 +524,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Render a span log (written via ``--trace``) as a timing tree."""
     from .telemetry import load_spans, render_spans
 
-    spans = load_spans(args.span_log)
+    try:
+        spans = load_spans(args.span_log)
+    except (OSError, ValueError) as exc:
+        # Reported like an argparse usage error: exit 2, no traceback.
+        print(
+            f"repro trace: error: cannot read span log "
+            f"{args.span_log!r}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
     if not spans:
         print(f"{args.span_log}: no spans recorded")
         return 0
@@ -643,6 +652,31 @@ def _positive_float(text: str) -> float:
     return _positive(_number(text, float))
 
 
+def _corpus_dir(text: str) -> str:
+    """argparse type for the join/match/serve corpus: a directory
+    written by ``repro generate``, which always holds ``meta.json``."""
+    if not os.path.isfile(os.path.join(text, "meta.json")):
+        raise argparse.ArgumentTypeError(
+            f"no meta.json in {text!r}; write the corpus with "
+            "'repro generate' first"
+        )
+    return text
+
+
+def _output_path(text: str) -> str:
+    """argparse type for --out, --capacities-out and --trace: a file
+    path in an existing directory, so a run never fails at its last
+    write after the work is done."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(
+            f"directory {directory!r} does not exist"
+        )
+    return text
+
+
 def _add_cluster_options(
     parser: argparse.ArgumentParser, applies_to: str
 ) -> None:
@@ -690,6 +724,7 @@ def _add_cluster_options(
     )
     parser.add_argument(
         "--trace",
+        type=_output_path,
         metavar="PATH",
         default=None,
         help="record a job->phase->task span tree for every MapReduce "
@@ -755,7 +790,9 @@ def build_parser() -> argparse.ArgumentParser:
     join = sub.add_parser(
         "join", help="compute candidate edges for a generated corpus"
     )
-    join.add_argument("corpus", help="directory written by 'generate'")
+    join.add_argument(
+        "corpus", type=_corpus_dir, help="directory written by 'generate'"
+    )
     join.add_argument("--sigma", type=_positive_float, required=True)
     join.add_argument(
         "--method",
@@ -763,13 +800,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "exact", "scipy", "mapreduce"),
     )
     _add_cluster_options(join, "mapreduce method only")
-    join.add_argument("--out")
+    join.add_argument("--out", type=_output_path)
     join.set_defaults(func=_cmd_join)
 
     match = sub.add_parser(
         "match", help="solve the b-matching for a generated corpus"
     )
-    match.add_argument("corpus", help="directory written by 'generate'")
+    match.add_argument(
+        "corpus", type=_corpus_dir, help="directory written by 'generate'"
+    )
     match.add_argument("--sigma", type=_positive_float, required=True)
     match.add_argument("--alpha", type=_positive_float, default=2.0)
     match.add_argument(
@@ -778,8 +817,8 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument("--epsilon", type=_positive_float, default=1.0)
     _add_cluster_options(match, "*_mr algorithms only")
     match.add_argument("--seed", type=int, default=0)
-    match.add_argument("--out")
-    match.add_argument("--capacities-out")
+    match.add_argument("--out", type=_output_path)
+    match.add_argument("--capacities-out", type=_output_path)
     match.set_defaults(func=_cmd_match)
 
     serve = sub.add_parser(
@@ -787,7 +826,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive the online matching service over a synthetic "
         "live event stream",
     )
-    serve.add_argument("corpus", help="directory written by 'generate'")
+    serve.add_argument(
+        "corpus", type=_corpus_dir, help="directory written by 'generate'"
+    )
     serve.add_argument("--sigma", type=_positive_float, required=True)
     serve.add_argument("--alpha", type=_positive_float, default=2.0)
     serve.add_argument(

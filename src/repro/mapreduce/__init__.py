@@ -27,7 +27,7 @@ See DESIGN.md (substitution table) for how this simulator stands in for
 the Hadoop cluster used in the paper's evaluation.
 """
 
-from .counters import Counters
+from ..telemetry.metrics import Counters
 from .driver import IterativeDriver
 from .errors import (
     DriverError,

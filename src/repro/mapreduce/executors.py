@@ -24,7 +24,7 @@ bit-identical across backends — is:
 2. an exception raised by a task propagates to the caller as the
    original exception instance (the first one in task order);
 3. backends never share mutable state between tasks: each task meters
-   into its own :class:`~repro.mapreduce.counters.Counters`, and the
+   into its own :class:`~repro.telemetry.metrics.Counters`, and the
    runtime merges them deterministically in task-index order.
 
 Worker pools are lazy, module-level, and shared across executor

@@ -29,7 +29,7 @@ Why recovery preserves determinism
 
 Task units are stateless and idempotent (the contract the speculative
 statelessness check has enforced since PR 1), and each attempt meters
-into a *fresh* task-local :class:`~repro.mapreduce.counters.Counters`
+into a *fresh* task-local :class:`~repro.telemetry.metrics.Counters`
 that only the successful attempt returns.  Storage writes are atomic
 (PR 2's rename-on-close), and :class:`FaultyFileSystem` raises
 *before* delegating, so a faulted operation leaves nothing behind and
@@ -48,8 +48,8 @@ Every fault site has a stable identity: tasks by ``(job, phase,
 task_index, attempt)``, storage operations by ``(kind, op_index)``,
 flushes by ``(flush_index, attempt)``, events by their admission
 sequence number.  Crash-like faults are *attempt-capped*
-(``max_faults_per_site``, default 1): the fault fires on early
-attempts and stands down afterwards, so any recovery budget of at
+(:data:`MAX_FAULTS_PER_SITE`): the fault fires on the first attempt
+only and stands down afterwards, so any recovery budget of at
 least two attempts deterministically converges.  Storage faults are
 *consumed once*: the faulted operation does not advance the logical
 op index, so the immediate retry of the same logical operation hits
@@ -77,7 +77,7 @@ from typing import (
     Tuple,
 )
 
-from .counters import Counters
+from ..telemetry.metrics import Counters
 from .errors import JobValidationError, MapReduceError
 from .job import KeyValue
 from .storage.base import FileSystem
@@ -89,6 +89,7 @@ __all__ = [
     "InjectedFault",
     "InjectedIOError",
     "InjectedTaskFault",
+    "MAX_FAULTS_PER_SITE",
     "PoisonedEvent",
     "RetryPolicy",
     "RetryingFileSystem",
@@ -105,6 +106,10 @@ __all__ = [
 #: :func:`~repro.mapreduce.state.strip_volatile_counters` drops it
 #: wholesale.
 FAULT_COUNTER_GROUP = "faults"
+
+#: Cap on crash-like faults per site (task / flush): one, so recovery
+#: converges under any retry budget of ``max_attempts >= 2``.
+MAX_FAULTS_PER_SITE = 1
 
 
 class InjectedFault(MapReduceError):
@@ -239,7 +244,7 @@ class FaultPlan:
     crash_rate:
         Probability a task attempt is scheduled to crash
         (:class:`InjectedTaskFault` before the task body runs).
-        Capped per task by ``max_faults_per_site`` and by the retry
+        Capped per task by :data:`MAX_FAULTS_PER_SITE` and by the retry
         budget — a crash is only scheduled on attempts that have a
         successor, so recovery always converges.
     delay_rate, delay_seconds:
@@ -267,14 +272,11 @@ class FaultPlan:
         :class:`InjectedIOError` (consumed-once per logical op).
     flush_rate:
         Probability a service flush attempt faults mid-reconvergence
-        (capped per flush by ``max_faults_per_site``).
+        (capped per flush by :data:`MAX_FAULTS_PER_SITE`).
     poison_rate:
         Probability an admitted event is *permanently* poisoned: its
         admission raises :class:`PoisonedEvent` on every attempt until
         the matcher dead-letters it.
-    max_faults_per_site:
-        Cap on crash-like faults per site (task / flush).  The default
-        of 1 guarantees recovery with any ``max_attempts >= 2``.
     scratch_dir:
         Directory for delay sentinel files; a private temporary
         directory is created lazily when omitted (removed by
@@ -303,7 +305,6 @@ class FaultPlan:
         io_rate: float = 0.0,
         flush_rate: float = 0.0,
         poison_rate: float = 0.0,
-        max_faults_per_site: int = 1,
         scratch_dir: Optional[str] = None,
     ) -> None:
         self.seed = seed
@@ -315,7 +316,6 @@ class FaultPlan:
         self.io_rate = io_rate
         self.flush_rate = flush_rate
         self.poison_rate = poison_rate
-        self.max_faults_per_site = max_faults_per_site
         for name in self._RATES:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -326,11 +326,6 @@ class FaultPlan:
         if not delay_seconds >= 0:
             raise JobValidationError(
                 f"delay_seconds must be >= 0, got {delay_seconds}"
-            )
-        if max_faults_per_site < 0:
-            raise JobValidationError(
-                "max_faults_per_site must be >= 0, got "
-                f"{max_faults_per_site}"
             )
         self._scratch_dir = scratch_dir
         self._owns_scratch = False
@@ -364,7 +359,7 @@ class FaultPlan:
         """Per-attempt fault specs for one task, ``max_attempts`` long.
 
         Crashes are scheduled only on attempts with a successor and at
-        most ``max_faults_per_site`` times, so a task that keeps being
+        most :data:`MAX_FAULTS_PER_SITE` times, so a task that keeps being
         retried always reaches a crash-free attempt.  Delays may fire
         on any attempt (they slow, never fail).
 
@@ -391,7 +386,7 @@ class FaultPlan:
                 )
             if spec is not None:
                 return (spec,) + (None,) * (max_attempts - 1)
-        crash_budget = min(self.max_faults_per_site, max_attempts - 1)
+        crash_budget = min(MAX_FAULTS_PER_SITE, max_attempts - 1)
         specs: List[Optional[TaskFaultSpec]] = []
         for attempt in range(max_attempts):
             site = (job, phase, task_index, attempt)
@@ -422,7 +417,7 @@ class FaultPlan:
     def flush_fault(self, flush_index: int, attempt: int) -> bool:
         """Whether flush ``flush_index``'s attempt ``attempt`` should
         fault mid-reconvergence (attempt-capped like task crashes)."""
-        if attempt >= self.max_faults_per_site:
+        if attempt >= MAX_FAULTS_PER_SITE:
             return False
         return self._roll("flush", flush_index, attempt) < self.flush_rate
 

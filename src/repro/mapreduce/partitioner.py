@@ -11,10 +11,10 @@ The encoding is the currency of the runtime's *encoded shuffle plane*
 once per run — all the values one map-task attempt emits under one
 ``str`` key, or a single value under any other key — and everything
 downstream — partitioning, spill sorting, merging, reduce-side
-sort/group — reuses the cached bytes.  Partitioning therefore has a
-bytes-first entry point, :meth:`HashPartitioner.partition_bytes`,
-built on :func:`fast_hash_bytes` — a CRC32 with a murmur3-style
-finalizer, several times cheaper than the MD5 it replaced.
+sort/group — reuses the cached bytes.  Partitioning is therefore
+``fast_hash_bytes(key_bytes) % num_partitions`` on those bytes — a
+CRC32 with a murmur3-style finalizer, several times cheaper than the
+MD5 it replaced.
 :func:`stable_hash` keeps the original MD5 construction
 because it seeds per-node RNGs in the matching drivers (wider digest,
 pinned by golden tests); it is no longer on the shuffle hot path.
@@ -122,7 +122,7 @@ def stable_hash(key: Any) -> int:
     MD5-based: wider and better mixed than :func:`fast_hash_bytes`, used
     where hash *quality* matters more than speed (seeding per-node RNGs
     in the randomized matching drivers).  The shuffle hot path uses
-    :meth:`HashPartitioner.partition_bytes` instead.
+    :func:`fast_hash_bytes` instead.
     """
     digest = hashlib.md5(canonical_bytes(key)).digest()
     return int.from_bytes(digest[:8], "big")
@@ -131,13 +131,11 @@ def stable_hash(key: Any) -> int:
 class HashPartitioner:
     """Assign each key to one of ``num_partitions`` reduce tasks.
 
-    This is the default partitioner, the analogue of Hadoop's
-    ``HashPartitioner``.  Custom partitioners only need to be callables
-    with the same ``(key, num_partitions) -> int`` signature; they may
-    additionally expose ``partition_bytes(key_bytes, num_partitions)``
-    to partition straight from the cached canonical encoding — the
-    runtime prefers that entry point, so the default shuffle never
-    re-encodes a key it already encoded at map time.
+    The analogue of Hadoop's ``HashPartitioner``, and the routing the
+    runtime's shuffle and resident state store both use (inlined there
+    as ``fast_hash_bytes(key_bytes) % n`` on the key bytes cached at map
+    time, so no key is encoded twice).  A public helper for callers
+    that want to know where a key lands.
     """
 
     def __call__(self, key: Any, num_partitions: int) -> int:

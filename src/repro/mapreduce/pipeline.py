@@ -8,9 +8,10 @@ tested individually — the shape a production Hadoop driver would have.
 
 Stages read and write named datasets on any
 :class:`~repro.mapreduce.storage.FileSystem` — the in-memory simulator
-store or the out-of-core disk store — selected via ``storage=`` (a
-backend name), ``filesystem=`` (an instance), or inherited from the
-runtime.  Pipeline results are bit-identical across storage backends.
+store or the out-of-core disk store — inherited from the runtime
+(``MapReduceRuntime(storage=...)``) or passed as ``filesystem=`` (an
+instance).  Pipeline results are bit-identical across storage
+backends.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 from .errors import MapReduceError
 from .job import MapReduceJob
 from .runtime import MapReduceRuntime
-from .storage import FileSystem, resolve_filesystem
+from .storage import FileSystem
 
 __all__ = ["PipelineStage", "Pipeline"]
 
@@ -49,11 +50,10 @@ class PipelineStage:
 class Pipeline:
     """Run a sequence of stages on a runtime + filesystem pair.
 
-    ``backend`` selects the execution backend (``"serial"``,
-    ``"processes"``, ``"cluster"``) and ``storage`` the storage backend
-    (``"memory"``, ``"disk"``) when no runtime/filesystem is supplied;
-    a supplied runtime brings its own backend *and* its own filesystem
-    (pass ``filesystem=`` to override the latter explicitly).
+    Without a runtime the pipeline builds a default one (serial
+    backend, in-memory storage).  The runtime brings its own backend
+    *and* its own filesystem; pass ``filesystem=`` to override the
+    latter.
 
     >>> pipeline = Pipeline()
     >>> _ = pipeline.filesystem.write("/in", [(0, "a b a")])
@@ -64,27 +64,8 @@ class Pipeline:
         self,
         runtime: Optional[MapReduceRuntime] = None,
         filesystem: Optional[FileSystem] = None,
-        backend: Optional[str] = None,
-        storage: Optional[str] = None,
     ) -> None:
-        if runtime is not None and backend is not None:
-            raise MapReduceError(
-                "pass either a runtime or a backend name, not both "
-                "(the runtime already fixes its backend)"
-            )
-        if filesystem is not None and storage is not None:
-            raise MapReduceError(
-                "pass either a filesystem or a storage name, not both"
-            )
-        if runtime is not None and storage is not None:
-            raise MapReduceError(
-                "pass either a runtime or a storage name, not both "
-                "(the runtime already fixes its filesystem; pass "
-                "filesystem= to override it)"
-            )
-        self.runtime = runtime or MapReduceRuntime(
-            backend=backend or "serial", storage=storage
-        )
+        self.runtime = runtime or MapReduceRuntime()
         self.filesystem: FileSystem = (
             filesystem
             if filesystem is not None

@@ -10,7 +10,7 @@ DESIGN.md): it enforces the MapReduce programming model strictly —
 * ``reduce`` is applied once per key group per partition.
 
 The simulator meters the quantities the paper reports — number of jobs
-executed and records shuffled — through :class:`~repro.mapreduce.counters.
+executed and records shuffled — through :class:`~repro.telemetry.metrics.
 Counters`.  Results are guaranteed to be independent of the number of map
 and reduce tasks (property-tested in ``tests/mapreduce``).
 
@@ -60,21 +60,21 @@ becomes a private ``_Run`` list in emission order.  Any other key makes
 one record per value.  GreedyMR's messages are the case in point: one
 task names the same vertex many times in a round.
 
-Partitioning hashes the cached bytes (:meth:`~repro.mapreduce.
-partitioner.HashPartitioner.partition_bytes`, a CRC-based hash far
-cheaper than the per-record MD5 it replaced), the combiner and
-reduce-side sort/group compare the cached bytes (a combiner output
-under its group's own key object inherits the group's bytes), and the
-external shuffle spills and k-way merges them byte-first — no stage
-re-encodes, and each stage handles a run as one record.  Grouping
-unpacks a run into its values, so ``job.reduce`` sees the same values
-in the same order, and the counters (``map.output.records``,
-``shuffle.records``, ``shuffle.encoded_bytes``, ``shuffle.bytes``)
-still count values.  Only the volatile spill counters
-(``spilled_records``, ``spill_files``) count encoded records.  The
-invariant — one ``canonical_bytes`` call per distinct ``str`` key per
-map-task attempt, per emitted non-``str`` key object, and per fresh
-combiner key — is asserted by counting-codec tests in
+Partitioning hashes the cached bytes (``fast_hash_bytes(key_bytes) %
+num_reduce_tasks``, a CRC-based hash far cheaper than the per-record
+MD5 it replaced; the resident state store routes by the same formula),
+the combiner and reduce-side sort/group compare the cached bytes (a
+combiner output under its group's own key object inherits the group's
+bytes), and the external shuffle spills and k-way merges them
+byte-first — no stage re-encodes, and each stage handles a run as one
+record.  Grouping unpacks a run into its values, so ``job.reduce``
+sees the same values in the same order, and the counters
+(``map.output.records``, ``shuffle.records``,
+``shuffle.encoded_bytes``) still count values.  Only the volatile
+spill counters (``spilled_records``, ``spill_files``) count encoded
+records.  The invariant — one ``canonical_bytes`` call per distinct
+``str`` key per map-task attempt, per emitted non-``str`` key object,
+and per fresh combiner key — is asserted by counting-codec tests in
 ``tests/mapreduce/test_encoded_plane.py``.
 
 Storage model
@@ -132,7 +132,6 @@ with their side data and records.
 
 from __future__ import annotations
 
-import pickle
 import time
 from contextlib import contextmanager, nullcontext
 from operator import itemgetter
@@ -150,10 +149,10 @@ from typing import (
 
 from ..telemetry.metrics import (
     COUNT_BUCKETS,
+    Counters,
     MetricsRegistry,
     TIMING_BUCKETS,
 )
-from .counters import Counters
 from .errors import JobValidationError
 from .executors import Executor, resolve_executor
 from .faults import (
@@ -166,13 +165,11 @@ from .faults import (
     resilient_task_call,
 )
 from .job import KeyValue, MapReduceJob
-from .partitioner import HashPartitioner, canonical_bytes, fast_hash_bytes
+from .partitioner import canonical_bytes, fast_hash_bytes
 from .state import Quiet, ResidentStateStore, Retired
 from .storage import ExternalShuffle, FileSystem, resolve_filesystem
 
 __all__ = ["MapReduceRuntime"]
-
-Partitioner = Callable[[Any, int], int]
 
 #: One record on the encoded shuffle plane: the canonical key encoding
 #: (computed once per run, at map-emit time), the key, and the value —
@@ -205,22 +202,6 @@ class MapReduceRuntime:
     counters:
         Optional shared :class:`Counters`; a fresh one is created if
         omitted.  All jobs run by this runtime meter into it.
-    meter_bytes:
-        When ``True``, the shuffle additionally meters record sizes
-        under ``<job>.shuffle.bytes`` — the cached canonical key bytes
-        plus the pickled value.  Off by default because serializing
-        every value is slow for multi-million-edge graphs.  (The key
-        side, ``shuffle.encoded_bytes``, is metered unconditionally:
-        the encoding already exists, so its size is a free ``len``.)
-    partitioner:
-        Shuffle partitioner; defaults to a deterministic hash
-        partitioner.  A partitioner whose class defines
-        ``partition_bytes(key_bytes, num_partitions)`` is fed the
-        cached canonical encoding; a plain ``(key, num_partitions)``
-        callable receives the key itself.  (Subclassing
-        :class:`HashPartitioner` and overriding only ``__call__``
-        routes through the override — the inherited byte-level entry
-        point never bypasses it.)
     speculative_execution:
         When ``True``, every map task is executed twice (as a real
         cluster may do for stragglers or after failures) and the two
@@ -281,8 +262,6 @@ class MapReduceRuntime:
         num_map_tasks: int = 4,
         num_reduce_tasks: int = 4,
         counters: Optional[Counters] = None,
-        meter_bytes: bool = False,
-        partitioner: Optional[Partitioner] = None,
         speculative_execution: bool = False,
         backend: Any = "serial",
         max_workers: Optional[int] = None,
@@ -303,8 +282,6 @@ class MapReduceRuntime:
         self.num_map_tasks = num_map_tasks
         self.num_reduce_tasks = num_reduce_tasks
         self.counters = counters if counters is not None else Counters()
-        self.meter_bytes = meter_bytes
-        self.partitioner: Partitioner = partitioner or HashPartitioner()
         self.speculative_execution = speculative_execution
         self.executor: Executor = resolve_executor(
             backend, max_workers=max_workers
@@ -535,11 +512,10 @@ class MapReduceRuntime:
     def state_store(self, name: str) -> ResidentStateStore:
         """A resident state store aligned with this runtime's shuffle.
 
-        Partition count, filesystem, spill threshold, and — crucially —
-        the partition routing all follow the runtime's own
-        configuration, so the store's partition ``i`` holds exactly the
-        keys reduce partition ``i`` can address (a custom shuffle
-        partitioner is honored record for record) and parks out-of-core
+        Partition count, filesystem and spill threshold follow the
+        runtime's own configuration, and the store routes keys by the
+        shuffle's hash, so the store's partition ``i`` holds exactly the
+        keys reduce partition ``i`` can address and parks out-of-core
         on the same ``--fs`` backend the shuffle spills to.
         """
         self._state_store_sequence += 1
@@ -549,42 +525,7 @@ class MapReduceRuntime:
             filesystem=self.filesystem,
             spill_threshold=self.spill_threshold,
             counters=self.counters,
-            router=self._partition_router(),
         )
-
-    def _partition_router(
-        self,
-    ) -> Optional[Callable[[bytes, Any, int], int]]:
-        """The one routing decision of the shuffle and the state store.
-
-        ``None`` for the default :class:`HashPartitioner`, whose hash
-        both callers inline.  Otherwise a validating ``(key_bytes, key,
-        n) -> index`` callable: a partitioner whose own class *defines*
-        ``partition_bytes`` is fed the cached key bytes (merely
-        inheriting :class:`HashPartitioner`'s must not bypass an
-        overridden ``__call__``); any other receives the key itself.
-        """
-        partitioner = self.partitioner
-        if type(partitioner) is HashPartitioner:
-            return None
-        by_bytes = any(
-            "partition_bytes" in cls.__dict__
-            for cls in type(partitioner).__mro__
-            if cls is not HashPartitioner
-        )
-
-        def route(key_bytes: bytes, key: Any, n: int) -> int:
-            if by_bytes:
-                index = partitioner.partition_bytes(key_bytes, n)
-            else:
-                index = partitioner(key, n)
-            if not 0 <= index < n:
-                raise JobValidationError(
-                    f"partitioner returned {index} for {n} partitions"
-                )
-            return index
-
-        return route
 
     def run_stateful(
         self,
@@ -705,7 +646,7 @@ class MapReduceRuntime:
                 # state is never loaded (a parked one stays on disk).
                 # The spiller's routing counts stand in for its lazy
                 # streams, which cannot be emptiness-tested; either way
-                # the deterministic partitioner decides, so the skip is
+                # the deterministic hash decides, so the skip is
                 # identical across backends, filesystems and spills.
                 routed = partitions
                 if spiller is not None:
@@ -769,7 +710,7 @@ class MapReduceRuntime:
         changed = 0
         for key_bytes, key, new_state in updates:
             if isinstance(new_state, Retired):
-                store.discard(key_bytes, key)
+                store.discard(key_bytes)
                 changed += 1
                 if new_state.notify:
                     retirements.append((key, new_state))
@@ -863,31 +804,22 @@ class MapReduceRuntime:
         with equal keys in the same arrival order, so reduce outputs
         are bit-identical either way.
 
-        Routing reuses each record's cached key bytes: the default
-        partitioner hashes them directly via ``partition_bytes``, and
-        byte metering measures them with ``len`` instead of re-pickling
-        the key.  A :class:`_Run` is routed once and metered per value,
-        so every counter reads as if each value were its own record.
+        Routing hashes each record's cached key bytes, and byte
+        metering measures them with ``len`` instead of re-encoding the
+        key.  A :class:`_Run` is routed once and metered per value, so
+        every counter reads as if each value were its own record.
         """
         group = job.name
         partitions: List[Any] = [
             [] for _ in range(self.num_reduce_tasks)
         ]
         num_partitions = self.num_reduce_tasks
-        # The default partitioner gets a fully inlined hash-and-mod
-        # (the modulo proves the range, so no per-record validation);
-        # any other routes exactly as the state store does.
-        route = self._partition_router()
         shuffled = 0
         encoded_bytes = 0
-        shuffled_bytes = 0
         for task_index, task_output in enumerate(intermediate):
             for record in task_output:
                 key_bytes = record[0]
-                if route is None:
-                    index = fast_hash_bytes(key_bytes) % num_partitions
-                else:
-                    index = route(key_bytes, record[1], num_partitions)
+                index = fast_hash_bytes(key_bytes) % num_partitions
                 if spiller is not None:
                     spiller.add(index, record)
                 else:
@@ -896,11 +828,6 @@ class MapReduceRuntime:
                 run = value if value.__class__ is _Run else (value,)
                 shuffled += len(run)
                 encoded_bytes += len(key_bytes) * len(run)
-                if self.meter_bytes:
-                    for value in run:
-                        shuffled_bytes += len(key_bytes) + len(
-                            pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-                        )
             if spiller is not None:
                 # These records now live in the spiller's bounded
                 # buffers or on-disk runs; drop the driver's copy so
@@ -936,8 +863,6 @@ class MapReduceRuntime:
         self.counters.increment(
             "runtime", "shuffle.encoded_bytes", encoded_bytes
         )
-        if self.meter_bytes:
-            self.counters.increment(group, "shuffle.bytes", shuffled_bytes)
         return partitions
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

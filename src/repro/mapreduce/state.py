@@ -13,8 +13,8 @@ A :class:`ResidentStateStore` keeps one ``key -> state`` record per
 node *resident on the reduce side* instead:
 
 * records are partitioned by the **same** hash of the canonical key
-  bytes the shuffle uses (:meth:`~repro.mapreduce.partitioner.
-  HashPartitioner.partition_bytes`), so a reduce task's state partition
+  bytes the shuffle uses (``fast_hash_bytes(key_bytes) %
+  num_partitions``), so a reduce task's state partition
   is exactly the set of keys its shuffle partition can address — the
   join is local and compares cached key bytes, never re-encoding;
 * between rounds the store can *park* its partitions on the runtime's
@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from .counters import Counters
+from ..telemetry.metrics import Counters
 from .errors import JobValidationError
 from .faults import FAULT_COUNTER_GROUP
 from .job import KeyValue
-from .partitioner import HashPartitioner, canonical_bytes
+from .partitioner import canonical_bytes, fast_hash_bytes
 from .storage import FileSystem, InMemoryFileSystem, strip_spill_counters
 
 __all__ = [
@@ -193,14 +193,6 @@ class ResidentStateStore:
     counters:
         Optional shared :class:`Counters` for the spill metering
         (:data:`STATE_SPILL_COUNTERS`).
-    router:
-        Optional ``(key_bytes, key, num_partitions) -> index`` override
-        for runtimes with a custom shuffle partitioner — the store must
-        agree with the shuffle record for record, or the reduce-side
-        join silently misses (``MapReduceRuntime.state_store`` installs
-        the right router automatically).  Default: the shuffle's own
-        :meth:`~repro.mapreduce.partitioner.HashPartitioner.
-        partition_bytes`.
     """
 
     def __init__(
@@ -210,7 +202,6 @@ class ResidentStateStore:
         filesystem: Optional[FileSystem] = None,
         spill_threshold: Optional[int] = None,
         counters: Optional[Counters] = None,
-        router: Optional[Callable[[bytes, Any, int], int]] = None,
     ) -> None:
         if num_partitions < 1:
             raise JobValidationError(
@@ -221,7 +212,6 @@ class ResidentStateStore:
         self.filesystem = filesystem or InMemoryFileSystem()
         self.spill_threshold = spill_threshold
         self.counters = counters
-        self._router = router
         self._partitions: List[Optional[Dict[bytes, StateEntry]]] = [
             {} for _ in range(num_partitions)
         ]
@@ -310,13 +300,9 @@ class ResidentStateStore:
     def _path(self, index: int) -> str:
         return f"/state/{self.name}/part-{index:05d}"
 
-    def partition_of(self, key_bytes: bytes, key: Any) -> int:
-        """The partition owning ``key`` (same routing as the shuffle)."""
-        if self._router is not None:
-            return self._router(key_bytes, key, self.num_partitions)
-        return HashPartitioner.partition_bytes(
-            key_bytes, self.num_partitions
-        )
+    def partition_of(self, key_bytes: bytes) -> int:
+        """The partition owning ``key_bytes`` (the shuffle's routing)."""
+        return fast_hash_bytes(key_bytes) % self.num_partitions
 
     # -- loading and access ------------------------------------------------
 
@@ -325,7 +311,7 @@ class ResidentStateStore:
         count = 0
         for key, value in records:
             key_bytes = canonical_bytes(key)
-            index = self.partition_of(key_bytes, key)
+            index = self.partition_of(key_bytes)
             self.partition(index)[key_bytes] = (key, value)
             self._keys[index].add(key_bytes)
             count += 1
@@ -364,7 +350,7 @@ class ResidentStateStore:
         overlay — a per-event admission never reloads the whole parked
         file to touch one key (metered as ``state.point_applies``).
         """
-        index = self.partition_of(key_bytes, key)
+        index = self.partition_of(key_bytes)
         part = self._partitions[index]
         if part is None:
             self._overlay[index][key_bytes] = (key, value)
@@ -373,13 +359,13 @@ class ResidentStateStore:
             part[key_bytes] = (key, value)
         self._keys[index].add(key_bytes)
 
-    def discard(self, key_bytes: bytes, key: Any) -> None:
+    def discard(self, key_bytes: bytes) -> None:
         """Remove one key (no-op when absent).
 
         Deleting from a parked partition writes an overlay tombstone
         instead of unparking (metered as ``state.point_applies``).
         """
-        index = self.partition_of(key_bytes, key)
+        index = self.partition_of(key_bytes)
         if key_bytes not in self._keys[index]:
             return
         part = self._partitions[index]
@@ -399,7 +385,7 @@ class ResidentStateStore:
         (metered as ``state.point_reads``).
         """
         key_bytes = canonical_bytes(key)
-        index = self.partition_of(key_bytes, key)
+        index = self.partition_of(key_bytes)
         if key_bytes not in self._keys[index]:
             return default
         part = self._partitions[index]
@@ -425,7 +411,7 @@ class ResidentStateStore:
         """Whether ``key`` is resident (checked against the in-memory
         key index — never loads a parked partition)."""
         key_bytes = canonical_bytes(key)
-        return key_bytes in self._keys[self.partition_of(key_bytes, key)]
+        return key_bytes in self._keys[self.partition_of(key_bytes)]
 
     def __contains__(self, key: Any) -> bool:
         return self.contains(key)

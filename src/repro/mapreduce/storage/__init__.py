@@ -18,8 +18,10 @@ The executors make *compute* pluggable (``backend="serial" |
   shared by the CLI and tests.
 
 Select a backend with :func:`resolve_filesystem` (names in
-:data:`FILESYSTEM_BACKENDS`), ``MapReduceRuntime(storage=...)``,
-``Pipeline(storage=...)``, or the CLI's ``--fs {memory,disk}``.
+:data:`FILESYSTEM_BACKENDS`), ``MapReduceRuntime(storage=...)``, or
+the CLI's ``--fs {memory,disk}``; a
+:class:`~repro.mapreduce.pipeline.Pipeline` uses its runtime's
+filesystem.
 
 The hard contract (property-tested): job outputs, ``job_log``, and
 counter totals — minus the spill counters — are **bit-identical**
@@ -52,7 +54,6 @@ __all__ = [
     "InMemoryFileSystem",
     "LocalDiskFileSystem",
     "SPILL_COUNTERS",
-    "canonical_backend",
     "dumps_record",
     "loads_record",
     "read_scalars",
@@ -65,59 +66,28 @@ __all__ = [
     "write_vectors",
 ]
 
-#: Canonical storage backend names accepted by :func:`resolve_filesystem`
+#: The storage backend names accepted by :func:`resolve_filesystem`
 #: (and therefore by ``MapReduceRuntime(storage=...)`` and the CLI).
 FILESYSTEM_BACKENDS = ("memory", "disk")
-
-_BACKEND_ALIASES = {
-    "memory": "memory",
-    "mem": "memory",
-    "ram": "memory",
-    "inmemory": "memory",
-    "disk": "disk",
-    "local": "disk",
-    "localdisk": "disk",
-}
-
-
-def canonical_backend(name: str) -> str:
-    """Map a backend name or alias to its canonical name.
-
-    Accepts the same spellings as :func:`resolve_filesystem` without
-    constructing a filesystem (the disk backend's constructor creates
-    its root directory eagerly); raises :class:`FileSystemError` for
-    unknown names, so configuration typos fail loudly.
-    """
-    canonical = _BACKEND_ALIASES.get(name.strip().lower())
-    if canonical is None:
-        raise FileSystemError(
-            f"unknown storage backend {name!r}; "
-            f"known backends: {', '.join(FILESYSTEM_BACKENDS)}"
-        )
-    return canonical
 
 
 def resolve_filesystem(
     storage: Union[str, FileSystem, None],
     root: Optional[str] = None,
-    compress: bool = False,
 ) -> FileSystem:
     """Turn a backend name (or a :class:`FileSystem`) into a filesystem.
 
-    ``None`` selects the in-memory backend.  ``root``/``compress``
-    apply to the ``"disk"`` backend only (``root=None`` creates a fresh
-    temporary directory).  Unknown names raise
-    :class:`FileSystemError` listing :data:`FILESYSTEM_BACKENDS`.
+    ``None`` selects the in-memory backend.  ``root`` applies to the
+    ``"disk"`` backend only (``root=None`` creates a fresh temporary
+    directory).  Any name outside :data:`FILESYSTEM_BACKENDS` raises
+    :class:`FileSystemError` listing them.
     """
-    if storage is None:
-        return InMemoryFileSystem()
     if isinstance(storage, FileSystem):
         return storage
-    if isinstance(storage, str):
-        canonical = canonical_backend(storage)
-        if canonical == "memory":
-            return InMemoryFileSystem()
-        return LocalDiskFileSystem(root=root, compress=compress)
+    if storage is None or storage == "memory":
+        return InMemoryFileSystem()
+    if storage == "disk":
+        return LocalDiskFileSystem(root=root)
     raise FileSystemError(
         f"unknown storage backend {storage!r}; "
         f"known backends: {', '.join(FILESYSTEM_BACKENDS)}"

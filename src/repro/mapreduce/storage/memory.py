@@ -131,7 +131,7 @@ class InMemoryFileSystem(FileSystem):
 
         ``bytes`` is the dataset's size in the canonical JSONL encoding
         (one line per record, newline included) — the size the disk
-        backend would occupy uncompressed — so the numbers stay
+        backend would occupy — so the numbers stay
         meaningful across backends.  It is computed when first read,
         not here, and kept until the dataset changes.
         """

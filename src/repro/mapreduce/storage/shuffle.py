@@ -69,7 +69,7 @@ import time
 from operator import itemgetter
 from typing import Any, Iterator, List, Optional
 
-from ..counters import Counters
+from ...telemetry.metrics import Counters
 from ..errors import MapReduceError
 from .codec import EncodedRecord, read_run_records, write_run_record
 

@@ -336,16 +336,15 @@ def _initial_records(graph: Graph) -> List[KeyValue]:
 def greedy_mr_b_matching(
     graph: Graph,
     runtime: Optional[MapReduceRuntime] = None,
-    max_rounds: Optional[int] = None,
 ) -> MatchingResult:
     """Run GreedyMR on ``graph`` and return the matching with its history.
 
     ``value_history[i]`` is the (feasible) matching value after round
     ``i+1`` — the any-time property of §5.4 and the series of Figure 5.
+    More than :func:`default_max_rounds` rounds raise
+    :class:`~repro.mapreduce.errors.RoundLimitExceeded`.
     """
     runtime = runtime or MapReduceRuntime()
-    if max_rounds is None:
-        max_rounds = default_max_rounds(graph)
     jobs_before = runtime.jobs_executed
     records = _initial_records(graph)
     matching = Matching()
@@ -359,7 +358,7 @@ def greedy_mr_b_matching(
             value_history=history,
         )
     driver: IterativeDriver = IterativeDriver(
-        runtime, name="greedy-mr", max_rounds=max_rounds
+        runtime, name="greedy-mr", max_rounds=default_max_rounds(graph)
     )
     job = GreedyDeltaRoundJob()
     driver.create_store(records)

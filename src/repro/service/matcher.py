@@ -282,7 +282,7 @@ class OnlineMatcher:
 
     def _discard_node(self, node: str) -> None:
         self._before.setdefault(node, self._node(node))
-        self.graph_store.discard(canonical_bytes(node), node)
+        self.graph_store.discard(canonical_bytes(node))
         self._cache[node] = None
 
     def _end_flush(self) -> None:

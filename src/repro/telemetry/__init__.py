@@ -2,9 +2,9 @@
 
 One subsystem threaded through every layer of the reproduction:
 
-* :mod:`repro.telemetry.metrics` — counters / gauges / fixed-bucket
-  histograms with the same pure-merge semantics as
-  :class:`~repro.mapreduce.counters.Counters`, plus the one
+* :mod:`repro.telemetry.metrics` — the Hadoop-style
+  :class:`~repro.telemetry.metrics.Counters`, gauges, and fixed-bucket
+  histograms with the counters' pure-merge semantics, plus the one
   nearest-rank :func:`~repro.telemetry.metrics.percentile` helper;
 * :mod:`repro.telemetry.trace` — span trees (job → phase → task;
   flush → admit → re-converge) exported as JSON span logs and rendered

@@ -37,11 +37,11 @@ __all__ = ["MetricsExporter", "render_prometheus"]
 _NAME_SANITIZER = re.compile(r"[^a-zA-Z0-9_]")
 
 
-def _metric_name(namespace: str, group: str, name: str) -> str:
+def _metric_name(group: str, name: str) -> str:
     """``repro_<group>_<name>`` with every illegal character folded to
     ``_`` (counter names like ``shuffle.records`` become
     ``shuffle_records``)."""
-    return _NAME_SANITIZER.sub("_", f"{namespace}_{group}_{name}")
+    return _NAME_SANITIZER.sub("_", f"repro_{group}_{name}")
 
 
 def _format_value(value: float) -> str:
@@ -56,12 +56,11 @@ def _format_value(value: float) -> str:
 def render_prometheus(
     snapshot: Mapping[str, Any],
     extra: Optional[Mapping[str, float]] = None,
-    namespace: str = "repro",
 ) -> str:
     """Render a registry snapshot as Prometheus text exposition format.
 
     ``extra`` scalars (e.g. the serving layer's ``metrics()`` dict) are
-    emitted as gauges under ``<namespace>_service_<key>``.
+    emitted as gauges under ``repro_service_<key>``.
     """
     lines: List[str] = []
 
@@ -72,7 +71,7 @@ def render_prometheus(
     for group in sorted(snapshot.get("counters", {})):
         names = snapshot["counters"][group]
         for name in sorted(names):
-            metric = _metric_name(namespace, group, name)
+            metric = _metric_name(group, name)
             emit(
                 metric,
                 "counter",
@@ -81,7 +80,7 @@ def render_prometheus(
     for group in sorted(snapshot.get("gauges", {})):
         names = snapshot["gauges"][group]
         for name in sorted(names):
-            metric = _metric_name(namespace, group, name)
+            metric = _metric_name(group, name)
             emit(
                 metric,
                 "gauge",
@@ -91,7 +90,7 @@ def render_prometheus(
         names = snapshot["histograms"][group]
         for name in sorted(names):
             hist = names[name]
-            metric = _metric_name(namespace, group, name)
+            metric = _metric_name(group, name)
             samples: List[str] = []
             cumulative = 0
             for bound, bucket in zip(
@@ -108,7 +107,7 @@ def render_prometheus(
             samples.append(f"{metric}_count {hist['count']}")
             emit(metric, "histogram", samples)
     for key in sorted(extra or {}):
-        metric = _metric_name(namespace, "service", key)
+        metric = _metric_name("service", key)
         emit(metric, "gauge", [f"{metric} {_format_value(extra[key])}"])
     return "\n".join(lines) + "\n"
 
@@ -124,17 +123,14 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if path == "/metrics":
                 body = render_prometheus(
-                    exporter.snapshot(),
-                    exporter.extra_metrics(),
-                    namespace=exporter.namespace,
+                    exporter.snapshot(), exporter.extra_metrics()
                 ).encode("utf-8")
                 # The exporter's own health joins the exposition, so a
                 # scraper can alert on scrape failures it didn't see.
-                ns = exporter.namespace
+                metric = _metric_name("exporter", "scrape_errors")
                 body += (
-                    f"# TYPE {ns}_exporter_scrape_errors counter\n"
-                    f"{ns}_exporter_scrape_errors "
-                    f"{exporter.scrape_errors}\n"
+                    f"# TYPE {metric} counter\n"
+                    f"{metric} {exporter.scrape_errors}\n"
                 ).encode("utf-8")
                 content_type = "text/plain; version=0.0.4; charset=utf-8"
             elif path == "/metrics.json":
@@ -214,13 +210,11 @@ class MetricsExporter:
         extra_metrics: Optional[Callable[[], Mapping[str, float]]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        namespace: str = "repro",
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._extra_metrics = extra_metrics
         self.host = host
         self.port = port
-        self.namespace = namespace
         self.scrape_count = 0
         #: Scrape attempts that raised in the handler (malformed
         #: snapshot, failing ``extra_metrics``) — answered 500 instead

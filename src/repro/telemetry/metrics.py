@@ -2,15 +2,15 @@
 
 The paper's efficiency story is told in meters — MapReduce rounds,
 ``O(|E|)`` shuffled records per job — and until this module those meters
-were scattered: :class:`~repro.mapreduce.counters.Counters` knew only
-integers, the runtime's phase timings were a bare dict, and the serving
-layer hand-rolled its latency percentiles.  :class:`MetricsRegistry`
-gives every layer one vocabulary:
+were scattered: :class:`Counters` knew only integers, the runtime's
+phase timings were a bare dict, and the serving layer hand-rolled its
+latency percentiles.  :class:`MetricsRegistry` gives every layer one
+vocabulary:
 
-* **counters** — monotone integers with pure-merge semantics (delegated
-  to any object with the :class:`~repro.mapreduce.counters.Counters`
-  API, so the runtime's existing counter instance *is* the registry's
-  counter store and every established contract carries over unchanged);
+* **counters** — monotone integers with pure-merge semantics, kept in a
+  :class:`Counters` store (the runtime passes its own instance, so it
+  *is* the registry's counter store and every established contract
+  carries over unchanged);
 * **gauges** — float accumulators for wall-clock meters (phase seconds,
   flush-stage seconds).  Gauges are *always volatile*: they never
   participate in the bit-identical determinism contract, exactly like
@@ -48,6 +48,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "COUNT_BUCKETS",
+    "Counters",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -298,35 +299,74 @@ class Histogram:
         )
 
 
-class _SimpleCounters:
-    """Minimal stand-in when no external counter store is supplied.
+class Counters:
+    """A two-level ``group -> name -> integer`` counter map.
 
-    Implements exactly the :class:`~repro.mapreduce.counters.Counters`
-    surface the registry relies on, without importing it (this module
-    must stay import-cycle-free — the mapreduce layer imports us).
+    Hadoop-style counters meter the two quantities the paper reports:
+    every simulated job increments global and per-job counters for
+    input/output/shuffled records, and drivers count rounds.  Increments
+    are cheap, reads return plain integers, and a snapshot can be
+    exported as nested dictionaries for reporting.
+
+    Counters are also the unit of *task-local metering* for the parallel
+    execution backends (see :mod:`repro.mapreduce.executors`): each task
+    attempt increments a private instance, which the runtime
+    :meth:`merge`\\ s into the shared one in task-index order once the
+    task completes.  Merging is pure integer addition — commutative and
+    associative — so the merged totals are identical across backends
+    and regardless of completion order.  Instances are picklable so
+    tasks can return them across process boundaries.
+
+    >>> c = Counters()
+    >>> c.increment("shuffle", "records", 10)
+    >>> c.get("shuffle", "records")
+    10
     """
 
     def __init__(self) -> None:
         self._groups: Dict[str, Dict[str, int]] = {}
 
     def increment(self, group: str, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to counter ``name`` in ``group``."""
         names = self._groups.setdefault(group, {})
         names[name] = names.get(name, 0) + amount
 
     def get(self, group: str, name: str) -> int:
+        """Return the current value of a counter (0 if never incremented)."""
         return self._groups.get(group, {}).get(name, 0)
 
     def group(self, group: str) -> Dict[str, int]:
+        """Return a copy of all counters in ``group``."""
         return dict(self._groups.get(group, {}))
 
-    def merge(self, other: Any) -> None:
-        for group, names in other.snapshot().items():
+    def merge(self, other: "Counters") -> None:
+        """Add every counter of ``other`` into this instance.
+
+        This is how per-task counters reach the runtime's shared
+        instance; it never aliases ``other``'s storage.
+        """
+        for group, names in other._groups.items():
             mine = self._groups.setdefault(group, {})
             for name, value in names.items():
                 mine[name] = mine.get(name, 0) + value
 
     def snapshot(self) -> Dict[str, Dict[str, int]]:
-        return {g: dict(names) for g, names in self._groups.items()}
+        """Export all counters as plain nested dictionaries."""
+        return {group: dict(names) for group, names in self._groups.items()}
+
+    def reset(self) -> None:
+        """Zero out every counter."""
+        self._groups.clear()
+
+    def __iter__(self) -> Iterator[Tuple[str, str, int]]:
+        """Iterate over ``(group, name, value)`` triples, sorted."""
+        for group in sorted(self._groups):
+            for name in sorted(self._groups[group]):
+                yield group, name, self._groups[group][name]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        entries = ", ".join(f"{g}.{n}={v}" for g, n, v in self)
+        return f"Counters({entries})"
 
 
 class MetricsRegistry:
@@ -335,15 +375,15 @@ class MetricsRegistry:
     Parameters
     ----------
     counters:
-        Optional external counter store (any object with the
-        :class:`~repro.mapreduce.counters.Counters` API).  The runtime
-        passes its own instance, so ``registry.increment`` and the
-        legacy ``runtime.counters.increment`` are the *same* counters —
+        Optional external :class:`Counters` store; a fresh one if
+        omitted.  The runtime passes its own instance, so
+        ``registry.increment`` and the legacy
+        ``runtime.counters.increment`` are the *same* counters —
         migration without a parallel universe.
     """
 
-    def __init__(self, counters: Any = None) -> None:
-        self.counters = counters if counters is not None else _SimpleCounters()
+    def __init__(self, counters: Optional[Counters] = None) -> None:
+        self.counters = counters if counters is not None else Counters()
         self._gauges: Dict[Tuple[str, str], Gauge] = {}
         self._histograms: Dict[Tuple[str, str], Histogram] = {}
 

@@ -153,7 +153,7 @@ def load_spans(path: str) -> List[Span]:
     """Read a span log written by :meth:`Tracer.export`."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    version = payload.get("version")
+    version = payload.get("version") if isinstance(payload, dict) else None
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported span log version: {version!r}")
     return [Span.from_dict(entry) for entry in payload.get("spans", [])]

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, settings
 
 from repro.mapreduce import Counters, LocalDiskFileSystem, MapReduceRuntime
 from repro.mapreduce.executors import EXECUTOR_BACKENDS
-from repro.mapreduce.storage import canonical_backend
+from repro.mapreduce.storage import FILESYSTEM_BACKENDS
 
 # One moderate default profile: property tests are plentiful, so each
 # keeps a modest example budget to bound total suite time.
@@ -40,9 +40,12 @@ BACKENDS = tuple(
 # REPRO_TEST_SPILL_THRESHOLD to a small value that forces the external
 # sort-and-spill shuffle, so the whole tier-1 suite also proves the
 # out-of-core path — results are bit-identical by contract.
-STORAGE = canonical_backend(
-    os.environ.get("REPRO_TEST_FS", "memory").strip() or "memory"
-)
+STORAGE = os.environ.get("REPRO_TEST_FS", "").strip() or "memory"
+if STORAGE not in FILESYSTEM_BACKENDS:
+    raise pytest.UsageError(
+        f"REPRO_TEST_FS={STORAGE!r}; known backends: "
+        f"{', '.join(FILESYSTEM_BACKENDS)}"
+    )
 _SPILL = os.environ.get("REPRO_TEST_SPILL_THRESHOLD", "").strip()
 SPILL_THRESHOLD = int(_SPILL) if _SPILL else None
 

@@ -15,15 +15,14 @@ sort/group.  These tests pin:
 * **equal-key arrival order** through the encoded plane, at every
   spill threshold, for keys that form runs and keys that do not;
 * what runs must **not** change: the key object reduce receives, the
-  keys that may share a run, a reducer mutating its ``values`` under
-  retries, and ``shuffle.bytes``;
+  keys that may share a run, and a reducer mutating its ``values``
+  under retries;
 * the **presorted hand-off**: the spill path delivers merge-sorted
   partitions and the reduce task must not destroy that (outputs match
   the in-memory path bit-identically);
 * the ``shuffle.encoded_bytes`` counter and ``phase_timings`` meters.
 """
 
-import pickle
 from collections import Counter
 
 import pytest
@@ -411,25 +410,6 @@ def test_mutating_reduce_under_retries_matches_fault_free(backend, tmp_path):
     assert runtime.counters.get("faults", "injected_crash") > 0
 
 
-def test_meter_bytes_counts_every_value_of_a_run():
-    """``shuffle.bytes`` on a run-heavy job is what one record per
-    value measures: cached key bytes plus the pickled value, each."""
-    records = [(i, f"v{i}") for i in range(40)]
-    runtime = MapReduceRuntime(meter_bytes=True)
-    runtime.run(StrArrivalOrder(), records)
-    job = StrArrivalOrder()
-    expected = sum(
-        len(canonical_bytes(key))
-        + len(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
-        for record in records
-        for key, value in job.map(*record)
-    )
-    assert runtime.counters.get(StrArrivalOrder.name, "shuffle.bytes") == (
-        expected
-    )
-    assert expected == 1350  # the one-record-per-value shuffle's reading
-
-
 def test_spill_path_bit_identical_to_memory_path(tmp_path):
     """The presorted hand-off (reduce skips its sort after a spill
     merge) changes nothing observable."""
@@ -448,7 +428,7 @@ def test_spill_path_bit_identical_to_memory_path(tmp_path):
 
 def test_shuffle_encoded_bytes_metered():
     """shuffle.encoded_bytes = total cached key bytes, unconditionally
-    metered (no meter_bytes flag needed) and config-independent."""
+    metered and config-independent."""
     runtime = MapReduceRuntime()
     runtime.run(PlainWordCount(), LINES)
     expected = sum(
@@ -464,20 +444,6 @@ def test_shuffle_encoded_bytes_metered():
         runtime.counters.get("runtime", "shuffle.encoded_bytes")
         == expected
     )
-
-
-def test_meter_bytes_uses_cached_encoding():
-    """--meter-bytes sizes the key side from the cached encoding; the
-    counter is at least keys + 1 byte of pickled value per record."""
-    runtime = MapReduceRuntime(meter_bytes=True)
-    runtime.run(PlainWordCount(), LINES)
-    encoded = runtime.counters.get(
-        "PlainWordCount", "shuffle.encoded_bytes"
-    )
-    total = runtime.counters.get("PlainWordCount", "shuffle.bytes")
-    shuffled = runtime.counters.get("PlainWordCount", "shuffle.records")
-    assert total > encoded  # keys plus pickled values...
-    assert total >= encoded + shuffled  # ...at least one byte each
 
 
 def test_phase_timings_accumulate():
@@ -509,118 +475,3 @@ def test_phase_timings_record_spill_time(tmp_path):
     snapshot = runtime.counters.snapshot()
     for group in snapshot.values():
         assert not any("seconds" in name for name in group)
-
-
-class KeyPartitioner:
-    """A custom partitioner without a byte-level entry point."""
-
-    def __init__(self):
-        self.keys_seen = []
-
-    def __call__(self, key, num_partitions):
-        self.keys_seen.append(key)
-        return 0
-
-
-def test_custom_partitioner_receives_decoded_keys():
-    """Custom (key, n) partitioners still get the key itself."""
-    partitioner = KeyPartitioner()
-    runtime = MapReduceRuntime(
-        num_reduce_tasks=2, partitioner=partitioner
-    )
-    output = dict(runtime.run(PlainWordCount(), LINES))
-    assert output["the"] == 4
-    assert set(partitioner.keys_seen) == {
-        word for _, line in LINES for word in line.split()
-    }
-
-
-def test_hashpartitioner_subclass_override_is_honored():
-    """Overriding __call__ on a HashPartitioner subclass must not be
-    bypassed by the inherited byte-level entry point."""
-    from repro.mapreduce import HashPartitioner
-
-    class Sticky(HashPartitioner):
-        def __call__(self, key, num_partitions):
-            return 0  # everything to partition 0
-
-    runtime = MapReduceRuntime(
-        num_reduce_tasks=4, partitioner=Sticky()
-    )
-    runtime.run(PlainWordCount(), LINES)
-    groups = runtime.counters.get("PlainWordCount", "reduce.input.groups")
-    baseline = MapReduceRuntime(num_reduce_tasks=4)
-    baseline.run(PlainWordCount(), LINES)
-    # Same distinct keys either way; the point is the output ORDER —
-    # with everything in partition 0, output is globally key-sorted.
-    assert groups == baseline.counters.get(
-        "PlainWordCount", "reduce.input.groups"
-    )
-    output = runtime.run(PlainWordCount(), LINES)
-    assert output == sorted(output, key=lambda kv: canonical_bytes(kv[0]))
-
-
-def test_custom_partitioner_defining_partition_bytes_gets_bytes():
-    """A partitioner class that defines partition_bytes itself is fed
-    the cached canonical encoding."""
-
-    class ByteSticky:
-        def __init__(self):
-            self.bytes_seen = []
-
-        def __call__(self, key, num_partitions):  # pragma: no cover
-            raise AssertionError("byte-level entry point not used")
-
-        def partition_bytes(self, key_bytes, num_partitions):
-            self.bytes_seen.append(key_bytes)
-            return 0
-
-    partitioner = ByteSticky()
-    runtime = MapReduceRuntime(
-        num_reduce_tasks=2, partitioner=partitioner
-    )
-    output = dict(runtime.run(PlainWordCount(), LINES))
-    assert output["the"] == 4
-    assert all(isinstance(b, bytes) for b in partitioner.bytes_seen)
-
-
-class OutOfRangePartitioner:
-    def __call__(self, key, num_partitions):
-        return num_partitions  # off by one
-
-
-def test_custom_partitioner_out_of_range_rejected():
-    from repro.mapreduce import JobValidationError
-
-    runtime = MapReduceRuntime(
-        num_reduce_tasks=2, partitioner=OutOfRangePartitioner()
-    )
-    with pytest.raises(JobValidationError, match="partitioner returned"):
-        runtime.run(PlainWordCount(), LINES)
-
-
-class OutOfRangeBytePartitioner:
-    def __call__(self, key, num_partitions):  # pragma: no cover
-        raise AssertionError("byte-level entry point not used")
-
-    def partition_bytes(self, key_bytes, num_partitions):
-        return num_partitions  # off by one
-
-
-@pytest.mark.parametrize(
-    "partitioner",
-    [OutOfRangePartitioner, OutOfRangeBytePartitioner],
-    ids=["call", "partition_bytes"],
-)
-def test_shuffle_and_state_store_share_the_range_check(partitioner):
-    """One routing decision: an out-of-range partitioner fails the
-    shuffle and the state store with the same error."""
-    from repro.mapreduce import JobValidationError
-
-    runtime = MapReduceRuntime(
-        num_reduce_tasks=2, partitioner=partitioner()
-    )
-    with pytest.raises(JobValidationError, match="returned 2 for 2"):
-        runtime.run(PlainWordCount(), LINES)
-    with pytest.raises(JobValidationError, match="returned 2 for 2"):
-        runtime.state_store("routed").load([("k", 1)])

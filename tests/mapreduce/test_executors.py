@@ -25,7 +25,6 @@ from repro.mapreduce import (
     JobValidationError,
     MapReduceJob,
     MapReduceRuntime,
-    Pipeline,
     ProcessExecutor,
     SerialExecutor,
     resolve_executor,
@@ -186,13 +185,6 @@ def test_shared_pools_recreate_after_shutdown():
     shutdown_shared_pools()
     # Pools are lazily rebuilt: the same runtime keeps working.
     assert runtime.run(WordCount(), records) == baseline
-
-
-def test_pipeline_accepts_backend_name():
-    pipeline = Pipeline(backend="processes")
-    assert pipeline.runtime.backend == "processes"
-    with pytest.raises(Exception, match="not both"):
-        Pipeline(runtime=MapReduceRuntime(), backend="processes")
 
 
 def test_counters_survive_pickling():

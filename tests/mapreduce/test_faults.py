@@ -43,7 +43,7 @@ CHAOS_SEEDS = (1, 2, 3)
 
 #: Rates for the chaos matrix: high enough that every seed injects
 #: several faults (asserted), low enough that the retry budget always
-#: covers them (``max_faults_per_site=1`` guarantees it anyway).
+#: covers them (``MAX_FAULTS_PER_SITE = 1`` guarantees it anyway).
 CHAOS_RATES = dict(crash_rate=0.35, delay_rate=0.15, io_rate=0.25)
 
 
@@ -170,7 +170,7 @@ def test_task_crashes_respect_the_retry_budget():
     plan = FaultPlan(7, crash_rate=1.0)
     specs = plan.task_faults("job", "map", 0, max_attempts=4)
     assert len(specs) == 4
-    # max_faults_per_site=1: exactly one crash, on attempt 0, so the
+    # MAX_FAULTS_PER_SITE = 1: exactly one crash, on attempt 0, so the
     # retried attempt always reaches a crash-free execution.
     assert specs[0].kind == "crash"
     assert all(spec is None for spec in specs[1:])
@@ -195,8 +195,6 @@ def test_fault_plan_validates_rates():
         FaultPlan(0, delay_seconds=-1)
     with pytest.raises(JobValidationError, match="delay_seconds"):
         FaultPlan(0, delay_seconds=float("nan"))
-    with pytest.raises(JobValidationError, match="max_faults_per_site"):
-        FaultPlan(0, max_faults_per_site=-1)
 
 
 @pytest.mark.parametrize(

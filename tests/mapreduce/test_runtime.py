@@ -154,12 +154,6 @@ def test_jobs_executed_and_log(runtime):
     assert runtime.job_log == ["Identity", "WordCount"]
 
 
-def test_meter_bytes_optional():
-    runtime = MapReduceRuntime(meter_bytes=True)
-    runtime.run(Identity(), [("k", "v")])
-    assert runtime.counters.get("Identity", "shuffle.bytes") > 0
-
-
 def test_side_data_reaches_job(runtime):
     output = runtime.run(
         UsesSide(), [("k", 1)], side_data={"offset": 10}

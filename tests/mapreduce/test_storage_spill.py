@@ -466,8 +466,9 @@ def test_failing_job_leaves_no_visible_partial_dataset(
 
 
 def test_pipeline_describe_includes_du_stats(tmp_path):
-    pipeline = Pipeline(storage="disk")
-    pipeline.filesystem.root  # disk-backed
+    runtime = MapReduceRuntime(storage="disk")
+    pipeline = Pipeline(runtime=runtime)
+    assert pipeline.filesystem is runtime.filesystem  # disk-backed
     pipeline.filesystem.write("/in", [(0, "a b a")])
     pipeline.add(WordCount(), ["/in"], "/counts")
     before = pipeline.describe()
@@ -477,21 +478,3 @@ def test_pipeline_describe_includes_du_stats(tmp_path):
     assert "/counts" in after
     assert "2 records" in after
     assert "B]" in after
-
-
-def test_pipeline_storage_name_and_conflicts(tmp_path):
-    assert Pipeline(storage="memory").filesystem.name == "memory"
-    runtime = MapReduceRuntime(storage="memory")
-    with pytest.raises(MapReduceError, match="not both"):
-        Pipeline(runtime=runtime, storage="memory")
-    with pytest.raises(MapReduceError, match="not both"):
-        Pipeline(
-            filesystem=InMemoryFileSystem(), storage="memory"
-        )
-    # A pipeline inherits its runtime's filesystem by default.
-    disk_runtime = MapReduceRuntime(
-        storage=LocalDiskFileSystem(root=str(tmp_path / "dfs"))
-    )
-    assert Pipeline(runtime=disk_runtime).filesystem is (
-        disk_runtime.filesystem
-    )

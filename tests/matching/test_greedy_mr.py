@@ -8,6 +8,7 @@ from repro.graph import Graph, ascending_path, check_matching, star_graph
 from repro.mapreduce import MapReduceRuntime
 from repro.mapreduce.errors import RoundLimitExceeded
 from repro.matching import greedy_b_matching, greedy_mr_b_matching
+from repro.matching import greedy_mr
 from repro.matching.greedy_mr import default_max_rounds
 
 from ..strategies import small_bipartite_graphs, small_general_graphs
@@ -110,10 +111,11 @@ def test_empty_graph_zero_rounds():
     assert result.value == 0.0
 
 
-def test_round_limit_enforced():
+def test_round_limit_enforced(monkeypatch):
     g = ascending_path(30)
+    monkeypatch.setattr(greedy_mr, "default_max_rounds", lambda graph: 2)
     with pytest.raises(RoundLimitExceeded):
-        greedy_mr_b_matching(g, max_rounds=2)
+        greedy_mr_b_matching(g)
 
 
 def test_default_round_cap_is_linear_not_quadratic():
@@ -130,7 +132,7 @@ def test_default_round_cap_is_linear_not_quadratic():
     assert default_max_rounds(Graph()) == 1
 
 
-def test_ascending_path_converges_within_default_cap():
+def test_ascending_path_converges_within_default_cap(monkeypatch):
     """The adversarial worst case fits the derived cap with room: the
     cascade is one match per round, which is exactly what the progress
     guarantee promises."""
@@ -139,8 +141,10 @@ def test_ascending_path_converges_within_default_cap():
     assert result.rounds <= default_max_rounds(g)
     assert result.value == pytest.approx(greedy_b_matching(g).value)
     # A cap below the true round count still trips the guard.
+    cap = result.rounds - 1
+    monkeypatch.setattr(greedy_mr, "default_max_rounds", lambda graph: cap)
     with pytest.raises(RoundLimitExceeded):
-        greedy_mr_b_matching(g, max_rounds=result.rounds - 1)
+        greedy_mr_b_matching(g)
 
 
 @given(graph=small_general_graphs())

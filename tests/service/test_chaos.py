@@ -68,7 +68,7 @@ def test_flush_fault_retries_and_matches_fault_free():
     batches = _batches(events)
     reference = _reference_matching(_seeded_graph(3), batches)
     # flush_rate=1.0: attempt 0 of *every* flush faults mid-
-    # reconvergence; max_faults_per_site=1 leaves attempt 1 clean, so
+    # reconvergence; MAX_FAULTS_PER_SITE = 1 leaves attempt 1 clean, so
     # a 2-attempt budget always recovers.
     plan = FaultPlan(1, flush_rate=1.0)
     matcher = OnlineMatcher(

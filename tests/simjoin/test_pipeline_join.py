@@ -84,7 +84,7 @@ class _SpyFS(FileSystem):
         return self.inner.exists(path)
 
 
-@pytest.mark.parametrize("kind", ["memory", "disk", "disk-gz"])
+@pytest.mark.parametrize("kind", ["memory", "disk"])
 def test_hand_off_call_sequence_and_accounting(kind, tmp_path):
     """``Pipeline.run`` never sizes a dataset (``du``), and issues
     exactly the reads and writes it always has, in the same order —
@@ -92,9 +92,7 @@ def test_hand_off_call_sequence_and_accounting(kind, tmp_path):
     if kind == "memory":
         inner = InMemoryFileSystem()
     else:
-        inner = LocalDiskFileSystem(
-            root=str(tmp_path / "dfs"), compress=kind.endswith("gz")
-        )
+        inner = LocalDiskFileSystem(root=str(tmp_path / "dfs"))
     spy = _SpyFS(inner)
     pipeline = similarity_join_pipeline(
         ITEMS, CONSUMERS, 1.0, filesystem=spy

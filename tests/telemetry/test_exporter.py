@@ -100,6 +100,7 @@ def test_exporter_unknown_path_is_404_and_double_start_raises():
     try:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(f"{exporter.url}/nope")
+        excinfo.value.close()  # the error holds the response's socket
         assert excinfo.value.code == 404
         with pytest.raises(RuntimeError, match="already started"):
             exporter.start()
@@ -121,6 +122,7 @@ def test_scrape_errors_count_and_degrade_health():
         # thread survives and the failure is counted, not swallowed.
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(f"{exporter.url}/metrics")
+        excinfo.value.close()
         assert excinfo.value.code == 500
         assert exporter.scrape_errors == 1
         assert exporter.scrape_count == 0

@@ -343,6 +343,24 @@ def test_out_of_range_parameters_are_usage_errors(
          "empty experiment name in 'table1,'"),
         (["trace", "spans.json", "--max-tasks", "-1"], "--max-tasks",
          "must be >= 0"),
+        (["join", "{corpus}/missing", "--sigma", "2"], "corpus",
+         "no meta.json in '{corpus}/missing'"),
+        (["match", "{corpus}/missing", "--sigma", "2"], "corpus",
+         "no meta.json in '{corpus}/missing'"),
+        (["serve", "{corpus}/missing"], "corpus",
+         "no meta.json in '{corpus}/missing'"),
+        (["join", "{corpus}", "--sigma", "2", "--out", "{corpus}/no/e.tsv"],
+         "--out", "directory '{corpus}/no' does not exist"),
+        (["match", "{corpus}", "--sigma", "2", "--out", "{corpus}/no/m.tsv"],
+         "--out", "directory '{corpus}/no' does not exist"),
+        (["match", "{corpus}", "--sigma", "2", "--capacities-out",
+          "{corpus}/no/c.tsv"],
+         "--capacities-out", "directory '{corpus}/no' does not exist"),
+        (["match", "{corpus}", "--sigma", "2", "--trace",
+          "{corpus}/no/t.json"],
+         "--trace", "directory '{corpus}/no' does not exist"),
+        (["match", "{corpus}", "--sigma", "2", "--out", "{corpus}"],
+         "--out", "'{corpus}' is a directory"),
     ],
     ids=[
         "serve-batch-size-0",
@@ -357,6 +375,14 @@ def test_out_of_range_parameters_are_usage_errors(
         "experiment-only-empty",
         "experiment-only-trailing-comma",
         "trace-max-tasks-negative",
+        "join-corpus-without-meta",
+        "match-corpus-without-meta",
+        "serve-corpus-without-meta",
+        "join-out-missing-directory",
+        "match-out-missing-directory",
+        "match-capacities-out-missing-directory",
+        "match-trace-missing-directory",
+        "match-out-is-a-directory",
     ],
 )
 def test_serve_and_chaos_reject_bad_values(
@@ -364,14 +390,32 @@ def test_serve_and_chaos_reject_bad_values(
 ):
     """Each value exits 2 at argparse: no traceback, no silent run over
     zero events, no chaos run that passes over zero seeds or experiment
-    run over no experiments, and no task span sliced off a trace."""
+    run over no experiments, no task span sliced off a trace, and no
+    solve whose corpus or output path was unusable from the start."""
     argv = [arg.format(corpus=corpus_dir) for arg in argv]
     if argv[0] == "serve":
         argv[2:2] = ["--sigma", "2.0"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    message = message.format(corpus=corpus_dir)
     assert f"argument {option}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "not json", "[]", '{"version": 99}'],
+    ids=["missing", "not-json", "not-an-object", "wrong-version"],
+)
+def test_trace_rejects_unreadable_span_logs(tmp_path, capsys, content):
+    """A span log that cannot be loaded is a usage error (exit 2,
+    ``repro trace: error:``), not a traceback."""
+    path = tmp_path / "spans.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    assert main(["trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"repro trace: error: cannot read span log '{path}'" in err
 
 
 @pytest.mark.parametrize("value", ["1.5", "nan"])
