@@ -63,14 +63,16 @@ def check_strategy(strategy: str) -> None:
 def choose_edges(
     candidates: List[Tuple[str, float]],
     count: int,
-    rng: random.Random,
+    rng: Optional[random.Random],
     strategy: str,
 ) -> List[str]:
     """Choose up to ``count`` neighbors from ``(neighbor, weight)`` pairs.
 
     ``candidates`` must be pre-sorted deterministically by the caller
     (the helpers here sort by neighbor id) so that a seeded RNG yields
-    reproducible draws.
+    reproducible draws.  ``rng`` is drawn from only when ``count <
+    len(candidates)`` and the strategy is not ``"greedy"``; it may be
+    ``None`` otherwise.
     """
     check_strategy(strategy)
     if count >= len(candidates):

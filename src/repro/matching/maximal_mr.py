@@ -1,17 +1,15 @@
 """MapReduce implementation of Garrido et al.'s maximal b-matching (§5.3).
 
-One MapReduce job per stage (marking, selection, matching, cleanup), all
-sharing the communication pattern the paper describes: the graph is kept
-as node-keyed adjacency lists, each node's local view of every incident
-edge reaches the other endpoint, and each reduce unifies the two views
-back into a consistent adjacency list.
+One MapReduce job per stage (marking, selection, matching, cleanup).
+The graph is kept as node-keyed adjacency lists, and each stage tells
+an edge's other endpoint only what this endpoint decided about it.
 
 Edge states of the paper map onto this implementation as follows:
 
 =====  =========================================================
-``E``  edge present in ``MMNode.adj`` with empty mark/select sets
-``K``  edge present with a non-empty ``marked`` set
-``F``  edge present with a non-empty ``selected`` set
+``E``  ``v`` in ``u.adj`` and ``u`` in ``v.adj``, no flag set
+``K``  ``u`` in ``v.marked_in`` or ``v`` in ``u.marked_in``
+``F``  ``v`` in ``u.selected`` and ``u`` in ``v.selected``
 ``M``  edge emitted as a ``("matched", u, v)`` output record
 ``D``  edge absent from both endpoints' adjacency lists
 =====  =========================================================
@@ -20,19 +18,23 @@ Randomness is per-node and derived from ``stable_hash((seed, round,
 stage, node))``, so runs are reproducible and independent of task
 placement — exactly what a deterministic-seeded Hadoop job would do.
 
-Resident-state rounds
----------------------
+Sparse messages
+---------------
 
 Every stage runs as a resident scan round
 (:meth:`~repro.mapreduce.runtime.MapReduceRuntime.run_stateful`,
 scan mode): the node records stay in a partition-aligned resident
-store and each stage's map emits only the *cross* view —
-``(neighbor, ("edge", node, view))``.  The reduce recomputes the node's
-own local views from resident state (the per-node RNG makes that free
-of coordination) and merges them with the arrived neighbor views, so
-neither the node record nor its own views enter the shuffle.  The
-state-unification rules are symmetric, so merge order cannot matter:
-matched edges, round counts, and job counts are those of the paper's
+store, and each stage's map emits one ``(neighbor, node)`` message per
+non-default fact — a mark, a selection, a demotion, or (cleanup) a
+death notice from a saturated node to each unmatched neighbour, next
+to the ``("matched", u, v)`` output records.  A neighbour that sends
+nothing left the edge unchanged.  That reading rests on one invariant:
+after every cleanup the adjacency is symmetric among the nodes still
+in the store (:func:`mm_records_from_adjacency` starts it so), so each
+end already knows the edge's weight and its own decision, and the
+message carries the other end's.  The selection and matchfix reduces
+recompute the node's own choice from its per-node RNG.  Matched
+edges, round counts and job counts are those of the paper's
 formulation (pinned by the golden convergence curves).  StackMR drives
 this loop for its inner subroutine.
 """
@@ -55,26 +57,26 @@ from ..mapreduce import (
 from ..mapreduce.state import ResidentStateStore
 from .maximal import check_strategy, choose_edges
 
-__all__ = ["MMEdge", "MMNode", "mm_records_from_adjacency", "mr_maximal_b_matching"]
+__all__ = ["MMNode", "mm_records_from_adjacency", "mr_maximal_b_matching"]
 
 _EMPTY: FrozenSet[str] = frozenset()
 
 
 @dataclass(frozen=True)
-class MMEdge:
-    """One endpoint's view of an edge's state in the maximal matching."""
-
-    weight: float
-    marked: FrozenSet[str] = _EMPTY
-    selected: FrozenSet[str] = _EMPTY
-
-
-@dataclass(frozen=True)
 class MMNode:
-    """A node record: remaining capacity and incident edge views."""
+    """A node record: remaining capacity, live edges and round flags.
+
+    ``adj`` maps each live neighbour to the edge weight.  ``marked_in``
+    names the neighbours that marked their edge to this node (set by
+    the mark stage, consumed by selection); ``selected`` names the
+    edges either end selected (set by selection, trimmed by matchfix,
+    committed by cleanup).
+    """
 
     b: int
-    adj: Dict[str, MMEdge]
+    adj: Dict[str, float]
+    marked_in: FrozenSet[str] = _EMPTY
+    selected: FrozenSet[str] = _EMPTY
 
 
 def mm_records_from_adjacency(
@@ -84,14 +86,15 @@ def mm_records_from_adjacency(
     """Build the initial node records for the subroutine.
 
     Nodes with no capacity or no live edges are excluded up front (their
-    edges can never be matched, mirroring the centralized preprocessing).
+    edges can never be matched, mirroring the centralized preprocessing),
+    so the records' adjacency is symmetric whenever ``adjacency`` is.
     """
     records: List[KeyValue] = []
     for node in sorted(adjacency):
         if capacities.get(node, 0) <= 0:
             continue
         adj = {
-            nbr: MMEdge(weight=w)
+            nbr: w
             for nbr, w in adjacency[node].items()
             if capacities.get(nbr, 0) > 0
         }
@@ -100,17 +103,12 @@ def mm_records_from_adjacency(
     return records
 
 
-def _node_rng(seed: int, round_index: int, stage: str, node: str) -> random.Random:
-    """A reproducible per-node, per-stage random generator."""
-    return random.Random(stable_hash((seed, round_index, stage, node)))
-
-
 class _StageJob(MapReduceJob):
-    """Shared communication pattern for all four stages.
+    """Shared shape of the four stages.
 
-    Subclasses implement :meth:`local_views` (the stage's local decision,
-    returning each edge's updated view) and :meth:`merge` (the state
-    unification rule applied in the reduce).
+    Each stage's map yields ``(neighbor, node)`` for every edge whose
+    state this node changes; the reduce hands the senders to
+    :meth:`update` as a set, so message order cannot matter.
     """
 
     stage = "abstract"
@@ -122,70 +120,31 @@ class _StageJob(MapReduceJob):
         self.round_index = round_index
         self.strategy = strategy
 
-    # -- to be provided by each stage -------------------------------------
+    def _rng(self, node: str) -> random.Random:
+        """The node's reproducible generator for this round and stage."""
+        return random.Random(
+            stable_hash((self.seed, self.round_index, self.stage, node))
+        )
 
-    def local_views(
-        self, node: str, state: MMNode, rng: random.Random
-    ) -> Dict[str, MMEdge]:
+    def _choose(
+        self, node: str, candidates: List[Tuple[str, float]], count: int
+    ) -> List[str]:
+        """:func:`choose_edges`, building the RNG only if it is drawn."""
+        rng = None
+        if self.strategy != "greedy" and count < len(candidates):
+            rng = self._rng(node)
+        return choose_edges(candidates, count, rng, self.strategy)
+
+    def update(self, node: str, state: MMNode, senders: FrozenSet[str]):
+        """The node's record after this stage (``Retired`` if it leaves)."""
         raise NotImplementedError
-
-    def merge(self, mine: MMEdge, theirs: MMEdge) -> MMEdge:
-        raise NotImplementedError
-
-    def new_capacity(self, state: MMNode, views: Dict[str, MMEdge]) -> int:
-        """Capacity after this stage (only cleanup changes it)."""
-        return state.b
-
-    def extra_output(
-        self, node: str, state: MMNode, views: Dict[str, MMEdge]
-    ) -> Iterable[KeyValue]:
-        """Additional output records (cleanup emits matched edges)."""
-        return ()
-
-    def keep_view(self, view: MMEdge) -> bool:
-        """Whether the local view keeps the edge alive (cleanup prunes)."""
-        return True
-
-    # -- the shared pattern ----------------------------------------------------
-
-    def map_resident(
-        self, node: str, state: MMNode
-    ) -> Iterable[KeyValue]:
-        """Emit only the cross views; the self copy stays resident."""
-        rng = _node_rng(self.seed, self.round_index, self.stage, node)
-        views = self.local_views(node, state, rng)
-        for neighbor, view in views.items():
-            if not self.keep_view(view):
-                continue
-            yield neighbor, ("edge", node, view)
-        yield from self.extra_output(node, state, views)
 
     def reduce_state(self, node, state: Optional[MMNode], values: List):
-        if isinstance(node, tuple) and node and node[0] == "matched":
-            # Matched-edge records emitted by cleanup maps: pass through
-            # (emitted once, from the smaller endpoint).
-            return None, [(node, values[0])]
         if state is None:
-            # The node itself left earlier; ignore stray messages.
-            return None, []
-        rng = _node_rng(self.seed, self.round_index, self.stage, node)
-        views = self.local_views(node, state, rng)
-        theirs: Dict[str, MMEdge] = {}
-        for value in values:
-            theirs[value[1]] = value[2]
-        capacity = self.new_capacity(state, views)
-        adj: Dict[str, MMEdge] = {}
-        for neighbor in sorted(views):
-            view = views[neighbor]
-            if not self.keep_view(view):
-                continue  # this side dropped the edge -> it is dead
-            their_view = theirs.get(neighbor)
-            if their_view is None:
-                continue  # the neighbor dropped the edge (or died)
-            adj[neighbor] = self.merge(view, their_view)
-        if capacity > 0 and adj:
-            return MMNode(b=capacity, adj=adj), []
-        return Retired(), []
+            # Only cleanup's ("matched", u, v) records have no state:
+            # each is emitted once, by the smaller endpoint.
+            return None, [(node, values[0])]
+        return self.update(node, state, frozenset(values)), []
 
 
 class _MarkJob(_StageJob):
@@ -193,30 +152,15 @@ class _MarkJob(_StageJob):
 
     stage = "mark"
 
-    def local_views(
-        self, node: str, state: MMNode, rng: random.Random
-    ) -> Dict[str, MMEdge]:
-        quota = (state.b + 1) // 2
-        candidates = sorted(
-            (nbr, e.weight) for nbr, e in state.adj.items()
-        )
-        chosen = set(
-            choose_edges(candidates, quota, rng, self.strategy)
-        )
-        return {
-            nbr: MMEdge(
-                weight=e.weight,
-                marked=frozenset({node}) if nbr in chosen else _EMPTY,
-            )
-            for nbr, e in state.adj.items()
-        }
+    def map_resident(self, node: str, state: MMNode) -> Iterable[KeyValue]:
+        candidates = sorted(state.adj.items())
+        for nbr in self._choose(node, candidates, (state.b + 1) // 2):
+            yield nbr, node
 
-    def merge(self, mine: MMEdge, theirs: MMEdge) -> MMEdge:
-        return MMEdge(
-            weight=mine.weight,
-            marked=mine.marked | theirs.marked,
-            selected=_EMPTY,
-        )
+    def update(self, node, state, senders):
+        if senders == state.marked_in:
+            return state
+        return MMNode(state.b, state.adj, marked_in=senders)
 
 
 class _SelectJob(_StageJob):
@@ -224,33 +168,21 @@ class _SelectJob(_StageJob):
 
     stage = "select"
 
-    def local_views(
-        self, node: str, state: MMNode, rng: random.Random
-    ) -> Dict[str, MMEdge]:
-        candidates = sorted(
-            (nbr, e.weight)
-            for nbr, e in state.adj.items()
-            if nbr in e.marked
-        )
-        quota = max(state.b // 2, 1)
-        chosen = set(
-            choose_edges(candidates, quota, rng, self.strategy)
-        )
-        return {
-            nbr: MMEdge(
-                weight=e.weight,
-                marked=e.marked,
-                selected=frozenset({node}) if nbr in chosen else _EMPTY,
-            )
-            for nbr, e in state.adj.items()
-        }
+    def _picks(self, node: str, state: MMNode) -> List[str]:
+        if not state.marked_in:
+            return []
+        candidates = sorted((nbr, state.adj[nbr]) for nbr in state.marked_in)
+        return self._choose(node, candidates, max(state.b // 2, 1))
 
-    def merge(self, mine: MMEdge, theirs: MMEdge) -> MMEdge:
-        return MMEdge(
-            weight=mine.weight,
-            marked=mine.marked | theirs.marked,
-            selected=mine.selected | theirs.selected,
-        )
+    def map_resident(self, node: str, state: MMNode) -> Iterable[KeyValue]:
+        for nbr in self._picks(node, state):
+            yield nbr, node
+
+    def update(self, node, state, senders):
+        if not state.marked_in and not senders:
+            return state
+        selected = senders.union(self._picks(node, state))
+        return MMNode(state.b, state.adj, selected=selected)
 
 
 class _MatchFixJob(_StageJob):
@@ -258,31 +190,23 @@ class _MatchFixJob(_StageJob):
 
     stage = "matchfix"
 
-    def local_views(
-        self, node: str, state: MMNode, rng: random.Random
-    ) -> Dict[str, MMEdge]:
-        in_f = sorted(
-            nbr for nbr, e in state.adj.items() if e.selected
-        )
-        demoted: set = set()
-        if state.b == 1 and len(in_f) >= 2:
-            keep = rng.choice(in_f)
-            demoted = {nbr for nbr in in_f if nbr != keep}
-        views: Dict[str, MMEdge] = {}
-        for nbr, e in state.adj.items():
-            selected = _EMPTY if nbr in demoted else e.selected
-            views[nbr] = MMEdge(
-                weight=e.weight, marked=e.marked, selected=selected
-            )
-        return views
+    def _demoted(self, node: str, state: MMNode) -> List[str]:
+        if state.b != 1 or len(state.selected) < 2:
+            return []
+        in_f = sorted(state.selected)
+        keep = self._rng(node).choice(in_f)
+        return [nbr for nbr in in_f if nbr != keep]
 
-    def merge(self, mine: MMEdge, theirs: MMEdge) -> MMEdge:
-        # Demotion by either endpoint wins: intersect the selections.
-        return MMEdge(
-            weight=mine.weight,
-            marked=mine.marked | theirs.marked,
-            selected=mine.selected & theirs.selected,
-        )
+    def map_resident(self, node: str, state: MMNode) -> Iterable[KeyValue]:
+        for nbr in self._demoted(node, state):
+            yield nbr, node
+
+    def update(self, node, state, senders):
+        # Demotion by either endpoint wins.
+        dropped = senders.union(self._demoted(node, state))
+        if not dropped:
+            return state
+        return MMNode(state.b, state.adj, selected=state.selected - dropped)
 
 
 class _CleanupJob(_StageJob):
@@ -290,33 +214,31 @@ class _CleanupJob(_StageJob):
 
     stage = "cleanup"
 
-    def local_views(
-        self, node: str, state: MMNode, rng: random.Random
-    ) -> Dict[str, MMEdge]:
-        matched = {nbr for nbr, e in state.adj.items() if e.selected}
-        new_b = state.b - len(matched)
-        views: Dict[str, MMEdge] = {}
-        for nbr, e in state.adj.items():
-            if nbr in matched:
-                continue  # leaves the graph as part of the matching
-            if new_b <= 0:
-                continue  # this node is saturated: its edges die
-            views[nbr] = MMEdge(weight=e.weight)
-        return views
+    def map_resident(self, node: str, state: MMNode) -> Iterable[KeyValue]:
+        for nbr in sorted(state.selected):
+            if node < nbr:
+                yield ("matched", node, nbr), state.adj[nbr]
+        if len(state.selected) >= state.b:
+            # Saturated: a death notice to every unmatched neighbour.
+            # The reduce folds notices into a set, so their order (and
+            # the string hash seed behind ``selected``) cannot reach
+            # any output.
+            for nbr in state.adj:
+                if nbr not in state.selected:
+                    yield nbr, node
 
-    def new_capacity(self, state: MMNode, views: Dict[str, MMEdge]) -> int:
-        matched = sum(1 for e in state.adj.values() if e.selected)
-        return state.b - matched
-
-    def extra_output(
-        self, node: str, state: MMNode, views: Dict[str, MMEdge]
-    ) -> Iterable[KeyValue]:
-        for nbr, e in state.adj.items():
-            if e.selected and node < nbr:
-                yield ("matched", node, nbr), e.weight
-
-    def merge(self, mine: MMEdge, theirs: MMEdge) -> MMEdge:
-        return MMEdge(weight=mine.weight)
+    def update(self, node, state, senders):
+        b = state.b - len(state.selected)
+        if b <= 0:
+            return Retired()
+        if not state.selected and not senders:
+            return state
+        adj = {
+            nbr: w
+            for nbr, w in state.adj.items()
+            if nbr not in state.selected and nbr not in senders
+        }
+        return MMNode(b, adj) if adj else Retired()
 
 
 #: Round cap of the subroutine.  StackMR also spaces the RNG streams of

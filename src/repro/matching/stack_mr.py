@@ -43,10 +43,12 @@ jobs — flow through the shuffle.  The update job receives the fresh
 layer's stacked sets as side data, and nodes outside the layer are
 quiescent: the scan visits them, finds nothing changed, and emits no
 delta.  The maximal subroutine (1) runs its four stages on the same
-plane.  Every record re-evaluates each job exactly as in the paper's
-formulation, so matchings, duals, layer and round counts, and job
-counts are those of §5.2–5.3 (pinned by the golden convergence
-curves); only the node records stay out of the shuffle.
+plane and ships only marks, selections, demotions and death notices
+(:mod:`repro.matching.maximal_mr`).  Every record re-evaluates each
+job exactly as in the paper's formulation, so matchings, duals, layer
+and round counts, and job counts are those of §5.2–5.3 (pinned by the
+golden convergence curves); only node records and unchanged edges
+stay out of the shuffle.
 """
 
 from __future__ import annotations

@@ -24,7 +24,11 @@ execution backend (and the ``REPRO_TEST_FS`` /
 The file was generated while a second, full-state plane (node
 records shuffled every round) still existed, with both planes asserted
 equal on every pinned field except the counters, which are the
-resident plane's; it has not changed since that plane was deleted.
+resident plane's.  Since that plane was deleted only counters have
+changed: the maximal subroutine's switch to sparse messages (marks,
+selections, demotions and death notices) regenerated the
+``mr_maximal`` and stack rows, and every other field stayed
+byte-identical.
 
 Regenerate (only for a deliberate, CHANGES.md-worthy semantic change)::
 

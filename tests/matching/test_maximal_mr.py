@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.graph import check_matching, random_graph
+from repro.graph import Graph, check_matching, random_graph
 from repro.mapreduce import MapReduceRuntime
 from repro.matching import (
     MARKING_STRATEGIES,
     is_maximal,
+    maximal_mr,
     mm_records_from_adjacency,
     mr_maximal_b_matching,
 )
@@ -18,16 +19,20 @@ from repro.matching import (
 from ..strategies import small_general_graphs
 
 
+def _run_on(graph, runtime, seed=0, strategy="uniform"):
+    records = mm_records_from_adjacency(
+        graph.adjacency_copy(), graph.capacities()
+    )
+    return mr_maximal_b_matching(
+        records, runtime, seed=seed, strategy=strategy
+    )
+
+
 def _run(graph, seed=0, strategy="uniform", maps=4, reduces=4):
     runtime = MapReduceRuntime(
         num_map_tasks=maps, num_reduce_tasks=reduces
     )
-    records = mm_records_from_adjacency(
-        graph.adjacency_copy(), graph.capacities()
-    )
-    matched, rounds = mr_maximal_b_matching(
-        records, runtime, seed=seed, strategy=strategy
-    )
+    matched, rounds = _run_on(graph, runtime, seed=seed, strategy=strategy)
     return matched, rounds, runtime
 
 
@@ -118,3 +123,106 @@ def test_unknown_strategy_rejected_without_live_edges():
     with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
         mr_maximal_b_matching([], runtime, strategy="bogus")
     assert runtime.jobs_executed == 0
+
+
+def _sparse_protocol_graph():
+    """Six nodes, two rounds under greedy marking, one demotion.
+
+    Round 0 — marks (6): x→y, y→v, z→x, v→u, u→v, t→y.  Selections
+    (4): x→z, y→x, v→u, u→v, so ``x`` (``b = 1``) holds two selected
+    edges and demotes one (1).  Cleanup: matched records ``(u, v)``
+    and ``(x, y|z)`` (2) plus death notices from saturated ``x`` to
+    the demoted neighbour and from saturated ``v`` to ``y`` (2).
+    Round 1 — ``y`` and ``t`` are left: 2 marks, 2 selections, 0
+    demotions, 1 matched record.  Whichever edge ``x`` keeps, the
+    counts are these.
+    """
+    graph = Graph()
+    for node in "tuvxz":
+        graph.add_node(node, 1)
+    graph.add_node("y", 2)
+    for u, v, w in (
+        ("u", "v", 7.0),
+        ("v", "y", 6.0),
+        ("x", "y", 5.0),
+        ("x", "z", 3.0),
+        ("t", "y", 1.0),
+    ):
+        graph.add_edge(u, v, w)
+    return graph
+
+
+def _record_stages(runtime):
+    """Log each stage job's shuffled records and the post-cleanup store."""
+    shuffled, snapshots = [], []
+    run_stateful = runtime.run_stateful
+
+    def recording(job, store, **kwargs):
+        before = runtime.counters.get(job.name, "shuffle.records")
+        result = run_stateful(job, store, **kwargs)
+        after = runtime.counters.get(job.name, "shuffle.records")
+        shuffled.append((job.name, after - before))
+        if job.name == "maximal-cleanup":
+            snapshots.append(dict(store.records()))
+        return result
+
+    runtime.run_stateful = recording
+    return shuffled, snapshots
+
+
+def _assert_symmetric(records):
+    """Every live edge is held, with one weight, by both live endpoints."""
+    for node, state in records.items():
+        assert state.b > 0 and state.adj, node
+        assert not state.marked_in and not state.selected, node
+        for neighbor, weight in state.adj.items():
+            assert records[neighbor].adj[node] == weight, (node, neighbor)
+
+
+def test_stages_ship_only_marks_selections_demotions_and_notices(runtime):
+    graph = _sparse_protocol_graph()
+    shuffled, snapshots = _record_stages(runtime)
+    matched, rounds = _run_on(graph, runtime, strategy="greedy")
+    assert rounds == 2
+    assert shuffled == [
+        ("maximal-mark", 6),
+        ("maximal-select", 4),
+        ("maximal-matchfix", 1),
+        ("maximal-cleanup", 2 + 2),
+        ("maximal-mark", 2),
+        ("maximal-select", 2),
+        ("maximal-matchfix", 0),
+        ("maximal-cleanup", 1),
+    ]
+    assert len(matched) == 3
+    assert ("u", "v") in matched and ("t", "y") in matched
+    capacities = graph.capacities()
+    assert is_maximal(graph.adjacency_copy(), capacities, matched.keys())
+    assert snapshots[-1] == {}
+    for snapshot in snapshots:
+        _assert_symmetric(snapshot)
+
+
+@pytest.mark.parametrize("strategy", MARKING_STRATEGIES)
+def test_adjacency_stays_symmetric_after_every_cleanup(strategy):
+    runtime = MapReduceRuntime()
+    graph = random_graph(16, 0.4, rng=random.Random(2), max_capacity=3)
+    _, snapshots = _record_stages(runtime)
+    _, rounds = _run_on(graph, runtime, strategy=strategy)
+    assert rounds == len(snapshots) >= 2
+    for snapshot in snapshots:
+        _assert_symmetric(snapshot)
+
+
+def test_rng_built_only_where_drawn(monkeypatch):
+    """Greedy marking draws only in matchfix: ``x``'s map and reduce."""
+    built = []
+    make_rng = maximal_mr._StageJob._rng
+
+    def counting(job, node):
+        built.append((job.stage, node))
+        return make_rng(job, node)
+
+    monkeypatch.setattr(maximal_mr._StageJob, "_rng", counting)
+    _run_on(_sparse_protocol_graph(), MapReduceRuntime(), strategy="greedy")
+    assert built == [("matchfix", "x"), ("matchfix", "x")]
