@@ -95,8 +95,8 @@ class MapReduceJob:
         :class:`~repro.mapreduce.state.Retired` naming surviving peers
         to notify of the record's departure.  Quiescent records are
         never mapped — the job's protocol must make their previously
-        sent messages recoverable on the reduce side (GreedyMR caches
-        them in each node's inbox).
+        sent messages recoverable on the reduce side (GreedyMR keeps
+        each node's current proposers in its inbox).
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support frontier delta "

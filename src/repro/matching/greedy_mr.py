@@ -46,12 +46,15 @@ frontier mode):
   the shuffle;
 * each round, only nodes whose state *changed* last round run map
   — they re-propose to their neighbors and ping themselves — while each
-  node's resident ``inbox`` caches the last proposal received from
-  every live neighbor, so quiescent neighbors need not re-send;
-* a record's ``props`` is the proposal set its neighbors' inboxes
-  currently hold for it (``None`` until its first broadcast), and
-  ``flips`` the surviving neighbors whose bit changed with its last
-  core change — the only ones its next map messages;
+  node's resident ``inbox`` holds the live neighbors that currently
+  propose to it, so quiescent neighbors need not re-send;
+* an absent inbox entry means "not proposed": a freshly seeded record's
+  first broadcast ships only its ``min(b, degree)`` proposals, not a
+  bit per edge;
+* a record's ``props`` is the set of neighbors whose inboxes hold it
+  (``None`` until its first broadcast), and ``flips`` the surviving
+  neighbors whose bit changed with its last core change — the only
+  ones its next map messages;
 * a node that leaves the graph retires with explicit death notices
   (:class:`~repro.mapreduce.state.Retired`) to its surviving
   neighbors, where Algorithm 3 signals a death by the absence of a
@@ -62,15 +65,19 @@ Matchings, ``value_history``, round counts and job counts are those of
 Algorithm 3 round for round (pinned by the golden convergence curves);
 ``iteration.quiescent_records`` meters what the frontier skipped.
 
-The reducer decides in O(messages + b).  It copies the inbox only when
-a received bit differs from the cached one and tests mutual proposals
-over the at most ``b`` proposed names, not the adjacency.  A round that
-brings a node no match and no death returns the *same* record object
-(or, when a bit or the first ``props`` must be remembered, a
+The reducer decides in O(messages + b).  A ``True`` message adds an
+inbox entry and a ``False`` one deletes it; the inbox is copied only
+when a message changes it or a departed name is in it, and an inbox
+whose contents end the round unchanged (a neighbor that proposes and
+is matched in the same round) is the predecessor's, never a rebuilt
+one.  Mutual proposals are tested over the at most ``b`` proposed
+names, not the adjacency.  A round that brings a node no match and no
+death returns the *same* record object (or, when an inbox entry or the
+first ``props`` must be remembered, a
 :class:`~repro.mapreduce.state.Quiet` record sharing ``adj`` and
 ``rank`` with its predecessor).  Only a core change — a match or a
-dead neighbor — pays O(degree): one copy of ``adj`` and ``inbox``
-minus the departed names, one filter of ``rank``, and ``flips`` from
+dead neighbor — pays O(degree): one copy of ``adj`` minus the departed
+names, one filter of ``rank``, and ``flips`` from
 ``old props ^ new props``.
 
 Two rules the kernel must keep:
@@ -143,12 +150,13 @@ class GreedyDeltaNode:
     The incremental bookkeeping that lets quiescent neighbors stay
     silent:
 
-    * ``inbox`` — the last proposal bit received from each live
-      neighbor;
-    * ``props`` — the proposal set the node's neighbors currently hold
-      in *their* inboxes, i.e. ``frozenset(rank[:b])`` as of the last
-      broadcast; ``None`` on a freshly seeded record, which tells the
-      next map to broadcast every bit;
+    * ``inbox`` — the live neighbors that currently propose to the
+      node, each mapped to ``True``; a neighbor that does not propose
+      has no entry;
+    * ``props`` — the neighbors whose inboxes hold the node, i.e.
+      ``frozenset(rank[:b])`` as of the last broadcast; ``None`` on a
+      freshly seeded record, whose neighbors hold no entry for it yet,
+      which tells the next map to send its proposals;
     * ``flips`` — the surviving neighbors whose bit changed with the
       last core change (``old props ^ new props``): the only ones the
       next map must message.
@@ -157,7 +165,8 @@ class GreedyDeltaNode:
     Retry attempts, speculative backups and the serving flush's
     rollback all re-read the pre-round objects, so a changed container
     is always a fresh copy, while an unchanged one (``adj`` and
-    ``rank`` on an inbox-only update) is shared with its predecessor.
+    ``rank`` on an inbox-only update, ``inbox`` when no entry changed)
+    is shared with its predecessor.
     """
 
     b: int
@@ -176,8 +185,8 @@ class GreedyDeltaNode:
 def _proposals(state: GreedyDeltaNode) -> FrozenSet[str]:
     """The neighbors of the node's top-``b`` edges by the global order.
 
-    Called identically from map and reduce, so both phases agree without
-    extra communication.
+    The set of ``rank[:b]``, the names a first broadcast sends to, so
+    the reducer knows them without extra communication.
     """
     return frozenset(state.rank[: state.b])
 
@@ -200,16 +209,18 @@ class GreedyDeltaRoundJob(MapReduceJob):
             return
         # The self-ping guarantees a changed node re-evaluates even
         # when all its neighbors stayed quiet (its own proposal set may
-        # now form a mutual pair with a cached inbox entry).
+        # now form a mutual pair with a resident inbox entry).
         yield node, ("ping",)
         if delta.props is None:
-            # First broadcast: every neighbor needs every bit.
-            proposals = _proposals(delta)
-            for neighbor in delta.adj:
-                yield neighbor, ("prop", node, neighbor in proposals)
+            # First broadcast: only the proposals.  An absent inbox
+            # entry means "not proposed", and a freshly seeded record's
+            # neighbors hold no entry for it.
+            for neighbor in delta.rank[: delta.b]:
+                yield neighbor, ("prop", node, True)
             return
         # Incremental broadcast: neighbors whose bit did not flip
-        # already hold the correct value in their inbox.
+        # already hold the correct entry (or its absence); a bit that
+        # went ``True -> False`` is sent so the neighbor deletes it.
         for neighbor in delta.flips:
             yield neighbor, ("prop", node, neighbor in delta.props)
 
@@ -225,10 +236,13 @@ class GreedyDeltaRoundJob(MapReduceJob):
             tag = value[0]
             if tag == "prop":
                 neighbor, proposed = value[1], value[2]
-                if neighbor in adj and inbox.get(neighbor) != proposed:
+                if neighbor in adj and (neighbor in inbox) != proposed:
                     if inbox is state.inbox:
                         inbox = dict(inbox)
-                    inbox[neighbor] = proposed
+                    if proposed:
+                        inbox[neighbor] = True
+                    else:
+                        del inbox[neighbor]
             elif tag == "dead" and value[1] in adj:
                 dead.add(value[1])  # the neighbor died: retract the edge
         # What the neighbors hold is what the node proposes: ``props``
@@ -239,7 +253,7 @@ class GreedyDeltaRoundJob(MapReduceJob):
         matched = [
             neighbor
             for neighbor in props
-            if inbox.get(neighbor) and neighbor not in dead
+            if neighbor in inbox and neighbor not in dead
         ]
         if not matched and not dead:
             if inbox is state.inbox and props is state.props:
@@ -277,11 +291,16 @@ class GreedyDeltaRoundJob(MapReduceJob):
             # what the neighbors' inboxes hold (= props), and schedule
             # messages only for the flipped bits.
             new_adj = adj.copy()
-            if inbox is state.inbox:
-                inbox = inbox.copy()
             for neighbor in departed:
                 del new_adj[neighbor]
-                inbox.pop(neighbor, None)
+                if neighbor in inbox:
+                    if inbox is state.inbox:
+                        inbox = inbox.copy()
+                    del inbox[neighbor]
+            if inbox is not state.inbox and inbox == state.inbox:
+                # A proposal that arrived and matched in this round
+                # leaves the inbox as it was: share it, do not rebuild.
+                inbox = state.inbox
             new_props = frozenset(new_rank[:new_b])
             return (
                 GreedyDeltaNode(

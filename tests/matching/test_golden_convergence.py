@@ -28,7 +28,9 @@ resident plane's.  Since that plane was deleted only counters have
 changed: the maximal subroutine's switch to sparse messages (marks,
 selections, demotions and death notices) regenerated the
 ``mr_maximal`` and stack rows, and every other field stayed
-byte-identical.
+byte-identical.  GreedyMR's sparse first broadcast (a seeded record
+ships only its proposals; an absent inbox entry means "not proposed")
+moved only the ``shuffle.records`` of the five ``greedy_mr`` rows.
 
 Regenerate (only for a deliberate, CHANGES.md-worthy semantic change)::
 

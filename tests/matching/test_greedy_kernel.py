@@ -12,6 +12,10 @@ suites only see indirectly:
   seeded record and never inside a map or reduce method, where no
   ``edge_key`` / ``edge_sort_key`` call happens either — the
   machine-independent form of "the round loop does not sort";
+* **sparse proposals**: a freshly seeded record ships only its ``True``
+  bits, so a round's shuffle is its proposals, flips, pings and death
+  notices (pinned round by round on a hand-sized graph), and an inbox
+  holds exactly the neighbors that currently propose to the node;
 * **purity**: ``reduce_state`` is a function of its arguments that
   leaves its input record untouched — retry attempts, speculative
   backups and the serving flush's rollback re-read pre-round objects.
@@ -24,7 +28,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.graph import Graph, ascending_path
+from repro.graph import Graph, ascending_path, random_graph
 from repro.graph import edges as edges_module
 from repro.graph.edges import edge_key, edge_sort_key
 from repro.mapreduce import Counters, MapReduceRuntime, Quiet
@@ -146,6 +150,14 @@ def _serial_runtime() -> MapReduceRuntime:
     )
 
 
+def _flickr_graph_at(scale: float) -> Graph:
+    from repro.datasets import load_dataset
+
+    return load_dataset("flickr-small", seed=1, scale=scale).graph(
+        sigma=2.0, alpha=2.0
+    )
+
+
 def _seeded_record_count(graph: Graph) -> int:
     capacities = graph.capacities()
     return sum(
@@ -209,14 +221,11 @@ def test_messages_shuffle_as_one_record_per_task_and_node(monkeypatch):
     """A round's messages name each node many times per map task; the
     encoded plane folds them into one run per (task, node), so the
     map-side ``canonical_bytes`` calls — one per message before runs —
-    fall by more than 5x while ``shuffle.records`` still counts every
+    are one per run while ``shuffle.records`` still counts every
     message."""
-    from repro.datasets import load_dataset
     from repro.mapreduce import runtime as runtime_module
 
-    graph = load_dataset("flickr-small", seed=1, scale=0.2).graph(
-        sigma=2.0, alpha=2.0
-    )
+    graph = _flickr_graph_at(0.2)
     encodes = []
     canonical_bytes = runtime_module.canonical_bytes
 
@@ -242,9 +251,151 @@ def test_messages_shuffle_as_one_record_per_task_and_node(monkeypatch):
     result = greedy_mr_b_matching(graph, runtime=runtime)
     assert result.mr_jobs == 14
     shuffled = runtime.counters.get("runtime", "shuffle.records")
-    assert shuffled == 33006  # one per message, as before runs
-    assert records == distinct == len(encodes)
-    assert shuffled >= 5 * len(encodes)
+    assert shuffled == 14339  # one per message, as before runs
+    assert records == distinct == len(encodes) == 4356
+
+
+# -- sparse proposals: what a round ships, what an inbox holds ---------------
+
+
+def _sparse_proposal_graph():
+    """Six nodes, three rounds, one proposal flip.
+
+    Round 1 — every seeded node pings itself (6) and proposes its
+    ``min(b, deg)`` best edges (9): u→v, u→w, v→u, w→u, w→v, w→y, x→u,
+    y→w, z→x.  ``u`` (``b = 2``) matches ``v`` and ``w``, ``w`` also
+    matches ``y``; ``u``, ``v`` and ``y`` leave.
+    Round 2 — death notices u→x and v→w (2) and ``w``'s ping (1):
+    ``w`` has no edge left, and ``x`` lost its proposal to ``u``.
+    Round 3 — ``x``'s bit to ``z`` flips: its ping and the proposal (2),
+    and ``x``–``z`` matches.
+    """
+    graph = Graph()
+    for node, capacity in zip("uvwxyz", (2, 1, 3, 1, 1, 1)):
+        graph.add_node(node, capacity)
+    for u, v, w in (
+        ("u", "v", 5.0),
+        ("u", "w", 4.0),
+        ("v", "w", 3.0),
+        ("w", "y", 2.0),
+        ("u", "x", 1.0),
+        ("x", "z", 0.5),
+    ):
+        graph.add_edge(u, v, w)
+    return graph
+
+
+def _record_rounds(runtime, check=None):
+    """Log each ``greedy-round``'s shuffled records; ``check(records,
+    deltas)`` sees the store after every round."""
+    shuffled = []
+    run_stateful = runtime.run_stateful
+
+    def recording(job, store, **kwargs):
+        before = runtime.counters.get(job.name, "shuffle.records")
+        output, deltas = run_stateful(job, store, **kwargs)
+        after = runtime.counters.get(job.name, "shuffle.records")
+        shuffled.append((job.name, after - before))
+        if check is not None:
+            check(dict(store.records()), deltas)
+        return output, deltas
+
+    runtime.run_stateful = recording
+    return shuffled
+
+
+def test_rounds_ship_proposals_pings_flips_and_notices():
+    graph = _sparse_proposal_graph()
+    runtime = _serial_runtime()
+    shuffled = _record_rounds(runtime)
+    result = greedy_mr_b_matching(graph, runtime=runtime)
+    capacities = graph.capacities()
+    proposals = sum(
+        min(capacities[node], graph.degree(node)) for node in capacities
+    )
+    assert proposals == 9
+    assert shuffled == [
+        ("greedy-round", proposals + len(capacities)),
+        ("greedy-round", 2 + 1),
+        ("greedy-round", 2),
+    ]
+    assert result.rounds == 3 and result.value_history == [11.0, 11.0, 11.5]
+    assert sorted(result.matching.edges()) == [
+        ("u", "v", 5.0),
+        ("u", "w", 4.0),
+        ("w", "y", 2.0),
+        ("x", "z", 0.5),
+    ]
+
+
+def _assert_inboxes_hold_live_proposals(records, deltas):
+    """Each live inbox is exactly the neighbors proposing to the node.
+
+    A record's ``props`` is what its neighbors hold once its pending
+    delta is mapped; until then they hold ``props ^ flips``.
+    """
+    pending = {
+        node: state
+        for node, state in deltas
+        if isinstance(state, GreedyDeltaNode)
+    }
+    published = {}
+    for node, state in records.items():
+        assert state.props is not None, node  # every record has reduced
+        if node in pending:
+            published[node] = state.props.symmetric_difference(state.flips)
+        else:
+            published[node] = state.props
+    for node, state in records.items():
+        assert set(state.inbox.values()) <= {True}, (node, state.inbox)
+        proposers = {
+            peer for peer in state.adj
+            if peer in records and node in published[peer]
+        }
+        assert set(state.inbox) == proposers, node
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [
+        lambda: _flickr_graph_at(0.2),
+        lambda: ascending_path(12),
+        lambda: random_graph(40, 0.2, rng=random.Random(11), max_capacity=4),
+    ],
+    ids=["flickr-small-0.2", "ascending-path", "random"],
+)
+def test_inbox_holds_exactly_the_live_proposers(make_graph):
+    runtime = _serial_runtime()
+    shuffled = _record_rounds(runtime, _assert_inboxes_hold_live_proposals)
+    result = greedy_mr_b_matching(make_graph(), runtime=runtime)
+    assert result.rounds == len(shuffled) > 1
+
+
+def test_flush_inboxes_hold_exactly_the_live_proposers():
+    rng = random.Random(3)
+    graph = random_graph(24, 0.25, rng=rng, max_capacity=3)
+    with OnlineMatcher(runtime=_serial_runtime(), graph=graph) as matcher:
+        shuffled = _record_rounds(
+            matcher.runtime, _assert_inboxes_hold_live_proposals
+        )
+        nodes = sorted(graph.nodes())
+        rounds = 0
+        for step in range(4):
+            u, v = rng.sample(nodes, 2)
+            report = matcher.flush(
+                [
+                    EdgeArrival(u, v, rng.choice((1.0, 2.0, 4.0))),
+                    CapacityChange(nodes[step], rng.randint(1, 3)),
+                    Arrival(
+                        f"new{step}",
+                        capacity=2,
+                        edges=((nodes[step + 5], 3.5), (u, 0.5)),
+                    ),
+                ]
+            )
+            rounds += report.rounds
+            assert matcher.verify()[0]
+        assert rounds == len(shuffled) > 0
 
 
 # -- purity of the reducer -----------------------------------------------------
@@ -329,3 +480,15 @@ def test_quiet_round_returns_the_same_record():
     for values in ([("ping",)], [("prop", "y", True)], [("prop", "q", True)]):
         assert job.reduce_state("m", record, values) == (record, [])
         assert job.reduce_state("m", record, values)[0] is record
+
+
+def test_a_false_bit_deletes_the_inbox_entry():
+    """An inbox holds only ``True`` entries: a retraction deletes one."""
+    seeded = GreedyDeltaNode.seeded(1, {"x": 2.0, "y": 1.0})
+    job = GreedyDeltaRoundJob()
+    heard = job.reduce_state("m", seeded, [("prop", "y", True)])[0].state
+    assert heard.inbox == {"y": True} and heard.props == frozenset({"x"})
+    retracted, outputs = job.reduce_state("m", heard, [("prop", "y", False)])
+    assert outputs == [] and isinstance(retracted, Quiet)
+    assert retracted.state.inbox == {} and heard.inbox == {"y": True}
+    assert retracted.state.adj is heard.adj
