@@ -342,6 +342,8 @@ def _assert_inboxes_hold_live_proposals(records, deltas):
     published = {}
     for node, state in records.items():
         assert state.props is not None, node  # every record has reduced
+        # A core change only ever adds proposals: no bit goes False.
+        assert set(state.flips) <= state.props, (node, state.flips)
         if node in pending:
             published[node] = state.props.symmetric_difference(state.flips)
         else:
