@@ -52,9 +52,9 @@ frontier mode):
   first broadcast ships only its ``min(b, degree)`` proposals, not a
   bit per edge;
 * a record's ``props`` is the set of neighbors whose inboxes hold it
-  (``None`` until its first broadcast), and ``flips`` the surviving
-  neighbors whose bit changed with its last core change — the only
-  ones its next map messages;
+  (``None`` until its first broadcast), and ``flips`` the neighbors it
+  started proposing to with its last core change — the only ones its
+  next map messages;
 * a node that leaves the graph retires with explicit death notices
   (:class:`~repro.mapreduce.state.Retired`) to its surviving
   neighbors, where Algorithm 3 signals a death by the absence of a
@@ -65,8 +65,17 @@ Matchings, ``value_history``, round counts and job counts are those of
 Algorithm 3 round for round (pinned by the golden convergence curves);
 ``iteration.quiescent_records`` meters what the frontier skipped.
 
-The reducer decides in O(messages + b).  A ``True`` message adds an
-inbox entry and a ``False`` one deletes it; the inbox is copied only
+A proposal is never retracted, so a message is ``("prop", node)``
+and only ever adds an inbox entry.  Proof: a node matches only names
+it proposes, ``matched ⊆ props = rank[:b]``, so the new capacity is
+``new_b = b − |matched| ≥ b − |departed ∩ props|``.  Filtering the
+departed names out of ``rank`` keeps the survivors of ``props`` as its
+first ``|props − departed| ≤ new_b`` names, hence
+``new_props = new_rank[:new_b] ⊇ props − departed``: every name that
+leaves the proposals is a departed one, which hears nothing, and
+``flips = new_props − props`` only ever adds names.
+
+The reducer decides in O(messages + b).  The inbox is copied only
 when a message changes it or a departed name is in it, and an inbox
 whose contents end the round unchanged (a neighbor that proposes and
 is matched in the same round) is the predecessor's, never a rebuilt
@@ -78,7 +87,7 @@ first ``props`` must be remembered, a
 ``rank`` with its predecessor).  Only a core change — a match or a
 dead neighbor — pays O(degree): one copy of ``adj`` minus the departed
 names, one filter of ``rank``, and ``flips`` from
-``old props ^ new props``.
+``new props − old props``.
 
 Two rules the kernel must keep:
 
@@ -157,9 +166,9 @@ class GreedyDeltaNode:
       ``frozenset(rank[:b])`` as of the last broadcast; ``None`` on a
       freshly seeded record, whose neighbors hold no entry for it yet,
       which tells the next map to send its proposals;
-    * ``flips`` — the surviving neighbors whose bit changed with the
-      last core change (``old props ^ new props``): the only ones the
-      next map must message.
+    * ``flips`` — the neighbors the last core change added to the
+      proposals (``new props − old props``; none ever leave but
+      departed ones): the only ones the next map must message.
 
     Records are values: ``reduce_state`` never mutates one in place.
     Retry attempts, speculative backups and the serving flush's
@@ -215,14 +224,13 @@ class GreedyDeltaRoundJob(MapReduceJob):
             # First broadcast: only the proposals.  An absent inbox
             # entry means "not proposed", and a freshly seeded record's
             # neighbors hold no entry for it.
-            for neighbor in delta.rank[: delta.b]:
-                yield neighbor, ("prop", node, True)
-            return
-        # Incremental broadcast: neighbors whose bit did not flip
-        # already hold the correct entry (or its absence); a bit that
-        # went ``True -> False`` is sent so the neighbor deletes it.
-        for neighbor in delta.flips:
-            yield neighbor, ("prop", node, neighbor in delta.props)
+            targets = delta.rank[: delta.b]
+        else:
+            # Incremental broadcast: only the proposals the last core
+            # change added; the rest are held, and none is retracted.
+            targets = delta.flips
+        for neighbor in targets:
+            yield neighbor, ("prop", node)
 
     def reduce_state(
         self, node: str, state: Optional[GreedyDeltaNode], values: List
@@ -235,14 +243,11 @@ class GreedyDeltaRoundJob(MapReduceJob):
         for value in values:
             tag = value[0]
             if tag == "prop":
-                neighbor, proposed = value[1], value[2]
-                if neighbor in adj and (neighbor in inbox) != proposed:
+                neighbor = value[1]
+                if neighbor in adj and neighbor not in inbox:
                     if inbox is state.inbox:
                         inbox = dict(inbox)
-                    if proposed:
-                        inbox[neighbor] = True
-                    else:
-                        del inbox[neighbor]
+                    inbox[neighbor] = True
             elif tag == "dead" and value[1] in adj:
                 dead.add(value[1])  # the neighbor died: retract the edge
         # What the neighbors hold is what the node proposes: ``props``
@@ -287,9 +292,8 @@ class GreedyDeltaRoundJob(MapReduceJob):
         new_rank = tuple([n for n in state.rank if n not in departed])
         if new_b > 0 and new_rank:
             # Core change: drop the departed names from copies, read
-            # the new proposals off the filtered rank, diff against
-            # what the neighbors' inboxes hold (= props), and schedule
-            # messages only for the flipped bits.
+            # the new proposals off the filtered rank, and schedule
+            # messages only for the names not already proposed to.
             new_adj = adj.copy()
             for neighbor in departed:
                 del new_adj[neighbor]
@@ -309,7 +313,7 @@ class GreedyDeltaRoundJob(MapReduceJob):
                     rank=new_rank,
                     inbox=inbox,
                     props=new_props,
-                    flips=tuple(sorted((props ^ new_props) - departed)),
+                    flips=tuple(sorted(new_props - props)),
                 ),
                 outputs,
             )

@@ -12,10 +12,12 @@ suites only see indirectly:
   seeded record and never inside a map or reduce method, where no
   ``edge_key`` / ``edge_sort_key`` call happens either — the
   machine-independent form of "the round loop does not sort";
-* **sparse proposals**: a freshly seeded record ships only its ``True``
-  bits, so a round's shuffle is its proposals, flips, pings and death
-  notices (pinned round by round on a hand-sized graph), and an inbox
-  holds exactly the neighbors that currently propose to the node;
+* **sparse proposals**: a freshly seeded record ships only its
+  proposals and a core change only the proposals it adds, so a round's
+  shuffle is its proposals, flips, pings and death notices (pinned
+  round by round on a hand-sized graph), an inbox holds exactly the
+  neighbors that currently propose to the node, and no proposal is
+  ever retracted;
 * **purity**: ``reduce_state`` is a function of its arguments that
   leaves its input record untouched — retry attempts, speculative
   backups and the serving flush's rollback re-read pre-round objects.
@@ -469,28 +471,15 @@ def test_reduce_state_is_pure(make_graph, monkeypatch):
 
 
 def test_quiet_round_returns_the_same_record():
-    """No match, no death, no new bit: nothing is rebuilt."""
+    """No match, no death, no new proposal: nothing is rebuilt."""
     seeded = GreedyDeltaNode.seeded(1, {"x": 2.0, "y": 1.0})
     job = GreedyDeltaRoundJob()
-    heard, outputs = job.reduce_state(
-        "m", seeded, [("ping",), ("prop", "x", False), ("prop", "y", True)]
-    )
+    heard, outputs = job.reduce_state("m", seeded, [("ping",), ("prop", "y")])
     assert outputs == [] and isinstance(heard, Quiet)
     record = heard.state
     assert record.adj is seeded.adj and record.rank is seeded.rank
     assert record.props == frozenset({"x"}) and seeded.inbox == {}
-    for values in ([("ping",)], [("prop", "y", True)], [("prop", "q", True)]):
+    for values in ([("ping",)], [("prop", "y")], [("prop", "q")]):
         assert job.reduce_state("m", record, values) == (record, [])
         assert job.reduce_state("m", record, values)[0] is record
 
-
-def test_a_false_bit_deletes_the_inbox_entry():
-    """An inbox holds only ``True`` entries: a retraction deletes one."""
-    seeded = GreedyDeltaNode.seeded(1, {"x": 2.0, "y": 1.0})
-    job = GreedyDeltaRoundJob()
-    heard = job.reduce_state("m", seeded, [("prop", "y", True)])[0].state
-    assert heard.inbox == {"y": True} and heard.props == frozenset({"x"})
-    retracted, outputs = job.reduce_state("m", heard, [("prop", "y", False)])
-    assert outputs == [] and isinstance(retracted, Quiet)
-    assert retracted.state.inbox == {} and heard.inbox == {"y": True}
-    assert retracted.state.adj is heard.adj
