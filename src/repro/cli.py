@@ -4,15 +4,15 @@ The CLI mirrors how the paper's system would be operated as batch
 jobs::
 
     repro generate flickr-small --scale 0.2 --out /tmp/fs
-    repro join /tmp/fs --sigma 4.0 --method mapreduce --backend processes
+    repro join /tmp/fs --sigma 4.0 --method mapreduce --backend cluster
     repro join /tmp/fs --sigma 4.0 --method mapreduce --fs disk \
         --spill-threshold 1000
     repro match /tmp/fs --sigma 4.0 --alpha 2.0 --algorithm greedy_mr \
-        --backend processes --out /tmp/fs/matching.tsv
+        --backend cluster --out /tmp/fs/matching.tsv
     repro serve /tmp/fs --sigma 4.0 --events 200 --batch-size 32
     repro experiment --only fig5 --scale 0.5
 
-``--backend {serial,processes,cluster}`` selects the execution backend
+``--backend {serial,cluster}`` selects the execution backend
 of the simulated cluster for the MapReduce paths; ``--fs
 {memory,disk}`` selects its storage backend (inter-job datasets and
 parked resident state in RAM or as on-disk JSONL), and
@@ -693,9 +693,8 @@ def _add_cluster_options(
         type=_positive_int,
         default=None,
         metavar="N",
-        help="worker count for the parallel backends: pool size for "
-        "processes, daemon-fleet size for cluster (default: "
-        f"backend-specific, bounded by CPU count; {applies_to})",
+        help="daemon-fleet size for the cluster backend (default: "
+        f"the CPU count, at most 4; {applies_to})",
     )
     parser.add_argument(
         "--fs",
@@ -746,7 +745,7 @@ def _add_cluster_options(
         type=_positive_float,
         default=None,
         metavar="SECONDS",
-        help="straggler mitigation on parallel backends: tasks still "
+        help="straggler mitigation on the cluster backend: tasks still "
         "running after SECONDS get a speculative backup attempt and "
         f"the first finisher wins ({applies_to})",
     )

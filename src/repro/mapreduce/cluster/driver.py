@@ -18,8 +18,8 @@ Dispatch model
 
 One dispatch at a time (the runtime is phase-synchronous anyway).  The
 batch's attempt bookkeeping is a
-:class:`~repro.mapreduce.executors.TaskLedger`, the same one the
-processes backend drives: one driver-side serving thread per worker
+:class:`~repro.mapreduce.executors.TaskLedger`: one driver-side
+serving thread per worker
 pulls the next attempt from the ledger, executes it over that worker's
 control connection, and records the outcome under the task's index —
 so results come back in input order and the first task-order failure
@@ -86,7 +86,7 @@ FETCH_RETRIES = 3
 
 def _default_cluster_workers() -> int:
     # Each worker is a full daemon process with its own socket server;
-    # cap lower than the in-process pools.
+    # cap the default fleet at four.
     return min(os.cpu_count() or 1, 4)
 
 

@@ -7,10 +7,10 @@ CLI all gain the distributed backend without any API change — and the
 cluster joins the bit-identical-across-backends verification battery
 for free.
 
-Like the process backend, the heavy resource (the
+The heavy resource (the
 :class:`~repro.mapreduce.cluster.driver.ClusterDriver` and its worker
-fleet) lives in the module-level shared pool registry, keyed
-``("cluster", num_workers)``: constructing many runtimes — as
+fleet) lives in the module-level shared pool registry, keyed by
+``num_workers``: constructing many runtimes — as
 property-based tests do — shares one fleet, :meth:`close` evicts it,
 and ``shutdown_shared_pools()`` / ``atexit`` reap the worker processes
 at interpreter exit, so ``pytest -x`` leaves no orphaned daemons.
@@ -41,8 +41,7 @@ class ClusterExecutor(Executor):
     """Run tasks on a shared localhost worker fleet over TCP frames.
 
     Task functions, jobs (including side data), and all records must
-    be picklable — the same constraint the processes backend imposes,
-    for the same reason: task units cross a process boundary.
+    be picklable: task units cross a process boundary.
     """
 
     name = "cluster"
@@ -57,12 +56,12 @@ class ClusterExecutor(Executor):
         tasks: Sequence[Tuple],
         timeout: Optional[float] = None,
     ) -> List[Any]:
-        driver: ClusterDriver = _shared_pool("cluster", self.max_workers)
+        driver: ClusterDriver = _shared_pool(self.max_workers)
         self.ledger = driver._dispatch(fn, tasks, timeout)
         return self.ledger.results()
 
     def close(self) -> None:
-        _evict_pool("cluster", self.max_workers)
+        _evict_pool(self.max_workers)
 
     def publish_metrics(self, registry: Any) -> None:
         """Export fleet health as (volatile) telemetry gauges.
@@ -72,7 +71,7 @@ class ClusterExecutor(Executor):
         ``strip_volatile_counters`` wholesale.
         """
         with _POOL_LOCK:
-            driver = _SHARED_POOLS.get(("cluster", self.max_workers))
+            driver = _SHARED_POOLS.get(self.max_workers)
         if driver is None:
             return
         stats = driver.worker_stats()

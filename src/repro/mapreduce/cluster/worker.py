@@ -7,10 +7,10 @@ a ``ready.json`` (port + pid) into its per-generation spill directory,
 and then serves protocol frames forever:
 
 * ``task`` — unpickle ``(fn, args)``, execute guarded (job errors come
-  back as values, exactly like the processes backend's trampoline),
-  and reply with the pickled outcome.  Outcomes larger than the blob
-  threshold stay *worker-local*: the pickled bytes are written to this
-  worker's spill directory and the reply carries only a
+  back as values, see :func:`_run_guarded`), and reply with the
+  pickled outcome.  Outcomes larger than the blob threshold stay
+  *worker-local*: the pickled bytes are written to this worker's
+  spill directory and the reply carries only a
   :class:`~repro.mapreduce.cluster.protocol.RemoteBlob` handle — the
   consumer fetches the bytes directly from this worker's data plane.
   This is the cluster's shuffle-locality story: big map outputs live
@@ -39,7 +39,7 @@ Fault-injection context
 worker and fires scheduled :class:`~repro.mapreduce.faults.
 TaskFaultSpec` faults.  The cluster-specific kinds consult this
 module: ``worker_kill`` calls ``os._exit`` only when
-:func:`in_worker` is true (on single-process backends it degrades to
+:func:`in_worker` is true (on the serial backend it degrades to
 a plain injected crash), and ``drop_frame`` arms
 :func:`request_drop_reply`, making the connection handler close the
 socket instead of replying — the driver sees a dropped frame from a
@@ -54,8 +54,10 @@ import pickle
 import socket
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
+from ..errors import ExecutorError
+from ..executors import Task, TaskFunction
 from .protocol import (
     RemoteBlob,
     recv_frame,
@@ -98,6 +100,26 @@ def consume_drop_reply() -> bool:
     armed = bool(_STATE["drop_reply"])
     _STATE["drop_reply"] = False
     return armed
+
+
+def _run_guarded(fn: TaskFunction, task: Task) -> Tuple[bool, Any]:
+    """Task trampoline: capture task errors as return values.
+
+    Returning ``(False, exc)`` instead of raising keeps the *original*
+    exception instance intact across the process boundary, so a
+    ``JobValidationError`` raised inside a worker surfaces to the caller
+    as a ``JobValidationError`` — not as a transport error.
+    """
+    try:
+        return True, fn(*task)
+    except Exception as exc:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = ExecutorError(
+                f"task raised unpicklable {type(exc).__name__}: {exc}"
+            )
+        return False, exc
 
 
 class _BlobStore:
@@ -160,8 +182,6 @@ class _WorkerServer:
 
     def handle_task(self, header: Dict, payload: bytes) -> tuple:
         """Execute one task unit; returns ``(reply_header, payload)``."""
-        from ..executors import _run_guarded
-
         try:
             fn, args = pickle.loads(payload)
         except Exception as exc:

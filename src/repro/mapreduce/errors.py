@@ -32,7 +32,7 @@ class ExecutorError(MapReduceError):
     """An execution backend failed for infrastructure reasons.
 
     Raised when a backend cannot run tasks at all — an unknown backend
-    name, a broken worker pool, or (for the ``processes`` backend) a job
+    name, a broken worker fleet, or (for the ``cluster`` backend) a job
     whose tasks cannot be pickled.  Errors raised *by* job code keep
     their original type and traverse the backend unchanged.
     """

@@ -2,19 +2,16 @@
 
 The runtime decomposes every job into *independent tasks* (map tasks,
 reduce tasks) and hands each batch to an :class:`Executor`.  Two
-backends are provided here:
+backends exist:
 
 * :class:`SerialExecutor` — run tasks inline, one after another (the
   default; zero overhead, ideal for small inputs and for debugging);
-* :class:`ProcessExecutor` — run tasks on a shared process pool
-  (true CPU parallelism; tasks, jobs, and records must be picklable).
-
-A third backend, ``"cluster"``, lives in :mod:`repro.mapreduce.
-cluster`: worker daemon processes served over localhost TCP sockets
-with worker-local result storage, heartbeats, death detection with
-task re-execution, and speculative backups.  It registers here through
-the same shared-pool machinery (kind ``"cluster"``) and resolves
-lazily, so importing this module never pays for the cluster plane.
+* ``"cluster"``, in :mod:`repro.mapreduce.cluster` — worker daemon
+  processes served over localhost TCP sockets with worker-local result
+  storage, heartbeats, death detection with task re-execution, and
+  speculative backups (tasks, jobs, and records must be picklable).
+  Its driver lives in the shared-pool registry below and resolves
+  lazily, so importing this module never pays for the cluster plane.
 
 The contract every backend obeys — and the reason results are
 bit-identical across backends — is:
@@ -27,17 +24,17 @@ bit-identical across backends — is:
    into its own :class:`~repro.telemetry.metrics.Counters`, and the
    runtime merges them deterministically in task-index order.
 
-Worker pools are lazy, module-level, and shared across executor
-instances, so constructing many runtimes — as property-based tests do
-— does not fork a pool per instance.  At most one pool per kind is
-kept: requesting a different worker count tears the stale pool down
-first, so runtimes with different sizes never leak pools behind each
-other.  Individual executors may release their pool early with
+The cluster's worker fleet is lazy, module-level, and shared across
+executor instances, so constructing many runtimes — as property-based
+tests do — does not spawn a fleet per instance.  At most one fleet is
+kept: requesting a different worker count tears the stale fleet down
+first, so runtimes with different sizes never leak fleets behind each
+other.  Individual executors may release the fleet early with
 :meth:`Executor.close`; the global release point is
 :func:`shutdown_shared_pools` (also registered ``atexit``).  Either
-way pools are lazily recreated on the next use.
+way the fleet is lazily recreated on the next use.
 
-Fault tolerance: both parallel backends drive one
+Fault tolerance: the cluster backend drives one
 :class:`TaskLedger` per batch — the pending ``(index, attempt)``
 queue, the outcomes (the first attempt to finish wins), per-task
 losses and their cap, resubmits, backup wins, the respawn budget, and
@@ -54,17 +51,8 @@ its ledger, :attr:`Executor.ledger`.
 from __future__ import annotations
 
 import atexit
-import os
-import pickle
 import threading
-import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import ExecutorError
@@ -72,7 +60,6 @@ from .errors import ExecutorError
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ProcessExecutor",
     "TaskLedger",
     "WorkerDied",
     "EXECUTOR_BACKENDS",
@@ -86,7 +73,7 @@ TaskFunction = Callable[..., Any]
 
 #: Canonical backend names accepted by :func:`resolve_executor` (and
 #: therefore by ``MapReduceRuntime(backend=...)`` and the CLI).
-EXECUTOR_BACKENDS = ("serial", "processes", "cluster")
+EXECUTOR_BACKENDS = ("serial", "cluster")
 
 #: Worker deaths (pool respawns) tolerated per batch before it fails
 #: with :class:`WorkerDied`.
@@ -103,7 +90,7 @@ class WorkerDied(ExecutorError):
 
 
 class TaskLedger:
-    """The attempt bookkeeping of one batch on a parallel backend.
+    """The attempt bookkeeping of one batch on the cluster backend.
 
     Attempt ``0`` of every task is queued up front; :meth:`back_up`
     queues attempt ``1`` of every open task.  The first attempt of a
@@ -122,7 +109,8 @@ class TaskLedger:
             (index, 0) for index in range(count)
         )
         self.done = [False] * count
-        #: ``(ok, value)`` per task, as :func:`_run_guarded` returns it.
+        #: ``(ok, value)`` per task, as
+        #: :func:`~repro.mapreduce.cluster.worker._run_guarded` returns it.
         self.outcomes: List[Any] = [None] * count
         #: The worker slot that produced each accepted result, where
         #: the backend knows it.
@@ -281,60 +269,47 @@ class SerialExecutor(Executor):
         return [fn(*task) for task in tasks]
 
 
-# -- shared pools ----------------------------------------------------------
+# -- the shared cluster fleet ---------------------------------------------
 
 _POOL_LOCK = threading.Lock()
-_SHARED_POOLS: Dict[Tuple[str, int], Any] = {}
+#: The live cluster driver, keyed by its worker count (at most one).
+_SHARED_POOLS: Dict[int, Any] = {}
 
 
-def _default_workers() -> int:
-    return min(os.cpu_count() or 1, 8)
+def _shared_pool(max_workers: int) -> Any:
+    """Return (creating lazily) the shared cluster fleet of this size.
 
-
-def _shared_pool(kind: str, max_workers: int) -> Any:
-    """Return (creating lazily) the shared pool for ``(kind, size)``.
-
-    At most one pool per kind stays alive: asking for a different
-    worker count evicts the stale pool, so alternating runtimes with
-    different sizes cannot accumulate idle worker fleets.
+    At most one fleet stays alive: asking for a different worker count
+    evicts the stale one, so alternating runtimes with different sizes
+    cannot accumulate idle worker fleets.
     """
-    key = (kind, max_workers)
     stale: List[Any] = []
     with _POOL_LOCK:
-        pool = _SHARED_POOLS.get(key)
+        pool = _SHARED_POOLS.get(max_workers)
         if pool is None:
-            for other_key in [
-                k for k in _SHARED_POOLS if k[0] == kind
-            ]:
-                stale.append(_SHARED_POOLS.pop(other_key))
-            if kind == "cluster":
-                # Lazy import: the cluster plane is only paid for when
-                # the cluster backend is actually used.
-                from .cluster.driver import ClusterDriver
+            stale = list(_SHARED_POOLS.values())
+            _SHARED_POOLS.clear()
+            # Lazy import: the cluster plane is only paid for when the
+            # cluster backend is actually used.
+            from .cluster.driver import ClusterDriver
 
-                pool = ClusterDriver(num_workers=max_workers)
-            else:
-                # The platform-default start method: fork on older
-                # Linux Pythons, forkserver/spawn elsewhere (safer in a
-                # multithreaded process).  Under non-fork start methods
-                # jobs must live in importable modules — the same
-                # constraint pickling imposes anyway.
-                pool = ProcessPoolExecutor(max_workers=max_workers)
-            _SHARED_POOLS[key] = pool
+            pool = _SHARED_POOLS[max_workers] = ClusterDriver(
+                num_workers=max_workers
+            )
     for old in stale:  # shutdown outside the lock; it can block
         old.shutdown(wait=False, cancel_futures=True)
     return pool
 
 
-def _evict_pool(kind: str, max_workers: int) -> None:
+def _evict_pool(max_workers: int) -> None:
     with _POOL_LOCK:
-        pool = _SHARED_POOLS.pop((kind, max_workers), None)
+        pool = _SHARED_POOLS.pop(max_workers, None)
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
 
 
 def shutdown_shared_pools() -> None:
-    """Shut down every shared worker pool (also registered atexit)."""
+    """Shut down the shared cluster fleet (also registered atexit)."""
     with _POOL_LOCK:
         pools = list(_SHARED_POOLS.values())
         _SHARED_POOLS.clear()
@@ -343,114 +318,6 @@ def shutdown_shared_pools() -> None:
 
 
 atexit.register(shutdown_shared_pools)
-
-
-def _run_guarded(fn: TaskFunction, task: Task) -> Tuple[bool, Any]:
-    """Process-pool trampoline: capture task errors as return values.
-
-    Returning ``(False, exc)`` instead of raising keeps the *original*
-    exception instance intact across the process boundary, so a
-    ``JobValidationError`` raised inside a worker surfaces to the caller
-    as a ``JobValidationError`` — not as a pool plumbing error.
-    """
-    try:
-        return True, fn(*task)
-    except Exception as exc:
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            exc = ExecutorError(
-                f"task raised unpicklable {type(exc).__name__}: {exc}"
-            )
-        return False, exc
-
-
-class ProcessExecutor(Executor):
-    """Run tasks on a shared :class:`ProcessPoolExecutor`.
-
-    Task functions, jobs (including their side data), and all records
-    must be picklable; violations raise :class:`ExecutorError` with the
-    offending detail rather than a bare pool error.
-    """
-
-    name = "processes"
-    picklable_tasks = True
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = max_workers or _default_workers()
-
-    def run_tasks(
-        self,
-        fn: TaskFunction,
-        tasks: Sequence[Task],
-        timeout: Optional[float] = None,
-    ) -> List[Any]:
-        tasks = list(tasks)
-        ledger = self.ledger = TaskLedger(len(tasks))
-        deadline = None if timeout is None else time.monotonic() + timeout
-        #: future -> (index, attempt, the pool it was submitted to)
-        running: Dict[Any, Tuple[int, int, Any]] = {}
-        pool: Any = None
-        while not ledger.settled:
-            if pool is None:
-                pool = _shared_pool("processes", self.max_workers)
-            broken: Optional[BaseException] = None
-            try:
-                for index, attempt in iter(ledger.next, None):
-                    future = pool.submit(_run_guarded, fn, tasks[index])
-                    running[future] = (index, attempt, pool)
-            except (BrokenExecutor, RuntimeError) as exc:
-                # The pool died before accepting the attempt.
-                ledger.lose(index, attempt, exc)
-                broken = exc
-            else:
-                remaining = None
-                if deadline is not None:
-                    remaining = max(deadline - time.monotonic(), 0.0)
-                done, _ = wait(
-                    running, timeout=remaining, return_when=FIRST_COMPLETED
-                )
-                if not done:  # the deadline passed: race the stragglers
-                    ledger.back_up()
-                    deadline = None
-                # In task order, primaries first: a photo finish goes
-                # to the primary.
-                for future in sorted(done, key=lambda f: running[f][:2]):
-                    index, attempt, owner = running.pop(future)
-                    try:
-                        ledger.record(index, attempt, future.result())
-                    except BrokenExecutor as exc:
-                        # The worker holding this attempt died (e.g. a
-                        # hard os._exit); the task is innocent and runs
-                        # again.  Attempts of an already replaced pool
-                        # cost no second respawn.
-                        ledger.lose(index, attempt, exc)
-                        if owner is pool:
-                            broken = exc
-                    except Exception as exc:
-                        # _run_guarded turns job errors into values, so
-                        # anything else is infrastructure: unpicklable
-                        # inputs.
-                        name = getattr(fn, "__name__", str(fn))
-                        raise ExecutorError(
-                            f"processes backend could not execute "
-                            f"{name!r}: {exc} (jobs, side data, and "
-                            "records must be picklable — define jobs at "
-                            "module level)"
-                        ) from exc
-            if broken is not None:
-                _evict_pool("processes", self.max_workers)
-                ledger.respawn(broken)
-                pool = None
-        for future in running:  # discarded stragglers and backups
-            future.cancel()
-        return ledger.results()
-
-    def close(self) -> None:
-        _evict_pool("processes", self.max_workers)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProcessExecutor(max_workers={self.max_workers})"
 
 
 def resolve_executor(
@@ -467,8 +334,6 @@ def resolve_executor(
         return backend
     if backend is None or backend == "serial":
         return SerialExecutor()
-    if backend == "processes":
-        return ProcessExecutor(max_workers=max_workers)
     if backend == "cluster":
         # Lazy: only cluster users pay the cluster plane's import.
         from .cluster.executor import ClusterExecutor

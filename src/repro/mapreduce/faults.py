@@ -258,7 +258,7 @@ class FaultPlan:
         shape).  Recovery is *driver-side*: the cluster driver detects
         the death, respawns the worker, and re-executes the task;
         the fault is sentinel-scoped so the re-execution runs clean.
-        On single-process backends (no worker to kill) it degrades to
+        On the serial backend (no worker to kill) it degrades to
         an in-worker task-attempt crash.
     frame_drop_rate:
         Probability a task's first execution completes but its result
@@ -466,7 +466,7 @@ class FaultPlan:
 
 # -- the in-worker retry wrapper ---------------------------------------------
 #
-# A module-level function so the processes backend can pickle it by
+# A module-level function so the cluster backend can pickle it by
 # reference; fault specs are precomputed driver-side (deterministic and
 # picklable) and travel with the task arguments.
 

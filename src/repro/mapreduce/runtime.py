@@ -20,9 +20,8 @@ Execution model
 The runtime is faithful to MapReduce's *execution* model as well as its
 programming model: every phase is decomposed into independent task
 units and dispatched through an :class:`~repro.mapreduce.executors.
-Executor` (``backend="serial" | "processes" | "cluster"`` — the
-last a real localhost worker fleet over TCP, see
-:mod:`repro.mapreduce.cluster`).
+Executor` (``backend="serial" | "cluster"`` — the latter a real
+localhost worker fleet over TCP, see :mod:`repro.mapreduce.cluster`).
 
 * A **map task** is one unit of work: it applies ``job.map`` to every
   record of its split, optionally re-executes itself speculatively and
@@ -126,7 +125,7 @@ counter totals are bit-identical across backends and worker counts
 the spill counters, across filesystems and spill thresholds
 (property-tested in ``tests/mapreduce/test_storage_spill.py``).
 Because tasks may execute in separate processes, jobs must be
-stateless and — for the ``processes`` backend — picklable together
+stateless and — for the ``cluster`` backend — picklable together
 with their side data and records.
 """
 
@@ -210,12 +209,12 @@ class MapReduceRuntime:
         a real cluster.  Costs 2x map work; intended for tests.
     backend:
         Execution backend for map and reduce tasks: ``"serial"``
-        (default), ``"processes"``, ``"cluster"``
-        (worker daemon processes over localhost TCP sockets), or any
+        (default), ``"cluster"`` (worker daemon processes over
+        localhost TCP sockets), or any
         :class:`~repro.mapreduce.executors.Executor` instance.  Results
         and counters are bit-identical across backends.
     max_workers:
-        Worker-pool size for the parallel backends; ignored by
+        Worker-fleet size for the ``"cluster"`` backend; ignored by
         ``"serial"`` and by pre-built executor instances.
     storage:
         Storage backend for inter-job datasets: ``"memory"``
@@ -372,7 +371,7 @@ class MapReduceRuntime:
         """Dispatch task units, recording per-task spans when tracing.
 
         The timing wrapper runs *inside* the task (picklable, so the
-        processes backend measures the same way), and leaf spans are
+        cluster backend measures the same way), and leaf spans are
         recorded driver-side in task-index order under whichever span
         is currently open.
 
@@ -877,7 +876,7 @@ class MapReduceRuntime:
 
 # -- task units of work ------------------------------------------------------
 #
-# Module-level functions (not methods) so the processes backend can
+# Module-level functions (not methods) so the cluster backend can
 # pickle them by reference.  Each returns a tuple whose last item is its
 # task-local Counters; the runtime merges them in task-index order.
 
@@ -886,8 +885,8 @@ def _timed_call(fn: Callable, *args: Any) -> Tuple[float, Any]:
     """Run a task unit and measure its wall-clock inside the worker.
 
     Used only when a tracer is attached: measuring inside the (still
-    picklable) wrapper means the serial, process, and cluster backends
-    all report the task's own execution time, not dispatch overhead.
+    picklable) wrapper means the serial and cluster backends both
+    report the task's own execution time, not dispatch overhead.
     """
     started = time.perf_counter()
     result = fn(*args)

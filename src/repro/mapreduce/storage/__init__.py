@@ -1,7 +1,7 @@
 """Pluggable storage subsystem for the MapReduce simulator.
 
 The executors make *compute* pluggable (``backend="serial" |
-"processes" | "cluster"``); this package does the same for
+"cluster"``); this package does the same for
 *storage*, the other half of the runtime's execution model.  It provides:
 
 * the :class:`~repro.mapreduce.storage.base.FileSystem` contract for

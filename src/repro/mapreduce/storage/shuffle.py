@@ -54,9 +54,9 @@ per partition sit in RAM (the runtime also releases each map task's
 output list once routed), with the bulk of the shuffle parked in run
 files.  On the ``serial`` backend, which shares the driver's memory,
 the runtime hands each reduce task the lazy :meth:`merged_stream`, so
-a partition is never re-materialized driver-side; the ``processes``
-and ``cluster`` backends — whose task arguments must pickle — receive
-the materialized :meth:`merged_partition` list.
+a partition is never re-materialized driver-side; the ``cluster``
+backend — whose task arguments must pickle — receives the
+materialized :meth:`merged_partition` list.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ class ExternalShuffle:
         """One partition, fully sorted, materialized as a list.
 
         Same contents as :meth:`merged_stream`; used when the records
-        must cross a process boundary (the ``processes`` executor
+        must cross a process boundary (the ``cluster`` executor
         pickles task arguments) or outlive the shuffle.
         """
         return list(self.merged_stream(partition))

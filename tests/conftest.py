@@ -24,16 +24,20 @@ settings.register_profile(
 settings.load_profile("repro")
 
 # Execution backends the `runtime` fixture cycles through.  CI narrows
-# this (e.g. REPRO_TEST_BACKENDS=processes for the out-of-core matrix
-# jobs); the default exercises every registered backend so
-# backend-sensitive regressions surface in the ordinary suite.
-BACKENDS = tuple(
-    name.strip()
-    for name in os.environ.get(
-        "REPRO_TEST_BACKENDS", "serial,processes,cluster"
-    ).split(",")
-    if name.strip()
-)
+# this (e.g. REPRO_TEST_BACKENDS=cluster for the service and cluster
+# matrix jobs, serial for the out-of-core ones); the default exercises
+# every registered backend so backend-sensitive regressions surface in
+# the ordinary suite.  A name that is not registered fails collection
+# up front instead of turning every `runtime` test into a fixture
+# error.
+_BACKENDS = os.environ.get("REPRO_TEST_BACKENDS", "serial,cluster")
+BACKENDS = tuple(name.strip() for name in _BACKENDS.split(",") if name.strip())
+for _name in BACKENDS:
+    if _name not in EXECUTOR_BACKENDS:
+        raise pytest.UsageError(
+            f"REPRO_TEST_BACKENDS names {_name!r}; known backends: "
+            f"{', '.join(EXECUTOR_BACKENDS)}"
+        )
 
 # Storage configuration for the `runtime` fixture.  The out-of-core CI
 # job sets REPRO_TEST_FS=disk (tmpdir-backed datasets) and
@@ -77,7 +81,7 @@ def all_backends(request) -> str:
 
     ``backend`` follows REPRO_TEST_BACKENDS so CI matrix jobs can run
     one cell at a time; this fixture always cycles the full registry
-    (serial, processes, cluster) — for the registry-driven
+    (serial, cluster) — for the registry-driven
     smoke tests that must prove each backend at least boots and agrees,
     no matter how the matrix is narrowed.
     """

@@ -14,8 +14,7 @@ Four layers of the distributed plane, bottom-up:
   results identical to what a healthy fleet returns;
 * **executor equivalence** — ``--backend cluster`` plugged into the
   full :class:`MapReduceRuntime` produces output records, ``job_log``,
-  and volatile-stripped counters bit-identical to ``serial``, the same
-  contract the processes backend already carries.
+  and volatile-stripped counters bit-identical to ``serial``.
 
 Everything here runs real worker processes, so the whole module wears
 the ``cluster`` marker (deselect with ``-m "not cluster"``).
@@ -495,7 +494,7 @@ def test_cluster_executor_close_reaps_workers():
     daemons survive the executor — counted via live children."""
     # A fleet of this size left by an earlier test (the ``runtime``
     # fixture's, say) would serve the batch and spawn nothing.
-    _evict_pool("cluster", 2)
+    _evict_pool(2)
     baseline = {p.pid for p in multiprocessing.active_children()}
     executor = ClusterExecutor(max_workers=2)
     try:
@@ -506,10 +505,10 @@ def test_cluster_executor_close_reaps_workers():
             if p.pid not in baseline
         ]
         assert len(spawned) == 2
-        assert ("cluster", 2) in _SHARED_POOLS
+        assert 2 in _SHARED_POOLS
     finally:
         executor.close()
-    assert ("cluster", 2) not in _SHARED_POOLS
+    assert 2 not in _SHARED_POOLS
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline:
         if not [

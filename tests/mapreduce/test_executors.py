@@ -2,8 +2,8 @@
 
 The heart of the pluggable-executor contract: for any job, input, and
 task-count choice, the output records, the ``job_log``, and the merged
-counter totals must be *bit-identical* across the ``serial``,
-``processes``, and ``cluster`` backends.  These tests also cover the
+counter totals must be *bit-identical* across the ``serial`` and
+``cluster`` backends.  These tests also cover the
 failure paths — job errors must traverse the process boundary with
 their original type, and unpicklable work must fail with a diagnosable
 :class:`ExecutorError` rather than a bare pool error.
@@ -25,19 +25,19 @@ from repro.mapreduce import (
     JobValidationError,
     MapReduceJob,
     MapReduceRuntime,
-    ProcessExecutor,
     SerialExecutor,
     resolve_executor,
 )
 from repro.mapreduce import executors
+from repro.mapreduce.cluster import ClusterExecutor
 from repro.mapreduce.executors import TaskLedger, WorkerDied
 from repro.matching import greedy_mr_b_matching, stack_mr_b_matching
 from repro.simjoin import mapreduce_similarity_join
 
-PARALLEL_BACKENDS = ("processes", "cluster")
+PARALLEL_BACKENDS = ("cluster",)
 
 
-# -- module-level jobs (picklable for the processes backend) ---------------
+# -- module-level jobs (picklable for the cluster backend) -----------------
 
 
 class WordCount(MapReduceJob):
@@ -106,16 +106,16 @@ def _maybe_fail(x):
 
 def test_resolve_executor_names_and_aliases():
     assert isinstance(resolve_executor("serial"), SerialExecutor)
-    assert isinstance(resolve_executor("processes"), ProcessExecutor)
+    assert isinstance(resolve_executor("cluster"), ClusterExecutor)
     assert isinstance(resolve_executor(None), SerialExecutor)
-    existing = ProcessExecutor(max_workers=2)
+    existing = ClusterExecutor(max_workers=2)
     assert resolve_executor(existing) is existing
 
 
 def test_resolve_executor_rejects_unknown():
     with pytest.raises(ExecutorError, match="unknown executor backend"):
         resolve_executor("gpu")
-    with pytest.raises(ExecutorError, match="serial, processes, cluster"):
+    with pytest.raises(ExecutorError, match="serial, cluster"):
         resolve_executor(42)
 
 
@@ -132,6 +132,8 @@ def test_resolve_executor_rejects_unknown():
         lambda: resolve_executor("process"),
         lambda: resolve_executor("mp"),
         lambda: resolve_executor("distributed"),
+        lambda: resolve_executor("processes"),
+        lambda: MapReduceRuntime(backend="processes"),
     ),
     ids=(
         "threads",
@@ -144,12 +146,15 @@ def test_resolve_executor_rejects_unknown():
         "process",
         "mp",
         "distributed",
+        "processes",
+        "processes-runtime",
     ),
 )
 def test_removed_backend_and_aliases_are_rejected(make):
-    # One name per backend: the deleted ``threads`` backend and the old
-    # spellings are unknown names, not shims onto another backend.
-    with pytest.raises(ExecutorError, match="serial, processes, cluster"):
+    # One name per backend: the deleted ``threads`` and ``processes``
+    # backends and the old spellings are unknown names, not shims onto
+    # another backend.
+    with pytest.raises(ExecutorError, match="serial, cluster"):
         make()
 
 
@@ -172,7 +177,7 @@ def test_run_tasks_propagates_original_exception(name):
 
 def test_runtime_exposes_backend_name():
     assert MapReduceRuntime().backend == "serial"
-    assert MapReduceRuntime(backend="processes").backend == "processes"
+    assert MapReduceRuntime(backend="cluster").backend == "cluster"
 
 
 def test_shared_pools_recreate_after_shutdown():
@@ -180,7 +185,7 @@ def test_shared_pools_recreate_after_shutdown():
 
     records = [(0, "a b a")]
     baseline = MapReduceRuntime().run(WordCount(), records)
-    runtime = MapReduceRuntime(backend="processes", max_workers=2)
+    runtime = MapReduceRuntime(backend="cluster", max_workers=2)
     assert runtime.run(WordCount(), records) == baseline
     shutdown_shared_pools()
     # Pools are lazily rebuilt: the same runtime keeps working.
@@ -444,6 +449,6 @@ def test_unpicklable_job_fails_with_executor_error():
         def reduce(self, key, values):
             yield key, list(values)
 
-    runtime = MapReduceRuntime(backend="processes")
+    runtime = MapReduceRuntime(backend="cluster", max_workers=2)
     with pytest.raises(ExecutorError, match="picklable"):
         runtime.run(LocalJob(), [(1, "a"), (2, "b")])

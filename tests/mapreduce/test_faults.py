@@ -25,13 +25,13 @@ from repro.mapreduce import (
     LocalDiskFileSystem,
     MapReduceJob,
     MapReduceRuntime,
-    ProcessExecutor,
     RetryPolicy,
     RetryingFileSystem,
     FaultyFileSystem,
     TaskFaultSpec,
     fired_specs,
 )
+from repro.mapreduce.cluster import ClusterExecutor
 from repro.mapreduce.executors import _SHARED_POOLS
 from repro.mapreduce.faults import _claim_once
 from repro.mapreduce.state import strip_volatile_counters
@@ -47,7 +47,7 @@ CHAOS_SEEDS = (1, 2, 3)
 CHAOS_RATES = dict(crash_rate=0.35, delay_rate=0.15, io_rate=0.25)
 
 
-# -- module-level jobs (picklable for the processes backend) ---------------
+# -- module-level jobs (picklable for the cluster backend) -----------------
 
 
 class Histogram(MapReduceJob):
@@ -67,8 +67,8 @@ class KamikazeOnce(MapReduceJob):
     """First map task to run kills its whole worker process.
 
     The sentinel file makes the crash once-per-run (machine-scoped),
-    so re-executions after the pool respawn succeed — the abrupt
-    worker-death shape (OOM kill, segfault) that ``BrokenProcessPool``
+    so re-executions after the worker respawn succeed — the abrupt
+    worker-death shape (OOM kill, segfault) that a dead worker daemon
     reports, as opposed to a clean task exception.
     """
 
@@ -109,13 +109,6 @@ class FlakyReduceOnce(MapReduceJob):
         if _claim_once(self.side_data["sentinel"]):
             raise OSError("transient read error")
         yield key, sum(counts)
-
-
-def _exit_once(sentinel, value):
-    """Plain task-function variant of the same worker-death shape."""
-    if _claim_once(sentinel):
-        os._exit(13)
-    return value
 
 
 def _identity(value):
@@ -409,24 +402,7 @@ def test_retried_reduce_rereads_its_spilled_partition(tmp_path):
     assert retries == 1
 
 
-# -- worker death: the pool respawns and the job completes -----------------
-
-
-def test_process_pool_recovers_from_worker_death(tmp_path):
-    # With a timeout, stragglers are raced on the same loop that
-    # respawns the pool: the death costs one respawn either way.
-    executor = ProcessExecutor(max_workers=2)
-    try:
-        for timeout in (None, 5.0):
-            sentinel = str(tmp_path / f"boom-{timeout}")
-            results = executor.run_tasks(
-                _exit_once, [(sentinel, i) for i in range(6)], timeout
-            )
-            assert results == list(range(6))
-            assert executor.ledger.respawns >= 1
-            assert executor.ledger.resubmits >= 1
-    finally:
-        executor.close()
+# -- worker death: the fleet respawns and the job completes ----------------
 
 
 def test_runtime_job_survives_worker_death(tmp_path):
@@ -437,7 +413,7 @@ def test_runtime_job_survives_worker_death(tmp_path):
     with _cell_runtime("serial") as clean:
         baseline = clean.run(KamikazeOnce(str(baseline_sentinel)), records)
     for index, policy in enumerate((None, RetryPolicy(task_timeout=5.0))):
-        with _cell_runtime("processes", retry_policy=policy) as runtime:
+        with _cell_runtime("cluster", retry_policy=policy) as runtime:
             output = runtime.run(
                 KamikazeOnce(str(tmp_path / f"boom-{index}")), records
             )
@@ -581,7 +557,7 @@ def _straggler_runtime(backend, tmp, **kwargs):
     )
 
 
-@pytest.mark.parametrize("backend", ("processes",))
+@pytest.mark.parametrize("backend", ("cluster",))
 def test_speculative_backup_beats_straggler(backend, tmp_path):
     baseline = _straggler_runtime("serial", str(tmp_path / "clean")).run(
         Histogram(), RECORDS
@@ -603,32 +579,20 @@ def test_speculative_backup_beats_straggler(backend, tmp_path):
     assert faults["injected_delay"] > 0
 
 
-# -- shared pools: close() and size-change eviction ------------------------
-
-
-def test_executor_close_evicts_its_shared_pool():
-    executor = ProcessExecutor(max_workers=2)
-    assert executor.run_tasks(_identity, [(1,)]) == [1]
-    assert ("processes", 2) in _SHARED_POOLS
-    executor.close()
-    assert ("processes", 2) not in _SHARED_POOLS
-    # close() is idempotent, and the pool lazily rebuilds on reuse.
-    executor.close()
-    assert executor.run_tasks(_identity, [(2,)]) == [2]
-    executor.close()
+# -- the shared fleet: size-change eviction ---------------------------------
 
 
 def test_changing_worker_count_evicts_the_stale_pool():
-    small = ProcessExecutor(max_workers=2)
+    small = ClusterExecutor(max_workers=1)
     assert small.run_tasks(_identity, [(1,)]) == [1]
-    assert ("processes", 2) in _SHARED_POOLS
-    large = ProcessExecutor(max_workers=3)
+    assert 1 in _SHARED_POOLS
+    large = ClusterExecutor(max_workers=2)
     assert large.run_tasks(_identity, [(2,)]) == [2]
-    # One pool per kind: asking for a different size evicted the old
+    # One fleet at a time: asking for a different size evicted the old
     # one instead of accumulating idle worker fleets.
-    assert ("processes", 2) not in _SHARED_POOLS
-    assert ("processes", 3) in _SHARED_POOLS
-    # The evicted executor still works — its pool rebuilds on demand.
+    assert 1 not in _SHARED_POOLS
+    assert 2 in _SHARED_POOLS
+    # The evicted executor still works — its fleet rebuilds on demand.
     assert small.run_tasks(_identity, [(3,)]) == [3]
     small.close()
     large.close()

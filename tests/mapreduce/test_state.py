@@ -314,7 +314,7 @@ def test_outputs_bit_identical_across_backends_and_storage(tmp_path):
         )
 
     baseline = run("serial", None, None)
-    for backend in ("serial", "processes"):
+    for backend in ("serial", "cluster"):
         for storage, spill in (
             (None, 0),
             (LocalDiskFileSystem(root=str(tmp_path / f"d-{backend}")), 2),

@@ -406,7 +406,7 @@ def _ascending_hub_batches():
 @pytest.mark.parametrize("fault_seed", [None, 2], ids=["clean", "faults"])
 @pytest.mark.parametrize("spill", [None, 8], ids=["resident", "spill8"])
 @pytest.mark.parametrize("fs", ["memory", "disk"])
-@pytest.mark.parametrize("backend", ["serial", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "cluster"])
 def test_reseeding_ranks_ascending_insertions(
     backend, fs, spill, fault_seed, tmp_path
 ):

@@ -250,12 +250,15 @@ def test_join_rejects_unknown_fs(corpus_dir):
         main(["join", corpus_dir, "--sigma", "2.0", "--fs", "tape"])
     assert exc.value.code == 2
     # Backends take exactly their canonical names: the removed
-    # ``threads`` backend is an argparse usage error on every
-    # subcommand that takes --backend.
+    # ``threads`` and ``processes`` backends are argparse usage errors
+    # on every subcommand that takes --backend.
     for command in ("join", "match", "serve"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, corpus_dir, "--sigma", "2.0", "--backend", "threads"])
-        assert exc.value.code == 2, command
+        for backend in ("threads", "processes"):
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    [command, corpus_dir, "--sigma", "2.0", "--backend", backend]
+                )
+            assert exc.value.code == 2, (command, backend)
 
 
 def test_join_rejects_negative_spill_threshold(corpus_dir):
@@ -583,7 +586,7 @@ def test_serve_accepts_cluster_options(corpus_dir, capsys):
             "--events",
             "12",
             "--backend",
-            "processes",
+            "cluster",
             "--fs",
             "disk",
             "--spill-threshold",
