@@ -11,7 +11,7 @@ MapReduce simulator:
 * :mod:`repro.simjoin` — candidate-edge generation (similarity join
   with prefix filtering, §5.1);
 * :mod:`repro.matching` — GreedyMR, StackMR, StackGreedyMR, the
-  centralized references, and exact solvers;
+  centralized references, and the exact max-flow solver;
 * :mod:`repro.datasets` — synthetic flickr-like / yahoo-answers-like
   workload generators (see DESIGN.md for the substitution rationale);
 * :mod:`repro.experiments` — the harness regenerating every table and

@@ -28,7 +28,7 @@ from .paper_reference import (
     PAPER_CITATION,
     TABLE1,
 )
-from .reporting import ascii_table, banner, format_rows, series_block
+from .reporting import ascii_table, banner, format_rows
 
 __all__ = [
     "FIGURE_SWEEPS",
@@ -50,7 +50,6 @@ __all__ = [
     "format_rows",
     "run_algorithm",
     "run_sweep",
-    "series_block",
     "sigma_grid",
     "similarity_distribution_experiment",
     "table1_experiment",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Mapping, Optional, Sequence
 
-__all__ = ["ascii_table", "format_rows", "banner", "series_block"]
+__all__ = ["ascii_table", "format_rows", "banner"]
 
 
 def _format_cell(value) -> str:
@@ -66,14 +66,3 @@ def banner(title: str) -> str:
     bar = "=" * max(len(title), 8)
     return f"\n{bar}\n{title}\n{bar}"
 
-
-def series_block(
-    name: str,
-    xs: Sequence,
-    ys: Sequence,
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Render one figure series as aligned (x, y) pairs."""
-    rows = [[x, y] for x, y in zip(xs, ys)]
-    return f"{name}:\n" + ascii_table([x_label, y_label], rows)

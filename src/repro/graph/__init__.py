@@ -17,7 +17,7 @@ from .capacities import (
     total_bandwidth,
     uniform_item_capacities,
 )
-from .edges import Edge, EdgeKey, edge_key, edge_sort_key, other_endpoint
+from .edges import Edge, EdgeKey, edge_key, edge_sort_key
 from .generators import (
     ascending_path,
     greedy_tightness_triangle,
@@ -25,20 +25,8 @@ from .generators import (
     random_graph,
     star_graph,
 )
-from .io import (
-    read_bipartite_graph,
-    read_capacities,
-    read_edges,
-    write_bipartite_graph,
-    write_capacities,
-    write_edges,
-)
-from .validation import (
-    ViolationReport,
-    check_matching,
-    matching_degrees,
-    matching_weight,
-)
+from .io import read_capacities, read_edges, write_capacities, write_edges
+from .validation import ViolationReport, check_matching, matching_degrees
 
 __all__ = [
     "BipartiteGraph",
@@ -55,19 +43,15 @@ __all__ = [
     "edge_sort_key",
     "greedy_tightness_triangle",
     "matching_degrees",
-    "matching_weight",
-    "other_endpoint",
     "quality_item_capacities",
     "random_bipartite",
     "random_graph",
-    "read_bipartite_graph",
     "read_capacities",
     "read_edges",
     "round_capacity",
     "star_graph",
     "total_bandwidth",
     "uniform_item_capacities",
-    "write_bipartite_graph",
     "write_capacities",
     "write_edges",
 ]

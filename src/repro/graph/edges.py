@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-__all__ = ["Edge", "EdgeKey", "edge_key", "edge_sort_key", "other_endpoint"]
+__all__ = ["Edge", "EdgeKey", "edge_key", "edge_sort_key"]
 
 #: Normalized identity of an undirected edge.
 EdgeKey = Tuple[str, str]
@@ -26,16 +26,6 @@ def edge_key(u: str, v: str) -> EdgeKey:
     if u == v:
         raise ValueError(f"self-loops are not allowed: {u!r}")
     return (u, v) if u < v else (v, u)
-
-
-def other_endpoint(key: EdgeKey, node: str) -> str:
-    """Given an edge key and one endpoint, return the other endpoint."""
-    u, v = key
-    if node == u:
-        return v
-    if node == v:
-        return u
-    raise ValueError(f"{node!r} is not an endpoint of {key!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Plain-text serialization of graphs, edges, and capacities.
+"""Plain-text serialization of edges and capacities.
 
 The on-disk formats are deliberately simple (TSV), matching what one
 would feed a real Hadoop job:
@@ -11,18 +11,13 @@ All readers are streaming and validate as they parse.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, Iterator, Tuple
-
-from .bipartite import BipartiteGraph
 
 __all__ = [
     "write_edges",
     "read_edges",
     "write_capacities",
     "read_capacities",
-    "write_bipartite_graph",
-    "read_bipartite_graph",
 ]
 
 EdgeRow = Tuple[str, str, float]
@@ -79,40 +74,3 @@ def read_capacities(path: str) -> Dict[str, int]:
             capacities[parts[0]] = int(parts[1])
     return capacities
 
-
-def write_bipartite_graph(directory: str, graph: BipartiteGraph) -> None:
-    """Persist a bipartite instance as three TSV files in ``directory``.
-
-    Files written: ``edges.tsv``, ``item_capacities.tsv``,
-    ``consumer_capacities.tsv``.
-    """
-    os.makedirs(directory, exist_ok=True)
-    items = set(graph.items())
-    rows = []
-    for edge in graph.edges():
-        if edge.u in items:
-            rows.append((edge.u, edge.v, edge.weight))
-        else:
-            rows.append((edge.v, edge.u, edge.weight))
-    write_edges(os.path.join(directory, "edges.tsv"), rows)
-    capacities = graph.capacities()
-    write_capacities(
-        os.path.join(directory, "item_capacities.tsv"),
-        {node: capacities[node] for node in graph.items()},
-    )
-    write_capacities(
-        os.path.join(directory, "consumer_capacities.tsv"),
-        {node: capacities[node] for node in graph.consumers()},
-    )
-
-
-def read_bipartite_graph(directory: str) -> BipartiteGraph:
-    """Load a bipartite instance written by :func:`write_bipartite_graph`."""
-    item_caps = read_capacities(
-        os.path.join(directory, "item_capacities.tsv")
-    )
-    consumer_caps = read_capacities(
-        os.path.join(directory, "consumer_capacities.tsv")
-    )
-    edges = read_edges(os.path.join(directory, "edges.tsv"))
-    return BipartiteGraph.from_edges(edges, item_caps, consumer_caps)

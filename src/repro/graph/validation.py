@@ -19,7 +19,6 @@ from .edges import EdgeKey
 
 __all__ = [
     "matching_degrees",
-    "matching_weight",
     "ViolationReport",
     "check_matching",
 ]
@@ -32,11 +31,6 @@ def matching_degrees(edges: Iterable[EdgeKey]) -> Dict[str, int]:
         degrees[u] += 1
         degrees[v] += 1
     return dict(degrees)
-
-
-def matching_weight(weights: Mapping[EdgeKey, float]) -> float:
-    """Total weight of a matching given as an edge->weight mapping."""
-    return float(sum(weights.values()))
 
 
 @dataclass

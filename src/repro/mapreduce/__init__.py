@@ -58,12 +58,7 @@ from .faults import (
     resilient_task_call,
 )
 from .job import KeyValue, MapReduceJob
-from .partitioner import (
-    HashPartitioner,
-    canonical_bytes,
-    fast_hash_bytes,
-    stable_hash,
-)
+from .partitioner import canonical_bytes, fast_hash_bytes, stable_hash
 from .pipeline import Pipeline, PipelineStage
 from .runtime import MapReduceRuntime
 from .state import (
@@ -101,7 +96,6 @@ __all__ = [
     "FaultyFileSystem",
     "FileSystem",
     "FileSystemError",
-    "HashPartitioner",
     "InMemoryFileSystem",
     "InjectedFault",
     "InjectedIOError",

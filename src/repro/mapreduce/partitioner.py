@@ -32,7 +32,6 @@ __all__ = [
     "canonical_bytes",
     "fast_hash_bytes",
     "stable_hash",
-    "HashPartitioner",
 ]
 
 
@@ -127,24 +126,3 @@ def stable_hash(key: Any) -> int:
     digest = hashlib.md5(canonical_bytes(key)).digest()
     return int.from_bytes(digest[:8], "big")
 
-
-class HashPartitioner:
-    """Assign each key to one of ``num_partitions`` reduce tasks.
-
-    The analogue of Hadoop's ``HashPartitioner``, and the routing the
-    runtime's shuffle and resident state store both use (inlined there
-    as ``fast_hash_bytes(key_bytes) % n`` on the key bytes cached at map
-    time, so no key is encoded twice).  A public helper for callers
-    that want to know where a key lands.
-    """
-
-    def __call__(self, key: Any, num_partitions: int) -> int:
-        return fast_hash_bytes(canonical_bytes(key)) % num_partitions
-
-    @staticmethod
-    def partition_bytes(key_bytes: bytes, num_partitions: int) -> int:
-        """Partition from the cached canonical encoding (no re-encode)."""
-        return fast_hash_bytes(key_bytes) % num_partitions
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "HashPartitioner()"

@@ -3,7 +3,7 @@
 Centralized references::
 
     from repro.matching import greedy_b_matching, stack_b_matching
-    from repro.matching import flow_b_matching, lp_b_matching
+    from repro.matching import flow_b_matching, lp_upper_bound
 
 MapReduce algorithms (the paper's GreedyMR / StackMR / StackGreedyMR)::
 
@@ -15,27 +15,20 @@ or by name through the registry::
     result = solve(graph, "stack_mr", epsilon=1.0, seed=7)
 """
 
-from .assignments import audiences_by_item, deliveries_by_consumer
+from .assignments import deliveries_by_consumer
 from .base import ALGORITHMS, solve
 from .bruteforce import bruteforce_b_matching
-from .exact import (
-    exact_b_matching,
-    flow_b_matching,
-    lp_b_matching,
-    lp_upper_bound,
-)
+from .exact import flow_b_matching, lp_upper_bound
 from .greedy import greedy_b_matching
 from .greedy_mr import greedy_mr_b_matching
 from .maximal import (
     MARKING_STRATEGIES,
     is_maximal,
-    maximal_b_matching,
     maximal_b_matching_adjacency,
 )
 from .maximal_mr import mm_records_from_adjacency, mr_maximal_b_matching
 from .stack import StackLayer, layer_capacities, stack_b_matching
 from .stack_mr import stack_mr_b_matching
-from .suitor import suitor_b_matching
 from .types import Matching, MatchingResult
 
 __all__ = [
@@ -44,23 +37,18 @@ __all__ = [
     "Matching",
     "MatchingResult",
     "StackLayer",
-    "audiences_by_item",
     "bruteforce_b_matching",
     "deliveries_by_consumer",
-    "exact_b_matching",
     "flow_b_matching",
     "greedy_b_matching",
     "greedy_mr_b_matching",
     "is_maximal",
     "layer_capacities",
-    "lp_b_matching",
     "lp_upper_bound",
-    "maximal_b_matching",
     "maximal_b_matching_adjacency",
     "mm_records_from_adjacency",
     "mr_maximal_b_matching",
     "solve",
     "stack_b_matching",
     "stack_mr_b_matching",
-    "suitor_b_matching",
 ]

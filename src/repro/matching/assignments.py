@@ -1,11 +1,10 @@
 """Turn a matching into the application-level delivery plan.
 
 The matching is a set of undirected edges; applications consume it as
-"which items does consumer c receive" / "which consumers does item t
-reach" (the paper's featured-item component, §1).  These helpers
-project a matching onto a :class:`~repro.graph.bipartite.
-BipartiteGraph`'s sides, sparing callers the normalized-edge-order
-bookkeeping.
+"which items does consumer c receive" (the paper's featured-item
+component, §1).  :func:`deliveries_by_consumer` projects a matching onto
+a :class:`~repro.graph.bipartite.BipartiteGraph`'s consumers, sparing
+callers the normalized-edge-order bookkeeping.
 """
 
 from __future__ import annotations
@@ -15,21 +14,9 @@ from typing import Dict, List, Tuple
 from ..graph.bipartite import ITEM_SIDE, BipartiteGraph
 from .types import Matching
 
-__all__ = ["deliveries_by_consumer", "audiences_by_item"]
+__all__ = ["deliveries_by_consumer"]
 
 Ranked = List[Tuple[str, float]]
-
-
-def _split(
-    graph: BipartiteGraph, matching: Matching
-) -> List[Tuple[str, str, float]]:
-    rows = []
-    for u, v, weight in matching.edges():
-        if graph.side(u) == ITEM_SIDE:
-            rows.append((u, v, weight))
-        else:
-            rows.append((v, u, weight))
-    return rows
 
 
 def deliveries_by_consumer(
@@ -41,20 +28,9 @@ def deliveries_by_consumer(
     >>> # feed["alice"] -> [("sunset-photo", 0.9), ...]
     """
     plan: Dict[str, Ranked] = {}
-    for item, consumer, weight in _split(graph, matching):
+    for u, v, weight in matching.edges():
+        item, consumer = (u, v) if graph.side(u) == ITEM_SIDE else (v, u)
         plan.setdefault(consumer, []).append((item, weight))
-    for ranked in plan.values():
-        ranked.sort(key=lambda entry: (-entry[1], entry[0]))
-    return plan
-
-
-def audiences_by_item(
-    graph: BipartiteGraph, matching: Matching
-) -> Dict[str, Ranked]:
-    """Map each matched item to its audience, best-first."""
-    plan: Dict[str, Ranked] = {}
-    for item, consumer, weight in _split(graph, matching):
-        plan.setdefault(item, []).append((consumer, weight))
     for ranked in plan.values():
         ranked.sort(key=lambda entry: (-entry[1], entry[0]))
     return plan

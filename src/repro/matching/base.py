@@ -11,12 +11,11 @@ from typing import Callable, Dict
 
 from ..graph.bipartite import Graph
 from .bruteforce import bruteforce_b_matching
-from .exact import exact_b_matching, flow_b_matching, lp_b_matching
+from .exact import flow_b_matching
 from .greedy import greedy_b_matching
 from .greedy_mr import greedy_mr_b_matching
 from .stack import stack_b_matching
 from .stack_mr import stack_mr_b_matching
-from .suitor import suitor_b_matching
 from .types import MatchingResult
 
 __all__ = ["ALGORITHMS", "solve"]
@@ -52,10 +51,7 @@ ALGORITHMS: Dict[str, Callable[..., MatchingResult]] = {
     "stack_mr": stack_mr_b_matching,
     "stack_greedy_mr": _stack_greedy_mr,
     "stack_weighted_mr": _stack_weighted_mr,
-    "suitor": suitor_b_matching,
     "exact_flow": flow_b_matching,
-    "exact_lp": lp_b_matching,
-    "exact": exact_b_matching,
     "bruteforce": bruteforce_b_matching,
 }
 

@@ -3,8 +3,9 @@
 Enumerates subsets of edges by depth-first search with residual-capacity
 pruning and a simple optimistic bound.  Exponential — intended for
 graphs with at most ~20 edges, where it serves as the ground truth for
-property-based tests of every other solver (including the flow and LP
-exact backends, and on *general* graphs where the LP is not integral).
+property-based tests of every other solver (including the exact flow
+solver, and the LP upper bound on *general* graphs where the LP is not
+integral).
 """
 
 from __future__ import annotations

@@ -6,35 +6,25 @@ exact solver here plays the same role as those citations — a quality
 upper bound for evaluating the approximation algorithms on small and
 medium instances.
 
-Two backends are provided:
-
 * :func:`flow_b_matching` — our own successive-shortest-path min-cost
   flow on the layered network ``source → items → consumers → sink``
   (Johnson potentials + Dijkstra, bottleneck augmentation, stopping as
   soon as the cheapest augmenting path stops improving the objective).
-* :func:`lp_b_matching` — the LP relaxation solved with
-  ``scipy.optimize.linprog`` (HiGHS).  For *bipartite* graphs the
-  constraint matrix is totally unimodular, so the LP optimum is integral
-  and exact; for general graphs the value is still a valid upper bound
-  (exposed as :func:`lp_upper_bound`).
-
-Both are cross-validated against brute-force enumeration in the tests.
+  The tests check it against brute-force enumeration.
+* :func:`lp_upper_bound` — the value of the LP relaxation, solved with
+  ``scipy.optimize.linprog`` (HiGHS).  It bounds the optimum on any
+  graph, including the general graphs the flow network cannot model.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..graph.bipartite import BipartiteGraph, Graph
 from .types import Matching, MatchingResult
 
-__all__ = [
-    "flow_b_matching",
-    "lp_b_matching",
-    "lp_upper_bound",
-    "exact_b_matching",
-]
+__all__ = ["flow_b_matching", "lp_upper_bound"]
 
 _EPS = 1e-9
 
@@ -100,7 +90,15 @@ def flow_b_matching(graph: BipartiteGraph) -> MatchingResult:
     Augments along the cheapest path while it has negative cost (i.e.
     positive marginal matching weight); by the concavity of the optimal
     weight in the flow value, stopping there is globally optimal.
+
+    The flow network needs the item/consumer sides, so a plain
+    :class:`~repro.graph.bipartite.Graph` raises :exc:`TypeError`.
     """
+    if not isinstance(graph, BipartiteGraph):
+        raise TypeError(
+            f"flow_b_matching needs a BipartiteGraph, got "
+            f"{type(graph).__name__}"
+        )
     items = graph.items()
     consumers = graph.consumers()
     index: Dict[str, int] = {}
@@ -185,14 +183,14 @@ def flow_b_matching(graph: BipartiteGraph) -> MatchingResult:
     )
 
 
-def _lp_solve(graph: Graph) -> Tuple[float, List[float], List[Tuple[str, str, float]]]:
-    """Solve the b-matching LP relaxation; returns (value, x, edges)."""
+def lp_upper_bound(graph: Graph) -> float:
+    """The LP-relaxation value: an upper bound on OPT for any graph."""
     from scipy.optimize import linprog
     from scipy.sparse import lil_matrix
 
     edges = [(e.u, e.v, e.weight) for e in graph.edges()]
     if not edges:
-        return 0.0, [], []
+        return 0.0
     nodes = sorted(graph.nodes())
     node_index = {node: i for i, node in enumerate(nodes)}
     constraint = lil_matrix((len(nodes), len(edges)))
@@ -210,46 +208,4 @@ def _lp_solve(graph: Graph) -> Tuple[float, List[float], List[Tuple[str, str, fl
     )
     if not result.success:  # pragma: no cover - solver failure
         raise RuntimeError(f"LP solver failed: {result.message}")
-    return -float(result.fun), list(result.x), edges
-
-
-def lp_b_matching(graph: BipartiteGraph) -> MatchingResult:
-    """Exact b-matching via the (integral) bipartite LP relaxation.
-
-    The bipartite degree-constraint matrix is totally unimodular, so the
-    HiGHS vertex solution is integral; fractional components beyond
-    numerical noise raise an error rather than being rounded silently.
-    """
-    value, solution, edges = _lp_solve(graph)
-    matching = Matching()
-    for x, (u, v, w) in zip(solution, edges):
-        if x > 0.5:
-            if x < 1.0 - 1e-6:
-                raise RuntimeError(
-                    f"LP returned a fractional value {x} for edge "
-                    f"({u!r}, {v!r}); expected an integral vertex"
-                )
-            matching.add(u, v, w)
-    return MatchingResult(
-        matching=matching,
-        algorithm="ExactLP",
-        rounds=1,
-        value_history=[matching.value],
-    )
-
-
-def lp_upper_bound(graph: Graph) -> float:
-    """The LP-relaxation value: an upper bound on OPT for any graph."""
-    value, _, _ = _lp_solve(graph)
-    return value
-
-
-def exact_b_matching(
-    graph: BipartiteGraph, backend: str = "flow"
-) -> MatchingResult:
-    """Dispatch to an exact backend (``"flow"`` or ``"lp"``)."""
-    if backend == "flow":
-        return flow_b_matching(graph)
-    if backend == "lp":
-        return lp_b_matching(graph)
-    raise ValueError(f"unknown exact backend {backend!r}")
+    return -float(result.fun)

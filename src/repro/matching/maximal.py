@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..graph.bipartite import Graph
 from ..graph.edges import EdgeKey, edge_key
 from ..mapreduce.errors import RoundLimitExceeded
 
@@ -38,7 +37,6 @@ __all__ = [
     "check_strategy",
     "choose_edges",
     "maximal_b_matching_adjacency",
-    "maximal_b_matching",
     "is_maximal",
 ]
 
@@ -227,25 +225,6 @@ def _cleanup_stage(
         for neighbor in list(adj[node]):
             del adj[neighbor][node]
         adj[node] = {}
-
-
-def maximal_b_matching(
-    graph: Graph,
-    rng: Optional[random.Random] = None,
-    strategy: str = "uniform",
-    capacities: Optional[Dict[str, int]] = None,
-    max_rounds: int = 10_000,
-) -> Dict[EdgeKey, float]:
-    """Graph-level convenience wrapper for the adjacency version.
-
-    ``capacities`` overrides the graph's own budgets — StackMR uses this
-    to compute layers under the reduced ``⌈ε·b(v)⌉`` capacities.
-    """
-    adjacency = graph.adjacency_copy()
-    caps = capacities if capacities is not None else graph.capacities()
-    return maximal_b_matching_adjacency(
-        adjacency, caps, rng=rng, strategy=strategy, max_rounds=max_rounds
-    )
 
 
 def is_maximal(

@@ -17,7 +17,7 @@ from .mr_join import (
     similarity_join_pipeline,
 )
 from .prefix_filter import prefix_terms, suffix_bound
-from .stats import document_frequencies_of, max_term_weights
+from .stats import max_term_weights
 from .subscriptions import filter_by_subscription, subscription_join
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "TermBoundsJob",
     "VerifyJob",
     "candidate_edges",
-    "document_frequencies_of",
     "exact_similarity_join",
     "filter_by_subscription",
     "mapreduce_similarity_join",

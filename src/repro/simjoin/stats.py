@@ -2,15 +2,14 @@
 
 The pruned inverted index of Baraglia et al. needs, for every term, an
 upper bound on the weight that term can contribute in the *other*
-collection; :func:`max_term_weights` computes those bounds (and document
-frequencies for diagnostics).
+collection; :func:`max_term_weights` computes those bounds.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Tuple
 
-__all__ = ["max_term_weights", "document_frequencies_of"]
+__all__ = ["max_term_weights"]
 
 
 def max_term_weights(
@@ -24,13 +23,3 @@ def max_term_weights(
                 bounds[term] = weight
     return bounds
 
-
-def document_frequencies_of(
-    vectors: Iterable[Mapping[str, float]],
-) -> Dict[str, int]:
-    """Per-term document frequency over a collection of sparse vectors."""
-    df: Dict[str, int] = {}
-    for vector in vectors:
-        for term in vector:
-            df[term] = df.get(term, 0) + 1
-    return df

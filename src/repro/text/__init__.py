@@ -3,40 +3,26 @@
 Public surface::
 
     from repro.text import tokenize, remove_stop_words, stem
-    from repro.text import TfIdfModel, dot, cosine_similarity
+    from repro.text import TfIdfModel, dot, norm
 """
 
-from .similarity import cosine_similarity, dot_similarity
 from .stemmer import stem
 from .tfidf import TfIdfModel, document_frequencies, idf_weights
 from .tokenize import STOP_WORDS, remove_stop_words, tokenize
-from .vectors import (
-    TermVector,
-    add,
-    dot,
-    from_counts,
-    norm,
-    normalize,
-    scale,
-    top_terms,
-)
+from .vectors import TermVector, add, dot, from_counts, norm, scale
 
 __all__ = [
     "STOP_WORDS",
     "TermVector",
     "TfIdfModel",
     "add",
-    "cosine_similarity",
     "document_frequencies",
     "dot",
-    "dot_similarity",
     "from_counts",
     "idf_weights",
     "norm",
-    "normalize",
     "remove_stop_words",
     "scale",
     "stem",
     "tokenize",
-    "top_terms",
 ]

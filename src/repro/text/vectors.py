@@ -17,10 +17,8 @@ __all__ = [
     "from_counts",
     "dot",
     "norm",
-    "normalize",
     "add",
     "scale",
-    "top_terms",
 ]
 
 #: A sparse term vector: term -> non-negative weight.
@@ -48,14 +46,6 @@ def norm(vector: Mapping[str, float]) -> float:
     return math.sqrt(sum(weight * weight for weight in vector.values()))
 
 
-def normalize(vector: Mapping[str, float]) -> TermVector:
-    """Scale a vector to unit Euclidean norm (zero vectors stay zero)."""
-    length = norm(vector)
-    if length == 0.0:
-        return dict(vector)
-    return {term: weight / length for term, weight in vector.items()}
-
-
 def add(a: Mapping[str, float], b: Mapping[str, float]) -> TermVector:
     """Component-wise sum of two sparse vectors."""
     result: TermVector = dict(a)
@@ -68,12 +58,3 @@ def scale(vector: Mapping[str, float], factor: float) -> TermVector:
     """Multiply every component by ``factor``."""
     return {term: weight * factor for term, weight in vector.items()}
 
-
-def top_terms(vector: Mapping[str, float], k: int) -> TermVector:
-    """Keep only the ``k`` heaviest terms (ties broken by term)."""
-    if k >= len(vector):
-        return dict(vector)
-    heaviest = sorted(
-        vector.items(), key=lambda item: (-item[1], item[0])
-    )[:k]
-    return dict(heaviest)

@@ -1,6 +1,6 @@
 """Tests for the ASCII reporting helpers."""
 
-from repro.experiments import ascii_table, banner, format_rows, series_block
+from repro.experiments import ascii_table, banner, format_rows
 
 
 def test_ascii_table_alignment():
@@ -32,10 +32,3 @@ def test_banner():
     text = banner("Hello")
     assert "Hello" in text
     assert "=====" in text
-
-
-def test_series_block():
-    block = series_block("fig", [1, 2], [10.0, 20.0], "edges", "value")
-    assert "fig" in block
-    assert "edges" in block and "value" in block
-    assert "10" in block and "20" in block

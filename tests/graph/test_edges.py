@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.graph import Edge, edge_key, edge_sort_key, other_endpoint
+from repro.graph import Edge, edge_key, edge_sort_key
 
 names = st.text(
     alphabet="abcdefgh", min_size=1, max_size=4
@@ -25,13 +25,6 @@ def test_edge_key_rejects_self_loop():
 def test_edge_key_symmetric(u, v):
     if u != v:
         assert edge_key(u, v) == edge_key(v, u)
-
-
-def test_other_endpoint():
-    assert other_endpoint(("a", "b"), "a") == "b"
-    assert other_endpoint(("a", "b"), "b") == "a"
-    with pytest.raises(ValueError):
-        other_endpoint(("a", "b"), "c")
 
 
 def test_edge_make_normalizes():

@@ -1,18 +1,8 @@
 """Round-trip tests for TSV graph serialization."""
 
-import random
-
 import pytest
 
-from repro.graph import (
-    random_bipartite,
-    read_bipartite_graph,
-    read_capacities,
-    read_edges,
-    write_bipartite_graph,
-    write_capacities,
-    write_edges,
-)
+from repro.graph import read_capacities, read_edges, write_capacities, write_edges
 
 
 def test_edges_roundtrip(tmp_path):
@@ -43,19 +33,6 @@ def test_capacities_bad_row_rejected(tmp_path):
         handle.write("a\t1\textra\n")
     with pytest.raises(ValueError, match="expected 2"):
         read_capacities(path)
-
-
-def test_bipartite_graph_roundtrip(tmp_path):
-    graph = random_bipartite(6, 5, 0.5, rng=random.Random(3))
-    directory = str(tmp_path / "dataset")
-    write_bipartite_graph(directory, graph)
-    loaded = read_bipartite_graph(directory)
-    assert sorted(loaded.items()) == sorted(graph.items())
-    assert sorted(loaded.consumers()) == sorted(graph.consumers())
-    assert loaded.capacities() == graph.capacities()
-    original = {e.key: e.weight for e in graph.edges()}
-    restored = {e.key: e.weight for e in loaded.edges()}
-    assert original == restored
 
 
 def test_blank_lines_ignored(tmp_path):

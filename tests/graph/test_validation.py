@@ -2,17 +2,13 @@
 
 import pytest
 
-from repro.graph import check_matching, matching_degrees, matching_weight
+from repro.graph import check_matching, matching_degrees
 
 
 def test_matching_degrees():
     degrees = matching_degrees([("a", "b"), ("a", "c")])
     assert degrees == {"a": 2, "b": 1, "c": 1}
     assert matching_degrees([]) == {}
-
-
-def test_matching_weight():
-    assert matching_weight({("a", "b"): 2.0, ("c", "d"): 3.5}) == 5.5
 
 
 def test_feasible_matching_reports_clean():

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mapreduce import (
-    HashPartitioner,
-    canonical_bytes,
-    fast_hash_bytes,
-    stable_hash,
-)
+from repro.mapreduce import canonical_bytes, fast_hash_bytes, stable_hash
 from repro.mapreduce.errors import JobValidationError
 
 GOLDEN_PATH = os.path.join(
@@ -31,6 +26,11 @@ key_strategy = st.recursive(
     lambda children: st.tuples(children, children),
     max_leaves=6,
 )
+
+
+def _partition(key, num_partitions):
+    """The reduce task the runtime's shuffle routes ``key`` to."""
+    return fast_hash_bytes(canonical_bytes(key)) % num_partitions
 
 
 def test_known_hash_is_stable_across_runs():
@@ -67,13 +67,12 @@ def test_encoding_is_injective_on_samples(a, b):
 
 @given(key=key_strategy, n=st.integers(min_value=1, max_value=64))
 def test_partitioner_in_range(key, n):
-    index = HashPartitioner()(key, n)
+    index = _partition(key, n)
     assert 0 <= index < n
 
 
 def test_partitioner_spreads_keys():
-    partitioner = HashPartitioner()
-    buckets = {partitioner(f"key{i}", 8) for i in range(100)}
+    buckets = {_partition(f"key{i}", 8) for i in range(100)}
     assert len(buckets) == 8  # all partitions get some keys
 
 
@@ -101,20 +100,10 @@ def test_golden_hashes_pinned():
         assert stable_hash(key) == row["stable_hash"], row["key"]
 
 
-def test_partition_bytes_agrees_with_call():
-    """The byte-level entry point is the same function as key-level."""
-    partitioner = HashPartitioner()
-    for key in ("a", 7, ("t1", "c2"), None, 2.5, b"x", (1, (2, "3"))):
-        for n in (1, 2, 7, 64):
-            assert partitioner(key, n) == HashPartitioner.partition_bytes(
-                canonical_bytes(key), n
-            )
-
-
 def _spread(keys, partitions=8):
     counts = [0] * partitions
     for key in keys:
-        counts[HashPartitioner()(key, partitions)] += 1
+        counts[_partition(key, partitions)] += 1
     return counts
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from repro.mapreduce import (
     Counters,
-    HashPartitioner,
     IterativeDriver,
     JobValidationError,
     LocalDiskFileSystem,
@@ -21,6 +20,7 @@ from repro.mapreduce import (
     ResidentStateStore,
     Retired,
     canonical_bytes,
+    fast_hash_bytes,
 )
 from repro.mapreduce.errors import DriverError
 from repro.mapreduce.state import (
@@ -104,7 +104,7 @@ def test_store_partitions_align_with_shuffle_hash():
     store.load([(f"k{i}", i) for i in range(40)])
     for i in range(40):
         key_bytes = canonical_bytes(f"k{i}")
-        index = HashPartitioner.partition_bytes(key_bytes, 4)
+        index = fast_hash_bytes(key_bytes) % 4
         assert key_bytes in store.partition(index)
 
 

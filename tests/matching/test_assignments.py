@@ -5,10 +5,7 @@ from hypothesis import given
 
 from repro.graph import BipartiteGraph
 from repro.matching import greedy_mr_b_matching
-from repro.matching.assignments import (
-    audiences_by_item,
-    deliveries_by_consumer,
-)
+from repro.matching.assignments import deliveries_by_consumer
 
 from ..strategies import small_bipartite_graphs
 
@@ -33,21 +30,12 @@ def test_deliveries_ranked_best_first(solved):
     assert plan["c2"] == [("t1", 2.0)]
 
 
-def test_audiences_by_item(solved):
-    graph, matching = solved
-    plan = audiences_by_item(graph, matching)
-    assert plan["t1"] == [("c1", 3.0), ("c2", 2.0)]
-    assert plan["t2"] == [("c1", 1.0)]
-
-
 @given(graph=small_bipartite_graphs())
 def test_projections_partition_the_matching(graph):
     matching = greedy_mr_b_matching(graph).matching
     by_consumer = deliveries_by_consumer(graph, matching)
-    by_item = audiences_by_item(graph, matching)
     total = sum(len(v) for v in by_consumer.values())
     assert total == len(matching)
-    assert total == sum(len(v) for v in by_item.values())
     # every projected pair is a matched edge with the right weight
     for consumer, ranked in by_consumer.items():
         for item, weight in ranked:

@@ -1,4 +1,4 @@
-"""Tests for the exact solvers (min-cost flow and LP)."""
+"""Tests for the exact min-cost-flow solver and the LP upper bound."""
 
 import pytest
 from hypothesis import given
@@ -6,9 +6,7 @@ from hypothesis import given
 from repro.graph import BipartiteGraph, star_graph
 from repro.matching import (
     bruteforce_b_matching,
-    exact_b_matching,
     flow_b_matching,
-    lp_b_matching,
     lp_upper_bound,
 )
 
@@ -29,11 +27,6 @@ def test_flow_star_takes_heaviest_spokes():
     result = flow_b_matching(g)
     assert result.value == pytest.approx(11.0)  # 6 + 5
     assert len(result.matching) == 2
-
-
-def test_lp_star_matches_flow():
-    g = _bipartite_star(6, 2)
-    assert lp_b_matching(g).value == pytest.approx(11.0)
 
 
 def test_flow_prefers_weight_over_cardinality():
@@ -65,18 +58,9 @@ def test_flow_stops_at_negative_marginal():
     assert flow_b_matching(g).value == pytest.approx(1.5)
 
 
-def test_exact_dispatch():
-    g = _bipartite_star(3, 1)
-    assert exact_b_matching(g, "flow").value == pytest.approx(3.0)
-    assert exact_b_matching(g, "lp").value == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        exact_b_matching(g, "magic")
-
-
 def test_empty_graph():
     g = BipartiteGraph()
     assert flow_b_matching(g).value == 0.0
-    assert lp_b_matching(g).value == 0.0
     assert lp_upper_bound(g) == 0.0
 
 
@@ -88,15 +72,6 @@ def test_flow_equals_bruteforce(graph):
     # and the matching itself is feasible
     report = flow.violations(graph.capacities())
     assert report.feasible
-
-
-@given(graph=small_bipartite_graphs())
-def test_lp_equals_bruteforce_on_bipartite(graph):
-    """Total unimodularity: the bipartite LP optimum is integral."""
-    lp = lp_b_matching(graph)
-    optimum = bruteforce_b_matching(graph)
-    assert lp.value == pytest.approx(optimum.value, abs=1e-6)
-    assert lp.violations(graph.capacities()).feasible
 
 
 @given(graph=small_general_graphs())

@@ -10,7 +10,6 @@ from repro.graph import check_matching, random_graph
 from repro.matching import (
     MARKING_STRATEGIES,
     is_maximal,
-    maximal_b_matching,
     maximal_b_matching_adjacency,
 )
 from repro.matching.maximal import choose_edges
@@ -24,10 +23,13 @@ from ..strategies import small_bipartite_graphs, small_general_graphs
     seed=st.integers(min_value=0, max_value=5),
 )
 def test_output_is_feasible_and_maximal(graph, strategy, seed):
-    matched = maximal_b_matching(
-        graph, rng=random.Random(seed), strategy=strategy
-    )
     capacities = graph.capacities()
+    matched = maximal_b_matching_adjacency(
+        graph.adjacency_copy(),
+        capacities,
+        rng=random.Random(seed),
+        strategy=strategy,
+    )
     report = check_matching(capacities, matched.keys())
     assert report.feasible
     assert is_maximal(graph.adjacency_copy(), capacities, matched.keys())
@@ -35,7 +37,9 @@ def test_output_is_feasible_and_maximal(graph, strategy, seed):
 
 @given(graph=small_bipartite_graphs())
 def test_bipartite_instances_work_too(graph):
-    matched = maximal_b_matching(graph, rng=random.Random(1))
+    matched = maximal_b_matching_adjacency(
+        graph.adjacency_copy(), graph.capacities(), rng=random.Random(1)
+    )
     assert is_maximal(
         graph.adjacency_copy(), graph.capacities(), matched.keys()
     )
@@ -44,8 +48,8 @@ def test_bipartite_instances_work_too(graph):
 def test_capacity_override_restricts_matching():
     g = random_graph(10, 0.5, rng=random.Random(4), max_capacity=4)
     tight = {node: 1 for node in g.nodes()}
-    matched = maximal_b_matching(
-        g, rng=random.Random(0), capacities=tight
+    matched = maximal_b_matching_adjacency(
+        g.adjacency_copy(), tight, rng=random.Random(0)
     )
     degrees = {}
     for u, v in matched:
@@ -57,8 +61,12 @@ def test_capacity_override_restricts_matching():
 
 def test_deterministic_for_fixed_seed():
     g = random_graph(12, 0.4, rng=random.Random(9))
-    a = maximal_b_matching(g, rng=random.Random(5))
-    b = maximal_b_matching(g, rng=random.Random(5))
+    a = maximal_b_matching_adjacency(
+        g.adjacency_copy(), g.capacities(), rng=random.Random(5)
+    )
+    b = maximal_b_matching_adjacency(
+        g.adjacency_copy(), g.capacities(), rng=random.Random(5)
+    )
     assert a == b
 
 

@@ -1,6 +1,6 @@
 """Tests for collection statistics."""
 
-from repro.simjoin import document_frequencies_of, max_term_weights
+from repro.simjoin import max_term_weights
 
 
 def test_max_term_weights_empty():
@@ -12,8 +12,3 @@ def test_max_term_weights_takes_max():
         [{"a": 1.0}, {"a": 5.0, "b": 0.5}, {"b": 2.0}]
     )
     assert bounds == {"a": 5.0, "b": 2.0}
-
-
-def test_document_frequencies_counts_presence_not_weight():
-    df = document_frequencies_of([{"a": 100.0}, {"a": 0.001, "b": 1.0}])
-    assert df == {"a": 2, "b": 1}

@@ -172,12 +172,19 @@ def test_match_accepts_storage_options(corpus_dir, tmp_path, capsys):
 
 def test_match_rejects_removed_plane_flags(corpus_dir, capsys):
     """There is one iteration plane: ``--delta`` / ``--no-delta`` are
-    argparse usage errors, not silently accepted no-ops."""
-    for flag in ("--delta", "--no-delta"):
+    argparse usage errors, not silently accepted no-ops.  So are the
+    deleted solvers' names."""
+    for extra, error in (
+        (["--delta"], "unrecognized arguments: --delta"),
+        (["--no-delta"], "unrecognized arguments: --no-delta"),
+        (["--algorithm", "suitor"], "invalid choice: 'suitor'"),
+        (["--algorithm", "exact"], "invalid choice: 'exact'"),
+        (["--algorithm", "exact_lp"], "invalid choice: 'exact_lp'"),
+    ):
         with pytest.raises(SystemExit) as exc:
-            main(["match", corpus_dir, "--sigma", "2.0", flag])
-        assert exc.value.code == 2, flag
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            main(["match", corpus_dir, "--sigma", "2.0", *extra])
+        assert exc.value.code == 2, extra
+        assert error in capsys.readouterr().err
 
 
 def test_join_profile_reports_phase_timings(corpus_dir, tmp_path, capsys):
@@ -600,65 +607,53 @@ def test_serve_accepts_cluster_options(corpus_dir, capsys):
 
 
 def test_serve_metrics_endpoint_matches_service_metrics(
-    corpus_dir, capsys
+    corpus_dir, capsys, monkeypatch
 ):
-    import socket
-    import threading
-    import time
     import urllib.request
 
-    # The CLI tears the exporter down before returning, so scrape from
-    # a thread polling a pre-picked port while the stream is driven.
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
+    from repro.telemetry import MetricsExporter
+
+    # The CLI tears the exporter down before returning, so scrape it on
+    # the way down: after the stream is served, before the real stop.
     captured = {}
+    real_stop = MetricsExporter.stop
 
-    def scraper(stop):
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline and not stop.is_set():
-            try:
-                with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/metrics.json", timeout=2
-                ) as response:
-                    captured["scrape"] = json.loads(response.read())
-                return
-            except OSError:
-                time.sleep(0.02)
+    def scrape_then_stop(exporter):
+        try:
+            captured["url"] = exporter.url
+            with urllib.request.urlopen(
+                exporter.url + "/metrics.json", timeout=10
+            ) as response:
+                captured["scrape"] = json.loads(response.read())
+        finally:
+            real_stop(exporter)
 
-    stop = threading.Event()
-    thread = threading.Thread(target=scraper, args=(stop,))
-    thread.start()
-    try:
-        code = main(
-            [
-                "serve",
-                corpus_dir,
-                "--sigma",
-                "2.0",
-                "--events",
-                "24",
-                "--batch-size",
-                "8",
-                "--max-delay-ms",
-                "20",
-                "--seed",
-                "5",
-                "--metrics-port",
-                str(port),
-            ]
-        )
-    finally:
-        stop.set()
-        thread.join(timeout=30)
+    monkeypatch.setattr(MetricsExporter, "stop", scrape_then_stop)
+    code = main(
+        [
+            "serve",
+            corpus_dir,
+            "--sigma",
+            "2.0",
+            "--events",
+            "24",
+            "--batch-size",
+            "8",
+            "--max-delay-ms",
+            "20",
+            "--seed",
+            "5",
+            "--metrics-port",
+            "0",
+        ]
+    )
     out = capsys.readouterr().out
     assert code == 0, out
-    assert f"metrics endpoint: http://127.0.0.1:{port}/metrics" in out
-    scrape = captured.get("scrape")
-    assert scrape is not None, "scraper thread never reached /metrics.json"
+    assert f"metrics endpoint: {captured['url']}/metrics" in out
+    scrape = captured["scrape"]
     # The scrape carries the same registry the CLI reports from.
     assert "runtime" in scrape["registry"]["counters"]
-    assert scrape["service"]["events_admitted"] >= 0
+    assert scrape["service"]["events_admitted"] == 24
 
 
 def test_serve_trace_exports_flush_spans(corpus_dir, tmp_path, capsys):
@@ -739,7 +734,7 @@ def test_match_runs_every_registered_algorithm(
 ):
     """The CLI registry contract: every algorithm in
     :data:`repro.matching.ALGORITHMS` — centralized, MapReduce,
-    STACK-family, suitor, exact — solves the flickr-small corpus
+    STACK-family, exact flow, brute force — solves the flickr-small corpus
     through ``repro match`` without error and emits a non-empty,
     capacity-feasible-or-reported matching."""
     out = str(tmp_path / f"matching-{algorithm}.tsv")

@@ -1,6 +1,6 @@
-"""Every benchmark file, document, ``repro.*`` name and
-``python -m repro.X`` command the docs, CI and docstrings name must
-exist.
+"""Every benchmark file, document, ``repro.*`` name, Sphinx
+cross-reference and ``python -m repro.X`` command the docs, CI and
+docstrings name must exist.
 
 A deleted benchmark leaves its name behind in CI steps, README
 paragraphs and docstrings; CI finds a stale step only when it runs it,
@@ -10,6 +10,7 @@ deleted, or to a module entry point that no longer runs.  These tests
 fail on the first such reference instead.
 """
 
+import builtins
 import importlib
 import importlib.util
 import re
@@ -30,6 +31,12 @@ _CI_COMMAND = re.compile(r"python3? benchmarks/\S+\.py")
 _DOTTED_NAME = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
 #: A module run as a script, e.g. ``python -m repro.cli``.
 _MODULE_COMMAND = re.compile(r"python3? -m (repro(?:\.\w+)*)")
+#: A Sphinx cross-reference, e.g. :func:`~repro.graph.edge_key`; the
+#: target may wrap across lines or sit in a ``title <target>`` form.
+_ROLE = re.compile(r":(?:func|class|data|exc|mod):`([^`]+)`")
+#: Marks a name ``getattr`` did not find; ``None`` is a valid value
+#: (a dataclass field defaulting to ``None`` is a class attribute).
+_MISSING = object()
 
 
 def _citing_files():
@@ -43,6 +50,15 @@ def _citing_files():
     ]
 
 
+def _has_path(target, attrs):
+    """``getattr`` each of ``attrs`` in turn, starting at ``target``."""
+    for attr in attrs:
+        target = getattr(target, attr, _MISSING)
+        if target is _MISSING:
+            return False
+    return True
+
+
 def _resolves(name):
     """Import the longest importable module prefix of ``name``, then
     ``getattr`` the rest of it."""
@@ -52,12 +68,25 @@ def _resolves(name):
             target = importlib.import_module(".".join(parts[:cut]))
         except ImportError:
             continue
-        for attr in parts[cut:]:
-            if not hasattr(target, attr):
-                return False
-            target = getattr(target, attr)
-        return True
+        return _has_path(target, parts[cut:])
     return False
+
+
+def _role_resolves(target, module):
+    """Resolve a role's target the way Sphinx reads it from ``module``:
+    ``repro.*`` by import, anything else in the module's namespace or
+    among the builtins."""
+    if target.startswith("repro."):
+        return _resolves(target)
+    head, *rest = target.split(".")
+    namespace = {**vars(builtins), **vars(module)}
+    return head in namespace and _has_path(namespace[head], rest)
+
+
+def _module_name(path):
+    """``src/repro/graph/io.py`` -> ``repro.graph.io``."""
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
 def _runs_as_script(module):
@@ -157,6 +186,25 @@ def test_cited_package_names_resolve():
     # This only keeps the check from passing on a regex matching nothing.
     assert "repro.telemetry.loadgen.zipf_events" in cited
     stale = {name: where for name, where in cited.items() if not _resolves(name)}
+    assert stale == {}
+
+
+def test_source_docstring_roles_resolve():
+    """Every :func:, :class:, :data:, :exc: and :mod: role in a source
+    module names something that exists, bare names included: the
+    dotted-name check above sees only ``repro.*`` targets."""
+    stale = {}
+    checked = 0
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        module = importlib.import_module(_module_name(path))
+        for text in _ROLE.findall(path.read_text()):
+            titled = re.search(r"<([^>]+)>", text)
+            target = re.sub(r"\s+", "", titled.group(1) if titled else text)
+            checked += 1
+            if not _role_resolves(target.lstrip("~"), module):
+                stale.setdefault(str(path.relative_to(ROOT)), []).append(text)
+    # This only keeps the check from passing on a regex matching nothing.
+    assert checked > 200
     assert stale == {}
 
 

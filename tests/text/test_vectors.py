@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given
 
-from repro.text import add, dot, from_counts, norm, normalize, scale, top_terms
+from repro.text import add, dot, from_counts, norm, scale
 
 from ..strategies import sparse_vectors
 
@@ -29,22 +29,11 @@ def test_dot_uses_smaller_side():
 def test_norm_and_normalize():
     vec = {"a": 3.0, "b": 4.0}
     assert norm(vec) == pytest.approx(5.0)
-    unit = normalize(vec)
-    assert norm(unit) == pytest.approx(1.0)
-    assert normalize({}) == {}
 
 
 def test_add_and_scale():
     assert add({"a": 1.0}, {"a": 2.0, "b": 3.0}) == {"a": 3.0, "b": 3.0}
     assert scale({"a": 2.0}, 0.5) == {"a": 1.0}
-
-
-def test_top_terms():
-    vec = {"a": 3.0, "b": 1.0, "c": 2.0}
-    assert top_terms(vec, 2) == {"a": 3.0, "c": 2.0}
-    assert top_terms(vec, 10) == vec
-    # ties broken by term name
-    assert top_terms({"x": 1.0, "y": 1.0}, 1) == {"x": 1.0}
 
 
 @given(a=sparse_vectors(), b=sparse_vectors())
