@@ -437,7 +437,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     failures = 0
     for seed in args.seeds:
-        with FaultPlan(
+        plan = FaultPlan(
             seed=seed,
             crash_rate=args.crash_rate,
             delay_rate=args.delay_rate,
@@ -445,24 +445,20 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             io_rate=args.io_rate,
             worker_kill_rate=args.worker_kill_rate,
             frame_drop_rate=args.frame_drop_rate,
-        ) as plan:
-            runtime = _make_runtime(
-                args, retry_policy=policy, fault_plan=plan
-            )
-            data = exercise_storage(runtime)
-            result = solve(graph, "greedy_mr", runtime=runtime)
-            faults = runtime.counters.group("faults")
-            injected = faults.get("injected_total", 0)
-            identical = (
-                data == baseline_data
-                and sorted(result.matching.edges())
-                == sorted(baseline.matching.edges())
-                and runtime.job_log == baseline_rt.job_log
-                and strip_volatile_counters(
-                    runtime.counters.snapshot()
-                )
-                == baseline_counters
-            )
+        )
+        runtime = _make_runtime(args, retry_policy=policy, fault_plan=plan)
+        data = exercise_storage(runtime)
+        result = solve(graph, "greedy_mr", runtime=runtime)
+        faults = runtime.counters.group("faults")
+        injected = faults.get("injected_total", 0)
+        identical = (
+            data == baseline_data
+            and sorted(result.matching.edges())
+            == sorted(baseline.matching.edges())
+            and runtime.job_log == baseline_rt.job_log
+            and strip_volatile_counters(runtime.counters.snapshot())
+            == baseline_counters
+        )
         status = "bit-identical" if identical else "DIVERGED"
         if not identical or injected == 0:
             failures += 1
@@ -483,21 +479,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     events, _ = zipf_events(graph, args.events, seed=args.seed)
     for seed in args.seeds:
-        with FaultPlan(
+        plan = FaultPlan(
             seed=seed,
             flush_rate=args.flush_rate,
             poison_rate=args.poison_rate,
-        ) as plan:
-            runtime = _make_runtime(
-                args, retry_policy=policy, fault_plan=plan
-            )
-            matcher = OnlineMatcher(runtime=runtime, graph=graph)
-            for start in range(0, len(events), 8):
-                matcher.flush(list(events[start : start + 8]))
-            identical, _ = matcher.verify()
-            faults = runtime.counters.group("faults")
-            injected = faults.get("injected_total", 0)
-            matcher.close()
+        )
+        runtime = _make_runtime(args, retry_policy=policy, fault_plan=plan)
+        matcher = OnlineMatcher(runtime=runtime, graph=graph)
+        for start in range(0, len(events), 8):
+            matcher.flush(list(events[start : start + 8]))
+        identical, _ = matcher.verify()
+        faults = runtime.counters.group("faults")
+        injected = faults.get("injected_total", 0)
+        matcher.close()
         status = "verified" if identical else "MISMATCH"
         if not identical or injected == 0:
             failures += 1

@@ -29,7 +29,9 @@ the lost attempt to the ledger, which re-queues it, and runs recovery
 on its worker: reconnect if the process is alive (a dropped frame),
 respawn it if not, giving up with :class:`WorkerDied` once the
 ledger's respawn budget is spent.  Every ledger call happens under the
-ledger's condition variable.
+ledger's condition variable.  Only a task's first dispatch fires its
+injected faults: the frame header of every later one says
+``"replay": true``.
 
 When the batch completes while a discarded attempt is still running
 (a speculative loser, or a task re-executed past a slow primary), the
@@ -485,9 +487,10 @@ class ClusterDriver:
                         attempt = ledger.next()
                     if ledger.settled:
                         return
+                    replay = not ledger.first_dispatch(*attempt)
                 try:
                     outcome, worker = self._execute(
-                        handle, frames[attempt[0]], *attempt
+                        handle, frames[attempt[0]], *attempt, replay
                     )
                 except (TaskLost, ProtocolError, OSError) as exc:
                     with ledger.cond:
@@ -506,15 +509,26 @@ class ClusterDriver:
                 ledger.cond.notify_all()
 
     def _execute(
-        self, handle: _WorkerHandle, frame: bytes, index: int, attempt: int
+        self,
+        handle: _WorkerHandle,
+        frame: bytes,
+        index: int,
+        attempt: int,
+        replay: bool,
     ) -> Tuple[Any, int]:
-        """One task interaction: send, await, fetch (if blob), decode."""
+        """One task interaction: send, await, fetch (if blob), decode.
+
+        ``replay`` marks a re-dispatch, whose injected faults the
+        worker skips (see :func:`~repro.mapreduce.cluster.worker.
+        replaying`).
+        """
         handle.in_flight = True
         try:
             sock = self._control(handle)
-            send_frame(
-                sock, {"op": "task", "id": f"{index}.{attempt}"}, frame
-            )
+            task_header = {"op": "task", "id": f"{index}.{attempt}"}
+            if replay:
+                task_header["replay"] = True
+            send_frame(sock, task_header, frame)
             header, payload = recv_frame(sock)
             if header.get("op") == "error":
                 name = header.get("kind", "error")

@@ -44,6 +44,14 @@ a plain injected crash), and ``drop_frame`` arms
 :func:`request_drop_reply`, making the connection handler close the
 socket instead of replying — the driver sees a dropped frame from a
 perfectly healthy worker.
+
+A task's specs fire on its first dispatch only.  The driver marks
+every later dispatch (a speculative backup, a resubmit after a dropped
+frame, a re-execution after a respawn) with ``"replay": true`` in the
+task frame header; the worker publishes that flag as
+:func:`replaying` for the duration of the task, and
+:func:`~repro.mapreduce.faults.resilient_task_call` then fires
+nothing, so every re-dispatch runs clean.
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ __all__ = [
     "WORKER_ENV_FLAG",
     "consume_drop_reply",
     "in_worker",
+    "replaying",
     "request_drop_reply",
     "worker_main",
 ]
@@ -81,6 +90,7 @@ _STATE: Dict[str, Any] = {
     "active": False,
     "slot": None,
     "drop_reply": False,
+    "replay": False,
     "muted_until": 0.0,
 }
 
@@ -88,6 +98,11 @@ _STATE: Dict[str, Any] = {
 def in_worker() -> bool:
     """True inside a cluster worker daemon process."""
     return bool(_STATE["active"])
+
+
+def replaying() -> bool:
+    """True while a worker executes a re-dispatched task."""
+    return bool(_STATE["replay"])
 
 
 def request_drop_reply() -> None:
@@ -199,6 +214,7 @@ class _WorkerServer:
                 b"",
             )
         with self._task_lock:
+            _STATE["replay"] = bool(header.get("replay"))
             outcome = _run_guarded(fn, args)
             self.tasks_executed += 1
         try:

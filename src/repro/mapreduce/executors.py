@@ -138,6 +138,15 @@ class TaskLedger:
                 return index, attempt
         return None
 
+    def first_dispatch(self, index: int, attempt: int) -> bool:
+        """Whether a popped attempt is its task's first dispatch.
+
+        Only attempt ``0`` before any loss is; a backup (attempt
+        ``1``) and a re-queued lost attempt are re-dispatches, which
+        fire no injected faults.
+        """
+        return attempt == 0 and self.losses[index] == 0
+
     def record(
         self,
         index: int,

@@ -41,8 +41,8 @@ bit-identical to the fault-free run, with the ``faults`` counter group
 :func:`~repro.mapreduce.state.strip_volatile_counters`) proving the
 faults actually fired.
 
-Fault identity and the consumed-once rule
------------------------------------------
+Fault identity and the first-dispatch rule
+------------------------------------------
 
 Every fault site has a stable identity: tasks by ``(job, phase,
 task_index, attempt)``, storage operations by ``(kind, op_index)``,
@@ -50,21 +50,25 @@ flushes by ``(flush_index, attempt)``, events by their admission
 sequence number.  Crash-like faults are *attempt-capped*
 (:data:`MAX_FAULTS_PER_SITE`): the fault fires on the first attempt
 only and stands down afterwards, so any recovery budget of at
-least two attempts deterministically converges.  Storage faults are
-*consumed once*: the faulted operation does not advance the logical
-op index, so the immediate retry of the same logical operation hits
-the already-consumed fault key and succeeds — the transient-error
-model, made deterministic.
+least two attempts deterministically converges.  A task's specs fire
+on its *first dispatch* only: a speculative backup, a resubmit after a
+dropped frame, and a re-execution after a worker respawn all run
+clean.  The cluster driver knows which dispatch is first from its
+:class:`~repro.mapreduce.executors.TaskLedger` and marks the others
+as replays (see :func:`~repro.mapreduce.cluster.worker.replaying`);
+the serial backend never re-dispatches.  Storage faults are *consumed
+once*: the faulted operation does not advance the logical op index, so
+the immediate retry of the same logical operation hits the
+already-consumed fault key and succeeds — the transient-error model,
+made deterministic.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import shutil
-import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import (
     Any,
     Callable,
@@ -197,17 +201,14 @@ class TaskFaultSpec:
     ``kind`` is ``"crash"`` (raise :class:`InjectedTaskFault`),
     ``"delay"`` (sleep ``seconds``), ``"worker_kill"`` (hard-kill the
     hosting cluster worker), or ``"drop_frame"`` (run the task but
-    drop its result frame).  ``once_path``, when set, makes the fault
-    *machine-scoped* rather than attempt-scoped: the first execution
-    to claim the sentinel file fires it, any concurrent or later
-    re-execution of the same attempt runs clean — for delays, the
+    drop its result frame).  Every kind fires on the task's first
+    dispatch only, so a re-dispatch runs clean — for delays, the
     straggler shape speculative backups exist to beat; for the cluster
     kinds, the guarantee that driver-side re-execution converges.
     """
 
     kind: str
     seconds: float = 0.0
-    once_path: Optional[str] = None
 
 
 def fired_specs(
@@ -229,13 +230,15 @@ def fired_specs(
     return fired
 
 
+@dataclass(frozen=True)
 class FaultPlan:
     """A seeded, deterministic schedule of failures.
 
     Every decision is a pure function of ``(seed, site identity)`` via
     SHA-256, so the same plan injects the same faults at the same
     sites on every run, backend, filesystem, and machine — one integer
-    seed reproduces a whole failure scenario.
+    seed reproduces a whole failure scenario.  A plan holds no per-run
+    state, so one value can drive any number of runs.
 
     Parameters
     ----------
@@ -249,22 +252,21 @@ class FaultPlan:
         successor, so recovery always converges.
     delay_rate, delay_seconds:
         Probability a task attempt is scheduled to straggle, and for
-        how long.  Delays are machine-scoped via a sentinel file (see
-        :class:`TaskFaultSpec.once_path`), so a speculative backup of
-        a delayed task runs at full speed.
+        how long.  Like every task fault a delay fires on the task's
+        first dispatch only, so a speculative backup of a delayed task
+        runs at full speed.
     worker_kill_rate:
-        Probability a task's first execution hard-kills its hosting
+        Probability a task's first dispatch hard-kills its hosting
         cluster worker (``os._exit`` mid-task — the worker-death
         shape).  Recovery is *driver-side*: the cluster driver detects
-        the death, respawns the worker, and re-executes the task;
-        the fault is sentinel-scoped so the re-execution runs clean.
-        On the serial backend (no worker to kill) it degrades to
-        an in-worker task-attempt crash.
+        the death, respawns the worker, and re-executes the task,
+        and the re-execution runs clean.  On the serial backend (no
+        worker to kill) it degrades to an in-worker task-attempt crash.
     frame_drop_rate:
-        Probability a task's first execution completes but its result
+        Probability a task's first dispatch completes but its result
         frame is dropped on the wire (the worker closes the connection
         instead of replying) — the lost-message shape.  Driver-side
-        recovery re-executes; sentinel-scoped like ``worker_kill``.
+        recovery re-executes the task, and the re-execution runs clean.
         Degrades to a task-attempt crash off-cluster.
     io_rate:
         Probability a ``read``/``write`` through a
@@ -277,58 +279,30 @@ class FaultPlan:
         Probability an admitted event is *permanently* poisoned: its
         admission raises :class:`PoisonedEvent` on every attempt until
         the matcher dead-letters it.
-    scratch_dir:
-        Directory for delay sentinel files; a private temporary
-        directory is created lazily when omitted (removed by
-        :meth:`cleanup` / context-manager exit).
     """
 
-    #: The probability parameters, each validated to lie in [0, 1].
-    _RATES = (
-        "crash_rate",
-        "delay_rate",
-        "worker_kill_rate",
-        "frame_drop_rate",
-        "io_rate",
-        "flush_rate",
-        "poison_rate",
-    )
+    seed: int
+    crash_rate: float = 0.0
+    delay_rate: float = 0.0
+    delay_seconds: float = 0.05
+    worker_kill_rate: float = 0.0
+    frame_drop_rate: float = 0.0
+    io_rate: float = 0.0
+    flush_rate: float = 0.0
+    poison_rate: float = 0.0
 
-    def __init__(
-        self,
-        seed: int,
-        crash_rate: float = 0.0,
-        delay_rate: float = 0.0,
-        delay_seconds: float = 0.05,
-        worker_kill_rate: float = 0.0,
-        frame_drop_rate: float = 0.0,
-        io_rate: float = 0.0,
-        flush_rate: float = 0.0,
-        poison_rate: float = 0.0,
-        scratch_dir: Optional[str] = None,
-    ) -> None:
-        self.seed = seed
-        self.crash_rate = crash_rate
-        self.delay_rate = delay_rate
-        self.delay_seconds = delay_seconds
-        self.worker_kill_rate = worker_kill_rate
-        self.frame_drop_rate = frame_drop_rate
-        self.io_rate = io_rate
-        self.flush_rate = flush_rate
-        self.poison_rate = poison_rate
-        for name in self._RATES:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            rate = getattr(self, field.name)
+            if field.name.endswith("_rate") and not 0.0 <= rate <= 1.0:
                 raise JobValidationError(
-                    f"{name} must be in [0, 1], got {rate}"
+                    f"{field.name} must be in [0, 1], got {rate}"
                 )
         # ``not x >= 0`` rather than ``x < 0``: NaN fails it too.
-        if not delay_seconds >= 0:
+        if not self.delay_seconds >= 0:
             raise JobValidationError(
-                f"delay_seconds must be >= 0, got {delay_seconds}"
+                f"delay_seconds must be >= 0, got {self.delay_seconds}"
             )
-        self._scratch_dir = scratch_dir
-        self._owns_scratch = False
 
     # -- the seeded coin ---------------------------------------------------
 
@@ -364,10 +338,9 @@ class FaultPlan:
         on any attempt (they slow, never fail).
 
         Cluster faults (``worker_kill`` / ``drop_frame``) are
-        scheduled at most once per task, on the first execution only,
-        and are mutually exclusive with the in-worker kinds: their
-        recovery is a driver-side *re-execution* (the same attempt-0
-        spec tuple runs again), so the spec is sentinel-scoped and the
+        scheduled at most once per task, on attempt 0 only, and are
+        mutually exclusive with the in-worker kinds: their recovery is
+        a driver-side *re-dispatch*, which fires no specs, so the
         remaining attempts stay clean — and :func:`fired_specs` still
         meters exactly what fires.
         """
@@ -375,15 +348,9 @@ class FaultPlan:
             site = (job, phase, task_index, 0)
             spec: Optional[TaskFaultSpec] = None
             if self._roll("worker_kill", *site) < self.worker_kill_rate:
-                spec = TaskFaultSpec(
-                    kind="worker_kill",
-                    once_path=self._sentinel_path("worker_kill", *site),
-                )
+                spec = TaskFaultSpec(kind="worker_kill")
             elif self._roll("drop_frame", *site) < self.frame_drop_rate:
-                spec = TaskFaultSpec(
-                    kind="drop_frame",
-                    once_path=self._sentinel_path("drop_frame", *site),
-                )
+                spec = TaskFaultSpec(kind="drop_frame")
             if spec is not None:
                 return (spec,) + (None,) * (max_attempts - 1)
         crash_budget = min(MAX_FAULTS_PER_SITE, max_attempts - 1)
@@ -397,11 +364,7 @@ class FaultPlan:
                 specs.append(TaskFaultSpec(kind="crash"))
             elif self._roll("delay", *site) < self.delay_rate:
                 specs.append(
-                    TaskFaultSpec(
-                        kind="delay",
-                        seconds=self.delay_seconds,
-                        once_path=self._sentinel_path(*site),
-                    )
+                    TaskFaultSpec(kind="delay", seconds=self.delay_seconds)
                 )
             else:
                 specs.append(None)
@@ -426,43 +389,6 @@ class FaultPlan:
         ``sequence`` is permanently poisoned."""
         return self._roll("poison", sequence) < self.poison_rate
 
-    # -- straggler sentinels -----------------------------------------------
-
-    def _sentinel_path(self, *site: Any) -> str:
-        token = hashlib.sha256(
-            repr(site).encode("utf-8")
-        ).hexdigest()[:20]
-        return os.path.join(self.scratch_dir, f"straggler-{token}")
-
-    @property
-    def scratch_dir(self) -> str:
-        """The sentinel directory, created lazily."""
-        if self._scratch_dir is None:
-            self._scratch_dir = tempfile.mkdtemp(prefix="repro-faults-")
-            self._owns_scratch = True
-        return self._scratch_dir
-
-    def cleanup(self) -> None:
-        """Remove the sentinel scratch directory if this plan owns it."""
-        if self._owns_scratch and self._scratch_dir is not None:
-            shutil.rmtree(self._scratch_dir, ignore_errors=True)
-            self._scratch_dir = None
-            self._owns_scratch = False
-
-    def __enter__(self) -> "FaultPlan":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.cleanup()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        rates = ", ".join(
-            f"{name}={getattr(self, name)}"
-            for name in self._RATES
-            if getattr(self, name)
-        )
-        return f"FaultPlan(seed={self.seed}{', ' + rates if rates else ''})"
-
 
 # -- the in-worker retry wrapper ---------------------------------------------
 #
@@ -471,39 +397,19 @@ class FaultPlan:
 # picklable) and travel with the task arguments.
 
 
-def _claim_once(path: str) -> bool:
-    """Claim a fault sentinel; ``False`` if already claimed elsewhere."""
-    try:
-        handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.close(handle)
-    except FileExistsError:
-        return False  # another execution already fired this fault
-    except OSError:
-        pass  # scratch dir gone: fire anyway
-    return True
-
-
 def _fire(spec: TaskFaultSpec) -> None:
     """Make one scheduled fault happen, inside the worker."""
     if spec.kind == "crash":
         raise InjectedTaskFault("injected task-attempt crash")
     if spec.kind == "delay":
-        if spec.once_path is not None and not _claim_once(spec.once_path):
-            return
         time.sleep(spec.seconds)
         return
     if spec.kind in ("worker_kill", "drop_frame"):
-        if spec.once_path is not None and not _claim_once(spec.once_path):
-            return  # a previous execution already paid this fault
         # Lazy import: only chaos runs that schedule cluster kinds pay
         # for the cluster plane, and only to ask "am I in a worker?".
-        try:
-            from .cluster import worker as cluster_worker
-        except Exception:  # pragma: no cover - defensive
-            cluster_worker = None
-        on_cluster = (
-            cluster_worker is not None and cluster_worker.in_worker()
-        )
+        from .cluster import worker as cluster_worker
+
+        on_cluster = cluster_worker.in_worker()
         if spec.kind == "worker_kill":
             if on_cluster:
                 os._exit(17)  # hard worker death, mid-task
@@ -530,19 +436,26 @@ def resilient_task_call(
     """Run a task unit with injected faults and bounded retries.
 
     Each attempt first fires its scheduled fault (if any), then runs
-    the real task function.  A failed attempt's partial result — and
-    crucially its task-local :class:`Counters` — is discarded whole,
-    so only the successful attempt's counters ever reach the driver
-    and totals stay bit-identical with the fault-free run.  The
-    recovery meters (``task.retries``) land on the successful result's
-    trailing counters under :data:`FAULT_COUNTER_GROUP`, which the
-    bit-identical comparisons strip.
+    the real task function; a cluster re-dispatch of the task
+    (:func:`~repro.mapreduce.cluster.worker.replaying`) fires none,
+    since its first dispatch already did.  A failed attempt's partial
+    result — and crucially its task-local :class:`Counters` — is
+    discarded whole, so only the successful attempt's counters ever
+    reach the driver and totals stay bit-identical with the fault-free
+    run.  The recovery meters (``task.retries``) land on the successful
+    result's trailing counters under :data:`FAULT_COUNTER_GROUP`, which
+    the bit-identical comparisons strip.
 
     Retries cover transient failures only (:meth:`RetryPolicy.
     retryable`: injected faults and ``OSError``): a deterministic job
     bug (a validation error, say) fails fast on its first attempt
     exactly as it does without a retry policy.
     """
+    if any(specs):
+        from .cluster import worker as cluster_worker
+
+        if cluster_worker.replaying():
+            specs = ()
     attempt = 0
     while True:
         spec = specs[attempt] if attempt < len(specs) else None

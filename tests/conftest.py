@@ -69,6 +69,19 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(pytest.mark.cluster)
 
 
+def claim_once(path: str) -> bool:
+    """Atomically create ``path``; ``False`` if it already exists.
+
+    Test jobs use it to misbehave exactly once per run, on whichever
+    process gets there first (a worker daemon included).
+    """
+    try:
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return False
+    return True
+
+
 @pytest.fixture(params=BACKENDS)
 def backend(request) -> str:
     """Each configured execution backend in turn."""

@@ -51,11 +51,10 @@ from repro.mapreduce.cluster import (
 from repro.mapreduce.cluster.heartbeat import ALIVE, DEAD, SUSPECT
 from repro.mapreduce.cluster.protocol import connect, request
 from repro.mapreduce.executors import _SHARED_POOLS, _evict_pool
-from repro.mapreduce.faults import _claim_once
 from repro.mapreduce.state import strip_volatile_counters
 from repro.telemetry import MetricsRegistry
 
-from ..conftest import SPILL_THRESHOLD, STORAGE
+from ..conftest import SPILL_THRESHOLD, STORAGE, claim_once
 
 pytestmark = pytest.mark.cluster
 
@@ -80,14 +79,14 @@ def _blob_payload(n):
 
 def _exit_once(sentinel, value):
     """SIGKILL-shaped worker death on the first execution only."""
-    if _claim_once(sentinel):
+    if claim_once(sentinel):
         os._exit(13)
     return value
 
 
 def _sleep_once(sentinel, value, seconds):
     """Straggle on the first execution; the backup runs full speed."""
-    if _claim_once(sentinel):
+    if claim_once(sentinel):
         time.sleep(seconds)
     return value
 

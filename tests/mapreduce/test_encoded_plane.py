@@ -38,8 +38,9 @@ from repro.mapreduce.faults import (
     FaultPlan,
     InjectedTaskFault,
     RetryPolicy,
-    _claim_once,
 )
+
+from ..conftest import claim_once
 
 
 class PlainWordCount(MapReduceJob):
@@ -149,7 +150,7 @@ class MutatingReduce(MapReduceJob):
     def reduce(self, key, values):
         values.append("seen")
         values.reverse()
-        if _claim_once(self.sentinel):
+        if claim_once(self.sentinel):
             raise InjectedTaskFault("reduce crashed after mutating")
         yield key, tuple(values)
 
@@ -394,17 +395,14 @@ def test_mutating_reduce_under_retries_matches_fault_free(backend, tmp_path):
         MutatingReduce(str(clean)), records
     )
     assert any(len(values) > 3 for _, values in expected)  # runs formed
-    with FaultPlan(3, crash_rate=1.0) as plan:
-        runtime = MapReduceRuntime(
-            num_map_tasks=4,
-            num_reduce_tasks=2,
-            backend=backend,
-            retry_policy=RetryPolicy(max_attempts=3),
-            fault_plan=plan,
-        )
-        output = runtime.run(
-            MutatingReduce(str(tmp_path / "crash")), records
-        )
+    runtime = MapReduceRuntime(
+        num_map_tasks=4,
+        num_reduce_tasks=2,
+        backend=backend,
+        retry_policy=RetryPolicy(max_attempts=3),
+        fault_plan=FaultPlan(3, crash_rate=1.0),
+    )
+    output = runtime.run(MutatingReduce(str(tmp_path / "crash")), records)
     assert output == expected
     assert (tmp_path / "crash").exists()
     assert runtime.counters.get("faults", "injected_crash") > 0

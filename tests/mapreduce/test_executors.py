@@ -229,7 +229,11 @@ def test_ledger_first_finisher_wins_and_late_duplicate_is_ignored():
 
 def test_ledger_counts_only_backup_attempts_as_wins():
     ledger = TaskLedger(3)
+    assert ledger.next() == (0, 0)
+    assert ledger.first_dispatch(0, 0)
     ledger.back_up()
+    # A backup is a re-dispatch: it fires no injected faults.
+    assert not ledger.first_dispatch(0, 1)
     ledger.record(0, 0, (True, 0))
     ledger.record(1, 1, (True, 1))
     ledger.record(2, 0, (True, 2))
@@ -241,10 +245,15 @@ def test_ledger_counts_only_backup_attempts_as_wins():
 def test_ledger_loss_requeues_the_attempt_and_counts_one_resubmit():
     ledger = TaskLedger(2)
     assert ledger.next() == (0, 0)
+    assert ledger.first_dispatch(0, 0)
     ledger.lose(0, 0, ConnectionError("dropped frame"))
     assert ledger.resubmits == 1
     assert ledger.losses == [1, 0]
     assert _drain(ledger) == [(1, 0), (0, 0)]
+    # The re-queued attempt is a re-dispatch; the untouched task's
+    # first pop is still its first dispatch.
+    assert not ledger.first_dispatch(0, 0)
+    assert ledger.first_dispatch(1, 0)
 
 
 def test_ledger_loss_cap_and_respawn_budget_raise_worker_died():

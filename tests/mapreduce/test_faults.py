@@ -12,11 +12,13 @@ backend (× the storage/spill env knobs) for several seeded scenarios.
 """
 
 import os
+import random
 import tempfile
 from contextlib import contextmanager
 
 import pytest
 
+from repro.graph import Graph
 from repro.mapreduce import (
     Counters,
     FaultPlan,
@@ -33,11 +35,11 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.cluster import ClusterExecutor
 from repro.mapreduce.executors import _SHARED_POOLS
-from repro.mapreduce.faults import _claim_once
 from repro.mapreduce.state import strip_volatile_counters
 from repro.mapreduce.storage import InMemoryFileSystem
+from repro.matching import greedy_mr_b_matching
 
-from ..conftest import SPILL_THRESHOLD, STORAGE
+from ..conftest import SPILL_THRESHOLD, STORAGE, claim_once
 
 CHAOS_SEEDS = (1, 2, 3)
 
@@ -76,7 +78,7 @@ class KamikazeOnce(MapReduceJob):
         self.sentinel = sentinel
 
     def map(self, key, value):
-        if _claim_once(self.sentinel):
+        if claim_once(self.sentinel):
             os._exit(13)
         yield value % 3, value
 
@@ -90,7 +92,7 @@ class FlakyOnce(MapReduceJob):
     file named in side data."""
 
     def map(self, key, value):
-        if _claim_once(self.side_data["sentinel"]):
+        if claim_once(self.side_data["sentinel"]):
             raise OSError("transient read error")
         yield value % 5, 1
 
@@ -106,7 +108,7 @@ class FlakyReduceOnce(MapReduceJob):
         yield value % 5, 1
 
     def reduce(self, key, counts):
-        if _claim_once(self.side_data["sentinel"]):
+        if claim_once(self.side_data["sentinel"]):
             raise OSError("transient read error")
         yield key, sum(counts)
 
@@ -203,13 +205,6 @@ def test_retry_policy_rejects_nan(kwargs, name):
         RetryPolicy(**kwargs)
 
 
-def test_fault_plan_cleans_up_its_scratch_dir():
-    with FaultPlan(0, delay_rate=1.0) as plan:
-        scratch = plan.scratch_dir
-        assert os.path.isdir(scratch)
-    assert not os.path.exists(scratch)
-
-
 # -- storage faults: consumed-once, recovered by retries -------------------
 
 
@@ -274,7 +269,7 @@ def test_retrying_filesystem_exhausted_budget_propagates():
 
 
 @contextmanager
-def _cell_runtime(backend, **kwargs):
+def _cell_runtime(backend, tasks=4, **kwargs):
     """A fresh runtime per run (pristine counters, clean tmp)."""
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         if STORAGE == "memory":
@@ -282,8 +277,8 @@ def _cell_runtime(backend, **kwargs):
         else:
             storage = LocalDiskFileSystem(root=os.path.join(tmp, "dfs"))
         yield MapReduceRuntime(
-            num_map_tasks=4,
-            num_reduce_tasks=4,
+            num_map_tasks=tasks,
+            num_reduce_tasks=tasks,
             counters=Counters(),
             backend=backend,
             storage=storage,
@@ -315,14 +310,13 @@ def _observe_chaos(runtime):
 def test_chaos_run_is_bit_identical_to_fault_free(backend, seed):
     with _cell_runtime(backend) as clean:
         baseline = _observe_chaos(clean)
-    with FaultPlan(seed, delay_seconds=0.0, **CHAOS_RATES) as plan:
-        with _cell_runtime(
-            backend,
-            retry_policy=RetryPolicy(max_attempts=3),
-            fault_plan=plan,
-        ) as runtime:
-            observed = _observe_chaos(runtime)
-            faults = dict(runtime.counters.group("faults"))
+    with _cell_runtime(
+        backend,
+        retry_policy=RetryPolicy(max_attempts=3),
+        fault_plan=FaultPlan(seed, delay_seconds=0.0, **CHAOS_RATES),
+    ) as runtime:
+        observed = _observe_chaos(runtime)
+        faults = dict(runtime.counters.group("faults"))
     assert observed == baseline
     assert faults["injected_total"] > 0
     # Every scheduled crash burned exactly one retry; delays don't.
@@ -334,23 +328,67 @@ def test_chaos_run_is_bit_identical_to_fault_free(backend, seed):
 def test_chaos_fault_metering_is_backend_independent(backend):
     """The ``injected_*`` meters are a driver-side function of the
     plan, so every backend reports the same fault story."""
-    with FaultPlan(1, delay_seconds=0.0, **CHAOS_RATES) as plan:
-        with _cell_runtime(
-            "serial",
-            retry_policy=RetryPolicy(max_attempts=3),
-            fault_plan=plan,
-        ) as serial:
-            _observe_chaos(serial)
-            reference = dict(serial.counters.group("faults"))
-    with FaultPlan(1, delay_seconds=0.0, **CHAOS_RATES) as plan:
+    plan = FaultPlan(1, delay_seconds=0.0, **CHAOS_RATES)
+    with _cell_runtime(
+        "serial",
+        retry_policy=RetryPolicy(max_attempts=3),
+        fault_plan=plan,
+    ) as serial:
+        _observe_chaos(serial)
+        reference = dict(serial.counters.group("faults"))
+    with _cell_runtime(
+        backend,
+        retry_policy=RetryPolicy(max_attempts=3),
+        fault_plan=plan,
+    ) as runtime:
+        _observe_chaos(runtime)
+        observed = dict(runtime.counters.group("faults"))
+    assert observed == reference
+
+
+def _chaos_graph():
+    """12 + 12 nodes: small, but GreedyMR needs several rounds."""
+    rng = random.Random(0)
+    graph = Graph()
+    items = [f"i{k}" for k in range(12)]
+    consumers = [f"c{k}" for k in range(12)]
+    for node in items + consumers:
+        graph.add_node(node, rng.randint(1, 3))
+    for u in items:
+        for v in rng.sample(consumers, 3):
+            graph.add_edge(u, v, round(rng.uniform(0.1, 5.0), 3))
+    return graph
+
+
+def test_injected_faults_fire_in_every_round_of_every_run(backend):
+    """Every metered fault fires and costs its recovery.  GreedyMR's
+    rounds share one job name and a reused plan replays the same
+    sites, yet each run of each round fires its own faults afresh:
+    nothing is metered as injected that did not happen."""
+    graph = _chaos_graph()
+    plan = FaultPlan(
+        1, worker_kill_rate=0.3, frame_drop_rate=0.2, crash_rate=0.2
+    )
+    for _ in range(2):
         with _cell_runtime(
             backend,
+            tasks=2,
             retry_policy=RetryPolicy(max_attempts=3),
             fault_plan=plan,
         ) as runtime:
-            _observe_chaos(runtime)
-            observed = dict(runtime.counters.group("faults"))
-    assert observed == reference
+            greedy_mr_b_matching(graph, runtime)
+            faults = dict(runtime.counters.group("faults"))
+        kills = faults.get("injected_worker_kill", 0)
+        drops = faults.get("injected_drop_frame", 0)
+        assert kills > 0
+        if backend == "serial":
+            # Off-cluster both kinds degrade to in-worker crashes.
+            assert faults.get("task.retries", 0) == (
+                faults.get("injected_crash", 0) + kills + drops
+            )
+        else:
+            assert faults.get("pool.respawns", 0) >= kills
+            assert faults.get("task.resubmits", 0) >= kills + drops
 
 
 def test_transient_oserror_in_a_task_is_retried(backend, tmp_path):
@@ -436,14 +474,13 @@ CLUSTER_DROP_RATES = dict(frame_drop_rate=0.6)
 
 def _observe_cluster_chaos(seed, **rates):
     """One seeded chaos run on the cluster backend, plus its faults."""
-    with FaultPlan(seed, **rates) as plan:
-        with _cell_runtime(
-            "cluster",
-            retry_policy=RetryPolicy(max_attempts=3),
-            fault_plan=plan,
-        ) as runtime:
-            observed = _observe_chaos(runtime)
-            faults = dict(runtime.counters.group("faults"))
+    with _cell_runtime(
+        "cluster",
+        retry_policy=RetryPolicy(max_attempts=3),
+        fault_plan=FaultPlan(seed, **rates),
+    ) as runtime:
+        observed = _observe_chaos(runtime)
+        faults = dict(runtime.counters.group("faults"))
     return observed, faults
 
 
@@ -489,14 +526,13 @@ def test_cluster_faults_degrade_gracefully_off_cluster():
     retry budget still recovers them bit-identically."""
     with _cell_runtime("serial") as clean:
         baseline = _observe_chaos(clean)
-    with FaultPlan(2, worker_kill_rate=0.6, frame_drop_rate=0.3) as plan:
-        with _cell_runtime(
-            "serial",
-            retry_policy=RetryPolicy(max_attempts=3),
-            fault_plan=plan,
-        ) as runtime:
-            observed = _observe_chaos(runtime)
-            faults = dict(runtime.counters.group("faults"))
+    with _cell_runtime(
+        "serial",
+        retry_policy=RetryPolicy(max_attempts=3),
+        fault_plan=FaultPlan(2, worker_kill_rate=0.6, frame_drop_rate=0.3),
+    ) as runtime:
+        observed = _observe_chaos(runtime)
+        faults = dict(runtime.counters.group("faults"))
     assert observed == baseline
     assert faults["injected_total"] > 0
     assert faults.get("task.retries", 0) >= 1
@@ -562,18 +598,16 @@ def test_speculative_backup_beats_straggler(backend, tmp_path):
     baseline = _straggler_runtime("serial", str(tmp_path / "clean")).run(
         Histogram(), RECORDS
     )
-    # Every attempt straggles 0.6s — but only on its *first* execution
-    # (machine-scoped sentinel), so the timeout-spawned backup runs at
-    # full speed and wins the race.
-    with FaultPlan(5, delay_rate=1.0, delay_seconds=0.6) as plan:
-        runtime = _straggler_runtime(
-            backend,
-            str(tmp_path / "chaos"),
-            retry_policy=RetryPolicy(max_attempts=2, task_timeout=0.05),
-            fault_plan=plan,
-        )
-        output = runtime.run(Histogram(), RECORDS)
-        faults = dict(runtime.counters.group("faults"))
+    # Every task straggles 0.6s — but only on its first dispatch, so
+    # the timeout-spawned backup runs at full speed and wins the race.
+    runtime = _straggler_runtime(
+        backend,
+        str(tmp_path / "chaos"),
+        retry_policy=RetryPolicy(max_attempts=2, task_timeout=0.05),
+        fault_plan=FaultPlan(5, delay_rate=1.0, delay_seconds=0.6),
+    )
+    output = runtime.run(Histogram(), RECORDS)
+    faults = dict(runtime.counters.group("faults"))
     assert output == baseline
     assert faults["task.speculative_wins"] >= 1
     assert faults["injected_delay"] > 0

@@ -66,7 +66,6 @@ PINNED = [
             "io_rate",
             "flush_rate",
             "poison_rate",
-            "scratch_dir",
         ),
     ),
     (MetricsExporter, ("registry", "extra_metrics", "host", "port")),
