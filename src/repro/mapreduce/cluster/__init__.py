@@ -4,11 +4,10 @@ This package is the executor layer's parallel backend, a real (if
 localhost-bound) cluster: a
 :class:`~repro.mapreduce.cluster.driver.ClusterDriver` assigns task
 units to :mod:`worker <repro.mapreduce.cluster.worker>` daemon
-processes over length-prefixed socket frames, workers keep their large
-task outputs in worker-local spill files and serve them over the same
-data plane on demand, and the driver supervises the fleet with
-heartbeats, worker-death detection with task re-execution, and
-straggler speculative backups.
+processes over length-prefixed socket frames, every task result comes
+back inline on the reply frame of the connection it was dispatched on,
+and the driver supervises the fleet with heartbeats, worker-death
+detection with task re-execution, and straggler speculative backups.
 
 The public entry point is ``backend="cluster"`` on
 :class:`~repro.mapreduce.runtime.MapReduceRuntime` (or ``--backend
@@ -24,13 +23,7 @@ battery against the serial backend.
 from .driver import ClusterDriver, TaskLost, WorkerDied
 from .executor import ClusterExecutor
 from .heartbeat import HeartbeatMonitor
-from .protocol import (
-    ConnectionClosed,
-    ProtocolError,
-    RemoteBlob,
-    recv_frame,
-    send_frame,
-)
+from .protocol import ConnectionClosed, ProtocolError, recv_frame, send_frame
 
 __all__ = [
     "ClusterDriver",
@@ -38,7 +31,6 @@ __all__ = [
     "ConnectionClosed",
     "HeartbeatMonitor",
     "ProtocolError",
-    "RemoteBlob",
     "TaskLost",
     "WorkerDied",
     "recv_frame",

@@ -5,13 +5,12 @@
 it assigns task units to workers over the frame protocol, pings every
 worker on a heartbeat cadence, declares silent workers dead and
 re-executes their in-flight tasks elsewhere, respawns dead workers
-(with fresh spill directories — a restarted worker has lost its
-blobs, exactly like a remachined node), and races straggling tasks
-with speculative backup attempts.
+(each generation in a fresh directory, like a remachined node), and
+races straggling tasks with speculative backup attempts.  Every task
+result comes back inline on the reply frame of the control connection
+the task was dispatched on.
 
-The driver is *also* the shared pool behind ``backend="cluster"``: it
-duck-types the ``shutdown(wait, cancel_futures)`` surface the shared
-pool registry expects.
+The driver is *also* the shared pool behind ``backend="cluster"``.
 
 Dispatch model
 --------------
@@ -24,11 +23,11 @@ pulls the next attempt from the ledger, executes it over that worker's
 control connection, and records the outcome under the task's index —
 so results come back in input order and the first task-order failure
 raises, preserving the backend bit-identity contract.  A thread whose
-interaction fails (connection drop, worker death, lost blob) reports
-the lost attempt to the ledger, which re-queues it, and runs recovery
-on its worker: reconnect if the process is alive (a dropped frame),
-respawn it if not, giving up with :class:`WorkerDied` once the
-ledger's respawn budget is spent.  Every ledger call happens under the
+interaction fails (connection drop, worker death) reports the lost
+attempt to the ledger, which re-queues it, and runs recovery on its
+worker: reconnect if the process is alive (a dropped frame), respawn
+it if not, giving up with :class:`WorkerDied` once the ledger's
+respawn budget is spent.  Every ledger call happens under the
 ledger's condition variable.  Only a task's first dispatch fires its
 injected faults: the frame header of every later one says
 ``"replay": true``.
@@ -59,9 +58,7 @@ from ..errors import ExecutorError
 from ..executors import TaskLedger, WorkerDied
 from .heartbeat import DEAD, HeartbeatMonitor
 from .protocol import (
-    ConnectionClosed,
     ProtocolError,
-    RemoteBlob,
     connect,
     recv_frame,
     request,
@@ -73,17 +70,14 @@ __all__ = ["ClusterDriver", "TaskLost", "WorkerDied"]
 
 
 class TaskLost(ConnectionError):
-    """A task attempt's result is unrecoverable (lost blob, dead
-    worker, dropped frame); the task will be re-executed."""
+    """A task attempt's reply carried an undecodable result; the task
+    will be re-executed."""
 
 
 #: Seconds to wait for a worker's TCP connect, and for a spawned
 #: worker's ready announcement.
 CONNECT_TIMEOUT = 10.0
 START_TIMEOUT = 20.0
-
-#: Data-plane attempts per result-blob fetch before the task is lost.
-FETCH_RETRIES = 3
 
 
 def _default_cluster_workers() -> int:
@@ -102,7 +96,7 @@ class _WorkerHandle:
         self.port: Optional[int] = None
         self.pid: Optional[int] = None
         #: This generation's private spill directory (holds the
-        #: worker's blobs and its ``ready.json`` announcement).
+        #: worker's ``ready.json`` announcement).
         self.spill_dir: Optional[str] = None
         #: Serializes respawn/declare-dead decisions for this slot.
         self.lock = threading.Lock()
@@ -144,11 +138,6 @@ class ClusterDriver:
     ----------
     num_workers:
         Fleet size (default: ``min(cpu_count, 4)``).
-    blob_threshold:
-        Task results whose pickled size exceeds this stay in the
-        producing worker's local spill files and come back as
-        :class:`~repro.mapreduce.cluster.protocol.RemoteBlob` handles,
-        fetched over the data plane on demand.
     heartbeat_interval, miss_limit:
         Ping cadence and the silent-interval budget before a worker is
         declared dead (see :class:`~repro.mapreduce.cluster.heartbeat.
@@ -158,12 +147,10 @@ class ClusterDriver:
     def __init__(
         self,
         num_workers: Optional[int] = None,
-        blob_threshold: int = 256 * 1024,
         heartbeat_interval: float = 0.5,
         miss_limit: int = 10,
     ) -> None:
         self.num_workers = num_workers or _default_cluster_workers()
-        self.blob_threshold = blob_threshold
         self.heartbeat_interval = heartbeat_interval
         self.miss_limit = miss_limit
         #: Lifetime recovery totals and accepted-result counts per
@@ -176,8 +163,6 @@ class ClusterDriver:
         self.queue_depth_highwater = 0
         #: The ledger of the latest :meth:`run_tasks` batch.
         self.ledger: Optional[TaskLedger] = None
-        #: Test hook: called with the RemoteBlob before every fetch.
-        self._before_fetch: Optional[Callable[[RemoteBlob], None]] = None
 
         self._start_lock = threading.Lock()
         self._dispatch_lock = threading.Lock()
@@ -223,12 +208,7 @@ class ClusterDriver:
         )
         process = self._ctx.Process(
             target=worker_main,
-            args=(
-                handle.slot,
-                handle.generation,
-                handle.spill_dir,
-                self.blob_threshold,
-            ),
+            args=(handle.slot, handle.generation, handle.spill_dir),
             name=f"repro-cluster-w{handle.slot}",
             daemon=True,
         )
@@ -282,13 +262,11 @@ class ClusterDriver:
                 )
             time.sleep(0.005)
 
-    def shutdown(
-        self, wait: bool = True, cancel_futures: bool = False
-    ) -> None:
+    def shutdown(self, wait: bool = True) -> None:
         """Stop the heartbeat, ask workers to exit, reap stragglers.
 
-        Matches the pool ``shutdown`` surface the shared-pool registry
-        and ``atexit`` hook call; safe to invoke repeatedly.
+        Called by the shared-pool registry and its ``atexit`` hook;
+        safe to invoke repeatedly.
         """
         with self._start_lock:
             handles, self._handles = self._handles, []
@@ -516,7 +494,7 @@ class ClusterDriver:
         attempt: int,
         replay: bool,
     ) -> Tuple[Any, int]:
-        """One task interaction: send, await, fetch (if blob), decode.
+        """One task interaction: send, await the reply frame, decode.
 
         ``replay`` marks a re-dispatch, whose injected faults the
         worker skips (see :func:`~repro.mapreduce.cluster.worker.
@@ -536,10 +514,6 @@ class ClusterDriver:
                     f"cluster backend could not execute a task "
                     f"({name}): {header.get('detail')} (jobs, side "
                     "data, records, and results must be picklable)"
-                )
-            if "blob" in header:
-                payload = self._fetch_blob(
-                    RemoteBlob.from_header(header["blob"])
                 )
             try:
                 outcome = pickle.loads(payload)
@@ -562,54 +536,12 @@ class ClusterDriver:
             handle.control = sock
         return sock
 
-    def _fetch_blob(self, blob: RemoteBlob) -> bytes:
-        """Pull result bytes from the owning worker's data plane.
-
-        Transient connection errors are retried; a worker that no
-        longer holds the blob (it restarted and lost its spill files)
-        raises :class:`TaskLost`, and the task is re-executed — the
-        fetch-side half of the worker-death recovery story.
-        """
-        hook = self._before_fetch
-        if hook is not None:
-            hook(blob)
-        last: Optional[BaseException] = None
-        for attempt in range(FETCH_RETRIES):
-            try:
-                sock = connect(blob.port, timeout=CONNECT_TIMEOUT)
-                try:
-                    header, payload = request(
-                        sock, {"op": "fetch", "blob": blob.blob}
-                    )
-                finally:
-                    sock.close()
-            except (OSError, ProtocolError) as exc:
-                last = exc
-                if attempt + 1 < FETCH_RETRIES:
-                    time.sleep(0.05 * (attempt + 1))
-                continue
-            if header.get("op") == "error":
-                raise TaskLost(
-                    f"worker {blob.worker} no longer holds blob "
-                    f"{blob.blob!r}: {header.get('detail')}"
-                )
-            if len(payload) != blob.size:
-                raise TaskLost(
-                    f"short blob {blob.blob!r}: got {len(payload)} of "
-                    f"{blob.size} bytes"
-                )
-            return payload
-        raise TaskLost(
-            f"could not reach worker {blob.worker} for blob "
-            f"{blob.blob!r} after {FETCH_RETRIES} attempts: {last}"
-        )
-
     def _recover(self, handle: _WorkerHandle, ledger: TaskLedger) -> None:
         """Bring a failed worker slot back.
 
         A live process whose connection dropped (injected frame drop,
         severed socket) is simply reconnected.  A dead process is
-        respawned with a fresh generation — new port, new empty spill
+        respawned with a fresh generation — new port, new spill
         directory — charged to the ledger's respawn budget; past the
         budget the batch fails with :class:`WorkerDied`.
         """

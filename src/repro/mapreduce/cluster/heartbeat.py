@@ -3,24 +3,21 @@
 The :class:`~repro.mapreduce.cluster.driver.ClusterDriver` pings every
 worker on a fixed cadence; this module owns the *decision* of when a
 quiet worker stops being merely slow and becomes presumed-dead.  It is
-deliberately time-injected (every method takes ``now``) so the timeout
-ladder is unit-testable without sleeping:
+deliberately time-injected (every method takes ``now``) so the lease
+is unit-testable without sleeping.  Each pong renews a worker's lease
+of ``interval * miss_limit`` seconds:
 
-* ``alive`` — a pong arrived within ``interval`` seconds;
-* ``suspect`` — between ``interval`` and ``interval * miss_limit``
-  seconds of silence: the worker keeps its tasks, but the driver
-  prefers other workers for new dispatches;
+* ``alive`` — the lease has not run out;
 * ``dead`` — silence past ``interval * miss_limit``: the driver
   closes the worker's connections (unblocking any thread waiting on a
   task reply), re-executes its in-flight tasks elsewhere, and respawns
   the process.
 
-A worker that comes back from ``suspect`` (a late pong) is simply
-``alive`` again; ``dead`` is sticky until :meth:`reset` — a restarted
-worker starts a fresh lease.  On localhost a SIGKILLed worker usually
-announces itself immediately (the kernel resets its sockets), so the
-heartbeat path is the backstop for the quieter failure shapes: a
-wedged daemon, a dropped ping frame, a worker alive but unreachable.
+``dead`` is sticky until :meth:`reset` — a restarted worker starts a
+fresh lease.  On localhost a SIGKILLed worker usually announces itself
+immediately (the kernel resets its sockets), so the heartbeat path is
+the backstop for the quieter failure shapes: a wedged daemon, a
+dropped ping frame, a worker alive but unreachable.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from ..errors import JobValidationError
 __all__ = ["HeartbeatMonitor"]
 
 ALIVE = "alive"
-SUSPECT = "suspect"
 DEAD = "dead"
 
 
@@ -42,8 +38,7 @@ class HeartbeatMonitor:
     Parameters
     ----------
     interval:
-        The ping cadence in seconds; silence up to one interval is
-        normal scheduling jitter.
+        The ping cadence in seconds.
     miss_limit:
         How many consecutive silent intervals a worker is granted
         before it is declared dead (``>= 2`` so one dropped pong can
@@ -84,7 +79,7 @@ class HeartbeatMonitor:
         return now - self._last_pong[worker]
 
     def state(self, worker: int, now: float) -> str:
-        """Classify the worker: ``alive`` / ``suspect`` / ``dead``.
+        """Classify the worker: ``alive`` / ``dead``.
 
         The first call to cross the dead threshold latches: the state
         stays ``dead`` even if a zombie pong arrives later, so the
@@ -92,18 +87,10 @@ class HeartbeatMonitor:
         """
         if self._dead.get(worker):
             return DEAD
-        silence = self.silence(worker, now)
-        if silence <= self.interval:
+        if self.silence(worker, now) <= self.interval * self.miss_limit:
             return ALIVE
-        if silence <= self.interval * self.miss_limit:
-            return SUSPECT
         self._dead[worker] = True
         return DEAD
-
-    def deadline(self, worker: int) -> float:
-        """The absolute time at which the worker will be declared dead
-        absent a pong (for scheduling the next check)."""
-        return self._last_pong[worker] + self.interval * self.miss_limit
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

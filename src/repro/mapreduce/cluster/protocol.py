@@ -1,7 +1,6 @@
 """The wire protocol of the cluster backend: length-prefixed frames.
 
-Every message between the driver and a worker (and between peers on
-the fetch path) is one *frame*::
+Every message between the driver and a worker is one *frame*::
 
     MAGIC(4) VERSION(1) HEADER_LEN(4, big-endian) PAYLOAD_LEN(8) \
         HEADER(json, utf-8) PAYLOAD(raw bytes)
@@ -10,7 +9,9 @@ The header is a small JSON object (``{"op": "task", ...}``) so frames
 are inspectable on the wire; the payload carries the pickled task unit
 or result, which never needs to be parsed to route the frame.  Both
 halves are length-prefixed, so a reader always knows exactly how many
-bytes to consume — there is no in-band framing to corrupt.
+bytes to consume — there is no in-band framing to corrupt.  The
+payload length is a u64, so a task result of any size travels inline
+on its reply frame.
 
 Failure surface
 ---------------
@@ -22,16 +23,6 @@ Failure surface
   death, injected frame drop).  A :class:`ConnectionError` subclass,
   so generic ``except OSError`` recovery treats it like any other
   transport failure: the driver re-executes the task elsewhere.
-
-Blob handles
-------------
-
-A worker that produces a task result larger than its blob threshold
-keeps the pickled bytes in a worker-local spill file and replies with
-a :class:`RemoteBlob` handle instead; the consumer fetches the bytes
-directly from the owning worker with a ``fetch`` frame.  The handle is
-plain data (owner address + blob id), picklable and JSON-friendly, so
-it can travel inside result headers.
 """
 
 from __future__ import annotations
@@ -39,7 +30,6 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import MapReduceError
@@ -49,7 +39,6 @@ __all__ = [
     "MAGIC",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RemoteBlob",
     "connect",
     "recv_frame",
     "request",
@@ -72,38 +61,6 @@ class ProtocolError(MapReduceError):
 
 class ConnectionClosed(ConnectionError):
     """The peer closed the connection mid-frame (death or frame drop)."""
-
-
-@dataclass(frozen=True)
-class RemoteBlob:
-    """A handle to task-result bytes held in a worker's local spill.
-
-    ``worker`` is the owning worker's id (diagnostics), ``port`` its
-    listening port on 127.0.0.1, ``blob`` the opaque id to fetch, and
-    ``size`` the pickled payload length in bytes.
-    """
-
-    worker: int
-    port: int
-    blob: str
-    size: int
-
-    def to_header(self) -> Dict[str, Any]:
-        return {
-            "worker": self.worker,
-            "port": self.port,
-            "blob": self.blob,
-            "size": self.size,
-        }
-
-    @classmethod
-    def from_header(cls, header: Dict[str, Any]) -> "RemoteBlob":
-        return cls(
-            worker=int(header["worker"]),
-            port=int(header["port"]),
-            blob=str(header["blob"]),
-            size=int(header["size"]),
-        )
 
 
 def send_frame(

@@ -1,4 +1,4 @@
-"""The worker daemon: one process serving tasks, pings, and fetches.
+"""The worker daemon: one process serving tasks and pings.
 
 A worker is a plain OS process (spawned by the
 :class:`~repro.mapreduce.cluster.driver.ClusterDriver`) that binds an
@@ -8,23 +8,12 @@ and then serves protocol frames forever:
 
 * ``task`` — unpickle ``(fn, args)``, execute guarded (job errors come
   back as values, see :func:`_run_guarded`), and reply with the
-  pickled outcome.  Outcomes larger than the blob threshold stay
-  *worker-local*: the pickled bytes are written to this worker's
-  spill directory and the reply carries only a
-  :class:`~repro.mapreduce.cluster.protocol.RemoteBlob` handle — the
-  consumer fetches the bytes directly from this worker's data plane.
-  This is the cluster's shuffle-locality story: big map outputs live
-  with the worker that produced them until a reduce-side consumer
-  pulls them, and die with it (their loss is recovered by task
-  re-execution, as on a real cluster).
+  pickled outcome inline on the reply frame, whatever its size.
 * ``ping`` — heartbeat probe; answered from a dedicated handler
   thread, so a worker stays responsive while a long task runs and a
   ping timeout therefore means *process trouble*, not mere load.
-* ``fetch`` — stream a locally held blob to any peer (driver or
-  another worker); unknown ids get an ``error/blob-missing`` reply,
-  the signal that triggers re-execution after a restart.
 * ``mute`` — test hook: suppress pong replies for N seconds so the
-  heartbeat ladder can be exercised deterministically.
+  heartbeat lease can be exercised deterministically.
 * ``shutdown`` — acknowledge and exit.
 
 Each accepted connection is served by its own daemon thread; task
@@ -62,19 +51,14 @@ import pickle
 import socket
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..errors import ExecutorError
 from ..executors import Task, TaskFunction
-from .protocol import (
-    RemoteBlob,
-    recv_frame,
-    send_frame,
-)
+from .protocol import recv_frame, send_frame
 
 __all__ = [
     "READY_FILE",
-    "WORKER_ENV_FLAG",
     "consume_drop_reply",
     "in_worker",
     "replaying",
@@ -82,13 +66,8 @@ __all__ = [
     "worker_main",
 ]
 
-#: Set in the worker process environment — lets task code (and the
-#: fault plane) detect it is running inside a cluster worker daemon.
-WORKER_ENV_FLAG = "REPRO_CLUSTER_WORKER"
-
 _STATE: Dict[str, Any] = {
     "active": False,
-    "slot": None,
     "drop_reply": False,
     "replay": False,
     "muted_until": 0.0,
@@ -137,51 +116,9 @@ def _run_guarded(fn: TaskFunction, task: Task) -> Tuple[bool, Any]:
         return False, exc
 
 
-class _BlobStore:
-    """Worker-local spill files for oversized task outcomes."""
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-        self._lock = threading.Lock()
-        self._sequence = 0
-        self._sizes: Dict[str, int] = {}
-
-    def put(self, payload: bytes) -> str:
-        with self._lock:
-            self._sequence += 1
-            blob_id = f"blob-{self._sequence:06d}"
-            self._sizes[blob_id] = len(payload)
-        path = os.path.join(self.root, blob_id)
-        # Atomic publish (the PR 2 crash-safety idiom): a fetch can
-        # never observe a half-written blob.
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-        return blob_id
-
-    def get(self, blob_id: str) -> Optional[bytes]:
-        if blob_id not in self._sizes:
-            return None
-        with open(os.path.join(self.root, blob_id), "rb") as handle:
-            return handle.read()
-
-    def __len__(self) -> int:
-        return len(self._sizes)
-
-
 class _WorkerServer:
-    def __init__(
-        self,
-        slot: int,
-        spill_dir: str,
-        blob_threshold: int,
-    ) -> None:
+    def __init__(self, slot: int) -> None:
         self.slot = slot
-        self.blob_threshold = blob_threshold
-        self.blobs = _BlobStore(spill_dir)
-        self.tasks_executed = 0
         self._task_lock = threading.Lock()
         self.listener = socket.socket(
             socket.AF_INET, socket.SOCK_STREAM
@@ -216,7 +153,6 @@ class _WorkerServer:
         with self._task_lock:
             _STATE["replay"] = bool(header.get("replay"))
             outcome = _run_guarded(fn, args)
-            self.tasks_executed += 1
         try:
             encoded = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # unpicklable task result
@@ -229,35 +165,10 @@ class _WorkerServer:
                 },
                 b"",
             )
-        reply = {
-            "op": "result",
-            "id": header.get("id"),
-            "worker": self.slot,
-        }
-        if len(encoded) > self.blob_threshold:
-            blob_id = self.blobs.put(encoded)
-            reply["blob"] = RemoteBlob(
-                worker=self.slot,
-                port=self.port,
-                blob=blob_id,
-                size=len(encoded),
-            ).to_header()
-            return reply, b""
-        return reply, encoded
-
-    def handle_fetch(self, header: Dict) -> tuple:
-        payload = self.blobs.get(str(header.get("blob")))
-        if payload is None:
-            return (
-                {
-                    "op": "error",
-                    "kind": "blob-missing",
-                    "detail": f"no blob {header.get('blob')!r} on "
-                    f"worker {self.slot} (restarted?)",
-                },
-                b"",
-            )
-        return {"op": "blob", "size": len(payload)}, payload
+        return (
+            {"op": "result", "id": header.get("id"), "worker": self.slot},
+            encoded,
+        )
 
     # -- connection plumbing -----------------------------------------------
 
@@ -280,25 +191,11 @@ class _WorkerServer:
                     send_frame(
                         conn, {"op": "pong", "worker": self.slot}
                     )
-                elif op == "fetch":
-                    reply, body = self.handle_fetch(header)
-                    send_frame(conn, reply, body)
                 elif op == "mute":
                     _STATE["muted_until"] = time.monotonic() + float(
                         header.get("seconds", 0.0)
                     )
                     send_frame(conn, {"op": "ok"})
-                elif op == "info":
-                    send_frame(
-                        conn,
-                        {
-                            "op": "info",
-                            "worker": self.slot,
-                            "pid": os.getpid(),
-                            "tasks_executed": self.tasks_executed,
-                            "blobs": len(self.blobs),
-                        },
-                    )
                 elif op == "shutdown":
                     try:
                         send_frame(conn, {"op": "ok"})
@@ -348,12 +245,7 @@ class _WorkerServer:
 READY_FILE = "ready.json"
 
 
-def worker_main(
-    slot: int,
-    generation: int,
-    spill_dir: str,
-    blob_threshold: int,
-) -> None:
+def worker_main(slot: int, generation: int, spill_dir: str) -> None:
     """Process entry point: bind, announce readiness, serve forever.
 
     Readiness is announced by atomically publishing ``ready.json``
@@ -366,9 +258,8 @@ def worker_main(
     by any other process's death.
     """
     _STATE["active"] = True
-    _STATE["slot"] = slot
-    os.environ[WORKER_ENV_FLAG] = str(slot)
-    server = _WorkerServer(slot, spill_dir, blob_threshold)
+    os.makedirs(spill_dir, exist_ok=True)
+    server = _WorkerServer(slot)
     announcement = json.dumps(
         {
             "slot": slot,

@@ -306,7 +306,7 @@ def _shared_pool(max_workers: int) -> Any:
                 num_workers=max_workers
             )
     for old in stale:  # shutdown outside the lock; it can block
-        old.shutdown(wait=False, cancel_futures=True)
+        old.shutdown(wait=False)
     return pool
 
 
@@ -314,7 +314,7 @@ def _evict_pool(max_workers: int) -> None:
     with _POOL_LOCK:
         pool = _SHARED_POOLS.pop(max_workers, None)
     if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=False)
 
 
 def shutdown_shared_pools() -> None:
@@ -323,7 +323,7 @@ def shutdown_shared_pools() -> None:
         pools = list(_SHARED_POOLS.values())
         _SHARED_POOLS.clear()
     for pool in pools:
-        pool.shutdown(wait=True, cancel_futures=True)
+        pool.shutdown(wait=True)
 
 
 atexit.register(shutdown_shared_pools)

@@ -5,12 +5,12 @@ Four layers of the distributed plane, bottom-up:
 * **frame codec** — length-prefixed frames round-trip any header +
   payload, and every malformed-stream shape (bad magic, truncation,
   oversized header) fails with the right exception class;
-* **heartbeat state machine** — the alive → suspect → dead ladder is a
-  pure function of injected clock readings, so worker-death detection
-  is tested without a single real socket or sleep;
+* **heartbeat lease** — alive until ``interval * miss_limit`` seconds
+  of silence, then dead, as a pure function of injected clock
+  readings, so worker-death detection is tested without a single real
+  socket or sleep;
 * **driver recovery** — a real localhost fleet survives mid-task
-  ``SIGKILL``, lost result blobs, dropped connections, and silent
-  (muted) workers, re-executing work until the batch completes with
+  ``SIGKILL``, dropped connections, and silent (muted) workers, re-executing work until the batch completes with
   results identical to what a healthy fleet returns;
 * **executor equivalence** — ``--backend cluster`` plugged into the
   full :class:`MapReduceRuntime` produces output records, ``job_log``,
@@ -22,7 +22,6 @@ the ``cluster`` marker (deselect with ``-m "not cluster"``).
 
 import multiprocessing
 import os
-import signal
 import socket
 import time
 
@@ -43,12 +42,10 @@ from repro.mapreduce.cluster import (
     ConnectionClosed,
     HeartbeatMonitor,
     ProtocolError,
-    RemoteBlob,
-    TaskLost,
     recv_frame,
     send_frame,
 )
-from repro.mapreduce.cluster.heartbeat import ALIVE, DEAD, SUSPECT
+from repro.mapreduce.cluster.heartbeat import ALIVE, DEAD
 from repro.mapreduce.cluster.protocol import connect, request
 from repro.mapreduce.executors import _SHARED_POOLS, _evict_pool
 from repro.mapreduce.state import strip_volatile_counters
@@ -72,9 +69,9 @@ def _fail_on(x, bad):
     return x
 
 
-def _blob_payload(n):
-    """A result whose pickle comfortably exceeds a small threshold."""
-    return bytes((n + i) % 251 for i in range(4096))
+def _mebibyte(n):
+    """A 1 MiB result whose bytes depend on ``n``."""
+    return bytes([n % 251]) * (1 << 20)
 
 
 def _exit_once(sentinel, value):
@@ -211,30 +208,27 @@ def test_recv_rejects_oversized_header_declaration():
         right.close()
 
 
-def test_remote_blob_header_round_trip():
-    blob = RemoteBlob(worker=3, port=45001, blob="blob-000007", size=9000)
-    assert RemoteBlob.from_header(blob.to_header()) == blob
-
-
 # -- heartbeat state machine (pure, time-injected) --------------------------
 
 
 def test_heartbeat_ladder_alive_suspect_dead():
+    """A silent worker stays alive for the whole lease of
+    ``interval * miss_limit`` seconds and is dead just past it."""
     monitor = HeartbeatMonitor(interval=1.0, miss_limit=3)
     monitor.reset(0, now=0.0)
     assert monitor.state(0, now=0.5) == ALIVE
-    assert monitor.state(0, now=1.0) == ALIVE  # exactly one interval
-    assert monitor.state(0, now=1.5) == SUSPECT
-    assert monitor.state(0, now=3.0) == SUSPECT  # the full budget
+    assert monitor.state(0, now=1.5) == ALIVE  # missed one ping
+    assert monitor.state(0, now=3.0) == ALIVE  # the full budget
     assert monitor.state(0, now=3.1) == DEAD
 
 
 def test_heartbeat_beat_revives_a_suspect():
+    """A pong inside the lease renews it from the pong's time."""
     monitor = HeartbeatMonitor(interval=1.0, miss_limit=3)
     monitor.reset(0, now=0.0)
-    assert monitor.state(0, now=2.5) == SUSPECT
+    assert monitor.state(0, now=2.5) == ALIVE
     monitor.beat(0, now=2.5)
-    assert monitor.state(0, now=3.4) == ALIVE
+    assert monitor.state(0, now=5.5) == ALIVE  # past the first lease
     assert monitor.state(0, now=5.6) == DEAD
 
 
@@ -268,7 +262,7 @@ def test_heartbeat_validates_parameters():
         HeartbeatMonitor(interval=1.0, miss_limit=1)
 
 
-# -- driver: dispatch, errors, blobs ----------------------------------------
+# -- driver: dispatch and errors --------------------------------------------
 
 
 @pytest.fixture
@@ -319,24 +313,17 @@ def test_driver_rejects_unpicklable_tasks(driver):
         driver.run_tasks(local, [(1,)])
 
 
-def test_oversized_results_travel_as_blobs():
-    driver = ClusterDriver(num_workers=2, blob_threshold=64)
+def test_large_results_return_inline_and_leave_no_files():
+    """Large results come back on their reply frames: nothing but the
+    readiness announcement is ever written to the worker's directory."""
+    driver = ClusterDriver(num_workers=1)
     try:
-        results = driver.run_tasks(
-            _blob_payload, [(n,) for n in range(6)]
-        )
-        assert results == [_blob_payload(n) for n in range(6)]
-    finally:
-        driver.shutdown()
-
-
-def test_small_results_stay_inline():
-    fetched = []
-    driver = ClusterDriver(num_workers=1, blob_threshold=1 << 20)
-    driver._before_fetch = fetched.append
-    try:
-        assert driver.run_tasks(_square, [(9,)]) == [81]
-        assert fetched == []  # no data-plane round trip happened
+        for batch in range(3):
+            tasks = [(4 * batch + n,) for n in range(4)]
+            results = driver.run_tasks(_mebibyte, tasks)
+            assert results == [_mebibyte(*task) for task in tasks]
+        spill_dir = driver._handles[0].spill_dir
+        assert sorted(os.listdir(spill_dir)) == ["ready.json"]
     finally:
         driver.shutdown()
 
@@ -358,65 +345,13 @@ def test_mid_task_sigkill_is_reexecuted(driver, tmp_path):
     assert driver.run_tasks(_square, [(5,)]) == [25]
 
 
-def test_fetch_retry_on_restarted_worker(tmp_path):
-    """Killing a blob's owner *between execution and fetch* loses the
-    result bytes; the driver re-executes the task instead of failing."""
-    driver = ClusterDriver(num_workers=2, blob_threshold=64)
-    killed = []
-
-    def assassinate(blob):
-        if not killed:
-            killed.append(blob)
-            os.kill(driver._handles[blob.worker].pid, signal.SIGKILL)
-            time.sleep(0.05)
-
-    driver._before_fetch = assassinate
-    try:
-        results = driver.run_tasks(
-            _blob_payload, [(n,) for n in range(4)]
-        )
-        assert results == [_blob_payload(n) for n in range(4)]
-        assert len(killed) == 1
-        assert driver.ledger.respawns >= 1
-        assert driver.ledger.resubmits >= 1
-    finally:
-        driver.shutdown()
-
-
-def test_restarted_worker_reports_blob_missing():
-    """The protocol-level half of fetch recovery: a worker that lost
-    its spill files answers ``error/blob-missing``, which the driver
-    maps to :class:`TaskLost` (and thence to re-execution)."""
-    driver = ClusterDriver(num_workers=1, blob_threshold=64)
-    try:
-        driver.run_tasks(_blob_payload, [(1,)])
-        port = driver._handles[0].port
-        sock = connect(port, timeout=5.0)
-        try:
-            header, _ = request(
-                sock, {"op": "fetch", "blob": "blob-999999"}
-            )
-        finally:
-            sock.close()
-        assert header["op"] == "error"
-        assert header["kind"] == "blob-missing"
-        with pytest.raises(TaskLost, match="no longer holds"):
-            driver._fetch_blob(
-                RemoteBlob(
-                    worker=0, port=port, blob="blob-999999", size=10
-                )
-            )
-    finally:
-        driver.shutdown()
-
-
 def test_muted_worker_is_declared_dead_and_replaced():
     """Dropped heartbeats alone — no task in flight — kill a worker.
 
     The ``mute`` op makes the worker swallow ping probes while staying
     otherwise healthy, exactly the silent-partition shape.  The
-    monitor walks alive → suspect → dead, the driver kills the
-    process, and the next dispatch recovers onto a fresh generation.
+    worker's lease runs out, the driver kills the process, and the
+    next dispatch recovers onto a fresh generation.
     """
     driver = ClusterDriver(
         num_workers=1, heartbeat_interval=0.1, miss_limit=3
@@ -436,7 +371,7 @@ def test_muted_worker_is_declared_dead_and_replaced():
             time.sleep(0.05)
         assert not process.is_alive(), "heartbeat never declared death"
         # The next batch respawns the slot and completes normally.  On
-        # a loaded box the aggressive ladder can declare the *fresh*
+        # a loaded box the aggressive lease can declare the *fresh*
         # generation dead once too before its first pong lands, so the
         # respawn count is at-least-one, not exactly-one.
         assert driver.run_tasks(_square, [(6,)]) == [36]

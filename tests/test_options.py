@@ -20,6 +20,7 @@ from repro.mapreduce import (
     ResidentStateStore,
     resolve_filesystem,
 )
+from repro.mapreduce.cluster import ClusterDriver
 from repro.matching import greedy_mr_b_matching
 from repro.telemetry import MetricsExporter, render_prometheus
 
@@ -71,6 +72,7 @@ PINNED = [
     (MetricsExporter, ("registry", "extra_metrics", "host", "port")),
     (render_prometheus, ("snapshot", "extra")),
     (greedy_mr_b_matching, ("graph", "runtime")),
+    (ClusterDriver, ("num_workers", "heartbeat_interval", "miss_limit")),
 ]
 
 
