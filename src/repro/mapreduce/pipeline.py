@@ -166,7 +166,7 @@ class Pipeline:
         record and byte counts — the numbers that guide
         ``spill_threshold`` tuning::
 
-            simjoin-candidates: [/simjoin/documents] -> /simjoin/candidates  [1204 records, 31 kB]
+            simjoin-candidates: [/simjoin/documents] -> /simjoin/candidates  [464 records, 93.2 kB]
         """
         lines = []
         for stage in self.stages:

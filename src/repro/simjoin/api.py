@@ -39,7 +39,9 @@ def candidate_edges(
     * ``"scipy"`` — blocked sparse matrix multiplication;
     * ``"auto"`` — ``exact`` for small inputs, ``scipy`` for large.
 
-    All engines return identical output (tested).
+    All engines return the same pairs (tested).  Each sums a pair's
+    per-term products in its own order, so weights agree up to the last
+    ulp, and bit for bit when the weights are exactly representable.
     """
     if method not in JOIN_METHODS:
         raise ValueError(

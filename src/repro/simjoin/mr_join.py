@@ -4,15 +4,15 @@ Pipeline (each step one MapReduce job):
 
 1. **term-bounds** — scan the consumer collection and compute, per term,
    the maximum weight (the pruning bound of the pruned inverted index);
-2. **candidates** — build the inverted index and emit *partial scores*:
-   items whose prefix (see :mod:`repro.simjoin.prefix_filter`) is
-   non-empty post all their terms with weights, consumers post all
-   their terms with weights; each reduce emits, for every cross-side
-   pair sharing that term, the weight product ``w_t(j) · w_c(j)``
-   (tagged with whether ``j`` is a prefix term of the item);
-3. **verify** — a pure sum-and-threshold: group the products by pair,
-   sum them (a combiner pre-aggregates map-side), and keep pairs that
-   co-occurred on at least one prefix term and reach ``σ``.
+2. **candidates** — build the inverted index: items whose prefix (see
+   :mod:`repro.simjoin.prefix_filter`) is non-empty post all their
+   terms with weights, consumers post all their terms with weights;
+   each reduce hands on its term's two sorted posting lists (item
+   postings tagged with whether the term is in the item's prefix);
+3. **verify** — each map crosses one term's posting lists into
+   per-pair weight products ``w_t(j) · w_c(j)``; the shuffle groups
+   them by pair, a combiner pre-sums map-side, and the reduce keeps
+   pairs that co-occurred on at least one prefix term and reach ``σ``.
 
 The verify stage is a *partial-score kernel* in the style of Vernica
 et al. / DISCO (see PAPERS.md): the exact dot product of a pair is
@@ -21,9 +21,9 @@ Earlier revisions instead shipped both full document stores to every
 verify task as side data — the DistributedCache anti-pattern, whose
 cost (replicating the corpus to every reduce task) dwarfs the shuffle
 it saved.  The trade: candidate map output grows from prefix-only to
-all item terms, while verify needs no side data beyond the scalar
-``σ`` and its shuffle carries ``(pair, product)`` records that the
-combiner collapses per map task.
+all item terms, while verify needs no side data beyond ``σ``.  Jobs 2
+and 3 hand over one posting-list record per term, so the O(pairs)
+products exist only in verify's map output, pre-summed per map task.
 
 Pruning still earns its keep in two places: an item whose prefix is
 *empty* cannot reach ``σ`` against any consumer and posts nothing at
@@ -39,14 +39,15 @@ the job counts.
 
 The join is *exact up to float summation order*: it evaluates the same
 mathematical dot product as :func:`repro.simjoin.allpairs.
-exact_similarity_join`, but sums the per-term products in shuffle
-order rather than dict-iteration order, so scores can differ in the
-last ulp — and a pair whose true score sits within an ulp of ``σ``
-could in principle land on the other side of the threshold.  The
-property tests draw weights from an exactly-representable grid, where
-both summations are exact and the outputs are bit-identical.  Only
-cross-side (item, consumer) pairs are produced — the modification of
-the self-join algorithm described in §5.1.
+exact_similarity_join`, but sums the per-term products in verify's map
+and shuffle order rather than dict-iteration order, so scores can
+differ in the last ulp — and a pair whose true score sits within an
+ulp of ``σ`` could in principle land on the other side of the
+threshold.  The property tests draw weights from an
+exactly-representable grid, where both summations are exact and the
+outputs are bit-identical.  Only cross-side (item, consumer) pairs are
+produced — the modification of the self-join algorithm described in
+§5.1.
 """
 
 from __future__ import annotations
@@ -96,16 +97,15 @@ class TermBoundsJob(MapReduceJob):
 
 
 class CandidateJob(MapReduceJob):
-    """Job 2: inverted index + per-term partial-score products.
+    """Job 2: inverted index, one posting-list record per term.
 
     Side data: ``max_weights`` (output of job 1) and ``sigma``.
 
-    Item postings are ``(tag, doc_id, weight, is_prefix)``; consumer
-    postings are ``(tag, doc_id, weight)``.  Each term's reduce crosses
-    the two sides and emits one ``(pair, (product, prefix_hit))``
-    record per co-occurrence — the raw material VerifyJob sums into
-    exact dot products.  Items that cannot reach ``sigma`` against any
-    consumer (empty prefix) post nothing.
+    Each term's reduce emits ``(term, (items, consumers))``: the sorted
+    ``(doc_id, weight, is_prefix)`` item and ``(doc_id, weight)``
+    consumer postings, and nothing when a side is empty.  Items that
+    cannot reach ``sigma`` against any consumer (empty prefix) post
+    nothing.
     """
 
     name = "simjoin-candidates"
@@ -125,39 +125,35 @@ class CandidateJob(MapReduceJob):
                 yield term, (CONSUMER_TAG, doc_id, weight)
 
     def reduce(self, term, postings: List) -> Iterable[KeyValue]:
-        items = sorted(
-            (p[1], p[2], p[3]) for p in postings if p[0] == ITEM_TAG
-        )
-        consumers = sorted(
-            (p[1], p[2]) for p in postings if p[0] == CONSUMER_TAG
-        )
-        for item, item_weight, is_prefix in items:
-            hit = 1 if is_prefix else 0
-            for consumer, consumer_weight in consumers:
-                yield (item, consumer), (
-                    item_weight * consumer_weight,
-                    hit,
-                )
+        items = sorted(p[1:] for p in postings if p[0] == ITEM_TAG)
+        consumers = sorted(p[1:] for p in postings if p[0] == CONSUMER_TAG)
+        if items and consumers:
+            yield term, (items, consumers)
 
 
 class VerifyJob(MapReduceJob):
-    """Job 3: sum the partial scores per pair and apply the threshold.
+    """Job 3: cross each term's postings, sum per pair, threshold.
 
-    Side data: ``sigma`` — a scalar, not the document stores.  Grouping
-    by the pair key gathers every per-term product of that pair; the
-    sum is the exact dot product.  The combiner pre-sums map-side
-    (addition is associative and commutative), shrinking the shuffle to
-    at most one record per pair per map task.  Pairs with no prefix
-    co-occurrence are discarded — by the prefix-filter bound they are
-    provably below ``sigma``, so this reproduces the pruned index's
-    candidate set exactly.
+    Side data: ``sigma`` — a scalar, not the document stores.  The map
+    crosses a term's posting lists into ``(pair, (product, prefix_hit))``
+    records; grouping by pair gathers every per-term product of that
+    pair, and the sum is the exact dot product.  The combiner pre-sums
+    map-side (addition is associative and commutative), shrinking the
+    shuffle to at most one record per pair per map task.  Pairs with no
+    prefix co-occurrence are discarded — by the prefix-filter bound
+    they are provably below ``sigma``, so this reproduces the pruned
+    index's candidate set exactly.
     """
 
     name = "simjoin-verify"
     has_combiner = True
 
-    def map(self, pair, partial) -> Iterable[KeyValue]:
-        yield pair, partial
+    def map(self, term, postings) -> Iterable[KeyValue]:
+        items, consumers = postings
+        for item, item_weight, is_prefix in items:
+            hit = 1 if is_prefix else 0
+            for consumer, consumer_weight in consumers:
+                yield (item, consumer), (item_weight * consumer_weight, hit)
 
     def combine(self, pair, partials: List) -> Iterable[KeyValue]:
         score = 0.0
@@ -193,8 +189,8 @@ def mapreduce_similarity_join(
     ``spill_threshold`` additionally bounds the shuffle buffers.  The
     returned rows are bit-identical across storage backends, spill
     thresholds, and execution backends (scores may differ in the last
-    ulp across *map task counts*, which change how the verify combiner
-    groups the partial sums).
+    ulp across *map task counts*, which change which terms' products
+    the verify combiner sums together).
 
     On the default in-memory filesystem (no explicit ``filesystem``)
     the ``/simjoin/*`` datasets are deleted before returning, so this
@@ -239,7 +235,7 @@ def similarity_join_pipeline(
     and writes named datasets on the (simulated or on-disk) distributed
     filesystem — by default the runtime's own (``storage=`` at runtime
     construction) — so intermediate results — the term bounds under
-    ``/simjoin/term_bounds``, the per-pair partial scores under
+    ``/simjoin/term_bounds``, the per-term posting lists under
     ``/simjoin/candidates`` — are inspectable after the run.  Running
     the returned pipeline produces the verified edges at
     ``/simjoin/edges`` (and as ``Pipeline.run()``'s return value);

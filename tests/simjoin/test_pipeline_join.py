@@ -12,6 +12,9 @@ from repro.simjoin import (
     exact_similarity_join,
     similarity_join_pipeline,
 )
+from repro.simjoin.prefix_filter import prefix_terms
+
+from ..conftest import SPILL_THRESHOLD, STORAGE
 
 ITEMS = {"t1": {"a": 2.0, "b": 1.0}, "t2": {"c": 4.0}}
 CONSUMERS = {"c1": {"a": 1.0, "c": 1.0}, "c2": {"b": 2.0}}
@@ -116,3 +119,75 @@ def test_hand_off_call_sequence_and_accounting(kind, tmp_path):
     }
     for path, count in pipeline.records_out.items():
         assert count == inner.du(path).records == len(inner.read(path))
+
+
+# -- the candidate -> verify hand-off ----------------------------------------
+
+# "x" has items only, "y" consumers only, and "weak" cannot reach sigma
+# against any consumer (0.5 * maxw(z) = 0.5 < 2.5), so its prefix is
+# empty and "z" is left with consumers only.  That leaves two terms with
+# both sides posted, "a" and "b": with four map tasks, two verify
+# splits are empty.
+SHAPE_ITEMS = {
+    "t1": {"a": 2.0, "x": 1.0},
+    "t2": {"a": 1.0, "b": 3.0},
+    "weak": {"z": 0.5},
+}
+SHAPE_CONSUMERS = {
+    "c1": {"a": 1.0, "b": 1.0, "z": 1.0},
+    "c2": {"a": 2.0, "y": 5.0},
+}
+SHAPE_SIGMA = 2.5
+
+
+@pytest.mark.parametrize("num_map_tasks", [1, 4])
+def test_candidates_hand_verify_one_posting_list_record_per_term(
+    backend, num_map_tasks, tmp_path
+):
+    """The candidate job writes one ``(term, (items, consumers))``
+    record per term with both sides posted — not one per pair — and
+    verify's map reads exactly those records."""
+    if STORAGE == "memory":
+        fs = InMemoryFileSystem()
+    else:
+        fs = LocalDiskFileSystem(root=str(tmp_path / "dfs"))
+    runtime = MapReduceRuntime(
+        num_map_tasks=num_map_tasks,
+        num_reduce_tasks=4,
+        backend=backend,
+        spill_threshold=SPILL_THRESHOLD,
+        spill_dir=str(tmp_path / "spills"),
+    )
+    pipeline = similarity_join_pipeline(
+        SHAPE_ITEMS,
+        SHAPE_CONSUMERS,
+        SHAPE_SIGMA,
+        runtime=runtime,
+        filesystem=fs,
+    )
+    output = pipeline.run()
+    bounds = dict(fs.read("/simjoin/term_bounds"))
+    assert prefix_terms(SHAPE_ITEMS["weak"], bounds, SHAPE_SIGMA) == []
+
+    counters = runtime.counters
+    assert (
+        counters.get("simjoin-candidates", "reduce.output.records")
+        == counters.get("simjoin-verify", "map.input.records")
+        == 2
+    )
+
+    candidates = fs.read("/simjoin/candidates")
+    assert sorted(term for term, _ in candidates) == ["a", "b"]
+    for _, (items, consumers) in candidates:
+        assert list(items) == sorted(items)
+        assert list(consumers) == sorted(consumers)
+    assert dict(
+        (term, ([p[0] for p in items], [p[0] for p in consumers]))
+        for term, (items, consumers) in candidates
+    ) == {"a": (["t1", "t2"], ["c1", "c2"]), "b": (["t2"], ["c1"])}
+
+    rows = sorted((t, c, w) for (t, c), w in output)
+    assert rows == exact_similarity_join(
+        SHAPE_ITEMS, SHAPE_CONSUMERS, SHAPE_SIGMA
+    )
+    assert rows == [("t1", "c2", 4.0), ("t2", "c1", 4.0)]
