@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .edges import Edge, EdgeKey, edge_key
+from .edges import Edge
 
 __all__ = ["Graph", "BipartiteGraph", "ITEM_SIDE", "CONSUMER_SIDE"]
 
@@ -118,11 +118,6 @@ class Graph:
             for v, weight in neighbors.items():
                 if u < v:
                     yield Edge(u, v, weight)
-
-    def edge_keys(self) -> Iterator[EdgeKey]:
-        """Iterate over all normalized edge keys."""
-        for edge in self.edges():
-            yield edge.key
 
     @property
     def num_nodes(self) -> int:

@@ -10,16 +10,15 @@ races straggling tasks with speculative backup attempts.  Every task
 result comes back inline on the reply frame of the control connection
 the task was dispatched on.
 
-The driver is *also* the shared pool behind ``backend="cluster"``.
+The driver is *also* the shared fleet behind ``backend="cluster"``
+(see :mod:`~repro.mapreduce.cluster.executor`).
 
 Dispatch model
 --------------
 
 One dispatch at a time (the runtime is phase-synchronous anyway).  The
-batch's attempt bookkeeping is a
-:class:`~repro.mapreduce.executors.TaskLedger`: one driver-side
-serving thread per worker
-pulls the next attempt from the ledger, executes it over that worker's
+batch's attempt bookkeeping is a :class:`TaskLedger`: one driver-side
+serving thread per worker pulls the next attempt from the ledger, executes it over that worker's
 control connection, and records the outcome under the task's index —
 so results come back in input order and the first task-order failure
 raises, preserving the backend bit-identity contract.  A thread whose
@@ -52,10 +51,10 @@ import socket as _socket
 import tempfile
 import threading
 import time
+from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutorError
-from ..executors import TaskLedger, WorkerDied
 from .heartbeat import DEAD, HeartbeatMonitor
 from .protocol import (
     ProtocolError,
@@ -66,7 +65,148 @@ from .protocol import (
 )
 from .worker import READY_FILE, worker_main
 
-__all__ = ["ClusterDriver", "TaskLost", "WorkerDied"]
+__all__ = ["ClusterDriver", "TaskLedger", "TaskLost", "WorkerDied"]
+
+
+#: Worker deaths (pool respawns) tolerated per batch before it fails
+#: with :class:`WorkerDied`.
+RESPAWN_BUDGET = 6
+
+#: Lost attempts tolerated per task before the batch fails with
+#: :class:`WorkerDied`.
+MAX_TASK_LOSSES = 10
+
+
+class WorkerDied(ExecutorError):
+    """Workers kept dying (or a task kept being lost) past a batch's
+    budget."""
+
+
+class TaskLedger:
+    """The attempt bookkeeping of one batch on the cluster backend.
+
+    Attempt ``0`` of every task is queued up front; :meth:`back_up`
+    queues attempt ``1`` of every open task.  The first attempt of a
+    task to :meth:`record` its outcome wins and a late duplicate is
+    ignored, so results are independent of which attempt got there
+    first.  A lost attempt is re-queued by :meth:`lose`, and a worker
+    death is charged by :meth:`respawn`; either raises
+    :class:`WorkerDied` once its budget is spent.
+
+    The ledger does no locking of its own: the driver's serving threads
+    hold :attr:`cond` around every call.
+    """
+
+    def __init__(self, count: int) -> None:
+        self.pending: deque[Tuple[int, int]] = deque(
+            (index, 0) for index in range(count)
+        )
+        self.done = [False] * count
+        #: ``(ok, value)`` per task, as
+        #: :func:`~repro.mapreduce.cluster.worker._run_guarded` returns it.
+        self.outcomes: List[Any] = [None] * count
+        #: The worker slot that produced each accepted result.
+        self.workers: List[Optional[int]] = [None] * count
+        self.losses = [0] * count
+        self.completed = 0
+        #: Tasks whose winning attempt was a backup.
+        self.wins = 0
+        self.resubmits = 0
+        self.respawns = 0
+        #: An infrastructure failure that ended the batch early.
+        self.failure: Optional[BaseException] = None
+        self.cond = threading.Condition()
+
+    @property
+    def settled(self) -> bool:
+        """Every task has an outcome, or the batch has failed."""
+        return self.failure is not None or self.completed == len(self.done)
+
+    def next(self) -> Optional[Tuple[int, int]]:
+        """Pop the next queued attempt of a still-open task."""
+        while self.pending:
+            index, attempt = self.pending.popleft()
+            if not self.done[index]:
+                return index, attempt
+        return None
+
+    def first_dispatch(self, index: int, attempt: int) -> bool:
+        """Whether a popped attempt is its task's first dispatch.
+
+        Only attempt ``0`` before any loss is; a backup (attempt
+        ``1``) and a re-queued lost attempt are re-dispatches, which
+        fire no injected faults.
+        """
+        return attempt == 0 and self.losses[index] == 0
+
+    def record(
+        self,
+        index: int,
+        attempt: int,
+        outcome: Any,
+        worker: Optional[int] = None,
+    ) -> None:
+        """Accept an attempt's outcome unless the task already has one."""
+        if self.done[index]:
+            return
+        self.done[index] = True
+        self.outcomes[index] = outcome
+        self.workers[index] = worker
+        self.completed += 1
+        if attempt > 0:
+            self.wins += 1
+
+    def lose(self, index: int, attempt: int, cause: BaseException) -> None:
+        """Re-queue an attempt whose result never arrived."""
+        if self.done[index]:
+            return
+        self.losses[index] += 1
+        if self.losses[index] >= MAX_TASK_LOSSES:
+            raise WorkerDied(
+                f"task {index} was lost {self.losses[index]} times "
+                f"(last: {cause})"
+            )
+        self.pending.append((index, attempt))
+        self.resubmits += 1
+
+    def back_up(self) -> None:
+        """Queue one backup attempt for every task still open."""
+        for index, done in enumerate(self.done):
+            if not done:
+                self.pending.append((index, 1))
+
+    def respawn(self, cause: object) -> None:
+        """Charge one worker respawn to the batch's budget."""
+        if self.respawns >= RESPAWN_BUDGET:
+            raise WorkerDied(
+                f"workers kept dying after {self.respawns} respawns: "
+                f"{cause}"
+            )
+        self.respawns += 1
+
+    def fail(self, failure: BaseException) -> None:
+        """End the batch with an infrastructure failure (first wins)."""
+        if self.failure is None:
+            self.failure = failure
+
+    def results(self) -> List[Any]:
+        """Hand over the results in task order; raises the batch's
+        failure, else the first task failure in task order — the
+        cross-backend error determinism rule.
+
+        The ledger keeps no reference to them afterwards: the driver
+        and its executor hold the last ledger, which must not keep a
+        finished batch's outputs alive.
+        """
+        if self.failure is not None:
+            raise self.failure
+        outcomes, self.outcomes = self.outcomes, []
+        results = []
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+            results.append(value)
+        return results
 
 
 class TaskLost(ConnectionError):
@@ -108,9 +248,12 @@ class _WorkerHandle:
         #: True while a serving thread is inside a task interaction —
         #: tells the abandonment path which connections to sever.
         self.in_flight = False
-        #: Generation already declared dead (so the heartbeat kills a
-        #: wedged worker once, not every cadence tick).
-        self.dead_generation = -1
+        #: The generation whose heartbeat lease is running: set once it
+        #: is ready, ``0`` once it is declared dead (generations count
+        #: from ``1``).  The heartbeat judges a worker only while this
+        #: equals :attr:`generation`, so a generation still starting up
+        #: is never judged on its predecessor's expired lease.
+        self.lease = 0
 
     def close_sockets(self) -> None:
         with self.sock_lock:
@@ -161,8 +304,9 @@ class ClusterDriver:
         self.tasks_by_worker: Dict[int, int] = {}
         #: High-water mark of the pending queue (telemetry gauge).
         self.queue_depth_highwater = 0
-        #: The ledger of the latest :meth:`run_tasks` batch.
-        self.ledger: Optional[TaskLedger] = None
+        # Per calling thread: runtimes sharing this fleet from two
+        # threads each read back their own batch's ledger.
+        self._latest = threading.local()
 
         self._start_lock = threading.Lock()
         self._dispatch_lock = threading.Lock()
@@ -173,6 +317,12 @@ class ClusterDriver:
         self._mon_lock = threading.Lock()
         self._stop: Optional[threading.Event] = None
         self._hb_thread: Optional[threading.Thread] = None
+
+    @property
+    def ledger(self) -> Optional[TaskLedger]:
+        """The ledger of the calling thread's latest :meth:`run_tasks`
+        batch."""
+        return getattr(self._latest, "ledger", None)
 
     # -- fleet lifecycle ---------------------------------------------------
 
@@ -221,6 +371,7 @@ class ClusterDriver:
         handle.pid = pid
         with self._mon_lock:
             self._monitor.reset(handle.slot, time.monotonic())
+        handle.lease = handle.generation
 
     def _await_ready(self, handle: _WorkerHandle) -> Tuple[int, int]:
         """Wait for the worker's ``ready.json`` announcement.
@@ -265,8 +416,8 @@ class ClusterDriver:
     def shutdown(self, wait: bool = True) -> None:
         """Stop the heartbeat, ask workers to exit, reap stragglers.
 
-        Called by the shared-pool registry and its ``atexit`` hook;
-        safe to invoke repeatedly.
+        Called by the shared fleet slot and its ``atexit`` hook; safe
+        to invoke repeatedly.
         """
         with self._start_lock:
             handles, self._handles = self._handles, []
@@ -308,8 +459,9 @@ class ClusterDriver:
         stop = self._stop
         while stop is not None and not stop.wait(self.heartbeat_interval):
             for handle in list(self._handles):
-                if handle.process is None:
-                    continue
+                generation = handle.generation
+                if handle.lease != generation:
+                    continue  # starting up, or already declared dead
                 pong = self._ping(handle)
                 now = time.monotonic()
                 with self._mon_lock:
@@ -319,12 +471,8 @@ class ClusterDriver:
                     if pong:
                         monitor.beat(handle.slot, now)
                     state = monitor.state(handle.slot, now)
-                if (
-                    state == DEAD
-                    and handle.dead_generation != handle.generation
-                ):
-                    handle.dead_generation = handle.generation
-                    self._declare_dead(handle)
+                if state == DEAD:
+                    self._declare_dead(handle, generation)
 
     def _ping(self, handle: _WorkerHandle) -> bool:
         try:
@@ -349,15 +497,19 @@ class ClusterDriver:
                     handle.ping = None
             return False
 
-    def _declare_dead(self, handle: _WorkerHandle) -> None:
-        """Kill a silent worker and sever its connections.
+    def _declare_dead(self, handle: _WorkerHandle, generation: int) -> None:
+        """Kill a silent worker generation and sever its connections.
 
         The sever is the load-bearing part: it unblocks any serving
         thread waiting on the wedged worker's reply, which re-queues
         the task and respawns the slot through the normal recovery
-        path.
+        path.  A slot respawned while this waited for its lock holds a
+        newer generation, which is left alone.
         """
         with handle.lock:
+            if handle.lease != generation:
+                return
+            handle.lease = 0
             process = handle.process
             if process is not None and process.is_alive():
                 try:
@@ -377,18 +529,9 @@ class ClusterDriver:
         """Run a batch on the fleet, in input order; :attr:`ledger`
         keeps the batch's bookkeeping.  With ``timeout``, tasks still
         open after ``timeout`` seconds get one backup attempt each."""
-        self.ledger = self._dispatch(fn, tasks, timeout)
-        return self.ledger.results()
-
-    def _dispatch(
-        self,
-        fn: Callable,
-        tasks: Sequence[Tuple],
-        timeout: Optional[float],
-    ) -> TaskLedger:
-        ledger = TaskLedger(len(tasks))
+        ledger = self._latest.ledger = TaskLedger(len(tasks))
         if not tasks:
-            return ledger
+            return []
         self._ensure_started()
         frames: List[bytes] = []
         for task in tasks:
@@ -440,7 +583,7 @@ class ClusterDriver:
                     self.tasks_by_worker[slot] = (
                         self.tasks_by_worker.get(slot, 0) + 1
                     )
-            return ledger
+        return ledger.results()
 
     def _abandon(self, ledger: TaskLedger) -> None:
         """Release serving threads still waiting on discarded attempts."""

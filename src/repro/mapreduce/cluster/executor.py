@@ -9,32 +9,65 @@ for free.
 
 The heavy resource (the
 :class:`~repro.mapreduce.cluster.driver.ClusterDriver` and its worker
-fleet) lives in the module-level shared pool registry, keyed by
-``num_workers``: constructing many runtimes — as
-property-based tests do — shares one fleet, :meth:`close` evicts it,
-and ``shutdown_shared_pools()`` / ``atexit`` reap the worker processes
-at interpreter exit, so ``pytest -x`` leaves no orphaned daemons.
+fleet) lives in one module-level slot shared by every executor:
+constructing many runtimes — as property-based tests do — shares one
+fleet, asking for a different worker count replaces it (so runtimes of
+different sizes never leak fleets behind each other), :meth:`close`
+releases it, and :func:`shutdown_fleet` (registered ``atexit``) reaps
+the worker processes at interpreter exit, so ``pytest -x`` leaves no
+orphaned daemons.
 
-Each batch's :class:`~repro.mapreduce.executors.TaskLedger` comes back
-from the driver and is kept as :attr:`ledger`, from which the runtime
-meters recovery (``pool.respawns`` / ``task.resubmits`` /
-``task.speculative_wins``) and worker attribution.
+Each batch's :class:`~repro.mapreduce.cluster.driver.TaskLedger` is
+kept as :attr:`ledger`, from which the runtime meters recovery
+(``pool.respawns`` / ``task.resubmits`` / ``task.speculative_wins``)
+and worker attribution.
 """
 
 from __future__ import annotations
 
+import atexit
+import threading
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..executors import (
-    _POOL_LOCK,
-    _SHARED_POOLS,
-    Executor,
-    _evict_pool,
-    _shared_pool,
-)
+from ..executors import Executor
 from .driver import ClusterDriver, _default_cluster_workers
 
-__all__ = ["ClusterExecutor"]
+__all__ = ["ClusterExecutor", "shutdown_fleet"]
+
+_FLEET_LOCK = threading.Lock()
+#: The live shared driver, if any.
+_fleet: Optional[ClusterDriver] = None
+
+
+def _shared_fleet(num_workers: int) -> ClusterDriver:
+    """Return (creating lazily) the shared fleet of this size; a fleet
+    of another size is shut down first."""
+    global _fleet
+    with _FLEET_LOCK:
+        stale = _fleet
+        if stale is not None and stale.num_workers == num_workers:
+            return stale
+        fleet = _fleet = ClusterDriver(num_workers=num_workers)
+    if stale is not None:  # shutdown outside the lock; it can block
+        stale.shutdown(wait=False)
+    return fleet
+
+
+def shutdown_fleet(
+    num_workers: Optional[int] = None, wait: bool = True
+) -> None:
+    """Shut down the shared fleet (only if it has ``num_workers``
+    workers, when given)."""
+    global _fleet
+    with _FLEET_LOCK:
+        fleet = _fleet
+        if fleet is None or num_workers not in (None, fleet.num_workers):
+            return
+        _fleet = None
+    fleet.shutdown(wait=wait)
+
+
+atexit.register(shutdown_fleet)
 
 
 class ClusterExecutor(Executor):
@@ -56,12 +89,14 @@ class ClusterExecutor(Executor):
         tasks: Sequence[Tuple],
         timeout: Optional[float] = None,
     ) -> List[Any]:
-        driver: ClusterDriver = _shared_pool(self.max_workers)
-        self.ledger = driver._dispatch(fn, tasks, timeout)
-        return self.ledger.results()
+        driver = _shared_fleet(self.max_workers)
+        try:
+            return driver.run_tasks(fn, tasks, timeout)
+        finally:
+            self.ledger = driver.ledger
 
     def close(self) -> None:
-        _evict_pool(self.max_workers)
+        shutdown_fleet(self.max_workers, wait=False)
 
     def publish_metrics(self, registry: Any) -> None:
         """Export fleet health as (volatile) telemetry gauges.
@@ -70,9 +105,8 @@ class ClusterExecutor(Executor):
         is a gauge — excluded from the bit-identity contract by
         ``strip_volatile_counters`` wholesale.
         """
-        with _POOL_LOCK:
-            driver = _SHARED_POOLS.get(self.max_workers)
-        if driver is None:
+        driver = _fleet
+        if driver is None or driver.num_workers != self.max_workers:
             return
         stats = driver.worker_stats()
         registry.gauge("cluster", "workers").set(stats["workers"])

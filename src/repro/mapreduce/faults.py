@@ -54,7 +54,7 @@ least two attempts deterministically converges.  A task's specs fire
 on its *first dispatch* only: a speculative backup, a resubmit after a
 dropped frame, and a re-execution after a worker respawn all run
 clean.  The cluster driver knows which dispatch is first from its
-:class:`~repro.mapreduce.executors.TaskLedger` and marks the others
+:class:`~repro.mapreduce.cluster.driver.TaskLedger` and marks the others
 as replays (see :func:`~repro.mapreduce.cluster.worker.replaying`);
 the serial backend never re-dispatches.  Storage faults are *consumed
 once*: the faulted operation does not advance the logical op index, so

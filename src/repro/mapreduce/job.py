@@ -14,7 +14,7 @@ Hadoop's DistributedCache — through :meth:`MapReduceJob.configure`.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = ["KeyValue", "MapReduceJob"]
 
@@ -140,12 +140,6 @@ class MapReduceJob:
         """
         for value in values:
             yield key, value
-
-    # -- helpers -----------------------------------------------------------
-
-    def emit_all(self, pairs: Iterable[KeyValue]) -> Iterator[KeyValue]:
-        """Yield every pair from ``pairs`` (convenience for delegation)."""
-        yield from pairs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -844,7 +844,7 @@ class MapReduceRuntime:
                     for index in range(num_partitions)
                 ]
             else:
-                # Shared-memory executors consume the merged runs
+                # The serial executor consumes the merged runs
                 # lazily — the partition is never re-materialized
                 # driver-side.  (Run files live until after reduce;
                 # the job skeleton closes the spiller in its

@@ -291,10 +291,6 @@ class ResidentStateStore:
         self._txn = None
         self._park_deferred = False
 
-    @property
-    def in_transaction(self) -> bool:
-        return self._txn is not None
-
     # -- addressing --------------------------------------------------------
 
     def _path(self, index: int) -> str:

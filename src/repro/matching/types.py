@@ -9,7 +9,7 @@ value history, capacity violations, dual upper bounds).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..graph.edges import EdgeKey, edge_key
 from ..graph.validation import ViolationReport, check_matching
@@ -84,10 +84,6 @@ class Matching:
         return [
             (u, v, w) for (u, v), w in sorted(self._edges.items())
         ]
-
-    def edge_weights(self) -> Dict[EdgeKey, float]:
-        """A copy of the key -> weight mapping."""
-        return dict(self._edges)
 
     def copy(self) -> "Matching":
         """An independent copy."""

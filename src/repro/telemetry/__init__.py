@@ -4,8 +4,8 @@ One subsystem threaded through every layer of the reproduction:
 
 * :mod:`repro.telemetry.metrics` — the Hadoop-style
   :class:`~repro.telemetry.metrics.Counters`, gauges, and fixed-bucket
-  histograms with the counters' pure-merge semantics, plus the one
-  nearest-rank :func:`~repro.telemetry.metrics.percentile` helper;
+  histograms, plus the one nearest-rank
+  :func:`~repro.telemetry.metrics.percentile` helper;
 * :mod:`repro.telemetry.trace` — span trees (job → phase → task;
   flush → admit → re-converge) exported as JSON span logs and rendered
   by ``repro trace``;

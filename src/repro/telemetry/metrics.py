@@ -7,23 +7,19 @@ phase timings were a bare dict, and the serving layer hand-rolled its
 latency percentiles.  :class:`MetricsRegistry` gives every layer one
 vocabulary:
 
-* **counters** — monotone integers with pure-merge semantics, kept in a
-  :class:`Counters` store (the runtime passes its own instance, so it
-  *is* the registry's counter store and every established contract
-  carries over unchanged);
+* **counters** — monotone integers, kept in a :class:`Counters` store
+  (the runtime passes its own instance, so it *is* the registry's
+  counter store and every established contract carries over
+  unchanged);
 * **gauges** — float accumulators for wall-clock meters (phase seconds,
   flush-stage seconds).  Gauges are *always volatile*: they never
   participate in the bit-identical determinism contract, exactly like
   the ``phase_timings`` dict they replace;
-* **histograms** — fixed-bucket distributions with the same pure-merge
-  semantics as counters: bucket counts are plain integer additions,
-  commutative and associative, so merged totals are identical across
-  execution backends and independent of task completion order
-  (property-tested in ``tests/telemetry/test_metrics.py``).  A
-  histogram may be flagged ``volatile=True`` (timing distributions,
-  stripped by ``strip_volatile_counters`` alongside the spill counters)
-  and may ``keep_samples`` for exact percentiles (the serving layer's
-  flush-latency list lives here).
+* **histograms** — fixed-bucket distributions.  A histogram may be
+  flagged ``volatile=True`` (timing distributions, stripped by
+  ``strip_volatile_counters`` alongside the spill counters) and may
+  ``keep_samples`` to retain its raw observations (the serving
+  layer's flush-latency list lives here).
 
 Determinism contract.  Deterministic (non-volatile) histograms observe
 only *data-dependent* quantities — record counts, never seconds — and
@@ -110,8 +106,7 @@ class Gauge:
     Gauges are wall-clock-shaped (phase seconds, queue depths) and are
     therefore always volatile — :func:`~repro.mapreduce.state.
     strip_volatile_counters` drops the whole gauge section before any
-    bit-identical comparison.  ``merge`` adds values (accumulator
-    semantics), keeping registry merges commutative.
+    bit-identical comparison.
     """
 
     __slots__ = ("value",)
@@ -127,42 +122,28 @@ class Gauge:
         """Accumulate into the gauge (meters: seconds spent per phase)."""
         self.value += delta
 
-    def merge(self, other: "Gauge") -> None:
-        """Fold another gauge in by addition (accumulator semantics)."""
-        self.value += other.value
-
-    def __getstate__(self) -> float:
-        return self.value
-
-    def __setstate__(self, state: float) -> None:
-        self.value = state
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.value!r})"
 
 
 class Histogram:
-    """A fixed-bucket histogram with pure-merge semantics.
+    """A fixed-bucket histogram.
 
     Parameters
     ----------
     upper_bounds:
         Ascending bucket upper bounds (``le`` semantics: bucket ``i``
         counts observations ``<= upper_bounds[i]``); an overflow
-        (``+Inf``) bucket is implicit.  Buckets are fixed at creation —
-        merging requires identical bounds, which is what makes bucket
-        totals pure integer additions (commutative, associative,
-        deterministic under the runtime's task-index merge order).
+        (``+Inf``) bucket is implicit.  Buckets are fixed at creation.
     volatile:
         ``True`` for wall-clock distributions: stripped by
         ``strip_volatile_counters`` before bit-identical comparisons,
         like the spill counters.  Count-valued histograms stay
         ``False`` and join the determinism contract.
     keep_samples:
-        Retain every raw observation (in observe/merge order) so
-        :meth:`percentile` is exact instead of bucket-quantized.  Used
-        for the serving flush-latency sample, which is small; leave off
-        for per-record distributions.
+        Retain every raw observation, in observe order, as
+        :attr:`samples`.  Used for the serving flush-latency sample,
+        which is small; leave off for per-record distributions.
     """
 
     __slots__ = (
@@ -199,7 +180,7 @@ class Histogram:
         self.samples: Optional[List[float]] = [] if keep_samples else None
 
     def spec(self) -> Tuple:
-        """The identity a merge partner must match."""
+        """The identity a second registration must match."""
         return (self.upper_bounds, self.volatile, self.samples is not None)
 
     def observe(self, value: float) -> None:
@@ -214,55 +195,6 @@ class Histogram:
         if self.samples is not None:
             self.samples.append(value)
 
-    def merge(self, other: "Histogram") -> None:
-        """Add another histogram's buckets into this one.
-
-        Bucket counts and ``count`` are integer additions — commutative
-        and associative, so totals are independent of merge order.
-        ``total`` is a float sum: deterministic under a deterministic
-        merge order (the runtime merges task results in task-index
-        order), bit-identical only then.
-        """
-        if self.spec() != other.spec():
-            raise ValueError(
-                f"cannot merge histograms with different specs: "
-                f"{self.spec()} vs {other.spec()}"
-            )
-        for index, bucket in enumerate(other.bucket_counts):
-            self.bucket_counts[index] += bucket
-        self.count += other.count
-        self.total += other.total
-        for value in (other.minimum,):
-            if value is not None and (
-                self.minimum is None or value < self.minimum
-            ):
-                self.minimum = value
-        for value in (other.maximum,):
-            if value is not None and (
-                self.maximum is None or value > self.maximum
-            ):
-                self.maximum = value
-        if self.samples is not None and other.samples is not None:
-            self.samples.extend(other.samples)
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile: exact over kept samples, else the
-        upper bound of the bucket holding the rank (the overflow bucket
-        reports the observed maximum)."""
-        if self.samples is not None:
-            return percentile(self.samples, q)
-        if not self.count:
-            return 0.0
-        rank = max(1, math.ceil(q * self.count))
-        seen = 0
-        for index, bucket in enumerate(self.bucket_counts):
-            seen += bucket
-            if seen >= rank:
-                if index < len(self.upper_bounds):
-                    return self.upper_bounds[index]
-                break
-        return self.maximum if self.maximum is not None else 0.0
-
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict export (what the exporter and tests consume)."""
         return {
@@ -274,22 +206,6 @@ class Histogram:
             "max": self.maximum,
             "volatile": self.volatile,
         }
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {
-            "upper_bounds": self.upper_bounds,
-            "bucket_counts": self.bucket_counts,
-            "count": self.count,
-            "total": self.total,
-            "minimum": self.minimum,
-            "maximum": self.maximum,
-            "volatile": self.volatile,
-            "samples": self.samples,
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -308,8 +224,8 @@ class Counters:
     are cheap, reads return plain integers, and a snapshot can be
     exported as nested dictionaries for reporting.
 
-    Counters are also the unit of *task-local metering* for the parallel
-    execution backends (see :mod:`repro.mapreduce.executors`): each task
+    Counters are also the unit of *task-local metering* for every
+    execution backend (see :mod:`repro.mapreduce.executors`): each task
     attempt increments a private instance, which the runtime
     :meth:`merge`\\ s into the shared one in task-index order once the
     task completes.  Merging is pure integer addition — commutative and
@@ -377,25 +293,14 @@ class MetricsRegistry:
     counters:
         Optional external :class:`Counters` store; a fresh one if
         omitted.  The runtime passes its own instance, so
-        ``registry.increment`` and the legacy
-        ``runtime.counters.increment`` are the *same* counters —
-        migration without a parallel universe.
+        ``registry.counters`` and ``runtime.counters`` are the *same*
+        counters — migration without a parallel universe.
     """
 
     def __init__(self, counters: Optional[Counters] = None) -> None:
         self.counters = counters if counters is not None else Counters()
         self._gauges: Dict[Tuple[str, str], Gauge] = {}
         self._histograms: Dict[Tuple[str, str], Histogram] = {}
-
-    # -- counters (delegation) ---------------------------------------------
-
-    def increment(self, group: str, name: str, amount: int = 1) -> None:
-        """Increment a counter (delegates to the counter store)."""
-        self.counters.increment(group, name, amount)
-
-    def get(self, group: str, name: str) -> int:
-        """Read a counter (0 if never incremented)."""
-        return self.counters.get(group, name)
 
     # -- gauges ------------------------------------------------------------
 
@@ -420,8 +325,8 @@ class MetricsRegistry:
         """The histogram for ``(group, name)``, created on first use.
 
         A second caller must agree on the spec (bounds / volatility /
-        sample retention) — silently divergent buckets would make the
-        pure-merge guarantee meaningless.
+        sample retention): silently divergent buckets would make the
+        distribution mean different things to its observers.
         """
         key = (group, name)
         histogram = self._histograms.get(key)
@@ -460,27 +365,7 @@ class MetricsRegistry:
             keep_samples=keep_samples,
         ).observe(value)
 
-    # -- merge + export ----------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (counters, gauges, histograms).
-
-        Counter and bucket totals are commutative by construction;
-        callers who need bit-identical float sums must merge in a
-        deterministic order, as the runtime does for task results.
-        """
-        self.counters.merge(other.counters)
-        for key, gauge in other._gauges.items():
-            self.gauge(*key).merge(gauge)
-        for (group, name), histogram in other._histograms.items():
-            mine = self.histogram(
-                group,
-                name,
-                histogram.upper_bounds,
-                volatile=histogram.volatile,
-                keep_samples=histogram.samples is not None,
-            )
-            mine.merge(histogram)
+    # -- export ------------------------------------------------------------
 
     def gauges(self) -> Iterator[Tuple[str, str, Gauge]]:
         """Iterate ``(group, name, gauge)``, sorted."""

@@ -23,6 +23,7 @@ the ``cluster`` marker (deselect with ``-m "not cluster"``).
 import multiprocessing
 import os
 import socket
+import threading
 import time
 
 import pytest
@@ -45,9 +46,12 @@ from repro.mapreduce.cluster import (
     recv_frame,
     send_frame,
 )
+from repro.mapreduce.cluster import driver as cluster_driver
+from repro.mapreduce.cluster import executor as cluster_executor
+from repro.mapreduce.cluster.driver import WorkerDied
 from repro.mapreduce.cluster.heartbeat import ALIVE, DEAD
 from repro.mapreduce.cluster.protocol import connect, request
-from repro.mapreduce.executors import _SHARED_POOLS, _evict_pool
+from repro.mapreduce.cluster.worker import worker_main
 from repro.mapreduce.state import strip_volatile_counters
 from repro.telemetry import MetricsRegistry
 
@@ -345,6 +349,28 @@ def test_mid_task_sigkill_is_reexecuted(driver, tmp_path):
     assert driver.run_tasks(_square, [(5,)]) == [25]
 
 
+def _mute_until_dead(driver):
+    """Make worker 0 swallow ping probes until the heartbeat kills it."""
+    sock = connect(driver._handles[0].port, timeout=5.0)
+    try:
+        header, _ = request(sock, {"op": "mute", "seconds": 30.0})
+        assert header["op"] == "ok"
+    finally:
+        sock.close()
+    deadline = time.monotonic() + 20.0
+    process = driver._handles[0].process
+    while process.is_alive() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not process.is_alive(), "heartbeat never declared death"
+
+
+def _slow_worker_main(*args):
+    """A worker that takes longer to start than the heartbeat lease
+    lasts, as workers do under ``spawn`` and ``forkserver``."""
+    time.sleep(0.6)
+    worker_main(*args)
+
+
 def test_muted_worker_is_declared_dead_and_replaced():
     """Dropped heartbeats alone — no task in flight — kill a worker.
 
@@ -359,24 +385,33 @@ def test_muted_worker_is_declared_dead_and_replaced():
     try:
         assert driver.run_tasks(_square, [(2,)]) == [4]
         first_pid = driver.worker_pids()[0]
-        sock = connect(driver._handles[0].port, timeout=5.0)
-        try:
-            header, _ = request(sock, {"op": "mute", "seconds": 30.0})
-            assert header["op"] == "ok"
-        finally:
-            sock.close()
-        deadline = time.monotonic() + 20.0
-        process = driver._handles[0].process
-        while process.is_alive() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not process.is_alive(), "heartbeat never declared death"
-        # The next batch respawns the slot and completes normally.  On
-        # a loaded box the aggressive lease can declare the *fresh*
-        # generation dead once too before its first pong lands, so the
-        # respawn count is at-least-one, not exactly-one.
+        _mute_until_dead(driver)
+        # The next batch respawns the slot and completes normally.
         assert driver.run_tasks(_square, [(6,)]) == [36]
-        assert driver.worker_stats()["respawns"] >= 1
+        assert driver.worker_stats()["respawns"] == 1
         assert driver.worker_pids()[0] != first_pid
+    finally:
+        driver.shutdown()
+
+
+def test_slow_respawn_is_not_judged_on_the_dead_generation_lease(
+    monkeypatch,
+):
+    """A generation still starting up has no lease of its own yet.
+
+    The heartbeat once judged it on its predecessor's latched DEAD
+    lease and killed every respawn as soon as it came up, until the
+    batch ran out of respawns.
+    """
+    driver = ClusterDriver(
+        num_workers=1, heartbeat_interval=0.1, miss_limit=3
+    )
+    try:
+        assert driver.run_tasks(_square, [(2,)]) == [4]
+        _mute_until_dead(driver)
+        monkeypatch.setattr(cluster_driver, "worker_main", _slow_worker_main)
+        assert driver.run_tasks(_square, [(6,)]) == [36]
+        assert driver.ledger.respawns == 1
     finally:
         driver.shutdown()
 
@@ -397,10 +432,7 @@ def test_speculative_backup_beats_cluster_straggler(tmp_path):
 
 
 def test_worker_death_budget_exhaustion_raises_worker_died(monkeypatch):
-    from repro.mapreduce import executors
-    from repro.mapreduce.cluster.driver import WorkerDied
-
-    monkeypatch.setattr(executors, "RESPAWN_BUDGET", 1)
+    monkeypatch.setattr(cluster_driver, "RESPAWN_BUDGET", 1)
     driver = ClusterDriver(num_workers=1)
     try:
         # Every execution of this task kills its worker (fresh spill
@@ -428,7 +460,7 @@ def test_cluster_executor_close_reaps_workers():
     daemons survive the executor — counted via live children."""
     # A fleet of this size left by an earlier test (the ``runtime``
     # fixture's, say) would serve the batch and spawn nothing.
-    _evict_pool(2)
+    cluster_executor.shutdown_fleet(2)
     baseline = {p.pid for p in multiprocessing.active_children()}
     executor = ClusterExecutor(max_workers=2)
     try:
@@ -439,10 +471,10 @@ def test_cluster_executor_close_reaps_workers():
             if p.pid not in baseline
         ]
         assert len(spawned) == 2
-        assert 2 in _SHARED_POOLS
+        assert cluster_executor._fleet.num_workers == 2
     finally:
         executor.close()
-    assert 2 not in _SHARED_POOLS
+    assert cluster_executor._fleet is None
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline:
         if not [
@@ -462,6 +494,34 @@ def test_cluster_executor_close_reaps_workers():
     executor.close()
     assert executor.run_tasks(_square, [(4,)]) == [16]
     executor.close()
+
+
+def test_threads_sharing_the_fleet_each_read_their_own_ledger():
+    """Two runtimes' executors dispatching from two threads onto the
+    one shared fleet each meter their own batch."""
+    failures = []
+
+    def drive(executor, size):
+        try:
+            for _ in range(10):
+                tasks = [(i,) for i in range(size)]
+                assert executor.run_tasks(_square, tasks) == [
+                    i * i for i in range(size)
+                ]
+                assert len(executor.ledger.workers) == size
+        except Exception as exc:  # surfaced by the main thread
+            failures.append(exc)
+
+    threads = [
+        threading.Thread(target=drive, args=(ClusterExecutor(2), size))
+        for size in (3, 5)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 def test_cluster_executor_meters_and_gauges(tmp_path):

@@ -9,9 +9,11 @@ their original type, and unpicklable work must fail with a diagnosable
 :class:`ExecutorError` rather than a bare pool error.
 """
 
-import random
-
+import os
 import pickle
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -28,9 +30,9 @@ from repro.mapreduce import (
     SerialExecutor,
     resolve_executor,
 )
-from repro.mapreduce import executors
 from repro.mapreduce.cluster import ClusterExecutor
-from repro.mapreduce.executors import TaskLedger, WorkerDied
+from repro.mapreduce.cluster import driver as cluster_driver
+from repro.mapreduce.cluster.driver import TaskLedger, WorkerDied
 from repro.matching import greedy_mr_b_matching, stack_mr_b_matching
 from repro.simjoin import mapreduce_similarity_join
 
@@ -192,6 +194,25 @@ def test_shared_pools_recreate_after_shutdown():
     assert runtime.run(WordCount(), records) == baseline
 
 
+def test_importing_the_package_and_cli_leaves_the_cluster_unloaded():
+    """The cluster plane — its fleet slot and ``atexit`` hook included
+    — loads only when the cluster backend is first used."""
+    code = (
+        "import sys, repro.mapreduce, repro.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith('repro.mapreduce.cluster')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_counters_survive_pickling():
     counters = Counters()
     counters.increment("g", "a", 7)
@@ -258,15 +279,15 @@ def test_ledger_loss_requeues_the_attempt_and_counts_one_resubmit():
 
 def test_ledger_loss_cap_and_respawn_budget_raise_worker_died():
     ledger = TaskLedger(1)
-    for _ in range(executors.MAX_TASK_LOSSES - 1):
+    for _ in range(cluster_driver.MAX_TASK_LOSSES - 1):
         ledger.lose(0, 0, ConnectionError("lost"))
     with pytest.raises(WorkerDied, match="task 0 was lost"):
         ledger.lose(0, 0, ConnectionError("lost"))
-    for _ in range(executors.RESPAWN_BUDGET):
+    for _ in range(cluster_driver.RESPAWN_BUDGET):
         ledger.respawn("worker died")
     with pytest.raises(WorkerDied, match="respawns"):
         ledger.respawn("worker died")
-    assert ledger.respawns == executors.RESPAWN_BUDGET
+    assert ledger.respawns == cluster_driver.RESPAWN_BUDGET
 
 
 def test_ledger_results_raise_the_first_failure_in_task_order():

@@ -34,7 +34,7 @@ from repro.mapreduce import (
     fired_specs,
 )
 from repro.mapreduce.cluster import ClusterExecutor
-from repro.mapreduce.executors import _SHARED_POOLS
+from repro.mapreduce.cluster import executor as cluster_executor
 from repro.mapreduce.state import strip_volatile_counters
 from repro.mapreduce.storage import InMemoryFileSystem
 from repro.matching import greedy_mr_b_matching
@@ -619,13 +619,14 @@ def test_speculative_backup_beats_straggler(backend, tmp_path):
 def test_changing_worker_count_evicts_the_stale_pool():
     small = ClusterExecutor(max_workers=1)
     assert small.run_tasks(_identity, [(1,)]) == [1]
-    assert 1 in _SHARED_POOLS
+    first = cluster_executor._fleet
+    assert first.num_workers == 1
     large = ClusterExecutor(max_workers=2)
     assert large.run_tasks(_identity, [(2,)]) == [2]
-    # One fleet at a time: asking for a different size evicted the old
-    # one instead of accumulating idle worker fleets.
-    assert 1 not in _SHARED_POOLS
-    assert 2 in _SHARED_POOLS
+    # One fleet at a time: asking for a different size shut the old
+    # one down instead of accumulating idle worker fleets.
+    assert cluster_executor._fleet.num_workers == 2
+    assert first.worker_pids() == []
     # The evicted executor still works — its fleet rebuilds on demand.
     assert small.run_tasks(_identity, [(3,)]) == [3]
     small.close()

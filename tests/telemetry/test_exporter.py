@@ -12,7 +12,7 @@ from repro.telemetry.exporter import MetricsExporter
 
 def _registry():
     registry = MetricsRegistry()
-    registry.increment("runtime", "shuffle.records", 42)
+    registry.counters.increment("runtime", "shuffle.records", 42)
     registry.gauge("runtime", "phase.map_seconds").add(0.5)
     hist = registry.histogram("runtime", "task.map_output_records", (1, 10))
     for value in (1, 5, 100):
@@ -38,7 +38,7 @@ def test_render_prometheus_format():
 
 def test_render_sanitizes_names_and_emits_extras():
     registry = MetricsRegistry()
-    registry.increment("greedy-round", "map.input_records", 1)
+    registry.counters.increment("greedy-round", "map.input_records", 1)
     text = render_prometheus(
         registry.snapshot(), extra={"latency_p99_ms": 12.5}
     )
@@ -87,9 +87,9 @@ def test_exporter_serves_metrics_and_json():
 def test_exporter_scrape_sees_live_updates():
     registry = MetricsRegistry()
     with MetricsExporter(registry=registry) as exporter:
-        registry.increment("g", "n", 1)
+        registry.counters.increment("g", "n", 1)
         _, first = _get(f"{exporter.url}/metrics")
-        registry.increment("g", "n", 4)
+        registry.counters.increment("g", "n", 4)
         _, second = _get(f"{exporter.url}/metrics")
     assert "repro_g_n 1" in first
     assert "repro_g_n 5" in second

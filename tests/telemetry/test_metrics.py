@@ -1,16 +1,14 @@
-"""The metrics registry: pure-merge semantics and the determinism contract.
+"""The metrics registry and the determinism contract.
 
-The property tests here are the tentpole's claim: histogram bucket
-totals and counter sums are (a) identical across execution backends and
-(b) independent of merge (task-completion) order — the bit-identical
-contract the counters already carried, extended to distributions.
+Histogram bucket totals and counter sums are identical across execution
+backends — the bit-identical contract the counters already carried,
+extended to distributions the runtime observes driver-side in
+task-index order.
 """
 
 import pickle
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.mapreduce import Counters, MapReduceJob, MapReduceRuntime
 from repro.mapreduce.state import strip_volatile_counters
@@ -86,43 +84,6 @@ def test_histogram_validates_bounds():
         Histogram(upper_bounds=())
 
 
-def test_histogram_merge_requires_identical_spec():
-    hist = Histogram(upper_bounds=(1, 2))
-    with pytest.raises(ValueError, match="different specs"):
-        hist.merge(Histogram(upper_bounds=(1, 2, 3)))
-    with pytest.raises(ValueError, match="different specs"):
-        hist.merge(Histogram(upper_bounds=(1, 2), volatile=True))
-
-
-def test_histogram_merge_adds_buckets_and_folds_extrema():
-    left = Histogram(upper_bounds=(10, 100), keep_samples=True)
-    right = Histogram(upper_bounds=(10, 100), keep_samples=True)
-    for value in (5, 50):
-        left.observe(value)
-    for value in (1, 500):
-        right.observe(value)
-    left.merge(right)
-    assert left.bucket_counts == [2, 1, 1]
-    assert left.count == 4
-    assert left.minimum == 1
-    assert left.maximum == 500
-    assert left.samples == [5, 50, 1, 500]
-
-
-def test_histogram_percentile_exact_with_samples_quantized_without():
-    exact = Histogram(upper_bounds=(1, 10, 100), keep_samples=True)
-    coarse = Histogram(upper_bounds=(1, 10, 100))
-    for value in (2.0, 3.0, 4.0, 200.0):
-        exact.observe(value)
-        coarse.observe(value)
-    assert exact.percentile(0.5) == 3.0
-    # Without samples the answer is the holding bucket's upper bound;
-    # the overflow bucket reports the observed maximum.
-    assert coarse.percentile(0.5) == 10
-    assert coarse.percentile(1.0) == 200.0
-    assert Histogram(upper_bounds=(1,)).percentile(0.5) == 0.0
-
-
 def test_histogram_survives_pickling():
     hist = Histogram(upper_bounds=(1, 10), keep_samples=True)
     hist.observe(5)
@@ -131,54 +92,25 @@ def test_histogram_survives_pickling():
     assert clone.samples == [5]
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=0, max_value=200_000), max_size=8),
-        min_size=2,
-        max_size=5,
-    ),
-    st.randoms(use_true_random=False),
-)
-def test_histogram_merge_order_independence(task_outputs, rng):
-    """Bucket totals and counts never depend on task completion order."""
-    def merged(order):
-        accumulator = Histogram(upper_bounds=COUNT_BUCKETS)
-        for index in order:
-            part = Histogram(upper_bounds=COUNT_BUCKETS)
-            for value in task_outputs[index]:
-                part.observe(value)
-            accumulator.merge(part)
-        return accumulator
-
-    baseline = merged(range(len(task_outputs)))
-    shuffled = list(range(len(task_outputs)))
-    rng.shuffle(shuffled)
-    permuted = merged(shuffled)
-    assert permuted.bucket_counts == baseline.bucket_counts
-    assert permuted.count == baseline.count
-    assert permuted.minimum == baseline.minimum
-    assert permuted.maximum == baseline.maximum
-
-
 # -- gauges and the registry --------------------------------------------------
 
 
-def test_gauge_set_add_merge():
+def test_gauge_set_and_add():
     gauge = Gauge()
     gauge.set(2.5)
     gauge.add(0.5)
-    other = Gauge(1.0)
-    gauge.merge(other)
-    assert gauge.value == pytest.approx(4.0)
+    assert gauge.value == pytest.approx(3.0)
+    gauge.set(1.0)
+    assert gauge.value == 1.0
 
 
 def test_registry_counters_delegate_to_the_injected_store():
     counters = Counters()
     registry = MetricsRegistry(counters=counters)
-    registry.increment("g", "n", 3)
+    # Same object: the runtime's counters are the registry's.
+    assert registry.counters is counters
     counters.increment("g", "n", 2)
-    # Same object: both write paths land in one store.
-    assert registry.get("g", "n") == 5
+    assert registry.snapshot()["counters"] == {"g": {"n": 2}}
 
 
 def test_registry_histogram_create_then_spec_mismatch():
@@ -189,24 +121,9 @@ def test_registry_histogram_create_then_spec_mismatch():
         registry.histogram("g", "h", upper_bounds=(1, 2, 3))
 
 
-def test_registry_merge_folds_all_three_kinds():
-    left, right = MetricsRegistry(), MetricsRegistry()
-    left.increment("c", "n", 1)
-    right.increment("c", "n", 2)
-    left.gauge("g", "v").add(1.5)
-    right.gauge("g", "v").add(0.5)
-    left.observe("h", "d", 5, upper_bounds=(10,))
-    right.observe("h", "d", 50, upper_bounds=(10,))
-    left.merge(right)
-    assert left.get("c", "n") == 3
-    assert left.gauge("g", "v").value == pytest.approx(2.0)
-    snap = left.snapshot()["histograms"]["h"]["d"]
-    assert snap["bucket_counts"] == [1, 1]
-
-
 def test_registry_snapshot_shape():
     registry = MetricsRegistry()
-    registry.increment("c", "n")
+    registry.counters.increment("c", "n")
     registry.gauge("g", "v").set(1.0)
     registry.observe("h", "d", 0.5)
     snap = registry.snapshot()
@@ -220,8 +137,8 @@ def test_registry_snapshot_shape():
 
 def test_strip_drops_gauges_and_volatile_histograms():
     registry = MetricsRegistry()
-    registry.increment("runtime", "map.input_records", 7)
-    registry.increment("runtime", "spilled_records", 3)  # volatile
+    registry.counters.increment("runtime", "map.input_records", 7)
+    registry.counters.increment("runtime", "spilled_records", 3)  # volatile
     registry.gauge("runtime", "phase.map_seconds").add(0.25)
     registry.observe(
         "runtime", "task.map_output_records", 12, upper_bounds=COUNT_BUCKETS
