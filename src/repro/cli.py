@@ -44,7 +44,7 @@ import json
 import os
 import sys
 import time
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .datasets import load_dataset
 from .datasets.base import Dataset
@@ -380,15 +380,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Deterministic chaos smoke over the whole recovery plane.
 
-    For every fault-plan seed: run a b-matching workload on a runtime
+    Every seed builds one fault plan from all the rates, and both
+    halves run under it.  First a b-matching workload on a runtime
     with injected task crashes / straggler delays / transient storage
-    errors and a retry budget, and check the result, job log, and
-    volatile-stripped counters are bit-identical to the fault-free
-    run; then stream a Zipf event batch through an
-    :class:`~repro.service.OnlineMatcher` under mid-flush faults and
-    poisoned admissions and check the cold-batch verification.  Exits
-    1 on any divergence — or if a seed injected nothing (a chaos run
-    that can't fail proves nothing).
+    errors (and worker kills / dropped frames on the cluster) and a
+    retry budget: the result, job log, and volatile-stripped counters
+    must be bit-identical to the fault-free run.  Then a Zipf event
+    batch through an :class:`~repro.service.OnlineMatcher` under the
+    same task and storage faults plus mid-flush faults: the cold-batch
+    verification must hold.  Exits 1 on any divergence — or if a run
+    injected nothing (a chaos run that can't fail proves nothing).
     """
     import random
 
@@ -435,9 +436,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     baseline_counters = strip_volatile_counters(
         baseline_rt.counters.snapshot()
     )
-    failures = 0
-    for seed in args.seeds:
-        plan = FaultPlan(
+    plans = [
+        FaultPlan(
             seed=seed,
             crash_rate=args.crash_rate,
             delay_rate=args.delay_rate,
@@ -445,7 +445,22 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             io_rate=args.io_rate,
             worker_kill_rate=args.worker_kill_rate,
             frame_drop_rate=args.frame_drop_rate,
+            flush_rate=args.flush_rate,
         )
+        for seed in args.seeds
+    ]
+
+    def task_and_io_faults(faults: Dict[str, int]) -> str:
+        return (
+            f"crashes {faults.get('injected_crash', 0)}, "
+            f"delays {faults.get('injected_delay', 0)}, "
+            f"io {faults.get('injected_io', 0)}, "
+            f"kills {faults.get('injected_worker_kill', 0)}, "
+            f"drops {faults.get('injected_drop_frame', 0)}"
+        )
+
+    failures = 0
+    for plan in plans:
         runtime = _make_runtime(args, retry_policy=policy, fault_plan=plan)
         data = exercise_storage(runtime)
         result = solve(graph, "greedy_mr", runtime=runtime)
@@ -465,12 +480,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             if injected == 0:
                 status += " (but zero faults injected)"
         print(
-            f"runtime seed {seed}: {status} — injected {injected} "
-            f"(crashes {faults.get('injected_crash', 0)}, "
-            f"delays {faults.get('injected_delay', 0)}, "
-            f"io {faults.get('injected_io', 0)}, "
-            f"kills {faults.get('injected_worker_kill', 0)}, "
-            f"drops {faults.get('injected_drop_frame', 0)}), "
+            f"runtime seed {plan.seed}: {status} — injected {injected} "
+            f"({task_and_io_faults(faults)}), "
             f"task retries {faults.get('task.retries', 0)}, "
             f"resubmits {faults.get('task.resubmits', 0)}, "
             f"respawns {faults.get('pool.respawns', 0)}, "
@@ -478,12 +489,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         )
 
     events, _ = zipf_events(graph, args.events, seed=args.seed)
-    for seed in args.seeds:
-        plan = FaultPlan(
-            seed=seed,
-            flush_rate=args.flush_rate,
-            poison_rate=args.poison_rate,
-        )
+    for plan in plans:
         runtime = _make_runtime(args, retry_policy=policy, fault_plan=plan)
         matcher = OnlineMatcher(runtime=runtime, graph=graph)
         for start in range(0, len(events), 8):
@@ -498,11 +504,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             if injected == 0:
                 status += " (but zero faults injected)"
         print(
-            f"service seed {seed}: {status} — injected {injected} "
+            f"service seed {plan.seed}: {status} — injected {injected} "
             f"(flush {faults.get('injected_flush', 0)}, "
-            f"poison {faults.get('injected_poison', 0)}), "
+            f"{task_and_io_faults(faults)}), "
             f"flush retries {faults.get('flush.retries', 0)}, "
-            f"dead-lettered {faults.get('events.dead_lettered', 0)}"
+            f"task retries {faults.get('task.retries', 0)}"
         )
     if failures:
         print(f"chaos: {failures} run(s) diverged or injected nothing")
@@ -900,7 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--delay-rate", type=_probability, default=0.15)
     chaos.add_argument("--io-rate", type=_probability, default=0.2)
     chaos.add_argument("--flush-rate", type=_probability, default=0.5)
-    chaos.add_argument("--poison-rate", type=_probability, default=0.1)
     chaos.add_argument(
         "--worker-kill-rate",
         type=_probability,

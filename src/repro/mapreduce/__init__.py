@@ -50,7 +50,6 @@ from .faults import (
     InjectedFault,
     InjectedIOError,
     InjectedTaskFault,
-    PoisonedEvent,
     RetryPolicy,
     RetryingFileSystem,
     TaskFaultSpec,
@@ -109,7 +108,6 @@ __all__ = [
     "MapReduceRuntime",
     "Pipeline",
     "PipelineStage",
-    "PoisonedEvent",
     "Quiet",
     "ResidentStateStore",
     "Retired",

@@ -7,10 +7,11 @@ reproducibly and prove that recovery preserves the bit-identical
 contract.  This module supplies both halves:
 
 * **Injection** — a seeded :class:`FaultPlan` schedules task crashes,
-  artificial straggler delays, transient storage errors, poisoned
-  event records, and mid-flush service faults, each decided by a
-  cryptographic hash of ``(seed, site)`` so every failure scenario is
-  reproducible from one integer seed, across backends and machines.
+  artificial straggler delays, cluster worker kills and dropped
+  frames, transient storage errors, and mid-flush service faults,
+  each decided by a cryptographic hash of ``(seed, site)`` so every
+  failure scenario is reproducible from one integer seed, across
+  backends and machines.
   :class:`FaultyFileSystem` wraps any
   :class:`~repro.mapreduce.storage.FileSystem` and raises seeded
   transient :class:`InjectedIOError`\\ s from ``read``/``write``.
@@ -46,11 +47,10 @@ Fault identity and the first-dispatch rule
 
 Every fault site has a stable identity: tasks by ``(job, phase,
 task_index, attempt)``, storage operations by ``(kind, op_index)``,
-flushes by ``(flush_index, attempt)``, events by their admission
-sequence number.  Crash-like faults are *attempt-capped*
-(:data:`MAX_FAULTS_PER_SITE`): the fault fires on the first attempt
-only and stands down afterwards, so any recovery budget of at
-least two attempts deterministically converges.  A task's specs fire
+and flushes by ``(flush_index, attempt)``.  Crash-like faults are
+*attempt-capped* (:data:`MAX_FAULTS_PER_SITE`): the fault fires on the
+first attempt only and stands down afterwards, so any recovery budget
+of at least two attempts deterministically converges.  A task's specs fire
 on its *first dispatch* only: a speculative backup, a resubmit after a
 dropped frame, and a re-execution after a worker respawn all run
 clean.  The cluster driver knows which dispatch is first from its
@@ -94,7 +94,6 @@ __all__ = [
     "InjectedIOError",
     "InjectedTaskFault",
     "MAX_FAULTS_PER_SITE",
-    "PoisonedEvent",
     "RetryPolicy",
     "RetryingFileSystem",
     "TaskFaultSpec",
@@ -104,7 +103,7 @@ __all__ = [
 
 #: Counter group for every fault/recovery meter (``injected_*``,
 #: ``task.retries``, ``task.speculative_wins``, ``pool.respawns``,
-#: ``storage.retries``, ``flush.retries``, ``events.dead_lettered``).
+#: ``storage.retries``, ``flush.retries``).
 #: The group is volatile by definition — whether and where faults fire
 #: must never perturb the deterministic totals — so
 #: :func:`~repro.mapreduce.state.strip_volatile_counters` drops it
@@ -130,10 +129,6 @@ class InjectedIOError(InjectedFault, IOError):
     Also an :class:`IOError`, so generic ``except OSError`` recovery
     paths treat it exactly like the real flaky-disk errors it models.
     """
-
-
-class PoisonedEvent(InjectedFault):
-    """A scheduled admission failure for one service event."""
 
 
 @dataclass(frozen=True)
@@ -275,10 +270,6 @@ class FaultPlan:
     flush_rate:
         Probability a service flush attempt faults mid-reconvergence
         (capped per flush by :data:`MAX_FAULTS_PER_SITE`).
-    poison_rate:
-        Probability an admitted event is *permanently* poisoned: its
-        admission raises :class:`PoisonedEvent` on every attempt until
-        the matcher dead-letters it.
     """
 
     seed: int
@@ -289,7 +280,6 @@ class FaultPlan:
     frame_drop_rate: float = 0.0
     io_rate: float = 0.0
     flush_rate: float = 0.0
-    poison_rate: float = 0.0
 
     def __post_init__(self) -> None:
         for field in fields(self):
@@ -383,11 +373,6 @@ class FaultPlan:
         if attempt >= MAX_FAULTS_PER_SITE:
             return False
         return self._roll("flush", flush_index, attempt) < self.flush_rate
-
-    def event_poisoned(self, sequence: int) -> bool:
-        """Whether the event with admission sequence number
-        ``sequence`` is permanently poisoned."""
-        return self._roll("poison", sequence) < self.poison_rate
 
 
 # -- the in-worker retry wrapper ---------------------------------------------

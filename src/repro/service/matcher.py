@@ -113,17 +113,12 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..graph import Graph
 from ..graph.edges import edge_key, edge_sort_key
 from ..mapreduce import IterativeDriver, MapReduceRuntime, canonical_bytes
-from ..mapreduce.faults import (
-    FAULT_COUNTER_GROUP,
-    InjectedFault,
-    PoisonedEvent,
-    RetryPolicy,
-)
+from ..mapreduce.faults import FAULT_COUNTER_GROUP, InjectedFault, RetryPolicy
 from ..telemetry.metrics import TIMING_BUCKETS
 from ..matching.greedy_mr import GreedyDeltaNode, GreedyDeltaRoundJob
 from .events import (
@@ -132,8 +127,8 @@ from .events import (
     EdgeArrival,
     Event,
     EventError,
-    Retirement,
     plain_graph,
+    validate_event,
 )
 
 __all__ = ["FlushReport", "OnlineMatcher", "SERVICE_COUNTER_GROUP"]
@@ -160,11 +155,11 @@ def _rank(u: str, v: str, weight: float) -> Rank:
 class FlushReport:
     """What one micro-batch flush did.
 
-    ``dead_lettered`` counts the batch's events that sit in the
-    matcher's dead-letter queue after the flush — events whose
-    admission kept failing transiently until their retry budget ran
-    out (they are *not* in ``rejected``, which is for deterministic
-    validation failures).
+    ``rejected`` pairs each invalid event with its reason.
+    ``dead_lettered`` is always ``0``: the matcher keeps no dead-letter
+    queue (an event either is invalid, and rejected, or is admitted,
+    retried with its whole batch on a transient failure).  The field
+    stays for readers of the report.
     """
 
     admitted: int
@@ -228,22 +223,9 @@ class OnlineMatcher:
         #: Recovery configuration piggybacks on the runtime's: the
         #: same retry budget that re-executes tasks also re-admits
         #: faulted flush attempts, and the same fault plan injects
-        #: poisoned events / mid-reconvergence faults.
+        #: mid-reconvergence faults.
         self._retry_policy = self.runtime.retry_policy
         self._fault_plan = self.runtime.fault_plan
-        #: Events whose admission kept failing *transiently* until the
-        #: retry budget ran out, with the reason — the dead-letter
-        #: queue.  Deterministic validation failures never land here
-        #: (those are ``rejected`` in the flush report).
-        self.dead_letters: List[Tuple[Event, str]] = []
-        self._dead_set: Set[int] = set()
-        #: Admission sequence numbers: the global position of a batch's
-        #: first event.  Only *committed* flushes advance it, so a
-        #: re-admitted batch reuses the same sequence numbers — fault
-        #: identity (poisoning, dead-lettering) is per event, not per
-        #: attempt.
-        self._event_seq = 0
-        self._event_attempts: Dict[int, int] = {}
         self._flush_index = 0
         #: Open-transaction snapshot of the driver-side matching state
         #: (``None`` outside a flush).
@@ -343,12 +325,10 @@ class OnlineMatcher:
         pre-flush state, and the whole batch re-admits on the next
         attempt (budgeted by the runtime's
         :class:`~repro.mapreduce.faults.RetryPolicy`; one attempt
-        without a policy).  An event that keeps failing transiently is
-        dead-lettered after its per-event budget rather than poisoning
-        the batch forever (see :attr:`dead_letters`); deterministic
-        failures still reject immediately.  When every attempt fails,
-        the last exception propagates — with the stores still at the
-        pre-flush state.
+        without a policy).  Validation is deterministic, so a rejected
+        event is rejected on every attempt and never retried.  When
+        every attempt fails, the last exception propagates — with the
+        stores still at the pre-flush state.
         """
         policy = self._retry_policy
         max_attempts = policy.max_attempts if policy is not None else 1
@@ -357,17 +337,7 @@ class OnlineMatcher:
         while True:
             self._begin_flush_txn()
             try:
-                report = self._flush_once(events, attempt, max_attempts)
-            except PoisonedEvent:
-                # A poisoned event consumes *its own* per-event budget
-                # (tracked in ``_event_attempts``), not the flush's:
-                # a batch with several poisoned events may roll back
-                # more times than max_attempts before each has been
-                # retried to death and dead-lettered.  Termination is
-                # still bounded — every pass increments some event's
-                # attempt counter, and saturated events stop raising.
-                self._rollback_flush_txn()
-                continue
+                report = self._flush_once(events, attempt)
             except BaseException as exc:
                 # Even a non-retryable failure (validation bugs,
                 # round-limit blowups) leaves consistent pre-flush
@@ -385,7 +355,6 @@ class OnlineMatcher:
                 continue
             self._commit_flush_txn()
             break
-        self._event_seq += len(events)
         self._flush_index += 1
         seconds = time.perf_counter() - started
         self._flush_hist.observe(seconds)
@@ -400,12 +369,9 @@ class OnlineMatcher:
             affected_nodes=report.affected_nodes,
             rounds=report.rounds,
             seconds=seconds,
-            dead_lettered=report.dead_lettered,
         )
 
-    def _flush_once(
-        self, events: List[Event], attempt: int, max_attempts: int
-    ) -> FlushReport:
+    def _flush_once(self, events: List[Event], attempt: int) -> FlushReport:
         """One flush attempt inside an open transaction."""
         plan = self._fault_plan
         admitted = 0
@@ -413,13 +379,7 @@ class OnlineMatcher:
         with self.runtime._span("flush", kind="flush", events=len(events)):
             stage_started = time.perf_counter()
             with self.runtime._span("admit", kind="stage"):
-                for offset, event in enumerate(events):
-                    sequence = self._event_seq + offset
-                    if sequence in self._dead_set:
-                        continue
-                    if plan is not None and plan.event_poisoned(sequence):
-                        self._admission_fault(event, sequence, max_attempts)
-                        continue
+                for event in events:
                     try:
                         self._admit(event)
                     except EventError as exc:
@@ -440,49 +400,12 @@ class OnlineMatcher:
                 time.perf_counter() - stage_started
             )
             self._end_flush()
-        dead = sum(
-            1
-            for offset in range(len(events))
-            if self._event_seq + offset in self._dead_set
-        )
         return FlushReport(
             admitted=admitted,
             rejected=tuple(rejected),
             affected_nodes=len(repair),
             rounds=rounds,
             seconds=0.0,  # the committed report carries the real time
-            dead_lettered=dead,
-        )
-
-    def _admission_fault(
-        self, event: Event, sequence: int, max_attempts: int
-    ) -> None:
-        """Handle one poisoned admission: retry or dead-letter.
-
-        Raises :class:`PoisonedEvent` (failing the whole attempt, so
-        the transaction rolls back and the batch re-admits) until the
-        event's per-event budget is spent, then routes it to the
-        dead-letter queue — subsequent attempts skip it via
-        ``_dead_set`` and the rest of the batch goes through.
-        """
-        self._meter_fault("injected_poison")
-        self._meter_fault("injected_total")
-        attempts = self._event_attempts.get(sequence, 0) + 1
-        self._event_attempts[sequence] = attempts
-        if attempts >= max_attempts:
-            self._dead_set.add(sequence)
-            self.dead_letters.append(
-                (
-                    event,
-                    f"admission failed transiently {attempts}x "
-                    f"(event seq {sequence})",
-                )
-            )
-            self._meter_fault("events.dead_lettered")
-            return
-        raise PoisonedEvent(
-            f"injected admission fault for event seq {sequence} "
-            f"(attempt {attempts})"
         )
 
     def _meter_fault(self, name: str, value: int = 1) -> None:
@@ -493,30 +416,13 @@ class OnlineMatcher:
     def _admit(self, event: Event) -> None:
         """Validate + apply one event to the graph store.
 
-        Validation is all-or-nothing: every check precedes the first
-        write, so a rejected event leaves no partial state.  Every
-        write goes through ``_put_node``/``_discard_node``, which is
-        where the repair plan's pre-batch snapshots are taken.
+        :func:`~repro.service.events.validate_event` runs before the
+        first write, so a rejected event leaves no partial state.
+        Every write goes through ``_put_node``/``_discard_node``, which
+        is where the repair plan's pre-batch snapshots are taken.
         """
+        validate_event(event, self.graph_store.contains)
         if isinstance(event, Arrival):
-            _require(not self.graph_store.contains(event.node),
-                     f"arrival of existing node {event.node!r}")
-            _require(event.capacity >= 0,
-                     "arrival capacity must be >= 0, got "
-                     f"{event.capacity}")
-            seen: Set[str] = set()
-            for neighbor, weight in event.edges:
-                _require(neighbor != event.node,
-                         f"arrival {event.node!r} carries a self-loop")
-                _require(neighbor not in seen,
-                         f"arrival {event.node!r} repeats edge to "
-                         f"{neighbor!r}")
-                seen.add(neighbor)
-                _require(self.graph_store.contains(neighbor),
-                         f"arrival {event.node!r} references unknown "
-                         f"neighbor {neighbor!r}")
-                _require(weight > 0,
-                         f"edge weights must be positive, got {weight}")
             self._put_node(
                 event.node, (event.capacity, dict(event.edges))
             )
@@ -528,13 +434,6 @@ class OnlineMatcher:
                 )
             self._num_edges += len(event.edges)
         elif isinstance(event, EdgeArrival):
-            _require(event.u != event.v, f"self-loop on {event.u!r}")
-            for node in (event.u, event.v):
-                _require(self.graph_store.contains(node),
-                         f"unknown node {node!r}")
-            _require(event.weight > 0,
-                     "edge weights must be positive, got "
-                     f"{event.weight}")
             cap_u, adj_u = self._node(event.u)
             cap_v, adj_v = self._node(event.v)
             if event.v not in adj_u:
@@ -546,15 +445,9 @@ class OnlineMatcher:
                 event.v, (cap_v, {**adj_v, event.u: event.weight})
             )
         elif isinstance(event, CapacityChange):
-            _require(self.graph_store.contains(event.node),
-                     f"capacity change for unknown node {event.node!r}")
-            _require(event.capacity >= 0,
-                     f"capacity must be >= 0, got {event.capacity}")
             _, adj = self._node(event.node)
             self._put_node(event.node, (event.capacity, adj))
-        elif isinstance(event, Retirement):
-            _require(self.graph_store.contains(event.node),
-                     f"retirement of unknown node {event.node!r}")
+        else:
             _, adj = self._node(event.node)
             for neighbor in adj:
                 capacity, nbr_adj = self._node(neighbor)
@@ -563,8 +456,6 @@ class OnlineMatcher:
                 self._put_node(neighbor, (capacity, nbr_adj))
             self._discard_node(event.node)
             self._num_edges -= len(adj)
-        else:
-            raise EventError(f"unknown event type: {event!r}")
 
     # -- the repair plan ---------------------------------------------------
 
@@ -855,7 +746,3 @@ class OnlineMatcher:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise EventError(message)

@@ -186,7 +186,9 @@ class MatchingService:
         (:func:`~repro.telemetry.metrics.percentile`).
         ``flushes_per_sec`` and ``throughput_events_per_s`` are rates
         over *busy* time (the sum of flush wall-clock), so they measure
-        the engine, not the arrival gaps.
+        the engine, not the arrival gaps.  ``flush_retries`` counts
+        flush attempts rolled back by a transient fault and retried;
+        ``events_rejected`` counts invalid events.
         """
         counters = self.matcher.runtime.counters.group(
             SERVICE_COUNTER_GROUP
@@ -206,7 +208,6 @@ class MatchingService:
                 admitted / busy if busy > 0 else 0.0
             ),
             "flushes_per_sec": flushed / busy if busy > 0 else 0.0,
-            "dead_letter_events": len(self.matcher.dead_letters),
             "flush_retries": faults.get("flush.retries", 0),
         }
         report.update(latency_summary_ms(latencies))

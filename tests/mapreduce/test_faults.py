@@ -129,7 +129,6 @@ def test_fault_plan_is_deterministic_and_seed_sensitive():
         delay_rate=0.2,
         io_rate=0.3,
         flush_rate=0.5,
-        poison_rate=0.3,
     )
     one, two, other = (
         FaultPlan(1, **kwargs),
@@ -154,7 +153,6 @@ def test_fault_plan_is_deterministic_and_seed_sensitive():
             [plan.storage_fault("read", i) for i in range(32)],
             [plan.storage_fault("write", i) for i in range(32)],
             [plan.flush_fault(i, 0) for i in range(32)],
-            [plan.event_poisoned(i) for i in range(32)],
         )
 
     assert decisions(one) == decisions(two)

@@ -1,5 +1,5 @@
-"""Unit tests for the live event vocabulary and its one semantic
-authority, :func:`repro.service.events.apply_event`."""
+"""Unit tests for the live event vocabulary, its one validator and
+its one interpretation, :func:`repro.service.events.apply_event`."""
 
 import pytest
 
@@ -45,23 +45,34 @@ def test_arrival_with_zero_capacity_is_valid():
     assert g.capacity("d") == 0
 
 
-@pytest.mark.parametrize(
-    "event, reason",
-    [
-        (Arrival("a"), "existing node"),
-        (Arrival("d", capacity=-1), "must be >= 0"),
-        (Arrival("d", edges=(("d", 1.0),)), "self-loop"),
-        (Arrival("d", edges=(("a", 1.0), ("a", 2.0))), "repeats edge"),
-        (Arrival("d", edges=(("nope", 1.0),)), "unknown"),
-        (Arrival("d", edges=(("a", 0.0),)), "positive"),
-        (EdgeArrival("a", "a", 1.0), "self-loop"),
-        (EdgeArrival("a", "nope", 1.0), "unknown node"),
-        (EdgeArrival("a", "c", -2.0), "positive"),
-        (CapacityChange("nope", 1), "unknown node"),
-        (CapacityChange("a", -1), "must be >= 0"),
-        (Retirement("nope"), "unknown node"),
-    ],
-)
+#: Every way an event can be invalid against :func:`_base_graph`, with
+#: a pattern of its reason.  The matcher's admission rejects the same
+#: table with the same messages (``tests/service/test_matcher.py``).
+INVALID_EVENTS = [
+    (Arrival("a"), "existing node"),
+    (Arrival("d", capacity=-1), "must be >= 0"),
+    (Arrival("d", edges=(("d", 1.0),)), "self-loop"),
+    (Arrival("d", edges=(("a", 1.0), ("a", 2.0))), "repeats edge"),
+    (Arrival("d", edges=(("nope", 1.0),)), "unknown"),
+    (Arrival("d", edges=(("a", 0.0),)), "positive"),
+    (EdgeArrival("a", "a", 1.0), "self-loop"),
+    (EdgeArrival("a", "nope", 1.0), "unknown node"),
+    (EdgeArrival("a", "c", -2.0), "positive"),
+    (CapacityChange("nope", 1), "unknown node"),
+    (CapacityChange("a", -1), "must be >= 0"),
+    (Retirement("nope"), "unknown node"),
+    # Malformed fields: a wrong type is rejected, not stored or
+    # tripped over later.
+    (CapacityChange("a", 1.5), "must be an int"),
+    (CapacityChange("a", True), "must be an int"),
+    (Arrival("d", capacity=2.0, edges=(("a", 1.0),)), "must be an int"),
+    (Arrival(7, edges=(("a", 1.0),)), "must be a str"),
+    (Arrival("d", edges=(("a", "1"),)), "must be numbers"),
+    (EdgeArrival("a", "c", "3"), "must be numbers"),
+]
+
+
+@pytest.mark.parametrize("event, reason", INVALID_EVENTS)
 def test_invalid_events_reject_without_mutating(event, reason):
     g = _base_graph()
     before = _snapshot(g)

@@ -39,6 +39,7 @@ from repro.service import (
     Arrival,
     CapacityChange,
     EdgeArrival,
+    EventError,
     OnlineMatcher,
     Retirement,
     apply_event,
@@ -47,6 +48,7 @@ from repro.service import (
 from repro.telemetry.loadgen import zipf_events
 
 from ..conftest import BACKENDS, SPILL_THRESHOLD, STORAGE
+from .test_events import INVALID_EVENTS, _base_graph
 
 backend_matrix = pytest.mark.parametrize("backend", BACKENDS)
 
@@ -170,6 +172,22 @@ def test_rejected_event_reports_without_poisoning_batch():
         counters = m.runtime.counters.group(SERVICE_COUNTER_GROUP)
         assert counters["events.rejected"] == 2
         assert counters["events.admitted"] == 1
+
+
+@pytest.mark.parametrize("event, reason", INVALID_EVENTS)
+def test_admission_rejects_what_apply_event_rejects(event, reason):
+    """A malformed or invalid event is rejected with the message
+    :func:`apply_event` gives, and its valid batchmate is admitted."""
+    with pytest.raises(EventError, match=reason) as expected:
+        apply_event(_base_graph(), event)
+    valid = EdgeArrival("b", "c", 3.0)
+    with OnlineMatcher(graph=_base_graph()) as m:
+        report = m.flush([event, valid])
+        assert report.rejected == ((event, str(expected.value)),)
+        assert report.admitted == 1
+        assert m.match_lookup("c") == {"b": 3.0}
+        ok, value = m.verify()
+        assert ok, value
 
 
 def test_flush_counters_and_report_agree():

@@ -36,7 +36,6 @@ METRIC_KEYS = {
     "latency_p50_ms",
     "latency_p95_ms",
     "latency_p99_ms",
-    "dead_letter_events",
     "flush_retries",
     "throughput_events_per_s",
     "flushes_per_sec",

@@ -436,7 +436,6 @@ def test_trace_rejects_unreadable_span_logs(tmp_path, capsys, content):
         "--delay-rate",
         "--io-rate",
         "--flush-rate",
-        "--poison-rate",
         "--worker-kill-rate",
         "--frame-drop-rate",
     ],
@@ -448,6 +447,23 @@ def test_chaos_rates_are_probabilities(capsys, flag, value):
         main(["chaos", flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: must be in [0, 1]" in capsys.readouterr().err
+
+
+def test_chaos_at_its_defaults_injects_faults_on_every_run(capsys):
+    """``repro chaos`` with no options (serial backend, in memory):
+    every run recovers and every run injected something — a seed whose
+    run injects nothing would prove nothing and fail the command."""
+    assert main(["chaos"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    runs = [line for line in lines if line.startswith(("runtime", "service"))]
+    assert [line.split(":")[0] for line in runs] == [
+        f"{half} seed {seed}"
+        for half in ("runtime", "service")
+        for seed in (1, 2, 3)
+    ]
+    for line in runs:
+        injected = int(line.split("injected ")[1].split()[0])
+        assert injected > 0, line
 
 
 @pytest.mark.parametrize("algorithm", ["greedy_mr", "stack_mr"])

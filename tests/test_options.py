@@ -66,7 +66,6 @@ PINNED = [
             "frame_drop_rate",
             "io_rate",
             "flush_rate",
-            "poison_rate",
         ),
     ),
     (MetricsExporter, ("registry", "extra_metrics", "host", "port")),

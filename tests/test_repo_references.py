@@ -10,6 +10,7 @@ deleted, or to a module entry point that no longer runs.  These tests
 fail on the first such reference instead.
 """
 
+import argparse
 import builtins
 import importlib
 import importlib.util
@@ -31,6 +32,13 @@ _CI_COMMAND = re.compile(r"python3? benchmarks/\S+\.py")
 _DOTTED_NAME = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
 #: A module run as a script, e.g. ``python -m repro.cli``.
 _MODULE_COMMAND = re.compile(r"python3? -m (repro(?:\.\w+)*)")
+#: A ``repro`` command line, console script or ``python -m repro.cli``,
+#: and its subcommand; ``repro join/match/serve`` names three.
+_REPRO_COMMAND = re.compile(
+    r"(?:python3? -m repro\.cli|(?<![\w./-])repro)\s+(\w+(?:/\w+)*)"
+)
+#: A long option, e.g. ``--spill-threshold``.
+_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 #: A Sphinx cross-reference, e.g. :func:`~repro.graph.edge_key`; the
 #: target may wrap across lines or sit in a ``title <target>`` form.
 _ROLE = re.compile(r":(?:func|class|data|exc|mod):`([^`]+)`")
@@ -104,6 +112,24 @@ def _runs_as_script(module):
     return re.search(r"__name__ == [\"']__main__[\"']", source) is not None
 
 
+def _command_flags(text):
+    """``(subcommands, flags)`` for every ``repro`` command in ``text``.
+
+    A command runs to the end of its line, across backslash
+    continuations.  One that opens inside inline code (an odd number of
+    backticks before it on its line) runs to the closing backtick
+    instead, across line breaks.
+    """
+    for match in _REPRO_COMMAND.finditer(text):
+        line_start = text.rfind("\n", 0, match.start()) + 1
+        rest = text[match.end():]
+        if text.count("`", line_start, match.start()) % 2:
+            rest = rest.split("`", 1)[0]
+        else:
+            rest = re.split(r"(?<!\\)\n", rest, maxsplit=1)[0]
+        yield match.group(1).split("/"), _FLAG.findall(rest)
+
+
 def _exists(path):
     if "*" in path:
         return any(ROOT.glob(path))
@@ -158,6 +184,37 @@ def test_traced_pass_wrap_points_are_defined_on_their_owners(monkeypatch):
         if not callable(vars(owner).get(attr))
     ]
     assert unwrappable == []
+
+
+def test_cited_repro_commands_use_existing_options():
+    """Every ``--flag`` on a ``repro <subcommand>`` line of the README
+    or CI is an option of that subcommand's parser, so a deleted option
+    leaves no example behind that would fail when pasted."""
+    from repro.cli import build_parser
+
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        name: set(parser._option_string_actions)
+        for name, parser in subparsers.choices.items()
+    }
+    stale = []
+    checked = set()
+    for path in (ROOT / "README.md", ROOT / ".github/workflows/ci.yml"):
+        for commands, flags in _command_flags(path.read_text()):
+            for command in commands:
+                if command not in options:
+                    continue  # prose: "the repro package"
+                for flag in flags:
+                    checked.add((command, flag))
+                    if flag not in options[command]:
+                        stale.append(f"{path.name}: repro {command} {flag}")
+    # This only keeps the check from passing on a regex matching nothing.
+    assert ("chaos", "--frame-drop-rate") in checked
+    assert stale == []
 
 
 def test_source_docstrings_cite_existing_documents():
