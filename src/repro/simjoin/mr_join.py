@@ -9,10 +9,12 @@ Pipeline (each step one MapReduce job):
    terms with weights, consumers post all their terms with weights;
    each reduce hands on its term's two sorted posting lists (item
    postings tagged with whether the term is in the item's prefix);
-3. **verify** — each map crosses one term's posting lists into
-   per-pair weight products ``w_t(j) · w_c(j)``; the shuffle groups
-   them by pair, a combiner pre-sums map-side, and the reduce keeps
-   pairs that co-occurred on at least one prefix term and reach ``σ``.
+3. **verify** — each map crosses one term's posting lists into one
+   *stripe* per posted item, the list of its per-consumer weight
+   products ``w_t(j) · w_c(j)``; the shuffle groups the stripes by
+   item, a combiner merges one map task's stripes per item, and the
+   reduce sums each consumer's products and keeps the pairs that
+   co-occurred on at least one prefix term and reach ``σ``.
 
 The verify stage is a *partial-score kernel* in the style of Vernica
 et al. / DISCO (see PAPERS.md): the exact dot product of a pair is
@@ -22,8 +24,11 @@ verify task as side data — the DistributedCache anti-pattern, whose
 cost (replicating the corpus to every reduce task) dwarfs the shuffle
 it saved.  The trade: candidate map output grows from prefix-only to
 all item terms, while verify needs no side data beyond ``σ``.  Jobs 2
-and 3 hand over one posting-list record per term, so the O(pairs)
-products exist only in verify's map output, pre-summed per map task.
+and 3 hand over one posting-list record per term, and verify's
+shuffle is keyed by item (the "stripes" form of the sum, not one
+record per pair): it carries at most one stripe per item per map
+task, O(items × map tasks), while the O(pairs) products travel inside
+the stripes and are pre-summed per map task.
 
 Pruning still earns its keep in two places: an item whose prefix is
 *empty* cannot reach ``σ`` against any consumer and posts nothing at
@@ -39,20 +44,20 @@ the job counts.
 
 The join is *exact up to float summation order*: it evaluates the same
 mathematical dot product as :func:`repro.simjoin.allpairs.
-exact_similarity_join`, but sums the per-term products in verify's map
-and shuffle order rather than dict-iteration order, so scores can
-differ in the last ulp — and a pair whose true score sits within an
-ulp of ``σ`` could in principle land on the other side of the
-threshold.  The property tests draw weights from an
-exactly-representable grid, where both summations are exact and the
-outputs are bit-identical.  Only cross-side (item, consumer) pairs are
-produced — the modification of the self-join algorithm described in
-§5.1.
+exact_similarity_join`, but sums each pair's per-term products in
+term order within a map task, then in map-task order, rather than in
+dict-iteration order, so scores can differ in the last ulp — and a
+pair whose true score sits within an ulp of ``σ`` could in principle
+land on the other side of the threshold.  One property test draws
+weights from an exactly-representable grid, where every summation is
+exact and the outputs are bit-identical.  Only cross-side (item,
+consumer) pairs are produced — the modification of the self-join
+algorithm described in §5.1.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..mapreduce import (
     FileSystem,
@@ -132,17 +137,22 @@ class CandidateJob(MapReduceJob):
 
 
 class VerifyJob(MapReduceJob):
-    """Job 3: cross each term's postings, sum per pair, threshold.
+    """Job 3: cross each term's postings into item stripes, sum, threshold.
 
     Side data: ``sigma`` — a scalar, not the document stores.  The map
-    crosses a term's posting lists into ``(pair, (product, prefix_hit))``
-    records; grouping by pair gathers every per-term product of that
-    pair, and the sum is the exact dot product.  The combiner pre-sums
-    map-side (addition is associative and commutative), shrinking the
-    shuffle to at most one record per pair per map task.  Pairs with no
-    prefix co-occurrence are discarded — by the prefix-filter bound
-    they are provably below ``sigma``, so this reproduces the pruned
-    index's candidate set exactly.
+    crosses a term's posting lists into one *stripe* per posted item,
+    ``(item, [(consumer, product, prefix_hit), ...])``; grouping by item
+    gathers every per-term product of each of its pairs, and the
+    per-consumer sum is the exact dot product.  The combiner merges one
+    map task's stripes for an item into one (addition is associative
+    and commutative), so the shuffle carries at most one record per
+    item per map task — O(items × map tasks), not O(pairs).  Combiner
+    and reduce share the stripe value type, so the combiner is an
+    optimisation only.  With it, each pair's products are added in term
+    order within a map task, and those partial sums in map-task order.
+    Pairs with no prefix co-occurrence are discarded — by the
+    prefix-filter bound they are provably below ``sigma``, so this
+    reproduces the pruned index's candidate set exactly.
     """
 
     name = "simjoin-verify"
@@ -152,25 +162,40 @@ class VerifyJob(MapReduceJob):
         items, consumers = postings
         for item, item_weight, is_prefix in items:
             hit = 1 if is_prefix else 0
-            for consumer, consumer_weight in consumers:
-                yield (item, consumer), (item_weight * consumer_weight, hit)
+            yield item, [
+                (consumer, item_weight * consumer_weight, hit)
+                for consumer, consumer_weight in consumers
+            ]
 
-    def combine(self, pair, partials: List) -> Iterable[KeyValue]:
-        score = 0.0
-        prefix_hits = 0
-        for product, hit in partials:
-            score += product
-            prefix_hits += hit
-        yield pair, (score, prefix_hits)
+    def combine(self, item, stripes: List) -> Iterable[KeyValue]:
+        scores, hits = _merge_stripes(stripes)
+        yield item, list(zip(scores, scores.values(), hits.values()))
 
-    def reduce(self, pair, partials: List) -> Iterable[KeyValue]:
-        score = 0.0
-        prefix_hits = 0
-        for product, hit in partials:
-            score += product
-            prefix_hits += hit
-        if prefix_hits and score >= self.side_data["sigma"]:
-            yield pair, score
+    def reduce(self, item, stripes: List) -> Iterable[KeyValue]:
+        sigma = self.side_data["sigma"]
+        scores, hits = _merge_stripes(stripes)
+        for consumer in sorted(scores):
+            score = scores[consumer]
+            if hits[consumer] and score >= sigma:
+                yield (item, consumer), score
+
+
+def _merge_stripes(
+    stripes: List,
+) -> Tuple[Dict[str, float], Dict[str, int]]:
+    """Sum stripes per consumer in arrival order: ``(scores,
+    prefix_hits)``, two dicts with the same key order."""
+    scores: Dict[str, float] = {}
+    hits: Dict[str, int] = {}
+    for stripe in stripes:
+        for consumer, score, hit in stripe:
+            if consumer in scores:
+                scores[consumer] += score
+                hits[consumer] += hit
+            else:
+                scores[consumer] = score
+                hits[consumer] = hit
+    return scores, hits
 
 
 def mapreduce_similarity_join(

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mapreduce import MapReduceRuntime
+from repro.mapreduce import InMemoryFileSystem, MapReduceRuntime
 from repro.simjoin import (
+    VerifyJob,
     exact_similarity_join,
     mapreduce_similarity_join,
+    similarity_join_pipeline,
 )
 
-from ..strategies import vector_collections
+from ..strategies import exact_term_weight_strategy, vector_collections
 
 
 def test_mr_join_matches_exact_small():
@@ -75,8 +77,6 @@ def test_mr_join_prunes_hopeless_items():
 def test_mr_join_verify_ships_no_document_stores():
     """The verify stage is sum-and-threshold: its only side data is
     sigma — the corpus never rides the DistributedCache."""
-    from repro.simjoin.mr_join import similarity_join_pipeline
-
     items = {"t1": {"a": 2.0, "b": 1.0}}
     consumers = {"c1": {"a": 1.0, "b": 3.0}}
     pipeline = similarity_join_pipeline(items, consumers, 1.0)
@@ -110,12 +110,75 @@ def test_mr_join_prefix_gate_drops_sub_threshold_pairs():
         items, consumers, 5.0, runtime=runtime
     )
     assert rows == [("t1", "c1", 10.0)]
-    # Both pairs formed verify groups (products exist for each), but
-    # only the prefix-hit pair could possibly pass.
-    assert (
-        runtime.counters.get("simjoin-verify", "reduce.input.groups")
-        == 2
+
+
+def test_verify_reduce_gates_on_prefix_hits():
+    """Verify's reduce keeps a pair only when it reaches sigma *and*
+    shares a prefix term: the same score with zero prefix hits is
+    dropped, with one hit it is kept.  Pairs come out in consumer
+    order, whatever order the stripes name them in."""
+    job = VerifyJob()
+    job.configure({"sigma": 5.0})
+    no_hit = [[("c2", 1.0, 1), ("c1", 4.0, 0)], [("c1", 2.0, 0)]]
+    assert list(job.reduce("t1", no_hit)) == []
+    one_hit = [[("c2", 1.0, 1), ("c1", 4.0, 0)], [("c1", 2.0, 1)]]
+    assert list(job.reduce("t1", one_hit)) == [(("t1", "c1"), 6.0)]
+    both = [[("c2", 5.0, 1), ("c1", 4.0, 0)], [("c1", 2.0, 1)]]
+    assert list(job.reduce("t1", both)) == [
+        (("t1", "c1"), 6.0),
+        (("t1", "c2"), 5.0),
+    ]
+
+
+def test_verify_stripes_survive_a_spill(tmp_path):
+    """With a one-record spill threshold verify's list-of-tuple stripes
+    go through the spill codec, and the rows stay exact."""
+    items = {"t1": {"a": 2.0, "b": 1.0}, "t2": {"a": 1.0, "c": 4.0}}
+    consumers = {
+        "c1": {"a": 1.0, "c": 1.0},
+        "c2": {"b": 2.0, "a": 3.0},
+        "c3": {"c": 0.5},
+    }
+    runtime = MapReduceRuntime(spill_threshold=1, spill_dir=str(tmp_path))
+    rows = mapreduce_similarity_join(
+        items, consumers, 1.0, runtime=runtime
     )
+    assert runtime.counters.get("simjoin-verify", "spilled_records") > 0
+    assert rows == exact_similarity_join(items, consumers, 1.0)
+
+
+class _VerifyWithoutCombiner(VerifyJob):
+    has_combiner = False
+
+
+@given(
+    data=vector_collections(
+        max_docs=4, weights=exact_term_weight_strategy
+    ),
+    sigma=st.floats(min_value=0.3, max_value=12.0, allow_nan=False),
+    maps=st.integers(min_value=1, max_value=3),
+    reduces=st.integers(min_value=1, max_value=3),
+)
+def test_verify_combiner_is_optional(data, sigma, maps, reduces):
+    """On exactly representable weights the join equals the exact join
+    bit for bit, and verify without its combiner emits the same rows:
+    the combiner only shrinks the shuffle."""
+    items, consumers = data
+    fs = InMemoryFileSystem()
+    runtime = MapReduceRuntime(
+        num_map_tasks=maps, num_reduce_tasks=reduces
+    )
+    pipeline = similarity_join_pipeline(
+        items, consumers, sigma, runtime=runtime, filesystem=fs
+    )
+    rows = sorted((t, c, w) for (t, c), w in pipeline.run())
+    assert rows == exact_similarity_join(items, consumers, sigma)
+    uncombined = runtime.run(
+        _VerifyWithoutCombiner(),
+        fs.read("/simjoin/candidates"),
+        side_data={"sigma": sigma},
+    )
+    assert sorted((t, c, w) for (t, c), w in uncombined) == rows
 
 
 @given(

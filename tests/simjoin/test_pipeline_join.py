@@ -9,6 +9,7 @@ from repro.mapreduce import (
     MapReduceRuntime,
 )
 from repro.simjoin import (
+    VerifyJob,
     exact_similarity_join,
     similarity_join_pipeline,
 )
@@ -140,13 +141,9 @@ SHAPE_CONSUMERS = {
 SHAPE_SIGMA = 2.5
 
 
-@pytest.mark.parametrize("num_map_tasks", [1, 4])
-def test_candidates_hand_verify_one_posting_list_record_per_term(
-    backend, num_map_tasks, tmp_path
-):
-    """The candidate job writes one ``(term, (items, consumers))``
-    record per term with both sides posted — not one per pair — and
-    verify's map reads exactly those records."""
+def _run_shape_join(backend, num_map_tasks, tmp_path):
+    """The join of the ``SHAPE_*`` fixture on the configured backend
+    and filesystem: ``(runtime, filesystem, output)``."""
     if STORAGE == "memory":
         fs = InMemoryFileSystem()
     else:
@@ -165,7 +162,17 @@ def test_candidates_hand_verify_one_posting_list_record_per_term(
         runtime=runtime,
         filesystem=fs,
     )
-    output = pipeline.run()
+    return runtime, fs, pipeline.run()
+
+
+@pytest.mark.parametrize("num_map_tasks", [1, 4])
+def test_candidates_hand_verify_one_posting_list_record_per_term(
+    backend, num_map_tasks, tmp_path
+):
+    """The candidate job writes one ``(term, (items, consumers))``
+    record per term with both sides posted — not one per pair — and
+    verify's map reads exactly those records."""
+    runtime, fs, output = _run_shape_join(backend, num_map_tasks, tmp_path)
     bounds = dict(fs.read("/simjoin/term_bounds"))
     assert prefix_terms(SHAPE_ITEMS["weak"], bounds, SHAPE_SIGMA) == []
 
@@ -191,3 +198,33 @@ def test_candidates_hand_verify_one_posting_list_record_per_term(
         SHAPE_ITEMS, SHAPE_CONSUMERS, SHAPE_SIGMA
     )
     assert rows == [("t1", "c2", 4.0), ("t2", "c1", 4.0)]
+
+
+@pytest.mark.parametrize("num_map_tasks", [1, 4])
+def test_verify_shuffles_one_stripe_per_item_per_map_task(
+    backend, num_map_tasks, tmp_path
+):
+    """Verify is keyed by item: its map emits one stripe per posted
+    item, and its shuffle carries at most one combined stripe per item
+    per map task — not one record per pair."""
+    runtime, fs, _ = _run_shape_join(backend, num_map_tasks, tmp_path)
+    # t1 and t2 are posted on a two-sided term ("a", and "b" for t2);
+    # "weak" posts nothing.
+    posted_items = {"t1", "t2"}
+    counters = runtime.counters
+    records = counters.get("simjoin-verify", "shuffle.records")
+    groups = counters.get("simjoin-verify", "reduce.input.groups")
+    assert groups == len(posted_items)
+    if num_map_tasks == 1:
+        assert records == groups
+    else:
+        assert len(posted_items) <= records <= num_map_tasks * len(
+            posted_items
+        )
+    job = VerifyJob()
+    map_keys = {
+        key
+        for term, postings in fs.read("/simjoin/candidates")
+        for key, _ in job.map(term, postings)
+    }
+    assert map_keys == posted_items

@@ -125,34 +125,40 @@ def degenerate_bipartite_graphs(
 term_strategy = st.sampled_from([f"w{i}" for i in range(20)])
 
 
+term_weight_strategy = st.floats(
+    min_value=0.1, max_value=5.0, allow_nan=False, allow_infinity=False
+)
+
+# Term weights whose products and sums of up to eight products are
+# exact in binary floating point: any summation order gives the same
+# bits, so a join can be compared with its oracle by ``==``.
+exact_term_weight_strategy = st.sampled_from(
+    [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5]
+)
+
+
 @st.composite
-def sparse_vectors(draw, max_terms: int = 8):
+def sparse_vectors(draw, max_terms: int = 8, weights=term_weight_strategy):
     """Small sparse term vectors with positive weights."""
     terms = draw(
         st.lists(term_strategy, min_size=1, max_size=max_terms, unique=True)
     )
-    return {
-        term: draw(
-            st.floats(
-                min_value=0.1,
-                max_value=5.0,
-                allow_nan=False,
-                allow_infinity=False,
-            )
-        )
-        for term in terms
-    }
+    return {term: draw(weights) for term in terms}
 
 
 @st.composite
-def vector_collections(draw, max_docs: int = 6):
+def vector_collections(
+    draw, max_docs: int = 6, weights=term_weight_strategy
+):
     """A pair of small item / consumer vector stores."""
     num_items = draw(st.integers(min_value=1, max_value=max_docs))
     num_consumers = draw(st.integers(min_value=1, max_value=max_docs))
     items = {
-        f"t{i}": draw(sparse_vectors()) for i in range(num_items)
+        f"t{i}": draw(sparse_vectors(weights=weights))
+        for i in range(num_items)
     }
     consumers = {
-        f"c{j}": draw(sparse_vectors()) for j in range(num_consumers)
+        f"c{j}": draw(sparse_vectors(weights=weights))
+        for j in range(num_consumers)
     }
     return items, consumers
