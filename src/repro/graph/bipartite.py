@@ -9,6 +9,7 @@ edge crosses sides.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .edges import Edge
@@ -46,11 +47,15 @@ class Graph:
         """Add edge ``{u, v}`` with ``weight``; endpoints are auto-added.
 
         Re-adding an existing edge overwrites its weight.  Weights must be
-        positive: the b-matching objective never benefits from non-positive
-        edges, and the primal-dual analysis assumes ``w(e) > 0``.
+        positive and finite: the b-matching objective never benefits from
+        non-positive edges, the primal-dual analysis assumes ``w(e) > 0``,
+        and greedy's strict weight order has no place for NaN.
         """
-        if weight <= 0:
-            raise ValueError(f"edge weights must be positive, got {weight}")
+        # ``not x > 0`` rather than ``x <= 0``: NaN fails it too.
+        if not weight > 0 or not math.isfinite(weight):
+            raise ValueError(
+                f"edge weights must be positive and finite, got {weight}"
+            )
         if u == v:
             raise ValueError(f"self-loops are not allowed: {u!r}")
         for node in (u, v):

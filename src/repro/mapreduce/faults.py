@@ -18,7 +18,8 @@ contract.  This module supplies both halves:
 
 * **Recovery** — :class:`RetryPolicy` configures how many attempts a
   task (or a storage operation, or a service flush) gets and how long
-  to back off between them; :func:`resilient_task_call` is the
+  to back off between them, and :meth:`RetryPolicy.run` is the one
+  retry loop all three share; :func:`resilient_task_call` is the
   picklable in-worker wrapper that re-executes failed task attempts
   (a failed attempt's counters are simply never returned, so totals
   stay bit-identical — the ``counters=None`` retry discipline);
@@ -171,22 +172,46 @@ class RetryPolicy:
                 f"task_timeout must be > 0, got {self.task_timeout}"
             )
 
-    def retry_delay(self, attempt: int) -> float:
-        """Seconds to sleep before retry number ``attempt`` (1-based)."""
-        return self.backoff * attempt
-
     @staticmethod
     def retryable(exc: BaseException) -> bool:
         """Whether an exception models a *transient* failure.
 
         Injected faults and OS-level errors qualify; deterministic job
         bugs (validation errors, event rejections) do not — retrying a
-        deterministic failure is wasted work that hides the bug.  The
-        one definition every retry loop asks: task attempts
-        (:func:`resilient_task_call`), storage operations
-        (:class:`RetryingFileSystem`) and service flushes.
+        deterministic failure is wasted work that hides the bug.
         """
         return isinstance(exc, (InjectedFault, OSError))
+
+    def run(
+        self,
+        attempt_fn: Callable[[int], Any],
+        on_retry: Optional[Callable[[int], None]] = None,
+    ) -> Any:
+        """Call ``attempt_fn(attempt)`` until it returns, retrying
+        transient failures within the budget; return its result.
+
+        ``attempt`` counts from ``0``.  A failure that is not
+        :meth:`retryable`, or that ends the last of ``max_attempts``,
+        propagates at once.  Before each retry actually made,
+        ``on_retry(retry)`` is called with the retry's 1-based number
+        — the place to meter it — and the loop sleeps
+        ``backoff * retry`` seconds.  The one retry loop: task
+        attempts (:func:`resilient_task_call`), storage operations
+        (:class:`RetryingFileSystem`) and service flushes all run
+        through it.
+        """
+        attempt = 0
+        while True:
+            try:
+                return attempt_fn(attempt)
+            except Exception as exc:
+                attempt += 1
+                if not self.retryable(exc) or attempt >= self.max_attempts:
+                    raise
+                if on_retry is not None:
+                    on_retry(attempt)
+                if self.backoff:
+                    time.sleep(self.backoff * attempt)
 
 
 @dataclass(frozen=True)
@@ -412,8 +437,7 @@ def _fire(spec: TaskFaultSpec) -> None:
 
 
 def resilient_task_call(
-    max_attempts: int,
-    backoff: float,
+    policy: RetryPolicy,
     specs: Tuple[Optional[TaskFaultSpec], ...],
     fn: Callable[..., Any],
     *args: Any,
@@ -431,30 +455,22 @@ def resilient_task_call(
     result's trailing counters under :data:`FAULT_COUNTER_GROUP`, which
     the bit-identical comparisons strip.
 
-    Retries cover transient failures only (:meth:`RetryPolicy.
-    retryable`: injected faults and ``OSError``): a deterministic job
-    bug (a validation error, say) fails fast on its first attempt
-    exactly as it does without a retry policy.
+    Attempts run through :meth:`RetryPolicy.run`, so retries cover
+    transient failures only (injected faults and ``OSError``): a
+    deterministic job bug (a validation error, say) fails fast on its
+    first attempt exactly as it does without a retry policy.
     """
     if any(specs):
         from .cluster import worker as cluster_worker
 
         if cluster_worker.replaying():
             specs = ()
-    attempt = 0
-    while True:
+
+    def attempt_fn(attempt: int) -> Any:
         spec = specs[attempt] if attempt < len(specs) else None
-        try:
-            if spec is not None:
-                _fire(spec)
-            result = fn(*args)
-        except Exception as exc:
-            attempt += 1
-            if not RetryPolicy.retryable(exc) or attempt >= max_attempts:
-                raise
-            if backoff:
-                time.sleep(backoff * attempt)
-            continue
+        if spec is not None:
+            _fire(spec)
+        result = fn(*args)
         if attempt:
             counters = result[-1]
             if isinstance(counters, Counters):
@@ -462,6 +478,8 @@ def resilient_task_call(
                     FAULT_COUNTER_GROUP, "task.retries", attempt
                 )
         return result
+
+    return policy.run(attempt_fn)
 
 
 # -- filesystem wrappers ------------------------------------------------------
@@ -592,24 +610,14 @@ class RetryingFileSystem(_DelegatingFileSystem):
         self.counters = counters
 
     def _with_retries(self, fn: Callable[[], Any]) -> Any:
-        attempt = 0
-        while True:
-            try:
-                return fn()
-            except Exception as exc:
-                attempt += 1
-                if (
-                    not self.policy.retryable(exc)
-                    or attempt >= self.policy.max_attempts
-                ):
-                    raise
-                if self.counters is not None:
-                    self.counters.increment(
-                        FAULT_COUNTER_GROUP, "storage.retries"
-                    )
-                delay = self.policy.retry_delay(attempt)
-                if delay:
-                    time.sleep(delay)
+        counters = self.counters
+        on_retry = None
+        if counters is not None:
+
+            def on_retry(_retry: int) -> None:
+                counters.increment(FAULT_COUNTER_GROUP, "storage.retries")
+
+        return self.policy.run(lambda _attempt: fn(), on_retry)
 
     def write(
         self,

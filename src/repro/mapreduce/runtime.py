@@ -29,17 +29,17 @@ localhost worker fleet over TCP, see :mod:`repro.mapreduce.cluster`).
   task retries would perform), applies the combiner to its own output,
   and meters into a *task-local* :class:`Counters`.
 * The **shuffle** routes each intermediate record to its reduce
-  partition with the deterministic hash partitioner (pure data
-  movement, performed by the driver).
-* A **reduce task** is one unit of work per partition: it sorts its
-  partition by the canonical key order (unless the external shuffle
-  already merge-sorted it), groups, applies ``job.reduce`` to each
-  group, and meters into a task-local :class:`Counters`.  On the
-  stateful plane (:meth:`MapReduceRuntime.run_stateful`) the same task
-  also receives its partition of the resident state store, joins the
-  groups against it by cached key bytes, calls ``job.reduce_state``
-  instead, and reports the changed records — a plain job is the case
-  with no state partition.
+  partition with the deterministic hash partitioner and sorts each
+  partition by the canonical key order (performed by the driver).
+* A **reduce task** is one unit of work per partition: it receives
+  its partition already key-sorted by the shuffle, groups it, applies
+  ``job.reduce`` to each group, and meters into a task-local
+  :class:`Counters`.  On the stateful plane
+  (:meth:`MapReduceRuntime.run_stateful`) the same task also receives
+  its partition of the resident state store, joins the groups against
+  it by cached key bytes, calls ``job.reduce_state`` instead, and
+  reports the changed records — a plain job is the case with no state
+  partition.
 
 Plain and stateful jobs run through one job skeleton (configure,
 split, map, shuffle, reduce, counter merge, job accounting); they
@@ -62,11 +62,11 @@ task names the same vertex many times in a round.
 Partitioning hashes the cached bytes (``fast_hash_bytes(key_bytes) %
 num_reduce_tasks``, a CRC-based hash far cheaper than the per-record
 MD5 it replaced; the resident state store routes by the same formula),
-the combiner and reduce-side sort/group compare the cached bytes (a
-combiner output under its group's own key object inherits the group's
-bytes), and the external shuffle spills and k-way merges them
-byte-first — no stage re-encodes, and each stage handles a run as one
-record.  Grouping unpacks a run into its values, so ``job.reduce``
+the combiner's sort/group and the reduce-side grouping compare the
+cached bytes (a combiner output under its group's own key object
+inherits the group's bytes), and the shuffle sorts, spills and k-way
+merges them byte-first — no stage re-encodes, and each stage handles a
+run as one record.  Grouping unpacks a run into its values, so ``job.reduce``
 sees the same values in the same order, and the counters
 (``map.output.records``, ``shuffle.records``,
 ``shuffle.encoded_bytes``) still count values.  Only the volatile
@@ -83,16 +83,16 @@ Storage is pluggable alongside compute (see :mod:`repro.mapreduce.
 storage`): ``storage="memory" | "disk"`` (or any
 :class:`~repro.mapreduce.storage.FileSystem`) selects where inter-job
 datasets live — :class:`~repro.mapreduce.pipeline.Pipeline` wires its
-stages through the runtime's filesystem — and ``spill_threshold``
-bounds the driver-side shuffle: when set, map outputs accumulate in
-per-partition buffers that sort-and-spill to disk runs past the
-threshold and are k-way merged at reduce time
-(:class:`~repro.mapreduce.storage.ExternalShuffle`), metering
-``spilled_records``/``spill_files``/``spilled_bytes``.  Because the
-spill path delivers each partition already merge-sorted, the reduce
-tasks skip their sort; on the serial backend they consume
-the merged runs as a lazy stream, never re-materializing the partition
-driver-side.
+stages through the runtime's filesystem.  Every job shuffles through
+one :class:`~repro.mapreduce.storage.ExternalShuffle`: map outputs
+accumulate in per-partition buffers, and each partition's spilled runs
+and sorted tail are k-way merged at reduce time, so every reduce task
+receives a key-sorted partition.  ``spill_threshold`` bounds the
+buffers: past it they sort-and-spill to disk runs, metering
+``spilled_records``/``spill_files``/``spilled_bytes``; ``None`` never
+spills, and then no run directory is created.  On the serial backend
+without retries the reduce tasks consume the merged partitions as lazy
+streams, never re-materializing them driver-side.
 
 Profiling
 ---------
@@ -223,11 +223,11 @@ class MapReduceRuntime:
         Pipeline` defaults to this runtime's filesystem.  Results are
         bit-identical across storage backends.
     spill_threshold:
-        When set, the shuffle becomes *external*: each reduce
-        partition's map outputs accumulate in a bounded buffer that is
-        sorted and spilled to a disk run once it holds more than this
-        many records (``0`` spills every record), and runs are k-way
-        merged at reduce time.  ``None`` (default) keeps the entire
+        Bounds the shuffle's buffers: each reduce partition's map
+        outputs accumulate in a buffer that is sorted and spilled to a
+        disk run once it holds more than this many records (``0``
+        spills every record), and runs are k-way merged at reduce
+        time.  ``None`` (default) never spills, keeping the entire
         shuffle in memory.  Outputs are bit-identical across
         thresholds; only the spill counters differ.
     spill_dir:
@@ -386,10 +386,9 @@ class MapReduceRuntime:
         bit-identical with the fault-free run; recovery activity lands
         in the volatile ``faults`` group.
         """
-        policy = self.retry_policy
+        policy = self.retry_policy or RetryPolicy(max_attempts=1)
         plan = self.fault_plan
-        max_attempts = policy.max_attempts if policy is not None else 1
-        backoff = policy.backoff if policy is not None else 0.0
+        max_attempts = policy.max_attempts
         faulty = plan is not None and plan.has_task_faults
         if faulty or max_attempts > 1:
             # Without scheduled faults, real transient errors (OSError
@@ -408,9 +407,7 @@ class MapReduceRuntime:
                     self.counters.increment(
                         FAULT_COUNTER_GROUP, "injected_total"
                     )
-                wrapped.append(
-                    (max_attempts, backoff, specs, fn) + tuple(task)
-                )
+                wrapped.append((policy, specs, fn) + tuple(task))
             fn, tasks = resilient_task_call, wrapped
         executor = self.executor
         tracer = self.tracer
@@ -421,8 +418,7 @@ class MapReduceRuntime:
             fn, tasks = _timed_call, [
                 (fn,) + tuple(task) for task in tasks
             ]
-        timeout = policy.task_timeout if policy is not None else None
-        raw = executor.run_tasks(fn, tasks, timeout=timeout)
+        raw = executor.run_tasks(fn, tasks, timeout=policy.task_timeout)
         # A parallel backend's batch ledger says where the batch's
         # failures went; the serial backend keeps none.
         ledger = executor.ledger
@@ -620,13 +616,11 @@ class MapReduceRuntime:
         """
         job.configure(side_data)
         splits = self._split_input(records)
-        spiller = None
-        if self.spill_threshold is not None:
-            spiller = ExternalShuffle(
-                self.num_reduce_tasks,
-                self.spill_threshold,
-                spill_dir=self.spill_dir,
-            )
+        spiller = ExternalShuffle(
+            self.num_reduce_tasks,
+            self.spill_threshold,
+            spill_dir=self.spill_dir,
+        )
         if store is None:
             method, attrs = "map", {}
         elif scan:
@@ -639,31 +633,23 @@ class MapReduceRuntime:
                     intermediate = self._run_map_phase(job, splits, method)
                 with self._phase("shuffle"):
                     partitions = self._shuffle(job, intermediate, spiller)
-                del intermediate  # the partitions hold every record now
+                del intermediate  # the shuffle holds every record now
                 # Frontier rounds dispatch only the partitions that
                 # received messages, so a message-less partition's
                 # state is never loaded (a parked one stays on disk).
-                # The spiller's routing counts stand in for its lazy
-                # streams, which cannot be emptiness-tested; either way
-                # the deterministic hash decides, so the skip is
+                # The shuffle answers without consuming a lazy stream,
+                # and the deterministic hash decides, so the skip is
                 # identical across backends, filesystems and spills.
-                routed = partitions
-                if spiller is not None:
-                    routed = spiller.partition_records
                 dispatched = [
                     index
                     for index in range(self.num_reduce_tasks)
-                    if store is None or scan or routed[index]
+                    if store is None or scan or spiller.has_records(index)
                 ]
                 with self._phase("reduce", tasks=len(dispatched)):
-                    # The external shuffle hands each partition over
-                    # already merge-sorted, so the reduce tasks skip
-                    # their sort.
                     tasks = [
                         (
                             job,
                             partitions[index],
-                            spiller is not None,
                             None if store is None else store.partition(index),
                             scan,
                         )
@@ -673,9 +659,9 @@ class MapReduceRuntime:
                         _execute_reduce_task, tasks, label="reduce", job=job
                     )
             finally:
-                if spiller is not None:
-                    self._meter_phase("spill", spiller.spill_seconds)
-                    spiller.close()
+                # Run files live until every reduce task has read them.
+                self._meter_phase("spill", spiller.spill_seconds)
+                spiller.close()
             reduce_hist = self.metrics.histogram(
                 "runtime", "task.reduce_output_records", COUNT_BUCKETS
             )
@@ -789,19 +775,17 @@ class MapReduceRuntime:
         self,
         job: MapReduceJob,
         intermediate: List[List[EncodedRecord]],
-        spiller: Optional[ExternalShuffle],
+        spiller: ExternalShuffle,
     ) -> List[Any]:
-        """Partition and meter the intermediate records.
+        """Partition, sort and meter the intermediate records.
 
-        With ``spill_threshold=None`` every partition stays in memory
-        in arrival order and sorting happens inside each reduce task
-        (the task unit owns its partition's sort, as a real cluster's
-        reducer-side merge does).  With a threshold, records route
-        through the :class:`ExternalShuffle` — bounded buffers that
-        sort-and-spill to disk runs and k-way merge per partition.
-        Both paths hand each reduce task the same multiset of records
-        with equal keys in the same arrival order, so reduce outputs
-        are bit-identical either way.
+        Records route through ``spiller``'s per-partition buffers,
+        which sort-and-spill to disk runs past the spill threshold
+        (never, with none), and each partition comes back key-sorted:
+        its runs and its tail k-way merged, equal keys in arrival
+        order.  So every threshold hands each reduce task the same
+        sorted records, and reduce outputs are bit-identical across
+        thresholds.
 
         Routing hashes each record's cached key bytes, and byte
         metering measures them with ``len`` instead of re-encoding the
@@ -809,51 +793,42 @@ class MapReduceRuntime:
         every counter reads as if each value were its own record.
         """
         group = job.name
-        partitions: List[Any] = [
-            [] for _ in range(self.num_reduce_tasks)
-        ]
         num_partitions = self.num_reduce_tasks
+        add = spiller.add
         shuffled = 0
         encoded_bytes = 0
         for task_index, task_output in enumerate(intermediate):
             for record in task_output:
                 key_bytes = record[0]
-                index = fast_hash_bytes(key_bytes) % num_partitions
-                if spiller is not None:
-                    spiller.add(index, record)
-                else:
-                    partitions[index].append(record)
+                add(fast_hash_bytes(key_bytes) % num_partitions, record)
                 value = record[2]
                 run = value if value.__class__ is _Run else (value,)
                 shuffled += len(run)
                 encoded_bytes += len(key_bytes) * len(run)
-            if spiller is not None:
-                # These records now live in the spiller's bounded
-                # buffers or on-disk runs; drop the driver's copy so
-                # routing never holds the shuffle twice.
-                intermediate[task_index] = []
-        if spiller is not None:
-            policy = self.retry_policy
-            if self.executor.picklable_tasks or (
-                policy is not None and policy.max_attempts > 1
-            ):
-                # Task arguments cross a process boundary, or a retried
-                # attempt must re-read them from the start: materialize.
-                partitions = [
-                    spiller.merged_partition(index)
-                    for index in range(num_partitions)
-                ]
-            else:
-                # The serial executor consumes the merged runs
-                # lazily — the partition is never re-materialized
-                # driver-side.  (Run files live until after reduce;
-                # the job skeleton closes the spiller in its
-                # ``finally``.)
-                partitions = [
-                    spiller.merged_stream(index)
-                    for index in range(num_partitions)
-                ]
-            spiller.meter(self.counters, group)
+            # These records now live in the shuffle's buffers or
+            # on-disk runs; drop the driver's copy so routing never
+            # holds the shuffle twice.
+            intermediate[task_index] = []
+        policy = self.retry_policy
+        if self.executor.picklable_tasks or (
+            policy is not None and policy.max_attempts > 1
+        ):
+            # Task arguments cross a process boundary, or a retried
+            # attempt must re-read them from the start: materialize.
+            partitions: List[Any] = [
+                spiller.merged_partition(index)
+                for index in range(num_partitions)
+            ]
+        else:
+            # The serial executor consumes the merged partitions
+            # lazily — never re-materialized driver-side.  (Run files
+            # live until after reduce; the job skeleton closes the
+            # shuffle in its ``finally``.)
+            partitions = [
+                spiller.merged_stream(index)
+                for index in range(num_partitions)
+            ]
+        spiller.meter(self.counters, group)
         self.counters.increment(group, "shuffle.records", shuffled)
         self.counters.increment("runtime", "shuffle.records", shuffled)
         self.counters.increment(
@@ -1014,29 +989,26 @@ def _apply_combiner(
 def _execute_reduce_task(
     job: MapReduceJob,
     partition: Iterable[EncodedRecord],
-    presorted: bool,
     state_partition: Optional[Dict[bytes, Tuple[Any, Any]]],
     scan: bool,
 ) -> Tuple[List[KeyValue], List[Tuple[bytes, Any, Any]], Counters]:
-    """One reduce task: sort, group, reduce, meter.
+    """One reduce task: group, reduce, meter.
 
-    Sorts its partition (unless the external shuffle already
-    merge-sorted it) and groups it by cached key bytes.  With no
-    ``state_partition`` — a plain job — each group goes to
-    ``job.reduce``.  With one, the groups join against it: the
-    byte-sorted union of resident keys and message groups (``scan``)
-    or the message groups alone (frontier), each key's resident state
-    and messages going to ``job.reduce_state``.  Returns ``(outputs,
-    updates, counters)``, where ``updates`` holds only the *changed*
-    records — ``(key_bytes, key, new_state)`` with :class:`Retired`
-    marking departures — and stays empty for a plain job.  The state
-    partition is read-only here; the runtime applies the updates
-    driver-side, after every task of the round has finished.
+    Groups its partition, which the shuffle delivers key-sorted, by
+    cached key bytes.  With no ``state_partition`` — a plain job —
+    each group goes to ``job.reduce``.  With one, the groups join
+    against it: the byte-sorted union of resident keys and message
+    groups (``scan``) or the message groups alone (frontier), each
+    key's resident state and messages going to ``job.reduce_state``.
+    Returns ``(outputs, updates, counters)``, where ``updates`` holds
+    only the *changed* records — ``(key_bytes, key, new_state)`` with
+    :class:`Retired` marking departures — and stays empty for a plain
+    job.  The state partition is read-only here; the runtime applies
+    the updates driver-side, after every task of the round has
+    finished.
     """
     counters = Counters()
     group = job.name
-    if not presorted:
-        partition = sorted(partition, key=_record_key_bytes)
     groups = _group_encoded_bytes(partition)
     stateful = state_partition is not None
     if scan:

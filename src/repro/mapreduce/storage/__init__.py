@@ -10,10 +10,10 @@ The executors make *compute* pluggable (``backend="serial" |
   default simulator store) and
   :class:`~repro.mapreduce.storage.disk.LocalDiskFileSystem`
   (out-of-core JSONL files with atomic rename-on-close);
-* the :class:`~repro.mapreduce.storage.shuffle.ExternalShuffle` —
-  bounded map-output buffers that sort-and-spill to disk runs and
-  k-way merge at reduce time, metering ``spilled_records`` /
-  ``spill_files`` / ``spilled_bytes``;
+* the :class:`~repro.mapreduce.storage.shuffle.ExternalShuffle` every
+  job shuffles through — map-output buffers that sort-and-spill to
+  disk runs past a threshold and k-way merge at reduce time,
+  metering ``spilled_records`` / ``spill_files`` / ``spilled_bytes``;
 * the canonical JSONL record codec and the TSV corpus-file helpers
   shared by the CLI and tests.
 

@@ -1,18 +1,19 @@
-"""The external shuffle: sort-and-spill map outputs to disk runs.
+"""The shuffle: partition buffers that sort-and-spill to disk runs.
 
-The driver-side shuffle of :class:`~repro.mapreduce.runtime.
-MapReduceRuntime` historically buffered every intermediate record in
-RAM in per-partition lists.  This module reproduces Hadoop's
-alternative — the *external* shuffle:
+Every job of :class:`~repro.mapreduce.runtime.MapReduceRuntime`
+shuffles through this module, the way Hadoop's one shuffle serves
+every job whatever its size:
 
-1. **accumulate** — intermediate records route to a bounded in-memory
-   buffer per reduce partition;
+1. **accumulate** — intermediate records route to an in-memory buffer
+   per reduce partition;
 2. **sort & spill** — when a partition's buffer exceeds the configured
    ``spill_threshold``, it is sorted by the canonical key order and
-   streamed to a *run file* on disk, then cleared;
+   streamed to a *run file* on disk, then cleared (a ``None``
+   threshold never spills: every record stays in its buffer);
 3. **merge** — at reduce time, each partition's spilled runs and its
-   in-memory tail are k-way merged with :func:`heapq.merge` over the
-   same canonical order, yielding the partition fully key-sorted.
+   in-memory tail, sorted in place, are k-way merged with
+   :func:`heapq.merge` over the same canonical order, yielding the
+   partition fully key-sorted.
 
 Encoded records.  The shuffle operates on the runtime's *encoded
 shuffle plane*: every record is a ``(key_bytes, key, value)`` triple
@@ -26,12 +27,13 @@ and the k-way merge all compare those cached bytes — this module never
 calls ``canonical_bytes``.
 
 Determinism.  Every spill is a *stable* sort of a contiguous chunk of
-the arrival sequence, runs are merged in spill order, and
-:func:`heapq.merge` breaks ties in favor of earlier iterables — so
-records with equal keys emerge in exactly their arrival order, the same
-order the purely in-memory shuffle (followed by the reduce task's
-stable sort) produces.  Outputs are therefore bit-identical across
-spill thresholds, including ``threshold=0`` (spill every record) and
+the arrival sequence, the tail's in-place sort is stable too, runs are
+merged in spill order, and :func:`heapq.merge` breaks ties in favor of
+earlier iterables — so records with equal keys emerge in exactly their
+arrival order at every threshold.  A ``None`` threshold is the case
+with no runs, where the merge is the stable sort of the whole arrival
+sequence.  Outputs are therefore bit-identical across spill
+thresholds, including ``threshold=0`` (spill every record) and
 ``threshold=None`` (never spill); the property tests in
 ``tests/mapreduce/test_storage_spill.py`` pin this down.
 
@@ -47,21 +49,26 @@ flag — never part of the bit-identical counter contract).
 
 Run files hold length-prefixed encoded-record frames (see
 ``write_run_record`` in the codec module) in a directory created lazily
-on first spill and removed by :meth:`ExternalShuffle.close`.
+on first spill and removed by :meth:`ExternalShuffle.close`; a shuffle
+that never spills creates no directory.
 
 Scope.  While records are routed, at most ``spill_threshold`` of them
 per partition sit in RAM (the runtime also releases each map task's
 output list once routed), with the bulk of the shuffle parked in run
-files.  On the ``serial`` backend, which shares the driver's memory,
+files; with no threshold the buffers hold the whole shuffle.  Either
+way every reduce task receives a key-sorted partition.  On the
+``serial`` backend without retries, which shares the driver's memory,
 the runtime hands each reduce task the lazy :meth:`merged_stream`, so
 a partition is never re-materialized driver-side; the ``cluster``
-backend — whose task arguments must pickle — receives the
-materialized :meth:`merged_partition` list.
+backend — whose task arguments must pickle — and a retried task,
+which must re-read its input, receive the materialized
+:meth:`merged_partition` list.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import shutil
 import tempfile
@@ -114,9 +121,8 @@ class ExternalShuffle:
         Number of reduce partitions (one buffer + run list each).
     spill_threshold:
         A partition's buffer spills once it holds *more than* this many
-        records; ``0`` spills on every arrival.  (A ``None`` threshold
-        means "never spill" and is handled by the runtime, which then
-        bypasses this class entirely.)
+        records; ``0`` spills on every arrival and ``None`` never
+        spills.
     spill_dir:
         Parent directory for the run files; defaults to the system
         temporary directory.  The shuffle creates (and on
@@ -133,13 +139,13 @@ class ExternalShuffle:
     def __init__(
         self,
         num_partitions: int,
-        spill_threshold: int,
+        spill_threshold: Optional[int],
         spill_dir: Optional[str] = None,
         merge_factor: int = 64,
     ) -> None:
         if num_partitions < 1:
             raise MapReduceError("num_partitions must be positive")
-        if spill_threshold < 0:
+        if spill_threshold is not None and spill_threshold < 0:
             raise MapReduceError(
                 f"spill_threshold must be >= 0, got {spill_threshold}"
             )
@@ -149,6 +155,11 @@ class ExternalShuffle:
             )
         self.num_partitions = num_partitions
         self.spill_threshold = spill_threshold
+        # The buffer length past which ``add`` spills: no length is
+        # past infinity.
+        self._limit = (
+            math.inf if spill_threshold is None else spill_threshold
+        )
         self.merge_factor = merge_factor
         self._spill_parent = spill_dir
         self._directory: Optional[str] = None
@@ -157,10 +168,6 @@ class ExternalShuffle:
         ]
         self._runs: List[List[str]] = [[] for _ in range(num_partitions)]
         self._merge_sequence = 0
-        #: Records routed to each partition so far — lets callers test
-        #: a partition for emptiness without consuming its (lazy,
-        #: possibly disk-backed) merged stream.
-        self.partition_records: List[int] = [0] * num_partitions
         self.spilled_records = 0
         self.spill_files = 0
         self.spilled_bytes = 0
@@ -170,11 +177,16 @@ class ExternalShuffle:
 
     def add(self, partition: int, record: EncodedRecord) -> None:
         """Route one encoded record to its partition buffer."""
-        self.partition_records[partition] += 1
         buffer = self._buffers[partition]
         buffer.append(record)
-        if len(buffer) > self.spill_threshold:
+        if len(buffer) > self._limit:
             self._spill(partition)
+
+    def has_records(self, partition: int) -> bool:
+        """Whether any record was routed to ``partition`` — tested
+        without consuming its (lazy, possibly disk-backed) merged
+        stream."""
+        return bool(self._buffers[partition] or self._runs[partition])
 
     # -- sort & spill ------------------------------------------------------
 
@@ -218,20 +230,21 @@ class ExternalShuffle:
         """One partition as a lazy, fully key-sorted record stream.
 
         K-way merges the partition's spilled runs (in spill order) with
-        its sorted in-memory tail; ``heapq.merge`` prefers earlier
-        iterables on equal keys, which preserves arrival order.  When a
-        partition holds more than ``merge_factor`` runs, prefix batches
-        are compacted into single runs first (multi-pass merge, done
-        eagerly on this call), so no merge ever opens more than
-        ``merge_factor + 1`` files — batches are contiguous and the
-        compacted run takes the batch's place in spill order, which
-        keeps the equal-key tie-breaking identical.
+        its in-memory tail, which this call sorts in place;
+        ``heapq.merge`` prefers earlier iterables on equal keys, which
+        preserves arrival order.  When a partition holds more than
+        ``merge_factor`` runs, prefix batches are compacted into single
+        runs first (multi-pass merge, done eagerly on this call), so no
+        merge ever opens more than ``merge_factor + 1`` files — batches
+        are contiguous and the compacted run takes the batch's place in
+        spill order, which keeps the equal-key tie-breaking identical.
 
         The returned iterator reads run files on demand: it is only
         valid until :meth:`close`.  Each call returns an independent
         stream.
         """
-        tail = sorted(self._buffers[partition], key=_sort_key)
+        tail = self._buffers[partition]
+        tail.sort(key=_sort_key)  # stable: arrival order kept
         runs = list(self._runs[partition])
         while len(runs) > self.merge_factor:
             batch, runs = runs[: self.merge_factor], runs[self.merge_factor :]

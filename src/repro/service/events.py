@@ -18,6 +18,7 @@ event in a batch is rejected without failing its batchmates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Callable, Optional, Tuple, Union
@@ -163,7 +164,8 @@ def _check_capacity(capacity: object, what: str) -> None:
 def _check_weight(weight: object) -> None:
     _check(isinstance(weight, Real) and not isinstance(weight, bool),
            f"edge weights must be numbers, got {weight!r}")
-    _check(weight > 0, f"edge weights must be positive, got {weight}")
+    _check(weight > 0 and math.isfinite(weight),
+           f"edge weights must be positive and finite, got {weight}")
 
 
 def plain_graph(graph: Optional[Graph]) -> Graph:

@@ -330,31 +330,25 @@ class OnlineMatcher:
         every attempt fails, the last exception propagates — with the
         stores still at the pre-flush state.
         """
-        policy = self._retry_policy
-        max_attempts = policy.max_attempts if policy is not None else 1
+        policy = self._retry_policy or RetryPolicy(max_attempts=1)
         started = time.perf_counter()
-        attempt = 0
-        while True:
+
+        def attempt_fn(attempt: int) -> FlushReport:
             self._begin_flush_txn()
             try:
                 report = self._flush_once(events, attempt)
-            except BaseException as exc:
+            except BaseException:
                 # Even a non-retryable failure (validation bugs,
                 # round-limit blowups) leaves consistent pre-flush
                 # state behind.
                 self._rollback_flush_txn()
-                if not RetryPolicy.retryable(exc):
-                    raise
-                self._meter_fault("flush.retries")
-                attempt += 1
-                if attempt >= max_attempts:
-                    raise
-                delay = policy.retry_delay(attempt) if policy else 0.0
-                if delay:
-                    time.sleep(delay)
-                continue
+                raise
             self._commit_flush_txn()
-            break
+            return report
+
+        report = policy.run(
+            attempt_fn, lambda _retry: self._meter_fault("flush.retries")
+        )
         self._flush_index += 1
         seconds = time.perf_counter() - started
         self._flush_hist.observe(seconds)

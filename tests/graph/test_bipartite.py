@@ -42,6 +42,10 @@ def test_rejects_bad_weights_and_loops():
         g.add_edge("a", "b", 0.0)
     with pytest.raises(ValueError):
         g.add_edge("a", "b", -1.0)
+    for weight in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            g.add_edge("a", "b", weight)
+    assert not g.has_edge("a", "b")
     with pytest.raises(ValueError):
         g.add_edge("a", "a", 1.0)
     with pytest.raises(ValueError):

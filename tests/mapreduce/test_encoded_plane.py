@@ -3,9 +3,8 @@
 The runtime computes ``canonical_bytes(key)`` once per run — at
 map-emit time, where every value one map-task attempt emits under one
 exact-``str`` key shares a single record — and carries the
-``(key_bytes, key, value)`` triple through partitioning, the in-memory
-shuffle, the external sort-and-spill shuffle, and the reduce-side
-sort/group.  These tests pin:
+``(key_bytes, key, value)`` triple through partitioning, the shuffle's
+sort, spill and merge, and the reduce-side grouping.  These tests pin:
 
 * the **encode-once invariant** — one ``canonical_bytes`` call per
   distinct ``str`` key per map-task attempt, per emitted non-``str``
@@ -17,9 +16,9 @@ sort/group.  These tests pin:
 * what runs must **not** change: the key object reduce receives, the
   keys that may share a run, and a reducer mutating its ``values``
   under retries;
-* the **presorted hand-off**: the spill path delivers merge-sorted
-  partitions and the reduce task must not destroy that (outputs match
-  the in-memory path bit-identically);
+* the **sorted hand-off**: the shuffle delivers every partition
+  key-sorted, spilled or not, and the reduce task groups it as given
+  (outputs match bit-identically across thresholds);
 * the ``shuffle.encoded_bytes`` counter and ``phase_timings`` meters.
 """
 
@@ -409,8 +408,9 @@ def test_mutating_reduce_under_retries_matches_fault_free(backend, tmp_path):
 
 
 def test_spill_path_bit_identical_to_memory_path(tmp_path):
-    """The presorted hand-off (reduce skips its sort after a spill
-    merge) changes nothing observable."""
+    """The sorted hand-off changes nothing observable: whether the
+    shuffle keeps a partition in memory or merges it from spilled
+    runs, the reduce task receives it key-sorted and outputs match."""
     records = [(i % 7, i) for i in range(60)]
     baseline = MapReduceRuntime(num_map_tasks=3, num_reduce_tasks=4)
     expected = baseline.run(ArrivalOrder(), records)

@@ -203,6 +203,39 @@ def test_retry_policy_rejects_nan(kwargs, name):
         RetryPolicy(**kwargs)
 
 
+def test_retry_policy_run_counts_only_the_retries_it_makes():
+    """``on_retry`` fires once per retry made — never after the last
+    attempt — and a non-transient failure is not retried at all."""
+
+    def failing(exc, succeed_at=None):
+        attempts = []
+
+        def attempt_fn(attempt):
+            attempts.append(attempt)
+            if attempt == succeed_at:
+                return "ok"
+            raise exc
+
+        return attempts, attempt_fn
+
+    retries = []
+    attempts, attempt_fn = failing(InjectedIOError("x"), succeed_at=2)
+    assert RetryPolicy(max_attempts=3).run(attempt_fn, retries.append) == "ok"
+    assert attempts == [0, 1, 2] and retries == [1, 2]
+
+    retries = []
+    attempts, attempt_fn = failing(InjectedIOError("x"))
+    with pytest.raises(InjectedIOError):
+        RetryPolicy(max_attempts=3).run(attempt_fn, retries.append)
+    assert attempts == [0, 1, 2] and retries == [1, 2]
+
+    retries = []
+    attempts, attempt_fn = failing(JobValidationError("bug"))
+    with pytest.raises(JobValidationError):
+        RetryPolicy(max_attempts=3).run(attempt_fn, retries.append)
+    assert attempts == [0] and retries == []
+
+
 # -- storage faults: consumed-once, recovered by retries -------------------
 
 

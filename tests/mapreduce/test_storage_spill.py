@@ -67,6 +67,19 @@ class OrderSensitive(MapReduceJob):
         yield key, list(values)  # order preserved verbatim
 
 
+class ManyKeys(MapReduceJob):
+    """Keys of two types over a few partitions, values in arrival
+    order: several groups per reduce task, in an order the test can
+    read back from the output."""
+
+    def map(self, key, value):
+        yield f"k{key % 13}", value
+        yield key % 5, value
+
+    def reduce(self, key, values):
+        yield key, list(values)
+
+
 class ExplodingReduce(MapReduceJob):
     def map(self, key, value):
         yield key, value
@@ -177,6 +190,21 @@ def test_run_codec_raises_on_truncated_frames(tmp_path):
     for cut in range(1, len(intact)):
         with pytest.raises(FileSystemError, match="truncated spill-run"):
             list(read_run_records(io.BytesIO(intact[:cut])))
+
+
+def test_external_shuffle_without_threshold_never_spills(tmp_path):
+    """``None`` keeps every record in its buffer: no run, no
+    directory, and the merge is the stable sort of the arrivals."""
+    records = _encoded([("b", 1), ("a", 2), ("b", 3), ("a", 4)] * 50)
+    spill_dir = tmp_path / "spills"
+    with ExternalShuffle(2, None, spill_dir=str(spill_dir)) as shuffle:
+        for record in records:
+            shuffle.add(0, record)
+        assert shuffle.has_records(0) and not shuffle.has_records(1)
+        merged = shuffle.merged_partition(0)
+        assert merged == sorted(records, key=lambda r: r[0])
+        assert shuffle.spilled_records == shuffle.spill_files == 0
+    assert not spill_dir.exists()
 
 
 def test_external_shuffle_rejects_bad_merge_factor():
@@ -340,6 +368,111 @@ def test_spill_runs_cleaned_up_after_failed_job(tmp_path):
     with pytest.raises(RuntimeError, match="reduce blew up"):
         runtime.run(ExplodingReduce(), [(0, 1), (1, 2)])
     assert not any(files for _, _, files in os.walk(tmp_path))
+
+
+# -- one shuffle path at every threshold -------------------------------------
+#
+# Every job shuffles through one ExternalShuffle; the threshold only
+# decides whether its buffers spill.  The spies below sit on
+# ``MapReduceRuntime._run_tasks``, which runs driver-side, so they see
+# (and may rewrite) the reduce tasks' inputs on every backend.
+
+ONE_PATH_THRESHOLDS = (None, 0, 8)
+ONE_PATH_RECORDS = [(i, i * i % 17) for i in range(60)]
+
+
+def _one_path_runtime(backend, threshold, spill_dir):
+    return MapReduceRuntime(
+        num_map_tasks=3,
+        num_reduce_tasks=2,
+        backend=backend,
+        spill_threshold=threshold,
+        spill_dir=str(spill_dir),
+    )
+
+
+def _spy_reduce_inputs(monkeypatch, rewrite=lambda records: records):
+    """Record each reduce task's input key bytes, in task order, after
+    ``rewrite`` (a list-to-list function) has been applied to it."""
+    inputs = []
+    run_tasks = MapReduceRuntime._run_tasks
+
+    def spy(self, fn, tasks, label, job):
+        if label == "reduce":
+            rewritten = []
+            for task in tasks:
+                records = rewrite(list(task[1]))
+                inputs.append([record[0] for record in records])
+                rewritten.append((task[0], records) + tuple(task[2:]))
+            tasks = rewritten
+        return run_tasks(self, fn, tasks, label, job)
+
+    monkeypatch.setattr(MapReduceRuntime, "_run_tasks", spy)
+    return inputs
+
+
+@pytest.mark.parametrize("threshold", ONE_PATH_THRESHOLDS)
+def test_shuffle_leaves_no_directory_behind(backend, threshold, tmp_path):
+    """A job that never spills creates no run directory at all, and a
+    spilling one removes its own."""
+    spill_dir = tmp_path / "spills"
+    runtime = _one_path_runtime(backend, threshold, spill_dir)
+    runtime.run(ManyKeys(), ONE_PATH_RECORDS)
+    spilled = runtime.counters.get("runtime", "spill_files")
+    if threshold is None:
+        assert spilled == 0
+        assert os.listdir(tmp_path) == []
+    else:
+        assert spilled > 0
+        assert os.listdir(spill_dir) == []
+
+
+@pytest.mark.parametrize("threshold", ONE_PATH_THRESHOLDS)
+def test_reduce_input_arrives_in_key_byte_order(
+    backend, threshold, tmp_path, monkeypatch
+):
+    inputs = _spy_reduce_inputs(monkeypatch)
+    runtime = _one_path_runtime(backend, threshold, tmp_path)
+    output = runtime.run(ManyKeys(), ONE_PATH_RECORDS)
+    assert len(inputs) == 2 and all(inputs)
+    for keys in inputs:
+        assert keys == sorted(keys)
+    assert sum(len(values) for _, values in output) == 2 * len(
+        ONE_PATH_RECORDS
+    )
+
+
+def _reverse_groups(records):
+    """The same key groups, each in arrival order, last group first."""
+    groups = []
+    for record in records:
+        if groups and groups[-1][0][0] == record[0]:
+            groups[-1].append(record)
+        else:
+            groups.append([record])
+    return [record for group in reversed(groups) for record in group]
+
+
+@pytest.mark.parametrize("threshold", ONE_PATH_THRESHOLDS)
+def test_reduce_task_never_sorts(backend, threshold, tmp_path, monkeypatch):
+    """Handed its groups last-first, a reduce task reduces them
+    last-first: it groups what it is given and sorts nothing."""
+    expected = _one_path_runtime(backend, threshold, tmp_path).run(
+        ManyKeys(), ONE_PATH_RECORDS
+    )
+    inputs = _spy_reduce_inputs(monkeypatch, _reverse_groups)
+    output = _one_path_runtime(backend, threshold, tmp_path).run(
+        ManyKeys(), ONE_PATH_RECORDS
+    )
+    handed = [
+        key_bytes
+        for keys in inputs
+        for index, key_bytes in enumerate(keys)
+        if index == 0 or keys[index - 1] != key_bytes
+    ]
+    assert [canonical_bytes(key) for key, _ in output] == handed
+    assert output != expected
+    assert sorted(output, key=repr) == sorted(expected, key=repr)
 
 
 # -- pipelines across filesystems -------------------------------------------

@@ -120,6 +120,22 @@ def test_exhausted_flush_budget_rolls_back_and_raises():
         )
 
 
+def test_failed_flush_without_a_policy_meters_no_retry():
+    """``flush.retries`` counts retries made: a single attempt that
+    fails and raises made none."""
+    matcher = OnlineMatcher(
+        runtime=_faulted_runtime(fault_plan=FaultPlan(1, flush_rate=1.0)),
+        graph=_seeded_graph(5),
+    )
+    events, _ = zipf_events(_seeded_graph(5), 8, seed=5)
+    with matcher:
+        with pytest.raises(InjectedFault):
+            matcher.flush(list(events))
+    faults = matcher.runtime.counters.group("faults")
+    assert faults["injected_flush"] == 1
+    assert faults.get("flush.retries", 0) == 0
+
+
 def test_rolled_back_flush_replans_the_same_set():
     """The repair plan is a function of (pre-batch state, batch): a
     mid-reconvergence fault rolls matching, stores *and* the pre-batch

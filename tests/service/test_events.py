@@ -69,6 +69,8 @@ INVALID_EVENTS = [
     (Arrival(7, edges=(("a", 1.0),)), "must be a str"),
     (Arrival("d", edges=(("a", "1"),)), "must be numbers"),
     (EdgeArrival("a", "c", "3"), "must be numbers"),
+    # +inf passes ``> 0``; NaN fails it, so it is rejected either way.
+    (EdgeArrival("a", "c", float("inf")), "finite"),
 ]
 
 
