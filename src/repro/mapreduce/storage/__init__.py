@@ -9,7 +9,8 @@ The executors make *compute* pluggable (``backend="serial" |
   :class:`~repro.mapreduce.storage.memory.InMemoryFileSystem` (the
   default simulator store) and
   :class:`~repro.mapreduce.storage.disk.LocalDiskFileSystem`
-  (out-of-core JSONL files with atomic rename-on-close);
+  (out-of-core JSONL files with atomic rename-on-close, never
+  forced to disk);
 * the :class:`~repro.mapreduce.storage.shuffle.ExternalShuffle` every
   job shuffles through — map-output buffers that sort-and-spill to
   disk runs past a threshold and k-way merge at reduce time,

@@ -15,9 +15,11 @@ The contract, shared by every implementation and relied on by
 * **write-once** — :meth:`~FileSystem.write` refuses to overwrite unless
   asked, because clobbering a previous iteration's output is a classic
   pipeline bug;
-* **all-or-nothing visibility** — a dataset either exists completely or
-  not at all; a writer that fails mid-stream must leave nothing visible
-  (the disk backend guarantees this with rename-on-close);
+* **all-or-nothing visibility** — a visible dataset is always
+  complete; a writer that fails before its new dataset is complete
+  leaves nothing new visible, and an overwrite that fails that way
+  leaves the old dataset (the disk backend guarantees this with
+  rename-on-close);
 * **isolation** — :meth:`~FileSystem.read` hands back data the caller
   may mutate freely without corrupting the stored dataset;
 * **observability** — :meth:`~FileSystem.du` reports per-dataset record
@@ -96,9 +98,12 @@ class FileSystem:
     ) -> int:
         """Store ``records`` at ``path``; returns the record count.
 
-        Must be atomic: on any failure nothing becomes visible at
-        ``path`` (and a previously existing dataset is untouched).
-        Refuses to overwrite unless ``overwrite=True``.
+        Must be atomic: a visible dataset is always complete, and a
+        failure before the new dataset is complete leaves nothing new
+        visible at ``path`` (a previously existing dataset stays).  An
+        overwrite may leave ``path`` reading as absent for an instant
+        before the new dataset appears.  Refuses to overwrite unless
+        ``overwrite=True``.
         """
         raise NotImplementedError
 

@@ -7,15 +7,31 @@ in-memory backend, with one additional guarantee that matters on real
 storage:
 
 **Atomic visibility (rename-on-close).**  Writers stream records into a
-temporary file *in the destination directory* and only ``os.replace``
-it onto the final name after the last record is written and the file is
-closed.  ``os.replace`` is atomic on POSIX, so a job that crashes
+temporary file *in the destination directory* and only rename it onto
+the final name after the last record is written and the file is
+closed.  The rename is atomic on POSIX, so a job that crashes
 mid-write — a failing map task, an exception in a record iterator, a
 killed process — never leaves a visible partial dataset: readers see
-either the complete dataset or ``no such path``, exactly like HDFS's
+either a complete dataset or ``no such path``, exactly like HDFS's
 invisible ``_temporary`` output directories.  The orphaned temp file is
 removed on the error path (and is ignored by ``exists``/``list_paths``
 even if the process dies before cleanup).
+
+**Scratch data is never forced to disk.**  Inter-job datasets are
+rewritten every iteration and thrown away after the run, so nothing
+here asks the kernel to persist them — yet two common write idioms do
+so implicitly.  ext4's default ``auto_da_alloc`` heuristic forces a
+file's delayed-allocation blocks out when a file is truncated by an
+``open(..., "w")`` and then closed, and when a file is renamed over an
+existing name; freeing those blocks later (the next overwrite or
+delete) then blocks the caller for tens of milliseconds.  So a write
+streams through the descriptor ``mkstemp`` returned (no reopening, no
+truncation), and an overwrite unlinks the old dataset only *after* the
+new file is completely written and closed, then renames onto the now
+free name.  A visible dataset is still always complete; for the
+instant between that unlink and the rename the path reads as
+``no such path``, and any failure before the rename leaves the old
+dataset untouched.
 
 Records are serialized with the canonical JSONL codec
 (:mod:`repro.mapreduce.storage.codec`), which round-trips every
@@ -28,7 +44,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from itertools import islice
+from itertools import filterfalse, islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..job import KeyValue
@@ -47,6 +63,10 @@ _SUFFIX = ".jsonl"
 _TMP_MARKER = ".inprogress-"
 #: Records serialized per ``handle.write`` call.
 _WRITE_BATCH = 4096
+#: The lines ``read`` and ``du`` skip, so that their record counts
+#: agree: blank or whitespace-only ones.  The writer never emits one,
+#: but a hand-made file may hold them.
+_is_blank = str.isspace
 
 
 class LocalDiskFileSystem(FileSystem):
@@ -108,10 +128,15 @@ class LocalDiskFileSystem(FileSystem):
     ) -> int:
         """Stream ``records`` to disk; visible only after the last one.
 
-        The temporary file lives next to the destination so the final
-        ``os.replace`` stays within one filesystem and is atomic; any
-        failure while serializing removes it, leaving a previously
-        existing dataset (if any) untouched.
+        The records go into a temporary file next to the destination,
+        written through the descriptor ``mkstemp`` returned, so the
+        final rename stays within one filesystem and is atomic.  Any
+        failure before that rename — serialization, a failing iterator,
+        an invalid record — removes the temporary file and leaves a
+        previously existing dataset untouched.  An overwrite unlinks the
+        old dataset only once the new file is complete and closed, then
+        renames onto the free name: neither step makes ext4 force the
+        scratch data to disk (see the module docstring).
         """
         path = validate_path(path)
         target = self._target(path)
@@ -123,10 +148,11 @@ class LocalDiskFileSystem(FileSystem):
             dir=directory,
             prefix=os.path.basename(target) + _TMP_MARKER,
         )
-        os.close(descriptor)
+        handle = None
         count = 0
         try:
-            with open(temp_path, "w", encoding="utf-8") as handle:
+            handle = os.fdopen(descriptor, "w", encoding="utf-8")
+            with handle:
                 stream = iter(records)
                 while True:
                     lines = [
@@ -138,11 +164,22 @@ class LocalDiskFileSystem(FileSystem):
                     handle.write("\n".join(lines) + "\n")
                     count += len(lines)
         except BaseException:
+            if handle is None:
+                # fdopen failed, so the descriptor may still be open.
+                try:
+                    os.close(descriptor)
+                except OSError:  # pragma: no cover - fdopen closed it
+                    pass
             try:
                 os.unlink(temp_path)
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
             raise
+        if overwrite:
+            try:
+                os.unlink(target)
+            except FileNotFoundError:
+                pass
         os.replace(temp_path, target)
         self._counts[path] = (self._signature(target), count)
         return count
@@ -155,10 +192,9 @@ class LocalDiskFileSystem(FileSystem):
             raise FileSystemError(f"no such path: {path!r}")
         signature = self._signature(file_path)
         with open(file_path, encoding="utf-8") as handle:
-            # Blank lines (only ever hand-made) are skipped, as ``du``
-            # does not count them.
             records = [
-                loads_record(line) for line in handle if line != "\n"
+                loads_record(line)
+                for line in filterfalse(_is_blank, handle)
             ]
         self._counts[path] = (signature, len(records))
         return records
@@ -212,7 +248,7 @@ class LocalDiskFileSystem(FileSystem):
             count = cached[1]
         else:
             with open(file_path, encoding="utf-8") as handle:
-                count = sum(1 for line in handle if line.strip())
+                count = sum(1 for _ in filterfalse(_is_blank, handle))
             self._counts[path] = (signature, count)
         return DatasetStats(records=count, bytes=signature[0])
 

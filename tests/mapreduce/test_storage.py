@@ -21,8 +21,11 @@ from repro.mapreduce import (
     FileSystemError,
     InMemoryFileSystem,
     LocalDiskFileSystem,
+    ResidentStateStore,
+    canonical_bytes,
     resolve_filesystem,
 )
+from repro.mapreduce.storage import disk as disk_module
 from repro.mapreduce.storage import memory as memory_module
 from repro.mapreduce.storage import (
     FILESYSTEM_BACKENDS,
@@ -416,6 +419,135 @@ def test_disk_du_cache_invalidated_by_other_writer(tmp_path):
     stats = reader.du("/d")
     assert stats.records == 3  # signature change busts the stale cache
     assert stats.bytes == writer.du("/d").bytes
+
+
+def _disk_leftovers(fs):
+    """Every in-progress temp file under a disk filesystem's root."""
+    return [
+        name
+        for _, _, files in os.walk(fs.root)
+        for name in files
+        if ".inprogress-" in name
+    ]
+
+
+@pytest.fixture
+def renames(monkeypatch):
+    """The disk backend's renames, as ``(destination, existed)`` pairs.
+
+    Also fails any ``open`` of an in-progress temp file by name: the
+    writer must stream through the descriptor ``mkstemp`` returned.
+    Reopening the temp file with ``"w"`` truncates it, and renaming
+    onto an existing dataset replaces it; ext4's ``auto_da_alloc``
+    forces the new file's blocks to disk on either.
+    """
+    log = []
+    real_replace = os.replace
+
+    def recording_replace(source, destination, *args, **kwargs):
+        log.append((destination, os.path.exists(destination)))
+        return real_replace(source, destination, *args, **kwargs)
+
+    def guarded_open(file, *args, **kwargs):
+        assert ".inprogress-" not in str(file), f"reopened {file!r}"
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(disk_module.os, "replace", recording_replace)
+    monkeypatch.setattr(disk_module, "open", guarded_open, raising=False)
+    return log
+
+
+def test_disk_write_never_renames_onto_an_existing_dataset(
+    tmp_path, renames
+):
+    fs = LocalDiskFileSystem(root=str(tmp_path / "dfs"))
+    fs.write("/d", [("a", 1)])
+    fs.write("/d", [("b", 2), ("c", 3)], overwrite=True)
+    assert fs.read("/d") == [("b", 2), ("c", 3)]
+
+    def explode():
+        yield ("x", 0)
+        raise RuntimeError("source died mid-stream")
+
+    with pytest.raises(RuntimeError, match="mid-stream"):
+        fs.write("/d", explode(), overwrite=True)
+    with pytest.raises(FileSystemError, match="pairs"):
+        fs.write("/d", [("y", 0), "not-a-pair"], overwrite=True)
+    # Failed overwrites leave the last complete dataset in place.
+    assert fs.read("/d") == [("b", 2), ("c", 3)]
+    assert fs.size("/d") == 2
+    target = os.path.join(fs.root, "d.jsonl")
+    assert renames == [(target, False), (target, False)]
+    assert _disk_leftovers(fs) == []
+
+
+def test_disk_state_store_parks_never_rename_onto_a_partition(
+    tmp_path, renames
+):
+    fs = LocalDiskFileSystem(root=str(tmp_path / "dfs"))
+    store = ResidentStateStore(
+        "parks", num_partitions=3, filesystem=fs, spill_threshold=1
+    )
+    states = {f"k{i}": i for i in range(9)}
+    store.load(sorted(states.items()))
+    store.maybe_park()
+    parks = 1
+    for _ in range(3):
+        states = {key: value + 1 for key, value in states.items()}
+        for key, value in states.items():
+            # Parked partitions take these as overlay edits ...
+            store.put(canonical_bytes(key), key, value)
+        # ... which the next park folds into a rewrite of each one.
+        store.maybe_park()
+        assert dict(store.records()) == states
+        # Reloaded partitions are rewritten whole.
+        store.maybe_park()
+        parks += 2
+    partitions = {store.partition_of(canonical_bytes(key)) for key in states}
+    assert len(partitions) > 1
+    assert len(renames) == parks * len(partitions)
+    assert not any(existed for _, existed in renames)
+    assert _disk_leftovers(fs) == []
+
+
+def test_disk_write_closes_descriptor_when_fdopen_fails(
+    tmp_path, monkeypatch
+):
+    fs = LocalDiskFileSystem(root=str(tmp_path / "dfs"))
+    fs.write("/d", [("old", 0)])
+    opened, closed = [], []
+    real_close = os.close
+
+    def failing_fdopen(descriptor, *args, **kwargs):
+        opened.append(descriptor)
+        raise MemoryError("no buffer")
+
+    def recording_close(descriptor):
+        closed.append(descriptor)
+        real_close(descriptor)
+
+    monkeypatch.setattr(disk_module.os, "fdopen", failing_fdopen)
+    monkeypatch.setattr(disk_module.os, "close", recording_close)
+    with pytest.raises(MemoryError):
+        fs.write("/d", [("new", 1)], overwrite=True)
+    monkeypatch.undo()
+    assert len(opened) == 1 and closed == opened  # not leaked
+    assert fs.read("/d") == [("old", 0)]
+    assert _disk_leftovers(fs) == []
+
+
+def test_disk_read_and_du_agree_on_whitespace_only_lines(tmp_path):
+    root = tmp_path / "dfs"
+    root.mkdir()
+    lines = [dumps_record("a", 1), "", "  ", "\r", dumps_record("b", 2), "\t"]
+    (root / "hand.jsonl").write_bytes(("\r\n".join(lines) + "\n").encode())
+    # Fresh instances, so ``du`` and ``size`` count the file themselves
+    # instead of reusing the count ``read`` caches.
+    stats = LocalDiskFileSystem(root=str(root)).du("/hand")
+    size = LocalDiskFileSystem(root=str(root)).size("/hand")
+    records = LocalDiskFileSystem(root=str(root)).read("/hand")
+    assert records == [("a", 1), ("b", 2)]
+    assert stats.records == size == len(records)
 
 
 def test_disk_default_root_is_temporary():
