@@ -228,9 +228,15 @@ class ResidentStateStore:
         self._overlay: List[Dict[bytes, Optional[StateEntry]]] = [
             {} for _ in range(num_partitions)
         ]
+        #: Per-partition "written since it last matched its parked
+        #: file" flag (no file counts as an empty partition): set by
+        #: :meth:`load`, :meth:`put`, :meth:`discard` and an overlay
+        #: fold, left clear by a plain read-back.  :meth:`park` drops
+        #: a clean partition without rewriting its file.
+        self._dirty: List[bool] = [False] * num_partitions
         #: Open transaction snapshot (see :meth:`begin_transaction`),
         #: or ``None``.
-        self._txn: Optional[Tuple[Any, Any, Any]] = None
+        self._txn: Optional[Tuple[Any, Any, Any, List[bool]]] = None
         self._park_deferred = False
 
     # -- transactions ------------------------------------------------------
@@ -251,7 +257,9 @@ class ResidentStateStore:
         parked *files* are never rewritten mid-transaction, so the
         on-disk image always reflects the last committed state and
         rollback is pure in-memory restoration.  The deferred park (if
-        any) runs at :meth:`commit_transaction`.
+        any) runs at :meth:`commit_transaction`.  The dirty flags are
+        snapshotted too: against an unchanged file image, a partition
+        restored to its snapshot is exactly as clean as it was then.
         """
         if self._txn is not None:
             raise JobValidationError(
@@ -264,6 +272,7 @@ class ResidentStateStore:
             ],
             [set(keys) for keys in self._keys],
             [dict(overlay) for overlay in self._overlay],
+            list(self._dirty),
         )
         self._park_deferred = False
 
@@ -284,10 +293,11 @@ class ResidentStateStore:
             raise JobValidationError(
                 f"store {self.name!r} has no open transaction"
             )
-        partitions, keys, overlay = self._txn
+        partitions, keys, overlay, dirty = self._txn
         self._partitions = partitions
         self._keys = keys
         self._overlay = overlay
+        self._dirty = dirty
         self._txn = None
         self._park_deferred = False
 
@@ -310,6 +320,7 @@ class ResidentStateStore:
             index = self.partition_of(key_bytes)
             self.partition(index)[key_bytes] = (key, value)
             self._keys[index].add(key_bytes)
+            self._dirty[index] = True
             count += 1
         return count
 
@@ -329,6 +340,9 @@ class ResidentStateStore:
                 for key_bytes, payload in self.filesystem.read(path):
                     loaded[key_bytes] = pickle.loads(payload)
             overlay = self._overlay[index]
+            # A plain read-back matches the file; a folded overlay
+            # does not.
+            self._dirty[index] = bool(overlay)
             if overlay:
                 for key_bytes, entry in overlay.items():
                     if entry is None:
@@ -353,6 +367,7 @@ class ResidentStateStore:
             self._meter_point("state.point_applies")
         else:
             part[key_bytes] = (key, value)
+            self._dirty[index] = True
         self._keys[index].add(key_bytes)
 
     def discard(self, key_bytes: bytes) -> None:
@@ -370,6 +385,7 @@ class ResidentStateStore:
             self._meter_point("state.point_applies")
         else:
             part.pop(key_bytes, None)
+            self._dirty[index] = True
         self._keys[index].discard(key_bytes)
 
     def get(self, key: Any, default: Any = None) -> Any:
@@ -450,7 +466,13 @@ class ResidentStateStore:
         self.park()
 
     def park(self) -> None:
-        """Unconditionally write in-memory partitions out and drop them."""
+        """Unconditionally park every in-memory partition.
+
+        A written (dirty) partition is written out and dropped.  A
+        clean one — read back and not written since — already matches
+        its file (or has none, when empty), so it is dropped without a
+        write.
+        """
         spilled_records = 0
         spill_files = 0
         spilled_bytes = 0
@@ -463,6 +485,15 @@ class ResidentStateStore:
                 # file (the one unavoidable full-partition pass, paid
                 # once per park instead of once per edit).
                 part = self.partition(index)
+            if not self._dirty[index]:
+                if part:
+                    self._partitions[index] = None
+                continue
+            if self._txn is not None:
+                # The file image changes under the open transaction:
+                # no snapshot flag can vouch for it any more.
+                self._txn[3][:] = [True] * self.num_partitions
+            self._dirty[index] = False
             path = self._path(index)
             if not part:
                 if self.filesystem.exists(path):
@@ -492,6 +523,7 @@ class ResidentStateStore:
             self._partitions[index] = {}
             self._keys[index].clear()
             self._overlay[index].clear()
+            self._dirty[index] = False
             path = self._path(index)
             if self.filesystem.exists(path):
                 self.filesystem.delete(path)

@@ -38,7 +38,10 @@ matched or not, stands*.
 Write ``M`` for the matching before the batch (``_partners``), ``b'``
 for the capacities after it, and call ``y`` **blocked at ρ** when it is
 not planned at a threshold ≤ ρ and already holds ≥ ``b'(y)`` edges of
-``M`` ranked before ρ.  The plan (:meth:`OnlineMatcher._repair_plan`)
+``M`` ranked before ρ.  Equivalently, ``y``'s **full-at rank** — the
+rank of its ``b'(y)``-th best ``M``-edge; before every rank when
+``b'(y) ≤ 0``, after every rank when ``y`` holds fewer than ``b'(y)``
+— is below ρ.  The plan (:meth:`OnlineMatcher._repair_plan`)
 is the least map closed under three rules:
 
 1. *Sources*, read off the pre-batch record of every node the batch
@@ -60,6 +63,9 @@ is the least map closed under three rules:
 2. *Closure*: if ``x`` is planned at ``t``, every edge ``(x, y)`` of the
    new graph ranked ρ ≥ ``t`` plans ``y`` at ρ unless ``y`` is blocked
    at ρ (a min-heap on the threshold: each node settles when popped).
+   Neither ``M`` nor ``b'`` changes while the plan is built, so each
+   node's full-at rank is computed once, the first time the plan asks
+   about it, and "blocked" is then one comparison.
 3. *Seeding* (:meth:`OnlineMatcher._reconverge`): a planned ``x`` keeps
    its ``M``-edges ranked before ``t(x)`` and drops the rest (their
    partners are planned at or before that rank — asserted); its residual
@@ -104,7 +110,9 @@ the final graph — same edges, same weights — for *any* event sequence
 every flush, in ``tests/service/test_matcher.py``).  The closure is
 conservative: it stops at nodes saturated *before* the batch, not at
 the nodes whose decisions really change, so ``affected_nodes`` is an
-upper bound on the true repair region.
+upper bound on the true repair region; the ``reconverge.changed_nodes``
+counter reports the planned nodes whose partners did change, read off
+the flush's journal of partner writes.
 """
 
 from __future__ import annotations
@@ -116,7 +124,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..graph import Graph
-from ..graph.edges import edge_key, edge_sort_key
 from ..mapreduce import IterativeDriver, MapReduceRuntime, canonical_bytes
 from ..mapreduce.faults import FAULT_COUNTER_GROUP, InjectedFault, RetryPolicy
 from ..telemetry.metrics import TIMING_BUCKETS
@@ -146,9 +153,15 @@ Rank = Tuple
 #: The threshold before every rank: re-decide the node's whole ranking.
 _WHOLE_RANKING: Rank = (-math.inf,)
 
+#: The full-at rank of a node its pre-batch matching cannot fill: after
+#: every rank, so it is never blocked.
+_NEVER_FULL: Rank = (math.inf,)
+
 
 def _rank(u: str, v: str, weight: float) -> Rank:
-    return edge_sort_key(edge_key(u, v), weight)
+    """``edge_sort_key(edge_key(u, v), weight)`` without the self-loop
+    check (admission rejects self-loops); hot loops inline this."""
+    return (-weight, (u, v) if u < v else (v, u))
 
 
 @dataclass(frozen=True)
@@ -227,11 +240,15 @@ class OnlineMatcher:
         self._retry_policy = self.runtime.retry_policy
         self._fault_plan = self.runtime.fault_plan
         self._flush_index = 0
-        #: Open-transaction snapshot of the driver-side matching state
-        #: (``None`` outside a flush).
-        self._txn_matching: Optional[
-            Tuple[Dict[str, Dict[str, float]], int]
+        #: Copy-on-write journal of the open flush transaction: every
+        #: node whose partner dict the flush wrote, mapped to that dict
+        #: as it was before the first write (``None``: it had none).
+        #: ``None`` outside a flush; the edge count is snapshotted
+        #: beside it.
+        self._journal: Optional[
+            Dict[str, Optional[Dict[str, float]]]
         ] = None
+        self._txn_num_edges = 0
         bootstrap = plain_graph(graph)
         if bootstrap.num_nodes:
             self._num_edges = bootstrap.num_edges
@@ -279,32 +296,60 @@ class OnlineMatcher:
     # -- transactional flush ----------------------------------------------
 
     def _begin_flush_txn(self) -> None:
-        """Snapshot everything a failed flush attempt must restore.
+        """Open what a failed flush attempt must restore.
 
         Both resident stores open a transaction (shallow snapshots;
-        parked files are left untouched until commit), and the
-        driver-side matching (``_partners`` + the edge count) is
-        copied two levels deep — the inner partner dicts mutate in
-        place during re-convergence.
+        parked files are left untouched until commit).  The
+        driver-side matching is not copied: ``_partners`` opens an
+        empty journal that :meth:`_journal_partners` fills on each
+        node's first write, so the cost is O(touched nodes), not
+        O(matching).  The edge count is one integer.
         """
         self.graph_store.begin_transaction()
         self.match_store.begin_transaction()
-        self._txn_matching = (
-            {node: dict(peers) for node, peers in self._partners.items()},
-            self._num_edges,
-        )
+        self._journal = {}
+        self._txn_num_edges = self._num_edges
 
-    def _commit_flush_txn(self) -> None:
+    def _journal_partners(self, node: str) -> None:
+        """Record ``node``'s partner dict before the open flush's first
+        write to it (a no-op outside a flush, i.e. at bootstrap)."""
+        journal = self._journal
+        if journal is not None and node not in journal:
+            peers = self._partners.get(node)
+            journal[node] = None if peers is None else dict(peers)
+
+    def _commit_flush_txn(self) -> int:
+        """Commit both stores and drop the journal; returns how many
+        live nodes' partner dicts the flush changed (the journal's
+        touched nodes are the only candidates)."""
         self.graph_store.commit_transaction()
         self.match_store.commit_transaction()
-        self._txn_matching = None
+        assert self._journal is not None
+        changed = sum(
+            1
+            for node, peers in self._journal.items()
+            if self._partners.get(node) != peers
+            and self.graph_store.contains(node)
+        )
+        self._journal = None
+        return changed
 
     def _rollback_flush_txn(self) -> None:
+        """Restore both stores, and put back exactly the partner dicts
+        the journal recorded — each node's prior dict, in its own
+        order, or its absence.  O(touched nodes).  Where in
+        ``_partners`` a restored key sits is not state: every reader
+        looks nodes up or sorts them (:meth:`matching_edges`)."""
         self.graph_store.rollback_transaction()
         self.match_store.rollback_transaction()
-        assert self._txn_matching is not None
-        self._partners, self._num_edges = self._txn_matching
-        self._txn_matching = None
+        assert self._journal is not None
+        for node, peers in self._journal.items():
+            if peers is None:
+                self._partners.pop(node, None)
+            else:
+                self._partners[node] = peers
+        self._num_edges = self._txn_num_edges
+        self._journal = None
         # The read cache may hold rolled-back records, and the retry
         # snapshots its writes afresh.
         self._cache.clear()
@@ -343,10 +388,9 @@ class OnlineMatcher:
                 # state behind.
                 self._rollback_flush_txn()
                 raise
-            self._commit_flush_txn()
-            return report
+            return report, self._commit_flush_txn()
 
-        report = policy.run(
+        report, changed = policy.run(
             attempt_fn, lambda _retry: self._meter_fault("flush.retries")
         )
         self._flush_index += 1
@@ -357,6 +401,7 @@ class OnlineMatcher:
         self._meter("batches.flushed", 1)
         self._meter("reconverge.rounds", report.rounds)
         self._meter("reconverge.affected_nodes", report.affected_nodes)
+        self._meter("reconverge.changed_nodes", changed)
         return FlushReport(
             admitted=report.admitted,
             rejected=report.rejected,
@@ -453,22 +498,22 @@ class OnlineMatcher:
 
     # -- the repair plan ---------------------------------------------------
 
-    def _blocked(self, plan: Dict[str, Rank], node: str, rank: Rank) -> bool:
-        """Whether ``node`` is closed to a change at ``rank``: not
-        planned at or before it, and saturated by pre-batch matched
-        edges ranked before it (which therefore all stand)."""
-        threshold = plan.get(node)
-        if threshold is not None and threshold <= rank:
-            return False
+    def _full_at(self, node: str) -> Rank:
+        """The rank of ``node``'s ``b'``-th best pre-batch matched edge:
+        ``node`` is saturated by matched edges ranked before ρ (which
+        therefore all stand) iff this is below ρ.  ``_WHOLE_RANKING``
+        when ``b' ≤ 0``, ``_NEVER_FULL`` when it holds fewer than
+        ``b'`` matched edges."""
         capacity = self._node(node)[0]
-        peers = self._partners.get(node, {})
-        if len(peers) < capacity:
-            return False
-        held = 0
-        for peer, weight in peers.items():
-            if _rank(node, peer, weight) < rank:
-                held += 1
-        return held >= capacity
+        if capacity <= 0:
+            return _WHOLE_RANKING
+        peers = self._partners.get(node)
+        if peers is None or len(peers) < capacity:
+            return _NEVER_FULL
+        return sorted(
+            (-weight, (node, peer) if node < peer else (peer, node))
+            for peer, weight in peers.items()
+        )[capacity - 1]
 
     def _repair_plan(self) -> Dict[str, Rank]:
         """``node -> threshold rank`` for the open batch.
@@ -477,15 +522,32 @@ class OnlineMatcher:
         new graph — rules 1 and 2 of the module docstring.  The plan is
         the least map closed under them, so it does not depend on the
         order sources are read in; iteration is sorted anyway.
+
+        ``_partners`` and the capacities are read-only here, so each
+        node's full-at rank (:meth:`_full_at`) is memoised for this
+        call only.
         """
         plan: Dict[str, Rank] = {}
         heap: List[Tuple[Rank, str]] = []
+        full_at: Dict[str, Rank] = {}
 
         def lower(node: str, rank: Rank) -> None:
             threshold = plan.get(node)
             if threshold is None or rank < threshold:
                 plan[node] = rank
                 heapq.heappush(heap, (rank, node))
+
+        def full(node: str) -> Rank:
+            at = full_at.get(node)
+            if at is None:
+                at = full_at[node] = self._full_at(node)
+            return at
+
+        def blocked(node: str, rank: Rank) -> bool:
+            threshold = plan.get(node)
+            if threshold is not None and threshold <= rank:
+                return False
+            return full(node) < rank
 
         for node, old in sorted(self._before.items()):
             new = self._node(node)
@@ -501,10 +563,7 @@ class OnlineMatcher:
             for peer, weight in new_adj.items():
                 if old_adj.get(peer) != weight:
                     rank = _rank(node, peer, weight)
-                    if not (
-                        self._blocked(plan, node, rank)
-                        or self._blocked(plan, peer, rank)
-                    ):
+                    if not (blocked(node, rank) or blocked(peer, rank)):
                         lower(node, rank)
                         lower(peer, rank)
             if old is None or new is None or old[0] == new[0]:
@@ -528,11 +587,15 @@ class OnlineMatcher:
             if plan[node] != threshold:
                 continue  # settled earlier at a better rank
             for peer, weight in self._node(node)[1].items():
-                rank = _rank(node, peer, weight)
-                if rank >= threshold and not self._blocked(
-                    plan, peer, rank
-                ):
-                    lower(peer, rank)
+                rank = (-weight, (node, peer) if node < peer else (peer, node))
+                if rank < threshold:
+                    continue
+                current = plan.get(peer)
+                if current is not None and current <= rank:
+                    continue  # lowering there would be a no-op
+                if not full(peer) < rank:  # not blocked: lower it
+                    plan[peer] = rank
+                    heapq.heappush(heap, (rank, peer))
         return plan
 
     # -- incremental re-convergence ----------------------------------------
@@ -565,8 +628,11 @@ class OnlineMatcher:
                 for peer in list(self._partners.get(node, ())):
                     self._unmatch(node, peer)
         for node, threshold in plan.items():
-            for peer, weight in list(self._partners.get(node, {}).items()):
-                rank = _rank(node, peer, weight)
+            peers = self._partners.get(node)
+            if peers is None:
+                continue
+            for peer, weight in list(peers.items()):
+                rank = (-weight, (node, peer) if node < peer else (peer, node))
                 if rank >= threshold:
                     assert peer in plan and plan[peer] <= rank, (node, peer)
                     self._unmatch(node, peer)
@@ -584,7 +650,9 @@ class OnlineMatcher:
             adj: Dict[str, float] = {}
             for peer, weight in self._node(node)[1].items():
                 if residual.get(peer, 0) > 0:
-                    rank = _rank(node, peer, weight)
+                    rank = (
+                        -weight, (node, peer) if node < peer else (peer, node)
+                    )
                     if rank >= threshold:
                         # A peer planned later than this rank is
                         # blocked at it: no residual capacity.
@@ -606,9 +674,13 @@ class OnlineMatcher:
             output, deltas = self.runtime.run_stateful(
                 self._job, self.match_store, deltas=deltas
             )
+            partners = self._partners
             for key, weight in output:  # ("matched", u, v) only
-                self._partners.setdefault(key[1], {})[key[2]] = weight
-                self._partners.setdefault(key[2], {})[key[1]] = weight
+                u, v = key[1], key[2]
+                self._journal_partners(u)
+                self._journal_partners(v)
+                partners.setdefault(u, {})[v] = weight
+                partners.setdefault(v, {})[u] = weight
             if inject_fault:
                 self._inject_reconverge_fault()
             return deltas
@@ -619,8 +691,9 @@ class OnlineMatcher:
         return driver.rounds_completed
 
     def _unmatch(self, u: str, v: str) -> None:
-        """Forget the matched edge ``{u, v}``."""
+        """Forget the matched edge ``{u, v}`` (journalled)."""
         for node, peer in ((u, v), (v, u)):
+            self._journal_partners(node)
             peers = self._partners[node]
             del peers[peer]
             if not peers:

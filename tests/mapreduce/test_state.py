@@ -459,3 +459,89 @@ def test_point_apply_then_load_partition_sees_overlay(tmp_path):
     assert not store.contains("k1")
     assert store.get("new") == 99
     store.close()
+
+
+# -- parking skips clean partitions ------------------------------------------
+
+
+def _count_writes(store, monkeypatch):
+    writes = []
+    real_write = store.filesystem.write
+
+    def recording_write(path, *args, **kwargs):
+        writes.append(path)
+        return real_write(path, *args, **kwargs)
+
+    monkeypatch.setattr(store.filesystem, "write", recording_write)
+    return writes
+
+
+def test_park_rewrites_only_written_partitions(tmp_path, monkeypatch):
+    store = _parked_store(tmp_path)
+    writes = _count_writes(store, monkeypatch)
+    records = dict(store.records())  # a plain read-back of both
+    store.park()
+    assert writes == []
+    assert all(part is None for part in store._partitions)
+    store.put(canonical_bytes("k0"), "k0", -1)  # overlay on one file
+    store.park()
+    assert writes == [store._path(store.partition_of(canonical_bytes("k0")))]
+    records["k0"] = -1
+    assert dict(store.records()) == records
+    # Writes to read-back (resident) partitions mark them too.
+    store.discard(canonical_bytes("k1"))
+    store.park()
+    del records["k1"]
+    assert dict(store.records()) == records
+    store.put(canonical_bytes("k2"), "k2", -2)
+    store.park()
+    records["k2"] = -2
+    assert dict(store.records()) == records
+    store.close()
+
+
+@pytest.mark.parametrize("read_back", [True, False], ids=["clean", "dirty"])
+def test_put_rollback_park_reads_back_committed_states(
+    tmp_path, monkeypatch, read_back
+):
+    """A rolled-back write leaves no trace on disk: a clean partition
+    restored to its snapshot needs no rewrite, a dirty one (never
+    parked since its load) is still written, and either way the parked
+    files hold the committed states."""
+    store = ResidentStateStore(
+        "txn-park",
+        num_partitions=2,
+        filesystem=LocalDiskFileSystem(root=str(tmp_path / "dfs")),
+    )
+    committed = {f"k{i}": i for i in range(6)}
+    store.load(sorted(committed.items()))
+    if read_back:
+        store.park()
+        assert dict(store.records()) == committed
+    writes = _count_writes(store, monkeypatch)
+    store.begin_transaction()
+    store.put(canonical_bytes("k0"), "k0", -1)
+    store.discard(canonical_bytes("k1"))
+    store.put(canonical_bytes("new"), "new", 99)
+    store.rollback_transaction()
+    store.park()
+    assert len(writes) == (0 if read_back else 2)
+    assert all(part is None for part in store._partitions)
+    assert dict(store.records()) == committed
+    store.close()
+
+
+def test_rollback_after_a_park_inside_the_transaction_rewrites(tmp_path):
+    """A direct :meth:`park` inside a transaction rewrites the file the
+    snapshot's clean flags vouched for: after rollback the restored
+    partitions must count as dirty, so the next park writes the
+    committed states back."""
+    store = _parked_store(tmp_path)
+    committed = dict(store.records())  # both partitions read back clean
+    store.begin_transaction()
+    store.put(canonical_bytes("k0"), "k0", -1)
+    store.park()
+    store.rollback_transaction()
+    store.park()
+    assert dict(store.records()) == committed
+    store.close()

@@ -10,6 +10,7 @@ through the asyncio facade.
 """
 
 import asyncio
+import copy
 
 import pytest
 
@@ -193,6 +194,77 @@ def test_rolled_back_flush_replans_the_same_set():
         plans, _ = planned(matcher)
         assert plans == [reference]
         assert matcher.matching_edges() == expected
+
+
+# -- rollback restores the driver-side matching exactly --------------------
+
+
+def _reweight_a_matched_edge(matcher):
+    """Re-weighting a matched edge plans both ends at its old rank, so
+    ``_unmatch`` drops it before any round runs — and before the
+    fault.  Returns the batch and a node the journal must hold."""
+    u, v, weight = matcher.matching_edges()[0]
+    return [EdgeArrival(u, v, weight / 4)], u
+
+
+def _heavy_arrival(matcher):
+    """A newcomer's heavy edge is matched by the first round, after
+    which the fault fires: the journal must hold the newcomer as a
+    node that had no partners."""
+    u, _, _ = matcher.matching_edges()[0]
+    return [Arrival("fresh", capacity=1, edges=((u, 100.0),))], "fresh"
+
+
+@pytest.mark.parametrize("retried", [False, True], ids=["failed", "retried"])
+@pytest.mark.parametrize(
+    "make_batch",
+    [_reweight_a_matched_edge, _heavy_arrival],
+    ids=["unmatch-before-fault", "fault-after-round-writes"],
+)
+def test_rollback_restores_partners_exactly(make_batch, retried):
+    policy = RetryPolicy(max_attempts=2) if retried else None
+    matcher = OnlineMatcher(
+        runtime=_faulted_runtime(
+            retry_policy=policy, fault_plan=FaultPlan(1, flush_rate=1.0)
+        ),
+        graph=_seeded_graph(3),
+    )
+    with matcher:
+        batch, witness = make_batch(matcher)
+        before = copy.deepcopy(matcher._partners)
+        journals, restored = [], []
+        rollback = matcher._rollback_flush_txn
+
+        def spy():
+            journals.append(copy.deepcopy(matcher._journal))
+            rollback()
+            restored.append(
+                (copy.deepcopy(matcher._partners), matcher._journal)
+            )
+
+        matcher._rollback_flush_txn = spy
+        if retried:
+            matcher.flush(batch)
+        else:
+            with pytest.raises(InjectedFault):
+                matcher.flush(batch)
+        # The dead attempt wrote the witness, and journalled exactly
+        # what each written node held before the flush.
+        ((journal,),) = (journals,)
+        assert witness in journal
+        assert journal == {node: before.get(node) for node in journal}
+        # Rollback put every written node back: same nodes, same inner
+        # dicts, no empty one, and the journal is gone.
+        ((partners, open_journal),) = restored
+        assert partners == before and open_journal is None
+        assert all(partners.values())
+        assert matcher._journal is None
+        if retried:
+            assert matcher.matching_edges() == _reference_matching(
+                _seeded_graph(3), [batch]
+            )
+        else:
+            assert matcher._partners == before
 
 
 # -- recovery shows in the service metrics ---------------------------------

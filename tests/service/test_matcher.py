@@ -13,6 +13,8 @@ the repair plan reaches: nothing when a batch cannot change a decision,
 two nodes when it can change one, and the whole path in the worst case.
 """
 
+import heapq
+import math
 import os
 import random
 import tempfile
@@ -23,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import Graph
+from repro.graph.edges import edge_key, edge_sort_key
 from repro.graph.generators import ascending_path
 from repro.mapreduce import (
     FAULT_COUNTER_GROUP,
@@ -45,6 +48,7 @@ from repro.service import (
     apply_event,
     plain_graph,
 )
+from repro.service.matcher import _rank
 from repro.telemetry.loadgen import zipf_events
 
 from ..conftest import BACKENDS, SPILL_THRESHOLD, STORAGE
@@ -292,13 +296,217 @@ def test_incremental_equals_cold_batch_matrix(
         with OnlineMatcher(runtime=runtime, graph=graph) as m:
             _assert_cold_identical(m, mirror)
             for start in range(0, len(events), batch):
+                changed = _changed_nodes(m)
                 report = m.flush(events[start : start + batch])
                 assert not report.rejected
                 for event in events[start : start + batch]:
                     apply_event(mirror, event)
                 _assert_cold_identical(m, mirror)  # includes verify()
                 assert report.affected_nodes <= m.num_nodes
+                # Only planned nodes are re-decided.
+                assert _changed_nodes(m) - changed <= report.affected_nodes
                 assert not len(m.match_store) and not m._before
+                assert m._journal is None
+
+
+def _changed_nodes(matcher: OnlineMatcher) -> int:
+    return matcher.runtime.counters.get(
+        SERVICE_COUNTER_GROUP, "reconverge.changed_nodes"
+    )
+
+
+# -- the repair plan equals its first, brute-force definition ----------------
+
+
+def test_rank_is_the_edge_sort_key():
+    for u, v in (("a", "b"), ("b", "a"), ("n10", "n9"), ("x", "x0")):
+        for weight in (0.5, 2.0, 2.0, 7.0):
+            assert _rank(u, v, weight) == edge_sort_key(
+                edge_key(u, v), weight
+            )
+    # Tied weights fall back to the endpoint order, either way round.
+    assert _rank("b", "a", 1.0) < _rank("a", "c", 1.0) < _rank("c", "b", 1.0)
+
+
+def _reference_plan(matcher: OnlineMatcher):
+    """The repair plan as first written: every "blocked" question
+    re-ranks every pre-batch partner of the node (no memo), and the
+    closure asks it for every edge past the threshold."""
+    whole_ranking = (-math.inf,)
+
+    def rank(u, v, weight):
+        return edge_sort_key(edge_key(u, v), weight)
+
+    plan, heap = {}, []
+
+    def blocked(node, at):
+        threshold = plan.get(node)
+        if threshold is not None and threshold <= at:
+            return False
+        capacity = matcher._node(node)[0]
+        peers = matcher._partners.get(node, {})
+        if len(peers) < capacity:
+            return False
+        held = sum(rank(node, peer, w) < at for peer, w in peers.items())
+        return held >= capacity
+
+    def lower(node, at):
+        threshold = plan.get(node)
+        if threshold is None or at < threshold:
+            plan[node] = at
+            heapq.heappush(heap, (at, node))
+
+    for node, old in sorted(matcher._before.items()):
+        new = matcher._node(node)
+        old_adj = old[1] if old is not None else {}
+        new_adj = new[1] if new is not None else {}
+        matched = matcher._partners.get(node, {})
+        for peer in old_adj:
+            if peer in matched and new_adj.get(peer) != old_adj[peer]:
+                at = rank(node, peer, matched[peer])
+                for end in (node, peer):
+                    if matcher._node(end) is not None:
+                        lower(end, at)
+        for peer, weight in new_adj.items():
+            if old_adj.get(peer) != weight:
+                at = rank(node, peer, weight)
+                if not (blocked(node, at) or blocked(peer, at)):
+                    lower(node, at)
+                    lower(peer, at)
+        if old is None or new is None or old[0] == new[0]:
+            continue
+        held = sorted(rank(node, peer, w) for peer, w in matched.items())
+        if new[0] < len(held):
+            lower(node, held[new[0]])
+        elif new[0] > old[0] and len(held) == old[0]:
+            last = held[-1] if held else whole_ranking
+            for peer, weight in new_adj.items():
+                at = rank(node, peer, weight)
+                if at > last:
+                    lower(node, at)
+    while heap:
+        threshold, node = heapq.heappop(heap)
+        if plan[node] != threshold:
+            continue
+        for peer, weight in matcher._node(node)[1].items():
+            at = rank(node, peer, weight)
+            if at >= threshold and not blocked(peer, at):
+                lower(peer, at)
+    return plan
+
+
+_TIED_WEIGHTS = (0.5, 1.0, 2.0, 3.0, 7.0)
+
+
+def _batch_against_matching(matcher, mirror, rng, size, step):
+    """``size`` events, valid in order, that mostly hit the pre-batch
+    matching: re-weight a matched edge (ties included), raise or lower
+    a matched node's capacity, retire a matched node — mixed with
+    single Zipf events from the property test's generator.  Each event
+    is applied to ``mirror`` as it is drawn."""
+    matched = matcher.matching_edges()
+    events = []
+    for index in range(size):
+        live = [
+            (u, v, w) for u, v, w in matched if mirror.has_edge(u, v)
+        ]
+        kind = rng.choice(("zipf", "reweight", "capacity", "retire"))
+        if kind == "zipf" or not live:
+            (event,), _ = zipf_events(
+                mirror,
+                1,
+                seed=rng.randrange(1 << 30),
+                node_prefix=f"z{step}-{index}",
+            )
+        else:
+            u, v, weight = rng.choice(live)
+            if kind == "reweight":
+                event = EdgeArrival(u, v, rng.choice(_TIED_WEIGHTS))
+            elif kind == "capacity":
+                event = CapacityChange(rng.choice((u, v)), rng.randint(0, 3))
+            else:
+                event = Retirement(rng.choice((u, v)))
+        apply_event(mirror, event)
+        events.append(event)
+    return events
+
+
+def test_lowered_capacity_blocks_from_its_new_last_matched_edge():
+    # y holds three matched edges (10 > 8 > 6) and drops to capacity 1
+    # in the batch that also brings p-y at 9.  The edge source (p sorts
+    # first) asks whether y is blocked at 9 before y's own capacity
+    # source plans it: y is full from its best edge (10) on, so the new
+    # edge plans nothing, and only y's suffix from its 8 is re-decided.
+    graph = Graph()
+    for node, capacity in (("a", 1), ("b", 1), ("c", 1), ("p", 1), ("y", 3)):
+        graph.add_node(node, capacity)
+    for peer, weight in (("a", 10.0), ("b", 8.0), ("c", 6.0)):
+        graph.add_edge("y", peer, weight)
+    mirror = plain_graph(graph)
+    batch = [EdgeArrival("p", "y", 9.0), CapacityChange("y", 1)]
+    with OnlineMatcher(graph=graph) as m:
+        assert m.match_lookup("y") == {"a": 10.0, "b": 8.0, "c": 6.0}
+        repair_plan = m._repair_plan
+        plans = []
+
+        def checked():
+            plans.append((repair_plan(), _reference_plan(m)))
+            return plans[-1][0]
+
+        m._repair_plan = checked
+        m.flush(batch)
+        ((plan, expected),) = plans
+        assert plan == expected
+        assert plan == {
+            "y": _rank("y", "b", 8.0),
+            "b": _rank("y", "b", 8.0),
+            "c": _rank("y", "c", 6.0),
+        }
+        for event in batch:
+            apply_event(mirror, event)
+        _assert_cold_identical(m, mirror)
+
+
+@backend_matrix
+@settings(max_examples=50)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    nodes=st.integers(min_value=4, max_value=40),
+    flushes=st.integers(min_value=1, max_value=6),
+    batch=st.integers(min_value=1, max_value=9),
+)
+def test_repair_plan_equals_reference_planner(
+    seed, nodes, flushes, batch, backend
+):
+    """The memoised, inlined planner plans exactly what the brute-force
+    definition plans, dict for dict, on every flush — across the same
+    graphs as the property test (``b`` in 0..3, tied weights) under
+    batches aimed at the matching itself."""
+    graph = _seeded_graph(seed, n=nodes, min_capacity=0)
+    mirror = plain_graph(graph)
+    rng = random.Random(seed)
+    with _cell_runtime(backend) as runtime:
+        with OnlineMatcher(runtime=runtime, graph=graph) as m:
+            repair_plan = m._repair_plan
+            plans = []
+
+            def checked():
+                expected = _reference_plan(m)
+                plan = repair_plan()
+                assert plan == expected
+                plans.append(plan)
+                return plan
+
+            m._repair_plan = checked
+            for step in range(flushes):
+                events = _batch_against_matching(m, mirror, rng, batch, step)
+                changed = _changed_nodes(m)
+                report = m.flush(events)
+                assert not report.rejected
+                assert report.affected_nodes == len(plans[-1])
+                assert _changed_nodes(m) - changed <= report.affected_nodes
+                _assert_cold_identical(m, mirror)
+            assert len(plans) == flushes
 
 
 # -- locality: what the repair plan reaches ----------------------------------
@@ -371,6 +579,8 @@ def test_edge_between_unsaturated_nodes_plans_exactly_its_endpoints():
         _assert_cold_identical(m, mirror)
         counters = m.runtime.counters.group(SERVICE_COUNTER_GROUP)
         assert counters["reconverge.affected_nodes"] == 2
+        # Both endpoints gained the new edge as a partner.
+        assert counters["reconverge.changed_nodes"] == 2
 
 
 def test_worst_case_chain_plans_the_whole_path():
