@@ -44,7 +44,8 @@ import json
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, List, Optional
 
 from .datasets import load_dataset
 from .datasets.base import Dataset
@@ -55,6 +56,7 @@ from .mapreduce import (
     EXECUTOR_BACKENDS,
     FILESYSTEM_BACKENDS,
     MapReduceRuntime,
+    RetryPolicy,
 )
 from .mapreduce.storage import (
     read_scalars,
@@ -66,21 +68,6 @@ from .matching import ALGORITHMS, solve
 from .simjoin import candidate_edges
 
 __all__ = ["main", "build_parser"]
-
-
-def _spill_summary(runtime: Optional[MapReduceRuntime]) -> str:
-    """A one-line spill report, or '' when nothing spilled."""
-    if runtime is None:
-        return ""
-    spilled = runtime.counters.get("runtime", "spilled_records")
-    if not spilled:
-        return ""
-    files = runtime.counters.get("runtime", "spill_files")
-    size = runtime.counters.get("runtime", "spilled_bytes")
-    return (
-        f"shuffle spilled {spilled} records across {files} runs "
-        f"({size} bytes)"
-    )
 
 
 def _profile_summary(runtime: Optional[MapReduceRuntime]) -> str:
@@ -130,11 +117,26 @@ def _make_tracer(args: argparse.Namespace):
     return Tracer()
 
 
-def _finish_trace(args: argparse.Namespace, tracer) -> None:
-    if tracer is None:
-        return
-    count = tracer.export(args.trace)
-    print(f"span log: {count} spans -> {args.trace}")
+def _report_run(
+    args: argparse.Namespace,
+    runtime: Optional[MapReduceRuntime],
+    tracer,
+    profile=_profile_summary,
+) -> None:
+    """The lines a join, match or serve run ends with: what the shuffle
+    spilled (if anything), ``--profile`` and the ``--trace`` export."""
+    counters = runtime.counters if runtime is not None else None
+    if counters is not None and counters.get("runtime", "spilled_records"):
+        print(
+            f"shuffle spilled {counters.get('runtime', 'spilled_records')} "
+            f"records across {counters.get('runtime', 'spill_files')} "
+            f"runs ({counters.get('runtime', 'spilled_bytes')} bytes)"
+        )
+    if args.profile:
+        print(profile(runtime))
+    if tracer is not None:
+        count = tracer.export(args.trace)
+        print(f"span log: {count} spans -> {args.trace}")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -195,8 +197,12 @@ def _make_runtime(args: argparse.Namespace, **overrides) -> MapReduceRuntime:
         max_workers=args.workers,
         storage=args.fs,
         spill_threshold=args.spill_threshold,
-        retry_policy=_make_retry_policy(args),
     )
+    if args.max_task_attempts is not None or args.task_timeout is not None:
+        options["retry_policy"] = RetryPolicy(
+            max_attempts=args.max_task_attempts or 1,
+            task_timeout=args.task_timeout,
+        )
     options.update(overrides)
     return MapReduceRuntime(**options)
 
@@ -226,12 +232,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
         f"{len(edges)} candidate edges >= {args.sigma} "
         f"({engine}, {elapsed:.2f}s) -> {out}"
     )
-    spill = _spill_summary(runtime)
-    if spill:
-        print(spill)
-    if args.profile:
-        print(_profile_summary(runtime))
-    _finish_trace(args, tracer)
+    _report_run(args, runtime, tracer)
     if runtime is not None and runtime.storage == "disk":
         print(f"dfs root: {runtime.filesystem.root}")
     return 0
@@ -268,12 +269,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         f"avg_violation={report.average_violation:.4f} "
         f"({elapsed:.2f}s) -> {out}"
     )
-    spill = _spill_summary(runtime)
-    if spill:
-        print(spill)
-    if args.profile:
-        print(_profile_summary(runtime))
-    _finish_trace(args, tracer)
+    _report_run(args, runtime, tracer)
     if args.capacities_out:
         write_capacities(args.capacities_out, graph.capacities())
     return 0
@@ -359,12 +355,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"flushes/s={metrics['flushes_per_sec']:,.1f} "
         f"rounds={metrics['reconverge_rounds']:.0f}"
     )
-    spill = _spill_summary(runtime)
-    if spill:
-        print(spill)
-    if args.profile:
-        print(_serve_profile_summary(runtime))
-    _finish_trace(args, tracer)
+    _report_run(args, runtime, tracer, profile=_serve_profile_summary)
     if verification is not None:
         identical, cold_value = verification
         status = "identical" if identical else "MISMATCH"
@@ -377,144 +368,59 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``repro chaos``'s line for a run of each half: its status words
+#: (failed, passed), then the counts it prints after the injected
+#: total, where ``f`` maps a ``faults`` counter to its value (0 unset).
+_CHAOS_LINES = {
+    "runtime": (
+        ("DIVERGED", "bit-identical"),
+        "(crashes {f[injected_crash]}, delays {f[injected_delay]}, "
+        "io {f[injected_io]}, kills {f[injected_worker_kill]}, "
+        "drops {f[injected_drop_frame]}), task retries "
+        "{f[task.retries]}, resubmits {f[task.resubmits]}, respawns "
+        "{f[pool.respawns]}, storage retries {f[storage.retries]}",
+    ),
+    "service": (
+        ("MISMATCH", "verified"),
+        "(flush {f[injected_flush]}, crashes {f[injected_crash]}, "
+        "delays {f[injected_delay]}, io {f[injected_io]}, kills "
+        "{f[injected_worker_kill]}, drops {f[injected_drop_frame]}), "
+        "flush retries {f[flush.retries]}, task retries "
+        "{f[task.retries]}",
+    ),
+}
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Deterministic chaos smoke over the whole recovery plane.
+    """Replay one fault plan per seed through :func:`repro.chaos.chaos`
+    and print a line per run; exits 1 unless every run passed."""
+    from collections import Counter
 
-    Every seed builds one fault plan from all the rates, and both
-    halves run under it.  First a b-matching workload on a runtime
-    with injected task crashes / straggler delays / transient storage
-    errors (and worker kills / dropped frames on the cluster) and a
-    retry budget: the result, job log, and volatile-stripped counters
-    must be bit-identical to the fault-free run.  Then a Zipf event
-    batch through an :class:`~repro.service.OnlineMatcher` under the
-    same task and storage faults plus mid-flush faults: the cold-batch
-    verification must hold.  Exits 1 on any divergence — or if a run
-    injected nothing (a chaos run that can't fail proves nothing).
-    """
-    import random
+    from .chaos import chaos
+    from .mapreduce import FaultPlan
 
-    from .graph import Graph
-    from .mapreduce import (
-        FaultPlan,
-        RetryPolicy,
-        strip_volatile_counters,
-    )
-    from .service import OnlineMatcher
-    from .telemetry.loadgen import zipf_events
-
-    def build_graph() -> Graph:
-        rng = random.Random(args.seed)
-        graph = Graph()
-        items = [f"i{k}" for k in range(args.nodes)]
-        consumers = [f"c{k}" for k in range(args.nodes)]
-        for node in items + consumers:
-            graph.add_node(node, rng.randint(1, 3))
-        for u in items:
-            for v in rng.sample(consumers, min(3, len(consumers))):
-                graph.add_edge(u, v, round(rng.uniform(0.1, 5.0), 3))
-        return graph
-
-    def exercise_storage(runtime: MapReduceRuntime) -> List:
-        """A read/write burst through the (possibly faulty) filesystem."""
-        outputs = []
-        for index in range(8):
-            path = f"/chaos/dataset-{index}"
-            runtime.filesystem.write(
-                path, [(k, k * index) for k in range(4)], overwrite=True
-            )
-            outputs.append(runtime.filesystem.read(path))
-        return outputs
-
-    graph = build_graph()
-    policy = RetryPolicy(
-        max_attempts=args.max_task_attempts or 3,
-        task_timeout=args.task_timeout,
-    )
-    baseline_rt = _make_runtime(args, retry_policy=None)
-    baseline_data = exercise_storage(baseline_rt)
-    baseline = solve(graph, "greedy_mr", runtime=baseline_rt)
-    baseline_counters = strip_volatile_counters(
-        baseline_rt.counters.snapshot()
-    )
-    plans = [
-        FaultPlan(
-            seed=seed,
-            crash_rate=args.crash_rate,
-            delay_rate=args.delay_rate,
-            delay_seconds=0.0,
-            io_rate=args.io_rate,
-            worker_kill_rate=args.worker_kill_rate,
-            frame_drop_rate=args.frame_drop_rate,
-            flush_rate=args.flush_rate,
-        )
-        for seed in args.seeds
-    ]
-
-    def task_and_io_faults(faults: Dict[str, int]) -> str:
-        return (
-            f"crashes {faults.get('injected_crash', 0)}, "
-            f"delays {faults.get('injected_delay', 0)}, "
-            f"io {faults.get('injected_io', 0)}, "
-            f"kills {faults.get('injected_worker_kill', 0)}, "
-            f"drops {faults.get('injected_drop_frame', 0)}"
-        )
-
+    # Each --*-rate option is the FaultPlan field of the same name.
+    rates = {k: v for k, v in vars(args).items() if k.endswith("_rate")}
+    plans = [FaultPlan(s, delay_seconds=0.0, **rates) for s in args.seeds]
+    attempts = args.max_task_attempts or 3
+    policy = RetryPolicy(max_attempts=attempts, task_timeout=args.task_timeout)
+    workload = (args.nodes, args.seed, args.events)
     failures = 0
-    for plan in plans:
-        runtime = _make_runtime(args, retry_policy=policy, fault_plan=plan)
-        data = exercise_storage(runtime)
-        result = solve(graph, "greedy_mr", runtime=runtime)
-        faults = runtime.counters.group("faults")
-        injected = faults.get("injected_total", 0)
-        identical = (
-            data == baseline_data
-            and sorted(result.matching.edges())
-            == sorted(baseline.matching.edges())
-            and runtime.job_log == baseline_rt.job_log
-            and strip_volatile_counters(runtime.counters.snapshot())
-            == baseline_counters
-        )
-        status = "bit-identical" if identical else "DIVERGED"
-        if not identical or injected == 0:
-            failures += 1
-            if injected == 0:
-                status += " (but zero faults injected)"
+    for run in chaos(partial(_make_runtime, args), plans, policy, *workload):
+        words, counts = _CHAOS_LINES[run.half]
+        status = words[run.identical]
+        if not run.injected:
+            status += " (but zero faults injected)"
         print(
-            f"runtime seed {plan.seed}: {status} — injected {injected} "
-            f"({task_and_io_faults(faults)}), "
-            f"task retries {faults.get('task.retries', 0)}, "
-            f"resubmits {faults.get('task.resubmits', 0)}, "
-            f"respawns {faults.get('pool.respawns', 0)}, "
-            f"storage retries {faults.get('storage.retries', 0)}"
+            f"{run.half} seed {run.seed}: {status} — injected "
+            f"{run.injected} " + counts.format(f=Counter(run.faults))
         )
-
-    events, _ = zipf_events(graph, args.events, seed=args.seed)
-    for plan in plans:
-        runtime = _make_runtime(args, retry_policy=policy, fault_plan=plan)
-        matcher = OnlineMatcher(runtime=runtime, graph=graph)
-        for start in range(0, len(events), 8):
-            matcher.flush(list(events[start : start + 8]))
-        identical, _ = matcher.verify()
-        faults = runtime.counters.group("faults")
-        injected = faults.get("injected_total", 0)
-        matcher.close()
-        status = "verified" if identical else "MISMATCH"
-        if not identical or injected == 0:
-            failures += 1
-            if injected == 0:
-                status += " (but zero faults injected)"
-        print(
-            f"service seed {plan.seed}: {status} — injected {injected} "
-            f"(flush {faults.get('injected_flush', 0)}, "
-            f"{task_and_io_faults(faults)}), "
-            f"flush retries {faults.get('flush.retries', 0)}, "
-            f"task retries {faults.get('task.retries', 0)}"
-        )
+        failures += not run.passed
     if failures:
         print(f"chaos: {failures} run(s) diverged or injected nothing")
         return 1
     print(
-        f"chaos: all {2 * len(args.seeds)} runs recovered bit-identically "
+        f"chaos: all {2 * len(plans)} runs recovered bit-identically "
         f"under injected faults"
     )
     return 0
@@ -748,21 +654,6 @@ def _add_cluster_options(
         help="straggler mitigation on the cluster backend: tasks still "
         "running after SECONDS get a speculative backup attempt and "
         f"the first finisher wins ({applies_to})",
-    )
-
-
-def _make_retry_policy(args: argparse.Namespace):
-    """A :class:`~repro.mapreduce.faults.RetryPolicy` from the CLI
-    recovery knobs, or ``None`` when both are unset."""
-    attempts = getattr(args, "max_task_attempts", None)
-    timeout = getattr(args, "task_timeout", None)
-    if attempts is None and timeout is None:
-        return None
-    from .mapreduce import RetryPolicy
-
-    return RetryPolicy(
-        max_attempts=attempts if attempts is not None else 1,
-        task_timeout=timeout,
     )
 
 

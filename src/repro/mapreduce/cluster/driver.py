@@ -302,8 +302,6 @@ class ClusterDriver:
         self.respawns = 0
         self.resubmits = 0
         self.tasks_by_worker: Dict[int, int] = {}
-        #: High-water mark of the pending queue (telemetry gauge).
-        self.queue_depth_highwater = 0
         # Per calling thread: runtimes sharing this fleet from two
         # threads each read back their own batch's ledger.
         self._latest = threading.local()
@@ -549,9 +547,6 @@ class ClusterDriver:
                     "must be picklable — define jobs at module level)"
                 ) from exc
         with self._dispatch_lock:
-            self.queue_depth_highwater = max(
-                self.queue_depth_highwater, len(frames)
-            )
             threads = [
                 threading.Thread(
                     target=self._serve,
@@ -719,7 +714,6 @@ class ClusterDriver:
             "workers": self.num_workers,
             "respawns": self.respawns,
             "resubmits": self.resubmits,
-            "queue_depth_highwater": self.queue_depth_highwater,
             "tasks_by_worker": dict(self.tasks_by_worker),
         }
 

@@ -116,9 +116,6 @@ class ClusterExecutor(Executor):
         registry.gauge("cluster", "task.resubmits").set(
             stats["resubmits"]
         )
-        registry.gauge("cluster", "queue_depth.highwater").set(
-            stats["queue_depth_highwater"]
-        )
         for slot, count in sorted(stats["tasks_by_worker"].items()):
             registry.gauge("cluster", f"worker.{slot}.tasks").set(
                 count

@@ -35,10 +35,10 @@ into a *fresh* task-local :class:`~repro.telemetry.metrics.Counters`
 that only the successful attempt returns.  Storage writes are atomic
 (PR 2's rename-on-close), and :class:`FaultyFileSystem` raises
 *before* delegating, so a faulted operation leaves nothing behind and
-its retry observes exactly the pre-fault state.  The chaos property
-matrix in ``tests/mapreduce/test_faults.py`` asserts the consequence:
-outputs, job logs, and volatile-stripped counters of a faulted run are
-bit-identical to the fault-free run, with the ``faults`` counter group
+its retry observes exactly the pre-fault state.  The chaos checker
+:mod:`repro.chaos` asserts the consequence: outputs, job logs, and
+volatile-stripped counters of a faulted run are bit-identical to the
+fault-free run, with the ``faults`` counter group
 (:data:`FAULT_COUNTER_GROUP` — dropped by
 :func:`~repro.mapreduce.state.strip_volatile_counters`) proving the
 faults actually fired.

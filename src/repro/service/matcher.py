@@ -378,40 +378,37 @@ class OnlineMatcher:
         policy = self._retry_policy or RetryPolicy(max_attempts=1)
         started = time.perf_counter()
 
-        def attempt_fn(attempt: int) -> FlushReport:
+        def attempt_fn(attempt: int):
             self._begin_flush_txn()
             try:
-                report = self._flush_once(events, attempt)
+                outcome = self._flush_once(events, attempt)
             except BaseException:
                 # Even a non-retryable failure (validation bugs,
                 # round-limit blowups) leaves consistent pre-flush
                 # state behind.
                 self._rollback_flush_txn()
                 raise
-            return report, self._commit_flush_txn()
+            return outcome, self._commit_flush_txn()
 
-        report, changed = policy.run(
+        (admitted, rejected, affected, rounds), changed = policy.run(
             attempt_fn, lambda _retry: self._meter_fault("flush.retries")
         )
         self._flush_index += 1
         seconds = time.perf_counter() - started
         self._flush_hist.observe(seconds)
-        self._meter("events.admitted", report.admitted)
-        self._meter("events.rejected", len(report.rejected))
+        self._meter("events.admitted", admitted)
+        self._meter("events.rejected", len(rejected))
         self._meter("batches.flushed", 1)
-        self._meter("reconverge.rounds", report.rounds)
-        self._meter("reconverge.affected_nodes", report.affected_nodes)
+        self._meter("reconverge.rounds", rounds)
+        self._meter("reconverge.affected_nodes", affected)
         self._meter("reconverge.changed_nodes", changed)
-        return FlushReport(
-            admitted=report.admitted,
-            rejected=report.rejected,
-            affected_nodes=report.affected_nodes,
-            rounds=report.rounds,
-            seconds=seconds,
-        )
+        return FlushReport(admitted, rejected, affected, rounds, seconds)
 
-    def _flush_once(self, events: List[Event], attempt: int) -> FlushReport:
-        """One flush attempt inside an open transaction."""
+    def _flush_once(
+        self, events: List[Event], attempt: int
+    ) -> Tuple[int, Tuple[Tuple[Event, str], ...], int, int]:
+        """One flush attempt inside an open transaction: the admitted
+        count, the rejections, the planned nodes and the rounds."""
         plan = self._fault_plan
         admitted = 0
         rejected: List[Tuple[Event, str]] = []
@@ -439,13 +436,7 @@ class OnlineMatcher:
                 time.perf_counter() - stage_started
             )
             self._end_flush()
-        return FlushReport(
-            admitted=admitted,
-            rejected=tuple(rejected),
-            affected_nodes=len(repair),
-            rounds=rounds,
-            seconds=0.0,  # the committed report carries the real time
-        )
+        return admitted, tuple(rejected), len(repair), rounds
 
     def _meter_fault(self, name: str, value: int = 1) -> None:
         self.runtime.counters.increment(FAULT_COUNTER_GROUP, name, value)

@@ -7,8 +7,11 @@ under an active :class:`FaultPlan` with a retry budget must produce
 output records, ``job_log``, and non-volatile counter totals
 bit-identical to the fault-free run, with only the ``faults`` counter
 group left behind as evidence that anything fired.  The chaos matrix
-test here is that claim, driven across every configured execution
-backend (× the storage/spill env knobs) for several seeded scenarios.
+tests here make that claim through the shared checker
+(:mod:`repro.chaos`) — for a histogram job, the similarity join,
+StackMR and its maximal subroutine — across every configured
+execution backend (× the storage/spill env knobs) for several seeded
+scenarios.
 """
 
 import os
@@ -18,7 +21,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.graph import Graph
+from repro.chaos import chaos_graph, observe, runtime_chaos
 from repro.mapreduce import (
     Counters,
     FaultPlan,
@@ -35,9 +38,14 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.cluster import ClusterExecutor
 from repro.mapreduce.cluster import executor as cluster_executor
-from repro.mapreduce.state import strip_volatile_counters
 from repro.mapreduce.storage import InMemoryFileSystem
-from repro.matching import greedy_mr_b_matching
+from repro.matching import (
+    greedy_mr_b_matching,
+    mm_records_from_adjacency,
+    mr_maximal_b_matching,
+    stack_mr_b_matching,
+)
+from repro.simjoin import mapreduce_similarity_join
 
 from ..conftest import SPILL_THRESHOLD, STORAGE, claim_once
 
@@ -299,15 +307,17 @@ def test_retrying_filesystem_exhausted_budget_propagates():
 # -- the chaos matrix: recovery is bit-identical ---------------------------
 
 
-@contextmanager
-def _cell_runtime(backend, tasks=4, **kwargs):
-    """A fresh runtime per run (pristine counters, clean tmp)."""
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
+def _factory(backend, root, tasks=4):
+    """Fresh runtimes on ``backend`` in the env's storage/spill cell,
+    each with pristine counters and its own directory under ``root``."""
+
+    def make(**kwargs):
+        tmp = tempfile.mkdtemp(dir=root)
         if STORAGE == "memory":
             storage = None
         else:
             storage = LocalDiskFileSystem(root=os.path.join(tmp, "dfs"))
-        yield MapReduceRuntime(
+        return MapReduceRuntime(
             num_map_tasks=tasks,
             num_reduce_tasks=tasks,
             counters=Counters(),
@@ -318,77 +328,118 @@ def _cell_runtime(backend, tasks=4, **kwargs):
             **kwargs,
         )
 
+    return make
 
-def _observe_chaos(runtime):
-    """Everything the determinism contract covers, for one run."""
-    for i in range(4):
-        runtime.filesystem.write(
-            f"/chaos/dataset-{i}", [(j, i * j) for j in range(3)]
+
+@contextmanager
+def _cell_runtime(backend, tasks=4, **kwargs):
+    """A fresh runtime per run (pristine counters, clean tmp)."""
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
+        yield _factory(backend, tmp, tasks)(**kwargs)
+
+
+def _histogram(runtime):
+    return runtime.run(Histogram(), RECORDS)
+
+
+def _chaos_runs(backend, root, plans, workload=_histogram):
+    """The checker's faulted runs of ``workload``, retry budget 3."""
+    return list(
+        runtime_chaos(
+            _factory(backend, root),
+            plans,
+            workload,
+            RetryPolicy(max_attempts=3),
         )
-    reads = [
-        runtime.filesystem.read(f"/chaos/dataset-{i}") for i in range(4)
-    ]
-    output = runtime.run(Histogram(), RECORDS)
-    return (
-        reads,
-        output,
-        list(runtime.job_log),
-        strip_volatile_counters(runtime.counters.snapshot()),
     )
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-def test_chaos_run_is_bit_identical_to_fault_free(backend, seed):
-    with _cell_runtime(backend) as clean:
-        baseline = _observe_chaos(clean)
-    with _cell_runtime(
+def test_chaos_run_is_bit_identical_to_fault_free(backend, seed, tmp_path):
+    [run] = _chaos_runs(
         backend,
-        retry_policy=RetryPolicy(max_attempts=3),
-        fault_plan=FaultPlan(seed, delay_seconds=0.0, **CHAOS_RATES),
-    ) as runtime:
-        observed = _observe_chaos(runtime)
-        faults = dict(runtime.counters.group("faults"))
-    assert observed == baseline
-    assert faults["injected_total"] > 0
+        tmp_path,
+        [FaultPlan(seed, delay_seconds=0.0, **CHAOS_RATES)],
+    )
+    assert run.identical
+    assert run.injected > 0
     # Every scheduled crash burned exactly one retry; delays don't.
-    assert faults.get("task.retries", 0) == faults.get(
+    assert run.faults.get("task.retries", 0) == run.faults.get(
         "injected_crash", 0
     )
 
 
-def test_chaos_fault_metering_is_backend_independent(backend):
+def test_chaos_fault_metering_is_backend_independent(backend, tmp_path):
     """The ``injected_*`` meters are a driver-side function of the
     plan, so every backend reports the same fault story."""
     plan = FaultPlan(1, delay_seconds=0.0, **CHAOS_RATES)
-    with _cell_runtime(
-        "serial",
-        retry_policy=RetryPolicy(max_attempts=3),
-        fault_plan=plan,
-    ) as serial:
-        _observe_chaos(serial)
-        reference = dict(serial.counters.group("faults"))
-    with _cell_runtime(
-        backend,
-        retry_policy=RetryPolicy(max_attempts=3),
-        fault_plan=plan,
-    ) as runtime:
-        _observe_chaos(runtime)
-        observed = dict(runtime.counters.group("faults"))
-    assert observed == reference
+
+    def faults(name):
+        runtime = _factory(name, tmp_path)(
+            retry_policy=RetryPolicy(max_attempts=3), fault_plan=plan
+        )
+        observe(runtime, _histogram)
+        return runtime.counters.group("faults")
+
+    assert faults(backend) == faults("serial")
 
 
-def _chaos_graph():
-    """12 + 12 nodes: small, but GreedyMR needs several rounds."""
-    rng = random.Random(0)
-    graph = Graph()
-    items = [f"i{k}" for k in range(12)]
-    consumers = [f"c{k}" for k in range(12)]
-    for node in items + consumers:
-        graph.add_node(node, rng.randint(1, 3))
-    for u in items:
-        for v in rng.sample(consumers, 3):
-            graph.add_edge(u, v, round(rng.uniform(0.1, 5.0), 3))
-    return graph
+# -- the paper's other MapReduce workloads under faults --------------------
+
+
+def _vectors(rng, prefix):
+    """12 vectors of 3 of 8 terms with integer weights, so every
+    summation order gives the same scores."""
+    return {
+        f"{prefix}{k}": {
+            term: float(rng.randint(1, 4))
+            for term in rng.sample("abcdefgh", 3)
+        }
+        for k in range(12)
+    }
+
+
+_rng = random.Random(0)
+JOIN_ITEMS = _vectors(_rng, "t")
+JOIN_CONSUMERS = _vectors(_rng, "c")
+
+
+def _join(runtime):
+    return mapreduce_similarity_join(
+        JOIN_ITEMS, JOIN_CONSUMERS, 8.0, runtime=runtime
+    )
+
+
+def _stack_mr(runtime):
+    result = stack_mr_b_matching(
+        chaos_graph(), strategy="uniform", runtime=runtime
+    )
+    return sorted(result.matching.edges())
+
+
+def _maximal(runtime):
+    graph = chaos_graph()
+    records = mm_records_from_adjacency(
+        graph.adjacency_copy(), graph.capacities()
+    )
+    matched, _ = mr_maximal_b_matching(records, runtime, strategy="uniform")
+    return sorted(matched.items())
+
+
+@pytest.mark.parametrize(
+    "workload", [_join, _stack_mr, _maximal], ids=["join", "stack", "maximal"]
+)
+def test_paper_workloads_recover_bit_identically(backend, workload, tmp_path):
+    """The similarity join, StackMR and its maximal subroutine under
+    task crashes, delays and storage errors.  The uniform strategy
+    draws from per-node RNG streams, which a retried task replays."""
+    plans = [
+        FaultPlan(seed, delay_seconds=0.0, **CHAOS_RATES)
+        for seed in CHAOS_SEEDS
+    ]
+    for run in _chaos_runs(backend, tmp_path, plans, workload):
+        assert run.identical, run
+        assert run.injected > 0, run
 
 
 def test_injected_faults_fire_in_every_round_of_every_run(backend):
@@ -396,7 +447,7 @@ def test_injected_faults_fire_in_every_round_of_every_run(backend):
     rounds share one job name and a reused plan replays the same
     sites, yet each run of each round fires its own faults afresh:
     nothing is metered as injected that did not happen."""
-    graph = _chaos_graph()
+    graph = chaos_graph()
     plan = FaultPlan(
         1, worker_kill_rate=0.3, frame_drop_rate=0.2, crash_rate=0.2
     )
@@ -503,70 +554,50 @@ CLUSTER_KILL_RATES = dict(worker_kill_rate=0.6)
 CLUSTER_DROP_RATES = dict(frame_drop_rate=0.6)
 
 
-def _observe_cluster_chaos(seed, **rates):
-    """One seeded chaos run on the cluster backend, plus its faults."""
-    with _cell_runtime(
-        "cluster",
-        retry_policy=RetryPolicy(max_attempts=3),
-        fault_plan=FaultPlan(seed, **rates),
-    ) as runtime:
-        observed = _observe_chaos(runtime)
-        faults = dict(runtime.counters.group("faults"))
-    return observed, faults
-
-
 @pytest.mark.cluster
 @pytest.mark.parametrize("seed", CLUSTER_CHAOS_SEEDS)
-def test_cluster_worker_kills_recover_bit_identically(seed):
+def test_cluster_worker_kills_recover_bit_identically(seed, tmp_path):
     """Injected ``os._exit`` worker deaths mid-task: the driver
     respawns the daemon, re-executes the lost attempts, and the run
     converges bit-identically to the fault-free cluster run."""
-    with _cell_runtime("cluster") as clean:
-        baseline = _observe_chaos(clean)
-    observed, faults = _observe_cluster_chaos(
-        seed, **CLUSTER_KILL_RATES
+    [run] = _chaos_runs(
+        "cluster", tmp_path, [FaultPlan(seed, **CLUSTER_KILL_RATES)]
     )
-    assert observed == baseline
-    assert faults["injected_worker_kill"] > 0
-    assert faults["pool.respawns"] >= 1
-    assert faults["task.resubmits"] >= 1
+    assert run.identical
+    assert run.faults["injected_worker_kill"] > 0
+    assert run.faults["pool.respawns"] >= 1
+    assert run.faults["task.resubmits"] >= 1
 
 
 @pytest.mark.cluster
 @pytest.mark.parametrize("seed", CLUSTER_CHAOS_SEEDS)
-def test_cluster_dropped_frames_recover_bit_identically(seed):
+def test_cluster_dropped_frames_recover_bit_identically(seed, tmp_path):
     """Injected reply-frame drops: the worker does the work, the
     driver never hears back, and the resubmit-only recovery path (no
     respawn — the daemon is healthy) still converges bit-identically."""
-    with _cell_runtime("cluster") as clean:
-        baseline = _observe_chaos(clean)
-    observed, faults = _observe_cluster_chaos(
-        seed, **CLUSTER_DROP_RATES
+    [run] = _chaos_runs(
+        "cluster", tmp_path, [FaultPlan(seed, **CLUSTER_DROP_RATES)]
     )
-    assert observed == baseline
-    assert faults["injected_drop_frame"] > 0
-    assert faults["task.resubmits"] >= 1
+    assert run.identical
+    assert run.faults["injected_drop_frame"] > 0
+    assert run.faults["task.resubmits"] >= 1
     # A dropped frame is not a dead worker: no respawns burned.
-    assert faults.get("pool.respawns", 0) == 0
+    assert run.faults.get("pool.respawns", 0) == 0
 
 
 @pytest.mark.cluster
-def test_cluster_faults_degrade_gracefully_off_cluster():
+def test_cluster_faults_degrade_gracefully_off_cluster(tmp_path):
     """The cluster fault kinds on a single-process backend degrade to
     plain injected crashes (there is no worker daemon to kill), so a
     retry budget still recovers them bit-identically."""
-    with _cell_runtime("serial") as clean:
-        baseline = _observe_chaos(clean)
-    with _cell_runtime(
+    [run] = _chaos_runs(
         "serial",
-        retry_policy=RetryPolicy(max_attempts=3),
-        fault_plan=FaultPlan(2, worker_kill_rate=0.6, frame_drop_rate=0.3),
-    ) as runtime:
-        observed = _observe_chaos(runtime)
-        faults = dict(runtime.counters.group("faults"))
-    assert observed == baseline
-    assert faults["injected_total"] > 0
-    assert faults.get("task.retries", 0) >= 1
+        tmp_path,
+        [FaultPlan(2, worker_kill_rate=0.6, frame_drop_rate=0.3)],
+    )
+    assert run.identical
+    assert run.injected > 0
+    assert run.faults.get("task.retries", 0) >= 1
 
 
 @pytest.mark.cluster

@@ -325,10 +325,14 @@ def test_rejected_event_never_touches_the_store_concurrently():
             # Read-your-writes mid-stream: the drain-first lookup sees
             # the admitted arrival even though more events follow.
             partners = await service.match_lookup("fresh-0")
-            await service.submit_event(
-                EdgeArrival(u="fresh-0", v=nodes[3], weight=9.0)
+            # The snapshot drains the pending batch, so the last event
+            # need not wait out max_delay alone.
+            _, snap = await asyncio.gather(
+                service.submit_event(
+                    EdgeArrival(u="fresh-0", v=nodes[3], weight=9.0)
+                ),
+                service.snapshot(),
             )
-            snap = await service.snapshot()
             verdict = matcher.verify()
             return reports, partners, snap, verdict
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -452,9 +453,14 @@ def test_chaos_rates_are_probabilities(capsys, flag, value):
 def test_chaos_at_its_defaults_injects_faults_on_every_run(capsys):
     """``repro chaos`` with no options (serial backend, in memory):
     every run recovers and every run injected something — a seed whose
-    run injects nothing would prove nothing and fail the command."""
+    run injects nothing would prove nothing and fail the command.  On
+    one process every count it prints is a function of the seeds, so
+    the whole output is pinned."""
     assert main(["chaos"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    golden = Path(__file__).with_name("golden_chaos.txt")
+    assert out == golden.read_text(encoding="utf-8")
+    lines = out.splitlines()
     runs = [line for line in lines if line.startswith(("runtime", "service"))]
     assert [line.split(":")[0] for line in runs] == [
         f"{half} seed {seed}"
@@ -464,6 +470,23 @@ def test_chaos_at_its_defaults_injects_faults_on_every_run(capsys):
     for line in runs:
         injected = int(line.split("injected ")[1].split()[0])
         assert injected > 0, line
+
+
+def test_chaos_run_that_injects_nothing_fails(capsys):
+    """With every rate at 0 both runs recover trivially, and each one
+    fails: a chaos run that cannot fail proves nothing."""
+    zero = ["--crash-rate", "0", "--delay-rate", "0", "--io-rate", "0"]
+    assert main(["chaos", "--seeds", "1", "--flush-rate", "0", *zero]) == 1
+    runtime, service, verdict = capsys.readouterr().out.splitlines()
+    assert runtime.startswith(
+        "runtime seed 1: bit-identical (but zero faults injected) — "
+        "injected 0 "
+    )
+    assert service.startswith(
+        "service seed 1: verified (but zero faults injected) — "
+        "injected 0 "
+    )
+    assert verdict == "chaos: 2 run(s) diverged or injected nothing"
 
 
 @pytest.mark.parametrize("algorithm", ["greedy_mr", "stack_mr"])
