@@ -586,7 +586,8 @@ def _output_path(text: str) -> str:
 def _add_cluster_options(
     parser: argparse.ArgumentParser, applies_to: str
 ) -> None:
-    """The simulated-cluster knobs shared by ``join`` and ``match``."""
+    """The simulated-cluster knobs shared by ``join``, ``match``,
+    ``serve`` and ``chaos``."""
     parser.add_argument(
         "--backend",
         default="serial",
@@ -621,22 +622,6 @@ def _add_cluster_options(
         "identical either way)",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print per-phase wall-clock (map/shuffle/spill/reduce) "
-        "accumulated over every MapReduce job of the run "
-        f"({applies_to})",
-    )
-    parser.add_argument(
-        "--trace",
-        type=_output_path,
-        metavar="PATH",
-        default=None,
-        help="record a job->phase->task span tree for every MapReduce "
-        "job of the run and write it as a JSON span log to PATH "
-        f"(render it with 'repro trace PATH'; {applies_to})",
-    )
-    parser.add_argument(
         "--max-task-attempts",
         type=_positive_int,
         default=None,
@@ -654,6 +639,29 @@ def _add_cluster_options(
         help="straggler mitigation on the cluster backend: tasks still "
         "running after SECONDS get a speculative backup attempt and "
         f"the first finisher wins ({applies_to})",
+    )
+
+
+def _add_report_options(
+    parser: argparse.ArgumentParser, applies_to: str
+) -> None:
+    """``--profile`` and ``--trace``, on the runs that end with
+    :func:`_report_run` (``join``, ``match`` and ``serve``)."""
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="print per-phase wall-clock (map/shuffle/spill/reduce) "
+        "accumulated over every MapReduce job of the run "
+        f"({applies_to})",
+    )
+    parser.add_argument(
+        "--trace",
+        type=_output_path,
+        metavar="PATH",
+        default=None,
+        help="record a job->phase->task span tree for every MapReduce "
+        "job of the run and write it as a JSON span log to PATH "
+        f"(render it with 'repro trace PATH'; {applies_to})",
     )
 
 
@@ -690,6 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "exact", "scipy", "mapreduce"),
     )
     _add_cluster_options(join, "mapreduce method only")
+    _add_report_options(join, "mapreduce method only")
     join.add_argument("--out", type=_output_path)
     join.set_defaults(func=_cmd_join)
 
@@ -706,6 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     match.add_argument("--epsilon", type=_positive_float, default=1.0)
     _add_cluster_options(match, "*_mr algorithms only")
+    _add_report_options(match, "*_mr algorithms only")
     match.add_argument("--seed", type=int, default=0)
     match.add_argument("--out", type=_output_path)
     match.add_argument("--capacities-out", type=_output_path)
@@ -759,6 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
         "JSON at /metrics.json (0 picks an ephemeral port)",
     )
     _add_cluster_options(serve, "all re-convergences")
+    _add_report_options(serve, "all re-convergences")
     serve.add_argument("--seed", type=int, default=0)
     serve.set_defaults(func=_cmd_serve)
 

@@ -11,10 +11,13 @@ The encoding is the currency of the runtime's *encoded shuffle plane*
 once per run — all the values one map-task attempt emits under one
 ``str`` key, or a single value under any other key — and everything
 downstream — partitioning, spill sorting, merging, reduce-side
-sort/group — reuses the cached bytes.  Partitioning is therefore
+sort/group — reuses the cached bytes.  A key's partition is
 ``fast_hash_bytes(key_bytes) % num_partitions`` on those bytes — a
 CRC32 with a murmur3-style finalizer, several times cheaper than the
-MD5 it replaced.
+MD5 it replaced.  A plain job hashes every record it routes.  A
+stateful round reads a resident key's partition from the state
+store's key index, which holds that same value, and hashes only the
+keys the store has not seen.
 :func:`stable_hash` keeps the original MD5 construction
 because it seeds per-node RNGs in the matching drivers (wider digest,
 pinned by golden tests); it is no longer on the shuffle hot path.

@@ -61,8 +61,11 @@ task names the same vertex many times in a round.
 
 Partitioning hashes the cached bytes (``fast_hash_bytes(key_bytes) %
 num_reduce_tasks``, a CRC-based hash far cheaper than the per-record
-MD5 it replaced; the resident state store routes by the same formula),
-the combiner's sort/group and the reduce-side grouping compare the
+MD5 it replaced; the resident state store routes by the same formula).
+A stateful round routes a record whose key is resident through the
+store's key index, which holds that same partition, so a resident key
+is hashed once, when it enters the store, not once per round.  The
+combiner's sort/group and the reduce-side grouping compare the
 cached bytes (a combiner output under its group's own key object
 inherits the group's bytes), and the shuffle sorts, spills and k-way
 merges them byte-first — no stage re-encodes, and each stage handles a
@@ -632,7 +635,9 @@ class MapReduceRuntime:
                 with self._phase("map", tasks=len(splits)):
                     intermediate = self._run_map_phase(job, splits, method)
                 with self._phase("shuffle"):
-                    partitions = self._shuffle(job, intermediate, spiller)
+                    partitions = self._shuffle(
+                        job, intermediate, spiller, store
+                    )
                 del intermediate  # the shuffle holds every record now
                 # Frontier rounds dispatch only the partitions that
                 # received messages, so a message-less partition's
@@ -776,6 +781,7 @@ class MapReduceRuntime:
         job: MapReduceJob,
         intermediate: List[List[EncodedRecord]],
         spiller: ExternalShuffle,
+        store: Optional[ResidentStateStore] = None,
     ) -> List[Any]:
         """Partition, sort and meter the intermediate records.
 
@@ -787,24 +793,43 @@ class MapReduceRuntime:
         sorted records, and reduce outputs are bit-identical across
         thresholds.
 
-        Routing hashes each record's cached key bytes, and byte
-        metering measures them with ``len`` instead of re-encoding the
-        key.  A :class:`_Run` is routed once and metered per value, so
-        every counter reads as if each value were its own record.
+        A plain job routes by hashing each record's cached key bytes.
+        A stateful round (``store`` given) first looks the bytes up in
+        the store's key index and hashes only a key the store does not
+        hold; the index holds the hash's own partition for every
+        resident key, so both routes agree record for record.  Byte
+        metering measures the cached bytes with ``len`` instead of
+        re-encoding the key.  A :class:`_Run` is routed once and
+        metered per value, so every counter reads as if each value were
+        its own record.
         """
         group = job.name
         num_partitions = self.num_reduce_tasks
         add = spiller.add
         shuffled = 0
         encoded_bytes = 0
+        # Two copies of one loop, so the plain job's pays no lookup.
+        resident = None if store is None else store.key_index.get
         for task_index, task_output in enumerate(intermediate):
-            for record in task_output:
-                key_bytes = record[0]
-                add(fast_hash_bytes(key_bytes) % num_partitions, record)
-                value = record[2]
-                run = value if value.__class__ is _Run else (value,)
-                shuffled += len(run)
-                encoded_bytes += len(key_bytes) * len(run)
+            if resident is None:
+                for record in task_output:
+                    key_bytes = record[0]
+                    add(fast_hash_bytes(key_bytes) % num_partitions, record)
+                    value = record[2]
+                    run = value if value.__class__ is _Run else (value,)
+                    shuffled += len(run)
+                    encoded_bytes += len(key_bytes) * len(run)
+            else:
+                for record in task_output:
+                    key_bytes = record[0]
+                    index = resident(key_bytes)
+                    if index is None:
+                        index = fast_hash_bytes(key_bytes) % num_partitions
+                    add(index, record)
+                    value = record[2]
+                    run = value if value.__class__ is _Run else (value,)
+                    shuffled += len(run)
+                    encoded_bytes += len(key_bytes) * len(run)
             # These records now live in the shuffle's buffers or
             # on-disk runs; drop the driver's copy so routing never
             # holds the shuffle twice.

@@ -17,6 +17,15 @@ node *resident on the reduce side* instead:
   num_partitions``), so a reduce task's state partition
   is exactly the set of keys its shuffle partition can address — the
   join is local and compares cached key bytes, never re-encoding;
+* an in-memory **key index** maps every resident key's bytes to its
+  partition, so each resident key is hashed once, when it first
+  arrives.  Membership, point reads and writes, ``len`` and the
+  routing of a stateful round's shuffle (see
+  :meth:`~repro.mapreduce.runtime.MapReduceRuntime.run_stateful`)
+  all read the index; only a key the store does not hold is hashed.
+  Its invariant: ``index == fast_hash_bytes(key_bytes) %
+  num_partitions`` for every entry, so routing through the index
+  assigns every key the partition the hash would;
 * between rounds the store can *park* its partitions on the runtime's
   pluggable :class:`~repro.mapreduce.storage.FileSystem` (the same
   ``--fs`` knob that backs inter-job datasets), so resident state
@@ -35,7 +44,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..telemetry.metrics import Counters
 from .errors import JobValidationError
@@ -215,11 +224,12 @@ class ResidentStateStore:
         self._partitions: List[Optional[Dict[bytes, StateEntry]]] = [
             {} for _ in range(num_partitions)
         ]
-        #: Resident key bytes per partition, kept in memory even while
-        #: the values are parked — membership tests never touch disk.
-        self._keys: List[Set[bytes]] = [
-            set() for _ in range(num_partitions)
-        ]
+        #: The key index: ``key_bytes -> partition`` for every resident
+        #: key, kept in memory even while the values are parked —
+        #: membership tests never touch disk, and a resident key is
+        #: never hashed again.  Invariant: ``index ==
+        #: fast_hash_bytes(key_bytes) % num_partitions``.
+        self._index: Dict[bytes, int] = {}
         #: Pending single-key edits against *parked* partitions:
         #: ``key_bytes -> entry`` (``None`` = deletion tombstone).
         #: Invariant: a partition's overlay is non-empty only while
@@ -236,7 +246,9 @@ class ResidentStateStore:
         self._dirty: List[bool] = [False] * num_partitions
         #: Open transaction snapshot (see :meth:`begin_transaction`),
         #: or ``None``.
-        self._txn: Optional[Tuple[Any, Any, Any, List[bool]]] = None
+        self._txn: Optional[
+            Tuple[Any, Dict[bytes, int], Any, List[bool]]
+        ] = None
         self._park_deferred = False
 
     # -- transactions ------------------------------------------------------
@@ -244,8 +256,8 @@ class ResidentStateStore:
     def begin_transaction(self) -> None:
         """Snapshot the store so a failure can roll it back.
 
-        The snapshot is *shallow*: the partition dicts, key sets, and
-        overlays are copied, the :data:`StateEntry` values are aliased.
+        The snapshot is *shallow*: the partition dicts, the key index,
+        and the overlays are copied, the :data:`StateEntry` values are aliased.
         That is sound because every producer of entries treats them as
         immutable — ``reduce_state`` implementations return fresh state
         instances rather than mutating the stored ones (the
@@ -270,7 +282,7 @@ class ResidentStateStore:
                 dict(part) if part is not None else None
                 for part in self._partitions
             ],
-            [set(keys) for keys in self._keys],
+            dict(self._index),
             [dict(overlay) for overlay in self._overlay],
             list(self._dirty),
         )
@@ -293,9 +305,9 @@ class ResidentStateStore:
             raise JobValidationError(
                 f"store {self.name!r} has no open transaction"
             )
-        partitions, keys, overlay, dirty = self._txn
+        partitions, index, overlay, dirty = self._txn
         self._partitions = partitions
-        self._keys = keys
+        self._index = index
         self._overlay = overlay
         self._dirty = dirty
         self._txn = None
@@ -306,9 +318,29 @@ class ResidentStateStore:
     def _path(self, index: int) -> str:
         return f"/state/{self.name}/part-{index:05d}"
 
+    @property
+    def key_index(self) -> Dict[bytes, int]:
+        """The key index, ``key_bytes -> partition`` for every resident
+        key: the live dict, which callers must only read.
+
+        A stateful round's shuffle routes each record through it, so a
+        message to a resident key costs a lookup instead of a hash.
+        """
+        return self._index
+
     def partition_of(self, key_bytes: bytes) -> int:
-        """The partition owning ``key_bytes`` (the shuffle's routing)."""
-        return fast_hash_bytes(key_bytes) % self.num_partitions
+        """The partition owning ``key_bytes`` (the shuffle's routing).
+
+        A resident key's partition is read from the key index; only a
+        key the store does not hold is hashed, with the shuffle's
+        ``fast_hash_bytes(key_bytes) % num_partitions``.  The index
+        holds exactly that value for every key it has, so the answer
+        never depends on whether the key is resident.
+        """
+        index = self._index.get(key_bytes)
+        if index is None:
+            index = fast_hash_bytes(key_bytes) % self.num_partitions
+        return index
 
     # -- loading and access ------------------------------------------------
 
@@ -317,9 +349,8 @@ class ResidentStateStore:
         count = 0
         for key, value in records:
             key_bytes = canonical_bytes(key)
-            index = self.partition_of(key_bytes)
+            index = self._index[key_bytes] = self.partition_of(key_bytes)
             self.partition(index)[key_bytes] = (key, value)
-            self._keys[index].add(key_bytes)
             self._dirty[index] = True
             count += 1
         return count
@@ -360,7 +391,11 @@ class ResidentStateStore:
         overlay — a per-event admission never reloads the whole parked
         file to touch one key (metered as ``state.point_applies``).
         """
-        index = self.partition_of(key_bytes)
+        index = self._index.get(key_bytes)
+        if index is None:
+            index = self._index[key_bytes] = (
+                fast_hash_bytes(key_bytes) % self.num_partitions
+            )
         part = self._partitions[index]
         if part is None:
             self._overlay[index][key_bytes] = (key, value)
@@ -368,7 +403,6 @@ class ResidentStateStore:
         else:
             part[key_bytes] = (key, value)
             self._dirty[index] = True
-        self._keys[index].add(key_bytes)
 
     def discard(self, key_bytes: bytes) -> None:
         """Remove one key (no-op when absent).
@@ -376,8 +410,8 @@ class ResidentStateStore:
         Deleting from a parked partition writes an overlay tombstone
         instead of unparking (metered as ``state.point_applies``).
         """
-        index = self.partition_of(key_bytes)
-        if key_bytes not in self._keys[index]:
+        index = self._index.pop(key_bytes, None)
+        if index is None:
             return
         part = self._partitions[index]
         if part is None:
@@ -386,7 +420,6 @@ class ResidentStateStore:
         else:
             part.pop(key_bytes, None)
             self._dirty[index] = True
-        self._keys[index].discard(key_bytes)
 
     def get(self, key: Any, default: Any = None) -> Any:
         """The state of one key, or ``default`` when absent.
@@ -397,8 +430,8 @@ class ResidentStateStore:
         (metered as ``state.point_reads``).
         """
         key_bytes = canonical_bytes(key)
-        index = self.partition_of(key_bytes)
-        if key_bytes not in self._keys[index]:
+        index = self._index.get(key_bytes)
+        if index is None:
             return default
         part = self._partitions[index]
         if part is not None:
@@ -422,14 +455,13 @@ class ResidentStateStore:
     def contains(self, key: Any) -> bool:
         """Whether ``key`` is resident (checked against the in-memory
         key index — never loads a parked partition)."""
-        key_bytes = canonical_bytes(key)
-        return key_bytes in self._keys[self.partition_of(key_bytes)]
+        return canonical_bytes(key) in self._index
 
     def __contains__(self, key: Any) -> bool:
         return self.contains(key)
 
     def __len__(self) -> int:
-        return sum(len(keys) for keys in self._keys)
+        return len(self._index)
 
     def records(self) -> Iterator[KeyValue]:
         """Every resident ``(key, state)`` in deterministic order.
@@ -519,9 +551,9 @@ class ResidentStateStore:
 
     def close(self) -> None:
         """Drop all state and delete any parked datasets."""
+        self._index.clear()
         for index in range(self.num_partitions):
             self._partitions[index] = {}
-            self._keys[index].clear()
             self._overlay[index].clear()
             self._dirty[index] = False
             path = self._path(index)

@@ -9,6 +9,13 @@ equivalents live in ``tests/matching``.
 """
 
 import pytest
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.mapreduce import (
     Counters,
@@ -545,3 +552,125 @@ def test_rollback_after_a_park_inside_the_transaction_rewrites(tmp_path):
     store.park()
     assert dict(store.records()) == committed
     store.close()
+
+
+# -- the key index against a model -------------------------------------------
+
+_INDEX_KEYS = st.one_of(
+    st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h"]),
+    st.integers(-3, 3),
+)
+
+
+class KeyIndexMachine(RuleBasedStateMachine):
+    """Every store operation against a ``key_bytes -> (key, value)``
+    model, on a store that parks past two records.
+
+    After every step: each key ever touched is routed by the shuffle's
+    own hash (``partition_of`` reads the index for a resident key and
+    hashes any other), ``contains`` agrees with the model, and ``len``
+    counts the model.
+    """
+
+    PARTITIONS = 3
+
+    def __init__(self):
+        super().__init__()
+        self.store = ResidentStateStore(
+            "index", num_partitions=self.PARTITIONS, spill_threshold=2
+        )
+        self.model = {}
+        self.snapshot = None
+        self.touched = {}
+
+    def _touch(self, key):
+        key_bytes = canonical_bytes(key)
+        self.touched[key_bytes] = key
+        return key_bytes
+
+    @rule(
+        records=st.lists(
+            st.tuples(_INDEX_KEYS, st.integers()), max_size=4
+        )
+    )
+    def load(self, records):
+        assert self.store.load(records) == len(records)
+        for key, value in records:
+            self.model[self._touch(key)] = (key, value)
+
+    @rule(key=_INDEX_KEYS, value=st.integers())
+    def put(self, key, value):
+        key_bytes = self._touch(key)
+        self.store.put(key_bytes, key, value)
+        self.model[key_bytes] = (key, value)
+
+    @rule(key=_INDEX_KEYS)
+    def discard(self, key):
+        key_bytes = self._touch(key)
+        self.store.discard(key_bytes)
+        self.model.pop(key_bytes, None)
+
+    @rule(key=_INDEX_KEYS)
+    def get(self, key):
+        entry = self.model.get(self._touch(key))
+        expected = "absent" if entry is None else entry[1]
+        assert self.store.get(key, "absent") == expected
+
+    @rule()
+    def read_all(self):
+        assert sorted(self.store.records(), key=repr) == sorted(
+            self.model.values(), key=repr
+        )
+
+    @rule()
+    def park(self):
+        self.store.park()
+
+    @rule()
+    def maybe_park(self):
+        self.store.maybe_park()
+
+    @precondition(lambda self: self.snapshot is None)
+    @rule()
+    def begin(self):
+        self.store.begin_transaction()
+        self.snapshot = dict(self.model)
+
+    @precondition(lambda self: self.snapshot is not None)
+    @rule()
+    def commit(self):
+        self.store.commit_transaction()
+        self.snapshot = None
+
+    @precondition(lambda self: self.snapshot is not None)
+    @rule()
+    def rollback(self):
+        self.store.rollback_transaction()
+        self.model, self.snapshot = self.snapshot, None
+
+    @precondition(lambda self: self.snapshot is None)
+    @rule()
+    def close(self):
+        self.store.close()
+        self.model.clear()
+
+    @invariant()
+    def routes_by_the_shuffle_hash(self):
+        for key_bytes in self.touched:
+            assert self.store.partition_of(key_bytes) == (
+                fast_hash_bytes(key_bytes) % self.PARTITIONS
+            )
+
+    @invariant()
+    def membership_and_length_match_the_model(self):
+        for key_bytes, key in self.touched.items():
+            assert self.store.contains(key) == (key_bytes in self.model)
+        assert len(self.store) == len(self.model)
+
+    def teardown(self):
+        if self.snapshot is not None:
+            self.store.rollback_transaction()
+        self.store.close()
+
+
+TestKeyIndexMachine = KeyIndexMachine.TestCase

@@ -239,14 +239,14 @@ def test_messages_shuffle_as_one_record_per_task_and_node(monkeypatch):
     records = distinct = 0
     shuffle = MapReduceRuntime._shuffle
 
-    def spy(self, job, intermediate, spiller):
+    def spy(self, job, intermediate, spiller, *args):
         nonlocal records, distinct
         for task_output in intermediate:
             keys = [key for _, key, _ in task_output]
             assert all(type(key) is str for key in keys)
             records += len(keys)
             distinct += len(set(keys))
-        return shuffle(self, job, intermediate, spiller)
+        return shuffle(self, job, intermediate, spiller, *args)
 
     monkeypatch.setattr(MapReduceRuntime, "_shuffle", spy)
     runtime = _serial_runtime()

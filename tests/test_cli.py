@@ -489,6 +489,22 @@ def test_chaos_run_that_injects_nothing_fails(capsys):
     assert verdict == "chaos: 2 run(s) diverged or injected nothing"
 
 
+def test_chaos_offers_no_trace_or_profile(tmp_path, capsys):
+    """A chaos run writes no span log and prints no phase timings, so
+    it does not accept ``--trace`` or ``--profile``: both are usage
+    errors, and its help names neither."""
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", "--trace", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--trace" not in usage and "--profile" not in usage
+
+
 @pytest.mark.parametrize("algorithm", ["greedy_mr", "stack_mr"])
 def test_match_produces_feasible_output(
     corpus_dir, tmp_path, capsys, algorithm
