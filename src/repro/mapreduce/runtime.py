@@ -808,7 +808,8 @@ class MapReduceRuntime:
         add = spiller.add
         shuffled = 0
         encoded_bytes = 0
-        # Two copies of one loop, so the plain job's pays no lookup.
+        # Two copies of one loop, so a plain job's records pay no
+        # index lookup.
         resident = None if store is None else store.key_index.get
         for task_index, task_output in enumerate(intermediate):
             if resident is None:

@@ -257,7 +257,8 @@ class ResidentStateStore:
         """Snapshot the store so a failure can roll it back.
 
         The snapshot is *shallow*: the partition dicts, the key index,
-        and the overlays are copied, the :data:`StateEntry` values are aliased.
+        and the overlays are copied, the :data:`StateEntry` values are
+        aliased.
         That is sound because every producer of entries treats them as
         immutable — ``reduce_state`` implementations return fresh state
         instances rather than mutating the stored ones (the
@@ -393,9 +394,7 @@ class ResidentStateStore:
         """
         index = self._index.get(key_bytes)
         if index is None:
-            index = self._index[key_bytes] = (
-                fast_hash_bytes(key_bytes) % self.num_partitions
-            )
+            index = self._index[key_bytes] = self.partition_of(key_bytes)
         part = self._partitions[index]
         if part is None:
             self._overlay[index][key_bytes] = (key, value)

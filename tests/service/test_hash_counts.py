@@ -19,10 +19,18 @@ from repro.matching import greedy_mr_b_matching
 from repro.service import OnlineMatcher
 from repro.telemetry.loadgen import zipf_events
 
-from ..matching.test_greedy_kernel import _flickr_graph_at, _seeded_record_count
+from ..matching.test_greedy_kernel import (
+    _flickr_graph_at,
+    _seeded_record_count,
+)
 
 #: Events that only touch nodes already in the graph.
-RESIDENT_MIX = {"arrival": 0.0, "edge": 0.6, "capacity": 0.3, "retirement": 0.1}
+RESIDENT_MIX = {
+    "arrival": 0.0,
+    "edge": 0.6,
+    "capacity": 0.3,
+    "retirement": 0.1,
+}
 
 
 def _serial_runtime() -> MapReduceRuntime:
