@@ -781,7 +781,7 @@ class MapReduceRuntime:
         job: MapReduceJob,
         intermediate: List[List[EncodedRecord]],
         spiller: ExternalShuffle,
-        store: Optional[ResidentStateStore] = None,
+        store: Optional[ResidentStateStore],
     ) -> List[Any]:
         """Partition, sort and meter the intermediate records.
 
@@ -793,11 +793,11 @@ class MapReduceRuntime:
         sorted records, and reduce outputs are bit-identical across
         thresholds.
 
-        A plain job routes by hashing each record's cached key bytes.
-        A stateful round (``store`` given) first looks the bytes up in
-        the store's key index and hashes only a key the store does not
-        hold; the index holds the hash's own partition for every
-        resident key, so both routes agree record for record.  Byte
+        Each record's cached key bytes are looked up in the resident
+        store's key index (an empty one for a plain job, ``store`` None)
+        and only a key the store does not hold is hashed; the index
+        holds the hash's own partition for every resident key, so the
+        routing is the hash's record for record.  Byte
         metering measures the cached bytes with ``len`` instead of
         re-encoding the key.  A :class:`_Run` is routed once and
         metered per value, so every counter reads as if each value were
@@ -808,29 +808,18 @@ class MapReduceRuntime:
         add = spiller.add
         shuffled = 0
         encoded_bytes = 0
-        # Two copies of one loop, so a plain job's records pay no
-        # index lookup.
-        resident = None if store is None else store.key_index.get
+        resident = (store.key_index if store is not None else {}).get
         for task_index, task_output in enumerate(intermediate):
-            if resident is None:
-                for record in task_output:
-                    key_bytes = record[0]
-                    add(fast_hash_bytes(key_bytes) % num_partitions, record)
-                    value = record[2]
-                    run = value if value.__class__ is _Run else (value,)
-                    shuffled += len(run)
-                    encoded_bytes += len(key_bytes) * len(run)
-            else:
-                for record in task_output:
-                    key_bytes = record[0]
-                    index = resident(key_bytes)
-                    if index is None:
-                        index = fast_hash_bytes(key_bytes) % num_partitions
-                    add(index, record)
-                    value = record[2]
-                    run = value if value.__class__ is _Run else (value,)
-                    shuffled += len(run)
-                    encoded_bytes += len(key_bytes) * len(run)
+            for record in task_output:
+                key_bytes = record[0]
+                index = resident(key_bytes)
+                if index is None:
+                    index = fast_hash_bytes(key_bytes) % num_partitions
+                add(index, record)
+                value = record[2]
+                run = value if value.__class__ is _Run else (value,)
+                shuffled += len(run)
+                encoded_bytes += len(key_bytes) * len(run)
             # These records now live in the shuffle's buffers or
             # on-disk runs; drop the driver's copy so routing never
             # holds the shuffle twice.

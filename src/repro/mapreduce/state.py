@@ -392,9 +392,7 @@ class ResidentStateStore:
         overlay — a per-event admission never reloads the whole parked
         file to touch one key (metered as ``state.point_applies``).
         """
-        index = self._index.get(key_bytes)
-        if index is None:
-            index = self._index[key_bytes] = self.partition_of(key_bytes)
+        index = self._index[key_bytes] = self.partition_of(key_bytes)
         part = self._partitions[index]
         if part is None:
             self._overlay[index][key_bytes] = (key, value)
