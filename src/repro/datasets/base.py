@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graph.bipartite import BipartiteGraph
 from ..graph.capacities import (
@@ -195,9 +195,7 @@ class Dataset:
             self.edges(sigma, method=method), item_caps, consumer_caps
         )
 
-    def subscription_edges(
-        self, sigma: float = 0.0, method: Optional[str] = None
-    ) -> List[JoinRow]:
+    def subscription_edges(self, sigma: float = 0.0) -> List[JoinRow]:
         """Candidate edges restricted to subscribed producer-consumer
         pairs (§4's social-network scenario).
 

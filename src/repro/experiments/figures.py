@@ -8,9 +8,9 @@ benchmark suite and ``repro experiment`` call these functions.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..datasets.base import Dataset
 from ..datasets.registry import load_dataset
 from ..datasets.stats import log_histogram, tail_summary
 from .config import FIGURE_SWEEPS, SweepSpec, bench_scale, bench_seed
@@ -41,14 +41,16 @@ _FLOOR_SIGMAS = {
 
 
 def _scaled(spec: SweepSpec, scale_multiplier: float) -> SweepSpec:
-    return SweepSpec(
-        dataset=spec.dataset,
-        scale=spec.scale * scale_multiplier,
-        floor_sigma=spec.floor_sigma,
-        edge_fractions=spec.edge_fractions,
-        alphas=spec.alphas,
-        epsilon=spec.epsilon,
-        algorithms=spec.algorithms,
+    return replace(spec, scale=spec.scale * scale_multiplier)
+
+
+def _scale_and_seed(
+    scale_multiplier: Optional[float], seed: Optional[int]
+) -> Tuple[float, int]:
+    """The arguments, each falling back to its ``REPRO_BENCH_*`` value."""
+    return (
+        bench_scale() if scale_multiplier is None else scale_multiplier,
+        bench_seed() if seed is None else seed,
     )
 
 
@@ -57,10 +59,7 @@ def table1_experiment(
     seed: Optional[int] = None,
 ) -> Tuple[List[Dict], str]:
     """Table 1: dataset characteristics, measured versus the paper."""
-    scale_multiplier = (
-        bench_scale() if scale_multiplier is None else scale_multiplier
-    )
-    seed = bench_seed() if seed is None else seed
+    scale_multiplier, seed = _scale_and_seed(scale_multiplier, seed)
     scales = {
         "flickr-small": 1.0,
         "flickr-large": 0.5,
@@ -110,10 +109,7 @@ def value_iterations_experiment(
     seed: Optional[int] = None,
 ) -> Tuple[SweepOutcome, str]:
     """Figures 1-3: matching value and MR iterations versus #edges."""
-    scale_multiplier = (
-        bench_scale() if scale_multiplier is None else scale_multiplier
-    )
-    seed = bench_seed() if seed is None else seed
+    scale_multiplier, seed = _scale_and_seed(scale_multiplier, seed)
     spec = _scaled(FIGURE_SWEEPS[figure_key], scale_multiplier)
     outcome = run_sweep(spec, seed=seed)
     figure_number = {"fig1": 1, "fig2": 2, "fig3": 3}[figure_key]
@@ -152,25 +148,14 @@ def violations_experiment(
     epsilons: Sequence[float] = (1.0,),
 ) -> Tuple[List[SweepOutcome], str]:
     """Figure 4: StackMR capacity violations across σ, α (and ε)."""
-    scale_multiplier = (
-        bench_scale() if scale_multiplier is None else scale_multiplier
-    )
-    seed = bench_seed() if seed is None else seed
+    scale_multiplier, seed = _scale_and_seed(scale_multiplier, seed)
     base = _scaled(FIGURE_SWEEPS["fig4"], scale_multiplier)
     outcomes: List[SweepOutcome] = []
     text = banner(
         "Figure 4 — StackMR capacity violations (average ε′)"
     )
     for epsilon in epsilons:
-        spec = SweepSpec(
-            dataset=base.dataset,
-            scale=base.scale,
-            floor_sigma=base.floor_sigma,
-            edge_fractions=base.edge_fractions,
-            alphas=base.alphas,
-            epsilon=epsilon,
-            algorithms=base.algorithms,
-        )
+        spec = replace(base, epsilon=epsilon)
         outcome = run_sweep(spec, seed=seed)
         outcomes.append(outcome)
         text += f"\nepsilon = {epsilon}:\n"
@@ -209,10 +194,7 @@ def anytime_experiment(
     iterations the solution reached 95% of the final value, against the
     paper's 28.91% / 44.18% / 29.35%.
     """
-    scale_multiplier = (
-        bench_scale() if scale_multiplier is None else scale_multiplier
-    )
-    seed = bench_seed() if seed is None else seed
+    scale_multiplier, seed = _scale_and_seed(scale_multiplier, seed)
     scales = {
         "flickr-small": 0.3,
         "flickr-large": 0.2,
@@ -283,10 +265,7 @@ def similarity_distribution_experiment(
     seed: Optional[int] = None,
 ) -> Tuple[Dict[str, Dict], str]:
     """Figure 6: distribution of edge similarities per dataset."""
-    scale_multiplier = (
-        bench_scale() if scale_multiplier is None else scale_multiplier
-    )
-    seed = bench_seed() if seed is None else seed
+    scale_multiplier, seed = _scale_and_seed(scale_multiplier, seed)
     scales = {
         "flickr-small": 0.5,
         "flickr-large": 0.25,
@@ -322,10 +301,7 @@ def capacity_distribution_experiment(
     alpha: float = 2.0,
 ) -> Tuple[Dict[str, Dict], str]:
     """Figure 7: distribution of capacities per dataset."""
-    scale_multiplier = (
-        bench_scale() if scale_multiplier is None else scale_multiplier
-    )
-    seed = bench_seed() if seed is None else seed
+    scale_multiplier, seed = _scale_and_seed(scale_multiplier, seed)
     scales = {
         "flickr-small": 0.5,
         "flickr-large": 0.25,

@@ -26,7 +26,7 @@ from .maximal import (
     is_maximal,
     maximal_b_matching_adjacency,
 )
-from .maximal_mr import mm_records_from_adjacency, mr_maximal_b_matching
+from .maximal_mr import mr_maximal_b_matching
 from .stack import StackLayer, layer_capacities, stack_b_matching
 from .stack_mr import stack_mr_b_matching
 from .types import Matching, MatchingResult
@@ -46,7 +46,6 @@ __all__ = [
     "layer_capacities",
     "lp_upper_bound",
     "maximal_b_matching_adjacency",
-    "mm_records_from_adjacency",
     "mr_maximal_b_matching",
     "solve",
     "stack_b_matching",

@@ -1,7 +1,15 @@
 """The centralized stack (primal-dual) b-matching algorithm (§5.2).
 
-This is the sequential reference for StackMR.  Both the paper's variants
-are implemented on a shared push phase:
+This is the sequential reference for StackMR: Algorithm 2 returns
+exactly StackMR's matching and layer count for the same graph, ε, seed
+and strategy (``tests/matching/test_reference.py``).  Each push round
+computes its layer with the in-process driver of the maximal
+subroutine's stage rules
+(:func:`~repro.matching.maximal.maximal_b_matching_adjacency`), whose
+per-node random streams are the ones StackMR's MapReduce driver draws
+from; push round ``r`` uses ``round_offset = r · MAX_ROUNDS``, as
+StackMR does.  Both the paper's variants are implemented on a shared
+push phase:
 
 * **Algorithm 2** (:func:`stack_b_matching` with ``feasible=False``) —
   the StackMR variant evaluated in the paper: the pop phase includes
@@ -38,14 +46,13 @@ of its weight, so the scaled duals ``(3+2ε)·y`` are dual-feasible and
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..graph.bipartite import Graph
-from ..graph.edges import EdgeKey, edge_key
+from ..graph.edges import EdgeKey
 from ..mapreduce.errors import RoundLimitExceeded
-from .maximal import check_strategy, maximal_b_matching_adjacency
+from .maximal import MAX_ROUNDS, check_strategy, maximal_b_matching_adjacency
 from .types import Matching, MatchingResult
 
 __all__ = [
@@ -101,7 +108,7 @@ def layer_capacities(
 def _push_phase(
     graph: Graph,
     epsilon: float,
-    rng: random.Random,
+    seed: int,
     strategy: str,
     max_rounds: int,
 ) -> Tuple[List[StackLayer], Dict[str, float]]:
@@ -121,11 +128,15 @@ def _push_phase(
     threshold_factor = 1.0 / (3.0 + 2.0 * epsilon)
     layers: List[StackLayer] = []
 
-    for _ in range(max_rounds):
+    for round_number in range(max_rounds):
         if not any(adjacency.values()):
             return layers, duals
-        matched = maximal_b_matching_adjacency(
-            adjacency, caps_layer, rng=rng, strategy=strategy
+        matched, _ = maximal_b_matching_adjacency(
+            adjacency,
+            caps_layer,
+            seed=seed,
+            strategy=strategy,
+            round_offset=round_number * MAX_ROUNDS,
         )
         layer = StackLayer()
         increments: Dict[str, float] = {}
@@ -185,11 +196,16 @@ def _pop_feasible(
     layers: List[StackLayer],
     capacities: Dict[str, int],
     epsilon: float,
-    rng: random.Random,
+    seed: int,
     strategy: str,
     max_rounds: int,
 ) -> Matching:
-    """Algorithm 1's pop: overflow edges are set aside and repaired."""
+    """Algorithm 1's pop: overflow edges are set aside and repaired.
+
+    Repair sublayer ``k`` draws from the random streams past the push
+    rounds' (``round_offset = (len(layers) + k) · MAX_ROUNDS``), so no
+    two subroutine calls of one run share a stream.
+    """
     residual = dict(capacities)
     dead: Set[str] = set()
     matching = Matching()
@@ -225,7 +241,7 @@ def _pop_feasible(
 
     # Repair: drain the overflow edges through dominance-filtered
     # maximal-matching sublayers (lines 19-25 of Algorithm 1).
-    for _ in range(max_rounds):
+    for sublayer_number in range(max_rounds):
         overflow = {
             key: value
             for key, value in overflow.items()
@@ -262,8 +278,12 @@ def _pop_feasible(
         for (u, v), weight in eligible.items():
             adjacency.setdefault(u, {})[v] = weight
             adjacency.setdefault(v, {})[u] = weight
-        sublayer = maximal_b_matching_adjacency(
-            adjacency, residual, rng=rng, strategy=strategy
+        sublayer, _ = maximal_b_matching_adjacency(
+            adjacency,
+            residual,
+            seed=seed,
+            strategy=strategy,
+            round_offset=(len(layers) + sublayer_number) * MAX_ROUNDS,
         )
         for (u, v), weight in sublayer.items():
             matching.add(u, v, weight)
@@ -297,14 +317,13 @@ def stack_b_matching(
         StackMR); ``True`` → Algorithm 1 (strictly feasible).
     """
     name = stack_algorithm_name(strategy)
-    rng = random.Random(seed)
     layers, duals = _push_phase(
-        graph, epsilon, rng, strategy, max_rounds
+        graph, epsilon, seed, strategy, max_rounds
     )
     capacities = graph.capacities()
     if feasible:
         matching = _pop_feasible(
-            layers, capacities, epsilon, rng, strategy, max_rounds
+            layers, capacities, epsilon, seed, strategy, max_rounds
         )
         name = "StackFeasible"
     else:

@@ -2,8 +2,9 @@
 
 Each *push* iteration consists of
 
-1. the maximal ``⌈ε·b⌉``-matching subroutine
-   (:mod:`repro.matching.maximal_mr`; four MapReduce jobs per inner
+1. the maximal ``⌈ε·b⌉``-matching subroutine (the stage rules of
+   :mod:`repro.matching.maximal` on the MapReduce driver of
+   :mod:`repro.matching.maximal_mr`; four MapReduce jobs per inner
    round) producing a stack *layer*,
 2. an **update** job that propagates ``y_u/b(u)`` across the layer's
    edges so both endpoints raise their duals by the same
@@ -30,6 +31,12 @@ StackGreedyMR is this exact pipeline with ``strategy="greedy"`` (the
 maximal-matching marking stage proposes the heaviest edges instead of
 uniform-random ones); ``strategy="weighted"`` gives the third variant
 mentioned in §6.
+
+The centralized :func:`~repro.matching.stack.stack_b_matching`
+(Algorithm 2) runs the same stage rules in process, from the same
+per-node random streams (push round ``r`` draws with ``round_offset =
+r · MAX_ROUNDS`` under both), so it returns exactly this matching and
+layer count for the same graph, ε, seed and strategy.
 
 Resident-state rounds
 ---------------------
@@ -65,8 +72,8 @@ from ..mapreduce import (
     MapReduceRuntime,
     Retired,
 )
-from .maximal_mr import MAX_ROUNDS as MAX_INNER_ROUNDS
-from .maximal_mr import mm_records_from_adjacency, mr_maximal_b_matching
+from .maximal import MAX_ROUNDS as MAX_INNER_ROUNDS
+from .maximal_mr import mr_maximal_b_matching
 from .stack import COVERAGE_TOLERANCE, layer_capacities, stack_algorithm_name
 from .types import Matching, MatchingResult
 
@@ -292,11 +299,9 @@ def stack_mr_b_matching(
     push_store.load(_initial_states(graph, capacities))
 
     def push_round(snapshot, round_number):
-        mm_records = mm_records_from_adjacency(
-            {node: state.adj for node, state in snapshot}, caps_layer
-        )
         matched, _ = mr_maximal_b_matching(
-            mm_records,
+            {node: state.adj for node, state in snapshot},
+            caps_layer,
             runtime,
             seed=seed,
             strategy=strategy,

@@ -41,7 +41,6 @@ from repro.mapreduce.cluster import executor as cluster_executor
 from repro.mapreduce.storage import InMemoryFileSystem
 from repro.matching import (
     greedy_mr_b_matching,
-    mm_records_from_adjacency,
     mr_maximal_b_matching,
     stack_mr_b_matching,
 )
@@ -419,10 +418,9 @@ def _stack_mr(runtime):
 
 def _maximal(runtime):
     graph = chaos_graph()
-    records = mm_records_from_adjacency(
-        graph.adjacency_copy(), graph.capacities()
+    matched, _ = mr_maximal_b_matching(
+        graph.adjacency_copy(), graph.capacities(), runtime, strategy="uniform"
     )
-    matched, _ = mr_maximal_b_matching(records, runtime, strategy="uniform")
     return sorted(matched.items())
 
 

@@ -48,7 +48,6 @@ from repro.graph import Graph, ascending_path, random_bipartite, random_graph
 from repro.mapreduce import Counters, MapReduceRuntime
 from repro.matching import (
     greedy_mr_b_matching,
-    mm_records_from_adjacency,
     mr_maximal_b_matching,
     stack_mr_b_matching,
 )
@@ -136,11 +135,12 @@ def _graph(name):
 def _measure(matcher, graph, runtime):
     """Every pinned field of one run, counters included."""
     if matcher == "mr_maximal":
-        records = mm_records_from_adjacency(
-            graph.adjacency_copy(), graph.capacities()
-        )
         matched, rounds = mr_maximal_b_matching(
-            records, runtime, seed=SEED, strategy="uniform"
+            graph.adjacency_copy(),
+            graph.capacities(),
+            runtime,
+            seed=SEED,
+            strategy="uniform",
         )
         row = {
             "edges": [[u, v, w] for (u, v), w in sorted(matched.items())],

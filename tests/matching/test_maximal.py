@@ -24,10 +24,10 @@ from ..strategies import small_bipartite_graphs, small_general_graphs
 )
 def test_output_is_feasible_and_maximal(graph, strategy, seed):
     capacities = graph.capacities()
-    matched = maximal_b_matching_adjacency(
+    matched, _ = maximal_b_matching_adjacency(
         graph.adjacency_copy(),
         capacities,
-        rng=random.Random(seed),
+        seed=seed,
         strategy=strategy,
     )
     report = check_matching(capacities, matched.keys())
@@ -37,8 +37,8 @@ def test_output_is_feasible_and_maximal(graph, strategy, seed):
 
 @given(graph=small_bipartite_graphs())
 def test_bipartite_instances_work_too(graph):
-    matched = maximal_b_matching_adjacency(
-        graph.adjacency_copy(), graph.capacities(), rng=random.Random(1)
+    matched, _ = maximal_b_matching_adjacency(
+        graph.adjacency_copy(), graph.capacities(), seed=1
     )
     assert is_maximal(
         graph.adjacency_copy(), graph.capacities(), matched.keys()
@@ -48,8 +48,8 @@ def test_bipartite_instances_work_too(graph):
 def test_capacity_override_restricts_matching():
     g = random_graph(10, 0.5, rng=random.Random(4), max_capacity=4)
     tight = {node: 1 for node in g.nodes()}
-    matched = maximal_b_matching_adjacency(
-        g.adjacency_copy(), tight, rng=random.Random(0)
+    matched, _ = maximal_b_matching_adjacency(
+        g.adjacency_copy(), tight, seed=0
     )
     degrees = {}
     for u, v in matched:
@@ -62,10 +62,10 @@ def test_capacity_override_restricts_matching():
 def test_deterministic_for_fixed_seed():
     g = random_graph(12, 0.4, rng=random.Random(9))
     a = maximal_b_matching_adjacency(
-        g.adjacency_copy(), g.capacities(), rng=random.Random(5)
+        g.adjacency_copy(), g.capacities(), seed=5
     )
     b = maximal_b_matching_adjacency(
-        g.adjacency_copy(), g.capacities(), rng=random.Random(5)
+        g.adjacency_copy(), g.capacities(), seed=5
     )
     assert a == b
 
@@ -76,22 +76,22 @@ def test_zero_capacity_nodes_never_matched():
         "b": {"a": 1.0, "c": 2.0},
         "c": {"b": 2.0},
     }
-    matched = maximal_b_matching_adjacency(
-        adjacency, {"a": 0, "b": 1, "c": 1}, rng=random.Random(0)
+    matched, _ = maximal_b_matching_adjacency(
+        adjacency, {"a": 0, "b": 1, "c": 1}, seed=0
     )
     assert ("a", "b") not in matched
     assert matched == {("b", "c"): 2.0}
 
 
 def test_empty_graph():
-    assert maximal_b_matching_adjacency({}, {}) == {}
+    assert maximal_b_matching_adjacency({}, {}) == ({}, 0)
 
 
 def test_inputs_not_mutated():
     adjacency = {"a": {"b": 1.0}, "b": {"a": 1.0}}
     capacities = {"a": 1, "b": 1}
     maximal_b_matching_adjacency(
-        adjacency, capacities, rng=random.Random(0)
+        adjacency, capacities, seed=0
     )
     assert adjacency == {"a": {"b": 1.0}, "b": {"a": 1.0}}
     assert capacities == {"a": 1, "b": 1}

@@ -11,20 +11,21 @@ from repro.mapreduce import MapReduceRuntime
 from repro.matching import (
     MARKING_STRATEGIES,
     is_maximal,
-    maximal_mr,
-    mm_records_from_adjacency,
+    maximal,
     mr_maximal_b_matching,
 )
+from repro.matching.maximal import mm_records_from_adjacency
 
 from ..strategies import small_general_graphs
 
 
 def _run_on(graph, runtime, seed=0, strategy="uniform"):
-    records = mm_records_from_adjacency(
-        graph.adjacency_copy(), graph.capacities()
-    )
     return mr_maximal_b_matching(
-        records, runtime, seed=seed, strategy=strategy
+        graph.adjacency_copy(),
+        graph.capacities(),
+        runtime,
+        seed=seed,
+        strategy=strategy,
     )
 
 
@@ -73,15 +74,11 @@ def test_mr_deterministic_per_seed_and_varies_across_seeds():
 def test_round_offset_changes_random_stream():
     g = random_graph(14, 0.4, rng=random.Random(8), max_capacity=2)
     runtime = MapReduceRuntime()
-    records = mm_records_from_adjacency(
-        g.adjacency_copy(), g.capacities()
-    )
-    m1, _ = mr_maximal_b_matching(records, runtime, seed=0, round_offset=0)
-    records = mm_records_from_adjacency(
-        g.adjacency_copy(), g.capacities()
+    m1, _ = mr_maximal_b_matching(
+        g.adjacency_copy(), g.capacities(), runtime, seed=0, round_offset=0
     )
     m2, _ = mr_maximal_b_matching(
-        records, runtime, seed=0, round_offset=1000
+        g.adjacency_copy(), g.capacities(), runtime, seed=0, round_offset=1000
     )
     assert check_matching(g.capacities(), m2.keys()).feasible
     # both valid; streams differ so results typically differ
@@ -111,7 +108,7 @@ def test_records_builder_filters_dead_nodes():
 
 
 def test_empty_records_no_jobs(runtime):
-    matched, rounds = mr_maximal_b_matching([], runtime)
+    matched, rounds = mr_maximal_b_matching({}, {}, runtime)
     assert matched == {}
     assert rounds == 0
     assert runtime.jobs_executed == 0
@@ -121,7 +118,7 @@ def test_unknown_strategy_rejected_without_live_edges():
     """The name is checked on entry, not when the first mark is drawn."""
     runtime = MapReduceRuntime()
     with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
-        mr_maximal_b_matching([], runtime, strategy="bogus")
+        mr_maximal_b_matching({}, {}, runtime, strategy="bogus")
     assert runtime.jobs_executed == 0
 
 
@@ -217,12 +214,12 @@ def test_adjacency_stays_symmetric_after_every_cleanup(strategy):
 def test_rng_built_only_where_drawn(monkeypatch):
     """Greedy marking draws only in matchfix: ``x``'s map and reduce."""
     built = []
-    make_rng = maximal_mr._StageJob._rng
+    make_rng = maximal._StageJob._rng
 
     def counting(job, node):
         built.append((job.stage, node))
         return make_rng(job, node)
 
-    monkeypatch.setattr(maximal_mr._StageJob, "_rng", counting)
+    monkeypatch.setattr(maximal._StageJob, "_rng", counting)
     _run_on(_sparse_protocol_graph(), MapReduceRuntime(), strategy="greedy")
     assert built == [("matchfix", "x"), ("matchfix", "x")]

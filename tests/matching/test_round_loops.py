@@ -18,10 +18,7 @@ from repro.matching import (
     stack_mr,
     stack_mr_b_matching,
 )
-from repro.matching.maximal_mr import (
-    mm_records_from_adjacency,
-    mr_maximal_b_matching,
-)
+from repro.matching.maximal_mr import mr_maximal_b_matching
 from repro.service import OnlineMatcher
 from repro.telemetry import Tracer
 from repro.telemetry.loadgen import zipf_events
@@ -63,10 +60,9 @@ def test_greedy_mr_rounds(runtime):
 def test_maximal_subroutine_rounds(runtime):
     tracer = _traced(runtime)
     graph = _graph()
-    records = mm_records_from_adjacency(
-        graph.adjacency_copy(), graph.capacities()
+    _, rounds = mr_maximal_b_matching(
+        graph.adjacency_copy(), graph.capacities(), runtime, seed=1
     )
-    _, rounds = mr_maximal_b_matching(records, runtime, seed=1)
     _assert_one_span_per_round(tracer, "mr-maximal-b-matching", rounds)
     assert runtime.counters.get("mr-maximal-b-matching", "rounds") == rounds
     # Four stage jobs per round, each nested under its round span.
@@ -137,11 +133,10 @@ def test_stack_mr_push_cap_names_its_loop(runtime, monkeypatch):
 def test_maximal_cap_names_its_loop(runtime, monkeypatch):
     monkeypatch.setattr(maximal_mr, "MAX_ROUNDS", 1)
     graph = _graph()
-    records = mm_records_from_adjacency(
-        graph.adjacency_copy(), graph.capacities()
-    )
     with pytest.raises(RoundLimitExceeded) as excinfo:
-        mr_maximal_b_matching(records, runtime, seed=1)
+        mr_maximal_b_matching(
+            graph.adjacency_copy(), graph.capacities(), runtime, seed=1
+        )
     assert excinfo.value.name == "mr-maximal-b-matching"
     assert excinfo.value.max_rounds == 1
     assert runtime.counters.get("mr-maximal-b-matching", "rounds") == 1

@@ -1,7 +1,5 @@
 """White-box tests of the stack algorithm's push/pop mechanics."""
 
-import random
-
 import pytest
 
 from repro.graph import Graph, star_graph
@@ -58,7 +56,7 @@ def test_pop_feasible_repairs_overflow():
         layers,
         {"x": 1, "a": 1, "b": 1},
         epsilon=1.0,
-        rng=random.Random(0),
+        seed=0,
         strategy="uniform",
         max_rounds=100,
     )
@@ -70,7 +68,7 @@ def test_pop_feasible_repairs_overflow():
 def test_push_phase_stacks_everything_eventually():
     g = star_graph(7, center_capacity=3)
     layers, duals = _push_phase(
-        g, epsilon=1.0, rng=random.Random(1), strategy="uniform",
+        g, epsilon=1.0, seed=1, strategy="uniform",
         max_rounds=1000,
     )
     stacked = {key for layer in layers for key in layer.edges}
@@ -83,7 +81,7 @@ def test_push_phase_stacks_everything_eventually():
 def test_push_phase_deltas_match_dual_increases():
     g = star_graph(5, center_capacity=2)
     layers, duals = _push_phase(
-        g, epsilon=1.0, rng=random.Random(2), strategy="uniform",
+        g, epsilon=1.0, seed=2, strategy="uniform",
         max_rounds=1000,
     )
     total_delta = sum(
@@ -99,7 +97,7 @@ def test_zero_capacity_component_yields_empty_stack():
     g.add_node("b", 0)
     g.add_edge("a", "b", 3.0)
     layers, duals = _push_phase(
-        g, epsilon=1.0, rng=random.Random(0), strategy="uniform",
+        g, epsilon=1.0, seed=0, strategy="uniform",
         max_rounds=10,
     )
     assert layers == []
